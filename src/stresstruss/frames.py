@@ -1,11 +1,21 @@
 """Stress-aligned orthonormal frame fields.
 
 Frames are parameterized by one 3-vector per vertex; each tet's rotation is
-the matrix exponential of the cross-product matrix of the sum of its four
-vertex vectors. The data term pulls the second and third frame columns into
-the minor-eigenvector plane of the SPD stress surrogate; a Laplacian term
-plus a Tikhonov term keep the vertex field tame. The annealing loop starts
-smoothness-heavy and relaxes it by a fixed factor each outer iteration.
+R = exp(K) = I + a K + b K^2, K = [s]x the cross-product matrix of the sum s
+of its four vertex vectors (Rodrigues). The data term pulls the second and
+third frame columns into the minor-eigenvector plane of the SPD stress
+surrogate; a Laplacian term plus a Tikhonov term keep the vertex field tame.
+The annealing loop starts smoothness-heavy and relaxes it by a fixed factor
+each outer iteration.
+
+The data gradient is contracted in closed form, with D = dE/dR per tet,
+ca = a'(|s|)/|s|, cb = b'(|s|)/|s| and vee(X) = (X21-X12, X02-X20, X10-X01):
+
+    dE/ds = (ca <D,K> + cb <D,K^2>) s + vee(a D + b (D K^T + K^T D)),
+
+evaluated as <D,K> = s.vee(D), vee(D K^T + K^T D) = (D + D^T) s - 2 tr(D) s,
+so no (m, 3, 3, 3) dR/ds tensor is formed. s = S omega and the vertex
+gradient S^T dE/ds use one sparse tet-vertex incidence S built once per fit.
 """
 
 from __future__ import annotations
@@ -25,15 +35,6 @@ SMALL_ANGLE = 1e-4
 
 # Replacement magnitude for zero-length vertex vectors before differentiation.
 ZERO_OMEGA_EPS = float(np.sqrt(np.finfo(np.float64).eps))
-
-# Cross-product generators: _GEN[m] @ v == e_m x v.
-_GEN = np.zeros((3, 3, 3))
-_GEN[0, 1, 2] = -1.0
-_GEN[0, 2, 1] = 1.0
-_GEN[1, 0, 2] = 1.0
-_GEN[1, 2, 0] = -1.0
-_GEN[2, 0, 1] = -1.0
-_GEN[2, 1, 0] = 1.0
 
 
 @dataclass
@@ -57,14 +58,6 @@ class FrameField:
     alpha_history: list[tuple[float, float]] = field(default_factory=list)
 
 
-def tensor_norm(v: np.ndarray, M: np.ndarray) -> float:
-    """sqrt(|v^T M v|) for a unit vector v."""
-    v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ConfigError("tensor_norm requires a unit vector")
-    return float(np.sqrt(abs(v @ np.asarray(M, dtype=float) @ v)))
-
-
 def perturb_zero_rows(omega: np.ndarray) -> np.ndarray:
     """Replace zero-length rows so the rotation gradient is well defined."""
     omega = np.asarray(omega, dtype=float)
@@ -75,19 +68,29 @@ def perturb_zero_rows(omega: np.ndarray) -> np.ndarray:
     return omega
 
 
+def incidence(tets: np.ndarray, num_vertices: int) -> sp.csr_matrix:
+    """Sparse (m, n) tet-vertex incidence: S @ omega sums each tet's vertex
+    rows in tet order, as omega[tets].sum(axis=1) does; S.T scatters back."""
+    m, k = np.shape(tets)
+    indptr = np.arange(0, m * k + 1, k)
+    return sp.csr_matrix((np.ones(m * k), np.ravel(tets), indptr),
+                         shape=(m, num_vertices))
+
+
 def _rodrigues_coefficients(theta: np.ndarray):
     """a = sin t / t, b = (1 - cos t) / t^2, and their derivative ratios
     ca = a'(t)/t, cb = b'(t)/t, with series for small t."""
     t2 = theta * theta
     small = theta < SMALL_ANGLE
     safe = np.where(small, 1.0, theta)
-    a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(safe) / safe)
+    sin, cos = np.sin(safe), np.cos(safe)
+    a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, sin / safe)
     b = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
-                 (1.0 - np.cos(safe)) / (safe * safe))
+                 (1.0 - cos) / (safe * safe))
     ca = np.where(small, -1.0 / 3.0 + t2 / 30.0,
-                  (safe * np.cos(safe) - np.sin(safe)) / safe**3)
+                  (safe * cos - sin) / safe**3)
     cb = np.where(small, -1.0 / 12.0 + t2 / 180.0,
-                  (safe * np.sin(safe) + 2.0 * np.cos(safe) - 2.0) / safe**4)
+                  (safe * sin + 2.0 * cos - 2.0) / safe**4)
     return a, b, ca, cb
 
 
@@ -102,113 +105,98 @@ def _cross_matrices(s: np.ndarray) -> np.ndarray:
     return K
 
 
-def rotations_from_axis_vectors(s: np.ndarray) -> np.ndarray:
-    """Batch closed-form exp of cross-product matrices, shape (m, 3, 3)."""
-    s = np.atleast_2d(np.asarray(s, dtype=float))
+def _rotations(s: np.ndarray):
+    """R = I + a K + b K^2 per row of s, with K^2 and the Rodrigues
+    coefficients (a, b, ca, cb) that the gradient reuses."""
     theta = np.linalg.norm(s, axis=1)
-    a, b, _, _ = _rodrigues_coefficients(theta)
+    coeffs = _rodrigues_coefficients(theta)
     K = _cross_matrices(s)
     K2 = K @ K
-    return np.eye(3) + a[:, None, None] * K + b[:, None, None] * K2
+    R = np.eye(3) + coeffs[0][:, None, None] * K + coeffs[1][:, None, None] * K2
+    return R, K2, coeffs
 
 
-def frame_from_omega(omega_tet: np.ndarray) -> np.ndarray:
-    """Rotation of one tet from its four per-vertex parameter vectors."""
-    omega_tet = np.asarray(omega_tet, dtype=float).reshape(4, 3)
-    s = perturb_zero_rows(omega_tet).sum(axis=0)
-    return rotations_from_axis_vectors(s[None])[0]
+def rotations_from_axis_vectors(s: np.ndarray) -> np.ndarray:
+    """Batch closed-form exp of cross-product matrices, shape (m, 3, 3)."""
+    return _rotations(np.atleast_2d(np.asarray(s, dtype=float)))[0]
 
 
 def tet_frames(omega: np.ndarray, tets: np.ndarray) -> np.ndarray:
     """All tet rotations from the per-vertex field, shape (m, 3, 3)."""
-    omega = perturb_zero_rows(omega)
-    s = omega[tets].sum(axis=1)
+    s = incidence(tets, len(omega)) @ perturb_zero_rows(omega)
     return rotations_from_axis_vectors(s)
 
 
-def data_energy(R: np.ndarray, sigma_plus: np.ndarray) -> float:
-    """Alignment cost of one frame: tensor norms of the 2nd and 3rd columns."""
-    R = np.asarray(R, dtype=float)
-    M = np.asarray(sigma_plus, dtype=float)
-    q2 = R[:, 1] @ M @ R[:, 1]
-    q3 = R[:, 2] @ M @ R[:, 2]
-    return float(np.sqrt(abs(q2)) + np.sqrt(abs(q3)))
+def _column_quotients(R: np.ndarray, M: np.ndarray):
+    """M r_k and Rayleigh quotients r_k^T M r_k of frame columns 2 and 3."""
+    Mr = (M @ R)[:, :, 1:]
+    return Mr, np.einsum("tik,tik->tk", R[:, :, 1:], Mr)
+
+
+def _smooth_terms(omega: np.ndarray, L: sp.spmatrix):
+    """Smoothness energy 0.5 w^T L w + 0.5 w^T w (blockwise per coordinate)
+    and its gradient L w + w, from one sparse product."""
+    grad = L @ omega + omega
+    return 0.5 * float(np.vdot(omega, grad)), grad
 
 
 def smooth_energy(omega: np.ndarray, L: sp.spmatrix) -> float:
     """0.5 w^T L w (blockwise per coordinate) + 0.5 w^T w."""
-    omega = np.asarray(omega, dtype=float)
-    lap = sum(0.5 * float(omega[:, c] @ (L @ omega[:, c])) for c in range(3))
-    return lap + 0.5 * float((omega * omega).sum())
+    return _smooth_terms(np.asarray(omega, dtype=float), L)[0]
 
 
 def _data_energy_grad_s(s: np.ndarray, M: np.ndarray):
-    """Total data energy and its gradient w.r.t. the per-tet axis vectors.
-
-    s: (m, 3) per-tet parameter sums, M: (m, 3, 3) SPD tensors.
-    """
-    theta = np.linalg.norm(s, axis=1)
-    a, b, ca, cb = _rodrigues_coefficients(theta)
-    K = _cross_matrices(s)
-    K2 = K @ K
-    R = np.eye(3) + a[:, None, None] * K + b[:, None, None] * K2
-
-    # Column Rayleigh quotients for columns 2 and 3.
-    Mr = np.einsum("tij,tjk->tik", M, R)              # M @ R
-    q = np.einsum("tik,tik->tk", R, Mr)               # q_k = r_k^T M r_k
-    sq = np.sqrt(np.abs(q[:, 1:]))                    # (m, 2)
+    """Total data energy and its gradient w.r.t. the per-tet axis vectors
+    s (m, 3), for SPD tensors M (m, 3, 3)."""
+    R, K2, (a, b, ca, cb) = _rotations(s)
+    Mr, q = _column_quotients(R, M)
+    sq = np.sqrt(np.abs(q))                           # (m, 2)
     energy = float(sq.sum())
 
     # dE/dR has nonzero columns 2,3: sign(q_k) M r_k / sqrt|q_k|.
     D = np.zeros_like(R)
-    D[:, :, 1:] = np.sign(q[:, None, 1:]) * Mr[:, :, 1:] / sq[:, None, :]
+    D[:, :, 1:] = Mr * (np.sign(q) / sq)[:, None, :]
 
-    # dR/ds_m = ca s_m K + a E_m + cb s_m K^2 + b (E_m K + K E_m).
-    EK = np.einsum("mij,tjk->tmik", _GEN, K)
-    KE = np.einsum("tij,mjk->tmik", K, _GEN)
-    dRds = (
-        ca[:, None, None, None] * s[:, :, None, None] * K[:, None, :, :]
-        + a[:, None, None, None] * _GEN[None, :, :, :]
-        + cb[:, None, None, None] * s[:, :, None, None] * K2[:, None, :, :]
-        + b[:, None, None, None] * (EK + KE)
+    # Closed-form contraction with dR/ds (module docstring).
+    vee_d = np.stack([D[:, 2, 1] - D[:, 1, 2],
+                      D[:, 0, 2] - D[:, 2, 0],
+                      D[:, 1, 0] - D[:, 0, 1]], axis=1)
+    trace_d = np.trace(D, axis1=1, axis2=2)
+    d_k = np.einsum("tm,tm->t", s, vee_d)             # <D, K>
+    d_k2 = np.einsum("tij,tij->t", D, K2)             # <D, K^2>
+    sym_s = np.einsum("tij,tj->ti", D + D.transpose(0, 2, 1), s)
+    grad_s = (
+        (ca * d_k + cb * d_k2 - 2.0 * b * trace_d)[:, None] * s
+        + a[:, None] * vee_d
+        + b[:, None] * sym_s
     )
-    grad_s = np.einsum("tik,tmik->tm", D, dRds)
-    return energy, grad_s, R
+    return energy, grad_s
 
 
-def total_energy_grad(
-    omega: np.ndarray,
-    stress: StressField,
-    alpha: float,
-    tets: np.ndarray,
-    L: sp.spmatrix,
-):
+def total_energy_grad(omega: np.ndarray, stress: StressField, alpha: float,
+                      tets: np.ndarray, L: sp.spmatrix, *,
+                      S: sp.spmatrix | None = None):
     """Data + alpha * smoothness energy and its per-vertex gradient.
 
-    Zero-length vertex vectors are perturbed before differentiation, so the
-    gradient is defined everywhere, including the all-zero start.
+    Repeated callers pass ``S = incidence(tets, n)`` prebuilt. Zero-length
+    vertex vectors are perturbed before differentiation, so the gradient is
+    defined everywhere, including the all-zero start.
     """
     if stress.sigma_plus is None:
         raise ConfigError("stress field lacks the SPD surrogate")
-    omega = perturb_zero_rows(np.asarray(omega, dtype=float))
-    s = omega[tets].sum(axis=1)
-    e_data, grad_s, _ = _data_energy_grad_s(s, stress.sigma_plus)
-
-    grad = np.zeros_like(omega)
-    np.add.at(grad, tets.ravel(), np.repeat(grad_s, 4, axis=0).reshape(-1, 3))
-
-    e_smooth = smooth_energy(omega, L)
-    grad += alpha * (np.column_stack([L @ omega[:, c] for c in range(3)]) + omega)
-    return e_data + alpha * e_smooth, grad
+    omega = perturb_zero_rows(omega)
+    if S is None:
+        S = incidence(tets, len(omega))
+    e_data, grad_s = _data_energy_grad_s(S @ omega, stress.sigma_plus)
+    e_smooth, grad_smooth = _smooth_terms(omega, L)
+    return e_data + alpha * e_smooth, S.T @ grad_s + alpha * grad_smooth
 
 
 def data_energy_total(omega: np.ndarray, stress: StressField, tets: np.ndarray) -> float:
-    omega = perturb_zero_rows(np.asarray(omega, dtype=float))
-    s = omega[tets].sum(axis=1)
-    R = rotations_from_axis_vectors(s)
-    Mr = np.einsum("tij,tjk->tik", stress.sigma_plus, R)
-    q = np.einsum("tik,tik->tk", R, Mr)
-    return float(np.sqrt(np.abs(q[:, 1:])).sum())
+    """Sum over tets of sqrt|q_2| + sqrt|q_3|, the data term alone."""
+    R = tet_frames(omega, tets)
+    _, q = _column_quotients(R, stress.sigma_plus)
+    return float(np.sqrt(np.abs(q)).sum())
 
 
 def fit_frame_field(
@@ -229,6 +217,7 @@ def fit_frame_field(
         L = build_operators(mesh).L
     tets = mesh.tets
     n = mesh.num_vertices
+    S = incidence(tets, n)
 
     omega = np.zeros((n, 3))
     alpha = cfg.alpha0_factor * mesh.num_tets
@@ -237,7 +226,8 @@ def fit_frame_field(
 
     for outer in range(cfg.outer_iterations):
         def fun(x, _alpha=alpha):
-            e, g = total_energy_grad(x.reshape(n, 3), stress, _alpha, tets, L)
+            e, g = total_energy_grad(x.reshape(n, 3), stress, _alpha, tets, L,
+                                     S=S)
             return e, g.ravel()
 
         result = None

@@ -29,7 +29,7 @@ from .param import evaluate_objective, normalize_and_scale, \
     solve_parametrization
 from .postprocess import default_length_threshold, emit_geometry, simplify, \
     write_lines_obj, write_obj, write_ply
-from .verify import build_truss_model, capacity, frame_fem, write_report
+from .verify import build_truss_model, frame_fem, load_factor, write_report
 
 STAGE_ORDER = ("fea", "frames", "param", "extract", "simplify", "geometry",
                "verify")
@@ -232,7 +232,7 @@ def _stage_verify(cfg: PipelineConfig, out: Path) -> list[str]:
     g = artifacts.read_graph(_prerequisite_path(out, "verify"))
     model = build_truss_model(g, cfg.material, cfg.radius_policy, cfg.bcs)
     result = frame_fem(model)
-    lam = capacity(model)
+    lam = load_factor(model, result)
     write_report(out / "report.txt", model, result, lam)
     combined = np.abs(result.axial_stress) + np.abs(result.bending_stress)
     log = _write_log(out, "verify", [

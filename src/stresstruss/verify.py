@@ -11,7 +11,7 @@ fallback. The capacity factor scales the load template until the combined
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -292,18 +292,21 @@ def frame_fem(model: TrussModel) -> FrameResult:
                        axial_stress, bending_stress)
 
 
-def capacity(model: TrussModel, template: np.ndarray | None = None) -> float:
-    """Load factor at which max |axial| + |bending| stress reaches yield."""
-    if template is not None:
-        model = TrussModel(model.graph, model.material, model.radii,
-                           model.areas, model.moments, model.fixed,
-                           np.asarray(template, dtype=float))
-    result = frame_fem(model)
+def load_factor(model: TrussModel, result: FrameResult) -> float:
+    """Factor on the solved load at which max |axial| + |bending| stress
+    reaches yield; exact, since the response is linear in the load."""
     combined = np.abs(result.axial_stress) + np.abs(result.bending_stress)
     peak = float(combined.max()) if len(combined) else 0.0
     if peak <= 0.0:
         raise NumericalError("load does not stress structure")
     return model.material.yield_strength / peak
+
+
+def capacity(model: TrussModel, template: np.ndarray | None = None) -> float:
+    """Load factor at which max |axial| + |bending| stress reaches yield."""
+    if template is not None:
+        model = replace(model, loads=np.asarray(template, dtype=float))
+    return load_factor(model, frame_fem(model))
 
 
 def write_report(path, model: TrussModel, result: FrameResult,

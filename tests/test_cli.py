@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stresstruss import artifacts
+from stresstruss import artifacts, pipeline, verify
 from stresstruss.config import (
     config_hash,
     config_to_dict,
@@ -280,6 +280,30 @@ def test_stage_rerun_is_byte_identical(pipeline_out):
     before = (out / "graph.json").read_bytes()
     run_stage("extract", cfg, out_dir=out)
     assert (out / "graph.json").read_bytes() == before
+
+
+def test_verify_stage_solves_once_and_matches_capacity(pipeline_out,
+                                                       monkeypatch):
+    cfg, out, _ = pipeline_out
+    report = (out / "report.txt").read_bytes()
+    solves, seen = [], {}
+    frame_fem, write_report = verify.frame_fem, pipeline.write_report
+
+    def counted(model):
+        solves.append(model)
+        return frame_fem(model)
+
+    def captured(path, model, result, lam):
+        seen["model"], seen["lam"] = model, lam
+        write_report(path, model, result, lam)
+
+    monkeypatch.setattr(verify, "frame_fem", counted)
+    monkeypatch.setattr(pipeline, "frame_fem", counted)
+    monkeypatch.setattr(pipeline, "write_report", captured)
+    run_stage("verify", cfg, out_dir=out)
+    assert len(solves) == 1
+    assert seen["lam"] == verify.capacity(seen["model"])
+    assert (out / "report.txt").read_bytes() == report
 
 
 def test_missing_prerequisite(tmp_path):

@@ -6,20 +6,82 @@ from stresstruss.errors import ConfigError
 from stresstruss.fem import Material, StressField, cauchy_stress, solve_static, stress_spd
 from stresstruss.fixtures import bar_mesh, box_mesh
 from stresstruss.frames import (
+    SMALL_ANGLE,
     FrameFitConfig,
-    data_energy,
+    _data_energy_grad_s,
+    _rodrigues_coefficients,
     data_energy_total,
     fit_frame_field,
-    frame_from_omega,
+    incidence,
+    perturb_zero_rows,
     rotations_from_axis_vectors,
     smooth_energy,
-    tensor_norm,
     tet_frames,
     total_energy_grad,
 )
 from stresstruss.mesh import TetMesh, build_operators
 
 from test_fem import MAT, patch_test_bcs
+
+
+# ---------------------------------------------------------------------------
+# Oracles: direct per-frame and per-tensor forms of what the library computes
+# in batch.
+
+
+def tensor_norm(v, M) -> float:
+    """sqrt(|v^T M v|) for a unit vector v."""
+    v = np.asarray(v, dtype=float)
+    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+        raise ConfigError("tensor_norm requires a unit vector")
+    return float(np.sqrt(abs(v @ np.asarray(M, dtype=float) @ v)))
+
+
+def frame_from_omega(omega_tet) -> np.ndarray:
+    """Rotation of one tet from its four per-vertex parameter vectors."""
+    omega_tet = np.asarray(omega_tet, dtype=float).reshape(4, 3)
+    s = perturb_zero_rows(omega_tet).sum(axis=0)
+    return rotations_from_axis_vectors(s[None])[0]
+
+
+def data_energy(R, sigma_plus) -> float:
+    """Alignment cost of one frame: tensor norms of the 2nd and 3rd columns."""
+    R = np.asarray(R, dtype=float)
+    return tensor_norm(R[:, 1], sigma_plus) + tensor_norm(R[:, 2], sigma_plus)
+
+
+# Cross-product generators: _GEN[m] @ v == e_m x v.
+_GEN = np.zeros((3, 3, 3))
+_GEN[0, 1, 2] = -1.0
+_GEN[0, 2, 1] = 1.0
+_GEN[1, 0, 2] = 1.0
+_GEN[1, 2, 0] = -1.0
+_GEN[2, 0, 1] = -1.0
+_GEN[2, 1, 0] = 1.0
+
+
+def reference_energy_grad_s(s, M):
+    """Data energy and dE/ds through the explicit (m, 3, 3, 3) dR/ds tensor."""
+    theta = np.linalg.norm(s, axis=1)
+    a, b, ca, cb = _rodrigues_coefficients(theta)
+    K = np.einsum("mij,tm->tij", _GEN, s)
+    K2 = K @ K
+    R = np.eye(3) + a[:, None, None] * K + b[:, None, None] * K2
+    Mr = np.einsum("tij,tjk->tik", M, R)
+    q = np.einsum("tik,tik->tk", R, Mr)
+    sq = np.sqrt(np.abs(q[:, 1:]))
+    D = np.zeros_like(R)
+    D[:, :, 1:] = np.sign(q[:, None, 1:]) * Mr[:, :, 1:] / sq[:, None, :]
+    # dR/ds_m = ca s_m K + a E_m + cb s_m K^2 + b (E_m K + K E_m).
+    EK = np.einsum("mij,tjk->tmik", _GEN, K)
+    KE = np.einsum("tij,mjk->tmik", K, _GEN)
+    dRds = (
+        ca[:, None, None, None] * s[:, :, None, None] * K[:, None, :, :]
+        + a[:, None, None, None] * _GEN[None, :, :, :]
+        + cb[:, None, None, None] * s[:, :, None, None] * K2[:, None, :, :]
+        + b[:, None, None, None] * (EK + KE)
+    )
+    return float(sq.sum()), np.einsum("tik,tmik->tm", D, dRds)
 
 
 def random_spd_field(rng, m):
@@ -100,6 +162,52 @@ def test_data_energy_lower_bound_random():
     for _ in range(50):
         R = rotations_from_axis_vectors(rng.standard_normal((1, 3)))[0]
         assert data_energy(R, M) >= floor - 1e-9
+
+
+def _random_axes(rng, m, angles):
+    s = rng.standard_normal((m, 3))
+    return s * (angles / np.linalg.norm(s, axis=1))[:, None]
+
+
+@pytest.mark.parametrize("low, high", [
+    (1e-9, 0.9 * SMALL_ANGLE),          # series branch
+    (0.5, 2.5),                         # closed form, generic angles
+    (np.pi - 1e-3, np.pi + 1e-3),       # closed form near a half turn
+])
+def test_closed_form_gradient_matches_dRds_oracle(low, high):
+    rng = np.random.default_rng(int(1e3 * high))
+    m = 300
+    M = random_spd_field(rng, m)
+    s = _random_axes(rng, m, rng.uniform(low, high, size=m))
+    e_ref, g_ref = reference_energy_grad_s(s, M)
+    e, g = _data_energy_grad_s(s, M)
+    assert abs(e - e_ref) <= 1e-12 * abs(e_ref)
+    assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+
+
+def test_closed_form_gradient_at_perturbed_zero_start():
+    mesh = box_mesh((2, 1, 1), jitter=0.05)
+    rng = np.random.default_rng(13)
+    M = random_spd_field(rng, mesh.num_tets)
+    omega = perturb_zero_rows(np.zeros((mesh.num_vertices, 3)))
+    s = incidence(mesh.tets, mesh.num_vertices) @ omega
+    assert (np.linalg.norm(s, axis=1) < SMALL_ANGLE).all()
+    e_ref, g_ref = reference_energy_grad_s(s, M)
+    e, g = _data_energy_grad_s(s, M)
+    assert abs(e - e_ref) <= 1e-12 * abs(e_ref)
+    assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+
+
+def test_incidence_sums_and_scatters_like_indexing():
+    mesh = box_mesh((2, 2, 1), jitter=0.05)
+    rng = np.random.default_rng(4)
+    S = incidence(mesh.tets, mesh.num_vertices)
+    omega = rng.standard_normal((mesh.num_vertices, 3))
+    np.testing.assert_array_equal(S @ omega, omega[mesh.tets].sum(axis=1))
+    g = rng.standard_normal((mesh.num_tets, 3))
+    scattered = np.zeros_like(omega)
+    np.add.at(scattered, mesh.tets.ravel(), np.repeat(g, 4, axis=0))
+    np.testing.assert_allclose(S.T @ g, scattered, rtol=1e-14, atol=1e-14)
 
 
 def test_smooth_energy_examples():
