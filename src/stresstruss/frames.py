@@ -56,6 +56,8 @@ class FrameField:
     omega: np.ndarray                  # (n, 3) per-vertex parameters
     frames: np.ndarray                 # (m, 3, 3) rotations, columns r1,r2,r3
     alpha_history: list[tuple[float, float]] = field(default_factory=list)
+    # Per outer iteration: L-BFGS (iterations, evaluations, converged).
+    inner: list[tuple[int, int, bool]] = field(default_factory=list)
 
 
 def perturb_zero_rows(omega: np.ndarray) -> np.ndarray:
@@ -222,6 +224,7 @@ def fit_frame_field(
     omega = np.zeros((n, 3))
     alpha = cfg.alpha0_factor * mesh.num_tets
     history: list[tuple[float, float]] = []
+    inner: list[tuple[int, int, bool]] = []
     stall = 0
 
     for outer in range(cfg.outer_iterations):
@@ -251,6 +254,7 @@ def fit_frame_field(
                 f"(alpha={alpha:.6g}); last diagnostics: {failure.diagnostics}"
             )
         omega = result.x.reshape(n, 3)
+        inner.append((result.iterations, result.num_evals, result.converged))
 
         e_data = data_energy_total(omega, stress, tets)
         history.append((alpha, e_data))
@@ -263,4 +267,5 @@ def fit_frame_field(
         alpha *= cfg.alpha_decay
 
     frames = tet_frames(omega, tets)
-    return FrameField(omega=omega, frames=frames, alpha_history=history)
+    return FrameField(omega=omega, frames=frames, alpha_history=history,
+                      inner=inner)

@@ -23,7 +23,7 @@ from .extract import (
 from .fem import StressField, assemble_stiffness, assemble_loads, \
     cauchy_stress, solve_static, stress_spd
 from .fixtures import bar_mesh, box_mesh, unit_cube_mesh
-from .frames import FrameField, data_energy_total, fit_frame_field
+from .frames import fit_frame_field
 from .mesh import TetMesh, build_operators, feature_edges, load_tet_mesh
 from .param import evaluate_objective, normalize_and_scale, \
     solve_parametrization
@@ -136,11 +136,13 @@ def _stage_frames(cfg: PipelineConfig, out: Path) -> list[str]:
     }, meta={"alpha_history": [[a, e] for a, e in ff.alpha_history]},
         kind="frames")
 
-    lines = [f"outer {k} alpha {a:.9e} energy {e:.9e}"
-             for k, (a, e) in enumerate(ff.alpha_history)]
-    lines.append(
-        f"final_data_energy "
-        f"{data_energy_total(ff.omega, field, mesh.tets):.9e}")
+    lines = [f"outer {k} alpha {a:.9e} energy {e:.9e} iterations {it} "
+             f"evals {ne} converged {int(ok)}"
+             for k, ((a, e), (it, ne, ok))
+             in enumerate(zip(ff.alpha_history, ff.inner))]
+    # The last outer energy is the data energy of the final omega.
+    lines.append(f"final_data_energy {ff.alpha_history[-1][1]:.9e}")
+    lines.append(f"unconverged {sum(not ok for _, _, ok in ff.inner)}")
     log = _write_log(out, "frames", lines)
     return [name, log]
 

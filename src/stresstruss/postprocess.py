@@ -24,22 +24,6 @@ class GeometryWarning(UserWarning):
     pass
 
 
-def _components(num_nodes: int, elements: np.ndarray) -> int:
-    parent = np.arange(num_nodes)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in elements:
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return len({find(i) for i in range(num_nodes)})
-
-
 def default_length_threshold(g: TrussGraph, factor: float = 0.05) -> float:
     lengths = g.element_lengths()
     if len(lengths) == 0:
@@ -193,11 +177,20 @@ def resolve_radii(families: list[str], radius_policy) -> np.ndarray:
     return radii
 
 
-def _perp_basis(u: np.ndarray):
-    e = np.zeros(3)
-    e[int(np.argmin(np.abs(u)))] = 1.0
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of (k, 3) x, bitwise equal to
+    ``np.linalg.norm`` of that row alone (``axis=1`` sums in another order)."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+def perp_basis(u: np.ndarray):
+    """(e1, e2), each (k, 3), completing the unit rows of u to right-handed
+    orthonormal frames; e1 is u crossed with the axis of u's smallest
+    |component| (the first, on ties)."""
+    e = np.zeros_like(u)
+    e[np.arange(len(u)), np.argmin(np.abs(u), axis=1)] = 1.0
     e1 = np.cross(u, e)
-    e1 /= np.linalg.norm(e1)
+    e1 /= row_norms(e1)[:, None]
     return e1, np.cross(u, e1)
 
 
@@ -218,6 +211,18 @@ _ICO_FACES = np.array([
 ZERO_LENGTH = 1e-12
 
 
+def _prism_faces(sides: int) -> np.ndarray:
+    """Triangles of one capped prism whose rings are vertices 0..sides-1
+    and sides..2*sides-1."""
+    tris = []
+    for k in range(sides):
+        k2 = (k + 1) % sides
+        tris += [(k, k2, sides + k), (k2, sides + k2, sides + k)]
+    for k in range(1, sides - 1):
+        tris += [(0, k + 1, k), (sides, sides + k, sides + k + 1)]  # caps
+    return np.array(tris, dtype=np.int64)
+
+
 def emit_geometry(g: TrussGraph, radius_policy, sides: int = 8) -> TriangleMesh:
     """Capped prism per element, icosahedral ball per node (once, at the
     largest incident radius). Primitives overlap; no boolean union."""
@@ -225,67 +230,55 @@ def emit_geometry(g: TrussGraph, radius_policy, sides: int = 8) -> TriangleMesh:
         raise ConfigError("sides must be at least 3")
     radii = resolve_radii(g.families, radius_policy)
 
-    verts: list[np.ndarray] = []
-    tris: list[np.ndarray] = []
+    axis = g.positions[g.elements[:, 1]] - g.positions[g.elements[:, 0]]
+    lengths = row_norms(axis)
+    keep = lengths >= ZERO_LENGTH                # the rest keep their order
+    skipped = int(np.count_nonzero(~keep))
+    ends, r = g.elements[keep], radii[keep]
     node_radius = np.zeros(g.num_nodes)
-    skipped = 0
-    base = 0
+    np.maximum.at(node_radius, ends.ravel(), np.repeat(r, 2))
+    balls = np.nonzero(node_radius > 0.0)[0]
+
+    e1, e2 = perp_basis(axis[keep] / lengths[keep, None])
     angles = 2.0 * np.pi * np.arange(sides) / sides
-    cos_a, sin_a = np.cos(angles), np.sin(angles)
+    ring = r[:, None, None] * (np.cos(angles)[:, None] * e1[:, None, :]
+                               + np.sin(angles)[:, None] * e2[:, None, :])
+    prisms = g.positions[ends][:, :, None, :] + ring[:, None]
+    spheres = (g.positions[balls][:, None, :]
+               + node_radius[balls, None, None] * _ICO_VERTS)
+    verts = np.concatenate([prisms.reshape(-1, 3), spheres.reshape(-1, 3)])
 
-    for (a, b), r in zip(g.elements, radii):
-        p0, p1 = g.positions[a], g.positions[b]
-        axis = p1 - p0
-        length = float(np.linalg.norm(axis))
-        if length < ZERO_LENGTH:
-            skipped += 1
-            continue
-        node_radius[a] = max(node_radius[a], r)
-        node_radius[b] = max(node_radius[b], r)
-        u = axis / length
-        e1, e2 = _perp_basis(u)
-        ring = r * (np.outer(cos_a, e1) + np.outer(sin_a, e2))
-        verts.append(p0 + ring)
-        verts.append(p1 + ring)
-        quads = []
-        for k in range(sides):
-            k2 = (k + 1) % sides
-            quads.append((base + k, base + k2, base + sides + k))
-            quads.append((base + k2, base + sides + k2, base + sides + k))
-        for k in range(1, sides - 1):
-            quads.append((base, base + k + 1, base + k))            # bottom cap
-            quads.append((base + sides, base + sides + k,
-                          base + sides + k + 1))                    # top cap
-        tris.append(np.array(quads, dtype=np.int64))
-        base += 2 * sides
-
-    for nid in range(g.num_nodes):
-        if node_radius[nid] <= 0.0:
-            continue
-        verts.append(g.positions[nid] + node_radius[nid] * _ICO_VERTS)
-        tris.append(_ICO_FACES + base)
-        base += 12
+    prism_tris = (_prism_faces(sides)
+                  + 2 * sides * np.arange(len(ends))[:, None, None])
+    ball_tris = _ICO_FACES + (2 * sides * len(ends)
+                              + 12 * np.arange(len(balls)))[:, None, None]
+    tris = np.concatenate([prism_tris.reshape(-1, 3), ball_tris.reshape(-1, 3)])
 
     if skipped:
         warnings.warn(f"skipped {skipped} zero-length element(s)",
                       GeometryWarning)
-    if not verts:
-        return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
-    return TriangleMesh(np.vstack(verts), np.vstack(tris))
+    return TriangleMesh(verts, tris)
 
 
 # ---------------------------------------------------------------------------
 # Writers
 
 
+def _rows(a: np.ndarray):
+    """Rows of a as Python lists, converted a block at a time so that the
+    whole array is never held as Python objects."""
+    for i in range(0, len(a), 4096):
+        yield from a[i:i + 4096].tolist()
+
+
 def write_obj(mesh: TriangleMesh, path):
-    lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
-    for t in mesh.triangles:
-        lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"v {x!r} {y!r} {z!r}\n"
+                      for x, y, z in _rows(mesh.vertices))
+        fh.writelines(f"f {a + 1} {b + 1} {c + 1}\n"
+                      for a, b, c in _rows(mesh.triangles))
+        if not len(mesh.vertices) + len(mesh.triangles):
+            fh.write("\n")                  # no lines: one empty line
 
 
 def write_ply(mesh: TriangleMesh, path):
@@ -315,10 +308,9 @@ def write_ply(mesh: TriangleMesh, path):
 
 def write_lines_obj(g: TrussGraph, path):
     """Line-segment OBJ of the bare graph for visualization."""
-    lines = []
-    for v in g.positions:
-        lines.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
-    for a, b in g.elements:
-        lines.append(f"l {a + 1} {b + 1}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"v {x!r} {y!r} {z!r}\n"
+                      for x, y, z in _rows(g.positions))
+        fh.writelines(f"l {a + 1} {b + 1}\n" for a, b in _rows(g.elements))
+        if not g.num_nodes + g.num_elements:
+            fh.write("\n")                  # no lines: one empty line

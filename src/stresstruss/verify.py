@@ -20,7 +20,7 @@ from scipy.sparse.linalg import MatrixRankWarning, spsolve
 from .errors import ConfigError, NumericalError
 from .extract import TrussGraph
 from .fem import BoundaryConditions, Material
-from .postprocess import resolve_radii
+from .postprocess import perp_basis, resolve_radii, row_norms
 
 
 @dataclass
@@ -129,11 +129,10 @@ def build_truss_model(graph: TrussGraph, material: Material, radius_policy,
         loads[nodes, :3] += share
     if bcs.gravity is not None and material.density > 0.0:
         gacc = np.asarray(bcs.gravity, dtype=float)
-        lengths = graph.element_lengths()
-        for eidx, (a, b) in enumerate(graph.elements):
-            w = material.density * areas[eidx] * lengths[eidx] * gacc / 2.0
-            loads[a, :3] += w
-            loads[b, :3] += w
+        weight = material.density * areas * graph.element_lengths()
+        w = weight[:, None] * gacc / 2.0
+        # Summed in element order a0, b0, a1, b1, ...
+        np.add.at(loads[:, :3], graph.elements.ravel(), np.repeat(w, 2, axis=0))
 
     nfixed = int(fixed.sum())
     if nfixed < 6:
@@ -143,72 +142,62 @@ def build_truss_model(graph: TrussGraph, material: Material, radius_policy,
     return TrussModel(graph, material, radii, areas, moments, fixed, loads)
 
 
+_PAIR = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_FLIP = np.array([1.0, -1.0, 1.0, -1.0])
+
+
 def _local_stiffness(ea_l, gj_l, ei, length):
-    k = np.zeros((12, 12))
-    k[np.ix_((0, 6), (0, 6))] = ea_l * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    k[np.ix_((3, 9), (3, 9))] = gj_l * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    """(E, 12, 12) local stiffness of circular-section frame elements."""
+    k = np.zeros((len(length), 12, 12))
+    k[:, [[0], [6]], [0, 6]] = ea_l[:, None, None] * _PAIR
+    k[:, [[3], [9]], [3, 9]] = gj_l[:, None, None] * _PAIR
     L = length
-    c = ei / L ** 3
-    kz = c * np.array([
-        [12.0, 6 * L, -12.0, 6 * L],
-        [6 * L, 4 * L * L, -6 * L, 2 * L * L],
-        [-12.0, -6 * L, 12.0, -6 * L],
-        [6 * L, 2 * L * L, -6 * L, 4 * L * L],
-    ])
-    k[np.ix_((1, 5, 7, 11), (1, 5, 7, 11))] = kz
-    ky = c * np.array([
-        [12.0, -6 * L, -12.0, -6 * L],
-        [-6 * L, 4 * L * L, 6 * L, 2 * L * L],
-        [-12.0, 6 * L, 12.0, 6 * L],
-        [-6 * L, 2 * L * L, 6 * L, 4 * L * L],
-    ])
-    k[np.ix_((2, 4, 8, 10), (2, 4, 8, 10))] = ky
+    # float_power rounds as the scalar L ** 3 does; ** on an array does not.
+    c = ei / np.float_power(L, 3)
+    c12, c6, c4, c2 = c * 12.0, c * (6 * L), c * (4 * L * L), c * (2 * L * L)
+    kz = np.stack([c12, c6, -c12, c6,
+                   c6, c4, -c6, c2,
+                   -c12, -c6, c12, -c6,
+                   c6, c2, -c6, c4], axis=1).reshape(-1, 4, 4)
+    z, y = np.array([1, 5, 7, 11]), np.array([2, 4, 8, 10])
+    k[:, z[:, None], z] = kz
+    k[:, y[:, None], y] = kz * _FLIP[:, None] * _FLIP   # rotations flip sign
     return k
 
 
 def _element_frames(model: TrussModel):
-    """Per element: (length, Lambda) with Lambda rows the local axes."""
-    out = []
+    """Member lengths (E,) and frames (E, 3, 3), rows the local axes."""
     g = model.graph
-    for a, b in g.elements:
-        axis = g.positions[b] - g.positions[a]
-        length = float(np.linalg.norm(axis))
-        if length <= 0.0:
-            raise NumericalError("zero-length element in truss model")
-        u = axis / length
-        e = np.zeros(3)
-        e[int(np.argmin(np.abs(u)))] = 1.0
-        e1 = np.cross(u, e)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(u, e1)
-        out.append((length, np.vstack([u, e1, e2])))
-    return out
+    axis = g.positions[g.elements[:, 1]] - g.positions[g.elements[:, 0]]
+    lengths = row_norms(axis)
+    if np.any(lengths <= 0.0):
+        raise NumericalError("zero-length element in truss model")
+    u = axis / lengths[:, None]
+    return lengths, np.stack([u, *perp_basis(u)], axis=1)
 
 
-def _assemble(model: TrussModel, frames):
+def _element_stiffness(model: TrussModel, lengths):
     mat = model.material
     E = mat.young_modulus
     G = E / (2.0 * (1.0 + mat.poisson_ratio))
-    n = model.graph.num_nodes
-    rows, cols, vals = [], [], []
-    for eidx, (a, b) in enumerate(model.graph.elements):
-        length, lam = frames[eidx]
-        A = model.areas[eidx]
-        inertia = model.moments[eidx]
-        torsion = 2.0 * inertia                     # circular section
-        k_loc = _local_stiffness(E * A / length, G * torsion / length,
-                                 E * inertia, length)
-        T = np.zeros((12, 12))
-        for blk in range(4):
-            T[3 * blk:3 * blk + 3, 3 * blk:3 * blk + 3] = lam
-        k_glob = T.T @ k_loc @ T
-        k_glob = 0.5 * (k_glob + k_glob.T)
-        dofs = np.concatenate([6 * int(a) + np.arange(6),
-                               6 * int(b) + np.arange(6)])
-        for i in range(12):
-            rows.extend(dofs)
-            cols.extend([dofs[i]] * 12)
-            vals.extend(k_glob[:, i])
+    torsion = 2.0 * model.moments                   # circular section
+    return _local_stiffness(E * model.areas / lengths, G * torsion / lengths,
+                            E * model.moments, lengths)
+
+
+def _assemble(model: TrussModel, lam, k_loc):
+    n, ne = model.graph.num_nodes, len(lam)
+    # T^T k T with T = diag(Lambda x 4), one 3x3 block at a time.
+    k_glob = lam.transpose(0, 2, 1)[:, None] @ k_loc.reshape(ne, 4, 3, 12)
+    k_glob = (k_glob.reshape(ne, 12, 4, 3) @ lam[:, None]).reshape(ne, 12, 12)
+    k_glob = 0.5 * (k_glob + k_glob.transpose(0, 2, 1))
+    dofs = (6 * model.graph.elements[:, :, None]
+            + np.arange(6)).reshape(-1, 12)
+    # Triplets element by element, column by column: the order tocsr sums
+    # duplicates in. k_glob is symmetric, so its rows are its columns.
+    rows = np.broadcast_to(dofs[:, None, :], (ne, 12, 12)).ravel()
+    cols = np.broadcast_to(dofs[:, :, None], (ne, 12, 12)).ravel()
+    vals = k_glob.ravel()
     K = sp.coo_matrix((vals, (rows, cols)), shape=(6 * n, 6 * n)).tocsr()
     return ((K + K.T) * 0.5).tocsr()
 
@@ -239,8 +228,9 @@ def _mechanism_error(kff, free_dofs):
 def frame_fem(model: TrussModel) -> FrameResult:
     g = model.graph
     n = g.num_nodes
-    frames = _element_frames(model)
-    K = _assemble(model, frames)
+    lengths, lam = _element_frames(model)
+    k_loc = _element_stiffness(model, lengths)
+    K = _assemble(model, lam, k_loc)
     f = model.loads.ravel()
     fixed = model.fixed.ravel()
     free = np.nonzero(~fixed)[0]
@@ -263,31 +253,18 @@ def frame_fem(model: TrussModel) -> FrameResult:
 
     reactions = (K @ d - f).reshape(n, 6)
     ne = g.num_elements
-    axial_force = np.zeros(ne)
-    axial_stress = np.zeros(ne)
-    bending_stress = np.zeros(ne)
-    for eidx, (a, b) in enumerate(g.elements):
-        length, lam = frames[eidx]
-        T = np.zeros((12, 12))
-        for blk in range(4):
-            T[3 * blk:3 * blk + 3, 3 * blk:3 * blk + 3] = lam
-        d_elem = np.concatenate([d[6 * int(a):6 * int(a) + 6],
-                                 d[6 * int(b):6 * int(b) + 6]])
-        u_loc = T @ d_elem
-        mat = model.material
-        E = mat.young_modulus
-        G = E / (2.0 * (1.0 + mat.poisson_ratio))
-        inertia = model.moments[eidx]
-        k_loc = _local_stiffness(E * model.areas[eidx] / length,
-                                 G * 2.0 * inertia / length,
-                                 E * inertia, length)
-        f_loc = k_loc @ u_loc
-        axial_force[eidx] = f_loc[6]
-        axial_stress[eidx] = f_loc[6] / model.areas[eidx]
-        m1 = np.hypot(f_loc[4], f_loc[5])
-        m2 = np.hypot(f_loc[10], f_loc[11])
-        bending_stress[eidx] = (max(m1, m2) * model.radii[eidx] / inertia
-                                if inertia > 0.0 else 0.0)
+    # einsum rounds each 3-term sum as T @ d_elem does; a stacked @ does not.
+    u_loc = np.einsum("eij,ebj->ebi", lam,
+                      d.reshape(n, 6)[g.elements].reshape(ne, 4, 3))
+    f_loc = (k_loc @ u_loc.reshape(ne, 12, 1))[:, :, 0]
+    axial_force = f_loc[:, 6]
+    axial_stress = axial_force / model.areas
+    moment = np.maximum(np.hypot(f_loc[:, 4], f_loc[:, 5]),
+                        np.hypot(f_loc[:, 10], f_loc[:, 11]))
+    inertia = model.moments
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bending_stress = np.where(inertia > 0.0,
+                                  moment * model.radii / inertia, 0.0)
     return FrameResult(d.reshape(n, 6), reactions, axial_force,
                        axial_stress, bending_stress)
 

@@ -20,6 +20,8 @@ from stresstruss.config import (
 )
 from stresstruss.errors import ArtifactError, ConfigError
 from stresstruss.extract import TrussGraph
+from stresstruss.fem import StressField
+from stresstruss.frames import data_energy_total
 from stresstruss.mesh import write_medit
 from stresstruss.fixtures import box_mesh
 from stresstruss.pipeline import STAGE_ORDER, mesh_from_config, run_stage
@@ -304,6 +306,48 @@ def test_verify_stage_solves_once_and_matches_capacity(pipeline_out,
     assert len(solves) == 1
     assert seen["lam"] == verify.capacity(seen["model"])
     assert (out / "report.txt").read_bytes() == report
+
+
+def _frames_log(out):
+    lines = (out / "frames.log").read_text().splitlines()
+    return ([ln.split() for ln in lines if ln.startswith("outer ")],
+            {ln.split()[0]: ln.split()[1] for ln in lines
+             if not ln.startswith("outer ")})
+
+
+def test_frames_log_records_inner_solves(pipeline_out):
+    cfg, out, _ = pipeline_out
+    outer, tail = _frames_log(out)
+    assert [w[0::2][:6] for w in outer] == [
+        ["outer", "alpha", "energy", "iterations", "evals", "converged"]
+    ] * len(outer)
+    assert all(int(w[7]) >= 1 and int(w[9]) > int(w[7]) for w in outer)
+    assert int(tail["unconverged"]) == sum(w[11] == "0" for w in outer)
+    # The final data energy is the fit's last one, for the same omega.
+    _, fea = artifacts.read_field(out / "fea.field", kind="stress")
+    _, fit = artifacts.read_field(out / "frames.field", kind="frames")
+    stress = StressField(sigma=fea["sigma"], eigenvectors=fea["eigenvectors"],
+                         eigenvalues=fea["eigenvalues"],
+                         sigma_plus=fea["sigma_plus"],
+                         eigenvalues_plus=fea["eigenvalues_plus"])
+    energy = data_energy_total(fit["omega"], stress,
+                               mesh_from_config(cfg).tets)
+    assert tail["final_data_energy"] == f"{energy:.9e}" == outer[-1][5]
+
+
+def test_frames_log_counts_unconverged_solves(tmp_path):
+    doc = {**SMALL_BAR_DOC,
+           "frame_fit": {"outer_iterations": 2, "max_inner_iterations": 1}}
+    cfg = parse_config(doc)
+    run_stage("fea", cfg, out_dir=tmp_path)
+    run_stage("frames", cfg, out_dir=tmp_path)
+    outer, tail = _frames_log(tmp_path)
+    assert int(tail["unconverged"]) >= 1
+    assert all(w[7] == "1" for w in outer)
+    # The record stays in the log: not in the artifact or the manifest.
+    meta, _ = artifacts.read_field(tmp_path / "frames.field", kind="frames")
+    assert set(meta) == {"alpha_history"}
+    assert "unconverged" not in (tmp_path / "manifest.json").read_text()
 
 
 def test_missing_prerequisite(tmp_path):

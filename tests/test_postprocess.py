@@ -19,6 +19,9 @@ from stresstruss.extract import (
 from stresstruss.fixtures import unit_cube_mesh
 from stresstruss.param import Parametrization
 from stresstruss.postprocess import (
+    _ICO_FACES,
+    _ICO_VERTS,
+    ZERO_LENGTH,
     GeometryWarning,
     TriangleMesh,
     emit_geometry,
@@ -159,6 +162,105 @@ def test_component_and_length_invariants():
     s = simplify(g, length_threshold=0.2, remove_interior_hits=True)
     assert _num_components(s) == before_comp
     assert s.element_lengths().sum() <= before_len + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-element geometry emission that emit_geometry computes in
+# batch.
+
+
+def reference_emit_geometry(g, radius_policy, sides):
+    radii = resolve_radii(g.families, radius_policy)
+    verts, tris = [], []
+    node_radius = np.zeros(g.num_nodes)
+    base = 0
+    angles = 2.0 * np.pi * np.arange(sides) / sides
+    cos_a, sin_a = np.cos(angles), np.sin(angles)
+    for (a, b), r in zip(g.elements, radii):
+        p0, p1 = g.positions[a], g.positions[b]
+        length = float(np.linalg.norm(p1 - p0))
+        if length < ZERO_LENGTH:
+            continue
+        node_radius[a] = max(node_radius[a], r)
+        node_radius[b] = max(node_radius[b], r)
+        u = (p1 - p0) / length
+        e = np.zeros(3)
+        e[int(np.argmin(np.abs(u)))] = 1.0
+        e1 = np.cross(u, e)
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(u, e1)
+        ring = r * (np.outer(cos_a, e1) + np.outer(sin_a, e2))
+        verts += [p0 + ring, p1 + ring]
+        quads = []
+        for k in range(sides):
+            k2 = (k + 1) % sides
+            quads.append((base + k, base + k2, base + sides + k))
+            quads.append((base + k2, base + sides + k2, base + sides + k))
+        for k in range(1, sides - 1):
+            quads.append((base, base + k + 1, base + k))
+            quads.append((base + sides, base + sides + k,
+                          base + sides + k + 1))
+        tris.append(np.array(quads, dtype=np.int64))
+        base += 2 * sides
+    for nid in range(g.num_nodes):
+        if node_radius[nid] > 0.0:
+            verts.append(g.positions[nid] + node_radius[nid] * _ICO_VERTS)
+            tris.append(_ICO_FACES + base)
+            base += 12
+    return TriangleMesh(np.vstack(verts), np.vstack(tris))
+
+
+@pytest.mark.parametrize("seed,sides", [(0, 8), (1, 3), (2, 6)])
+def test_emit_matches_per_element_oracle_bitwise(seed, sides):
+    rng = np.random.default_rng(seed)
+    n = 30
+    positions = rng.uniform(-1.0, 1.0, (n, 3))
+    positions[1] = positions[0] + [0.0, 0.3, 0.0]     # axis-aligned members
+    positions[2] = positions[0] + [0.0, 0.0, -0.2]
+    positions[3] = positions[2] + [0.4, 0.0, 0.0]
+    positions[4] = positions[3] + 0.25                 # three-way tie
+    elements = [(0, 1), (0, 2), (2, 3), (3, 4)]
+    elements += [tuple(sorted(int(v) for v in rng.choice(n, 2, replace=False)))
+                 for _ in range(40)]
+    # A zero-length member whose second node has no other member.
+    positions = np.vstack([positions, positions[5]])
+    elements.insert(7, (5, n))
+    n += 1
+    families = [str(f) for f in rng.choice(["iso1", "iso2", "boundary"],
+                                           len(elements))]
+    g = _graph(positions, ["interior_grid"] * n, elements, families)
+    policy = {"iso1": 0.01, "iso2": 0.03, "default": 0.02}
+
+    with pytest.warns(GeometryWarning, match="skipped 1 zero-length"):
+        got = emit_geometry(g, policy, sides=sides)
+    want = reference_emit_geometry(g, policy, sides)
+    assert got.vertices.dtype == want.vertices.dtype
+    assert got.triangles.dtype == want.triangles.dtype
+    assert got.vertices.shape == want.vertices.shape
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.triangles.tobytes() == want.triangles.tobytes()
+
+
+def _reference_lines_file(path, points, cells, tag):
+    lines = []
+    for v in points:
+        lines.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
+    for c in cells:
+        lines.append(tag + "".join(f" {i + 1}" for i in c))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_writers_match_per_row_oracle_bytes(tmp_path, cube_graph):
+    got, want = tmp_path / "got.obj", tmp_path / "want.obj"
+    for g in (cube_graph, empty_graph()):
+        mesh = emit_geometry(g, 0.01, sides=5)
+        write_obj(mesh, got)
+        _reference_lines_file(want, mesh.vertices, mesh.triangles, "f")
+        assert got.read_bytes() == want.read_bytes()
+        write_lines_obj(g, got)
+        _reference_lines_file(want, g.positions, g.elements, "l")
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_emit_counts_single_element():

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from stresstruss.errors import ConfigError, NumericalError
 from stresstruss.extract import TrussGraph
@@ -285,3 +287,174 @@ def test_report_writer(tmp_path):
     assert "utilization" in text
     body = [ln for ln in text.splitlines() if ln and ln[0].isdigit()]
     assert len(body) == model.graph.num_elements
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-element frame FEM that frame_fem computes in batch.
+
+
+def reference_local_stiffness(ea_l, gj_l, ei, length):
+    k = np.zeros((12, 12))
+    k[np.ix_((0, 6), (0, 6))] = ea_l * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    k[np.ix_((3, 9), (3, 9))] = gj_l * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    L = length
+    c = ei / L ** 3
+    kz = c * np.array([
+        [12.0, 6 * L, -12.0, 6 * L],
+        [6 * L, 4 * L * L, -6 * L, 2 * L * L],
+        [-12.0, -6 * L, 12.0, -6 * L],
+        [6 * L, 2 * L * L, -6 * L, 4 * L * L],
+    ])
+    k[np.ix_((1, 5, 7, 11), (1, 5, 7, 11))] = kz
+    ky = c * np.array([
+        [12.0, -6 * L, -12.0, -6 * L],
+        [-6 * L, 4 * L * L, 6 * L, 2 * L * L],
+        [-12.0, 6 * L, 12.0, 6 * L],
+        [-6 * L, 2 * L * L, 6 * L, 4 * L * L],
+    ])
+    k[np.ix_((2, 4, 8, 10), (2, 4, 8, 10))] = ky
+    return k
+
+
+def reference_element_frame(p0, p1):
+    axis = p1 - p0
+    length = float(np.linalg.norm(axis))
+    u = axis / length
+    e = np.zeros(3)
+    e[int(np.argmin(np.abs(u)))] = 1.0
+    e1 = np.cross(u, e)
+    e1 /= np.linalg.norm(e1)
+    return length, np.vstack([u, e1, np.cross(u, e1)])
+
+
+def _block_diagonal(lam):
+    T = np.zeros((12, 12))
+    for blk in range(4):
+        T[3 * blk:3 * blk + 3, 3 * blk:3 * blk + 3] = lam
+    return T
+
+
+def reference_frame_fem(model):
+    g = model.graph
+    n = g.num_nodes
+    E = model.material.young_modulus
+    G = E / (2.0 * (1.0 + model.material.poisson_ratio))
+    frames = [reference_element_frame(g.positions[a], g.positions[b])
+              for a, b in g.elements]
+    rows, cols, vals = [], [], []
+    for eidx, (a, b) in enumerate(g.elements):
+        length, lam = frames[eidx]
+        inertia = model.moments[eidx]
+        k_loc = reference_local_stiffness(
+            E * model.areas[eidx] / length, G * (2.0 * inertia) / length,
+            E * inertia, length)
+        T = _block_diagonal(lam)
+        k_glob = T.T @ k_loc @ T
+        k_glob = 0.5 * (k_glob + k_glob.T)
+        dofs = np.concatenate([6 * int(a) + np.arange(6),
+                               6 * int(b) + np.arange(6)])
+        for i in range(12):
+            rows.extend(dofs)
+            cols.extend([dofs[i]] * 12)
+            vals.extend(k_glob[:, i])
+    K = sp.coo_matrix((vals, (rows, cols)), shape=(6 * n, 6 * n)).tocsr()
+    K = ((K + K.T) * 0.5).tocsr()
+    f = model.loads.ravel()
+    free = np.nonzero(~model.fixed.ravel())[0]
+    d = np.zeros(6 * n)
+    d[free] = spsolve(K[free][:, free].tocsc(), f[free])
+    reactions = (K @ d - f).reshape(n, 6)
+
+    ne = g.num_elements
+    axial_force, axial_stress, bending_stress = np.zeros((3, ne))
+    for eidx, (a, b) in enumerate(g.elements):
+        length, lam = frames[eidx]
+        T = _block_diagonal(lam)
+        u_loc = T @ np.concatenate([d[6 * a:6 * a + 6], d[6 * b:6 * b + 6]])
+        inertia = model.moments[eidx]
+        k_loc = reference_local_stiffness(
+            E * model.areas[eidx] / length, G * 2.0 * inertia / length,
+            E * inertia, length)
+        f_loc = k_loc @ u_loc
+        axial_force[eidx] = f_loc[6]
+        axial_stress[eidx] = f_loc[6] / model.areas[eidx]
+        m1 = np.hypot(f_loc[4], f_loc[5])
+        m2 = np.hypot(f_loc[10], f_loc[11])
+        bending_stress[eidx] = max(m1, m2) * model.radii[eidx] / inertia
+    return FrameResult(d.reshape(n, 6), reactions, axial_force,
+                       axial_stress, bending_stress)
+
+
+def reference_gravity_loads(model, gravity, loads):
+    """``loads`` plus half of each element's weight on both endpoints."""
+    g = model.graph
+    loads = loads.copy()
+    gacc = np.asarray(gravity, dtype=float)
+    lengths = g.element_lengths()
+    for eidx, (a, b) in enumerate(g.elements):
+        w = (model.material.density * model.areas[eidx] * lengths[eidx]
+             * gacc / 2.0)
+        loads[a, :3] += w
+        loads[b, :3] += w
+    return loads
+
+
+def random_frame_graph(rng, n=40, extra=25):
+    """Connected random graph: a random tree plus extra chords. A third of
+    the tree members lie along a coordinate axis (ties in the argmin of
+    |axis|), and one along (1, 1, 1) (a three-way tie)."""
+    positions = [rng.uniform(0.0, 1.0, 3)]
+    edges = []
+    for i in range(1, n):
+        j = int(rng.integers(i))
+        if i % 3 == 0:
+            step = np.zeros(3)
+            step[i % 9 // 3] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.5)
+        elif i == 1:
+            step = np.full(3, rng.uniform(0.1, 0.5))
+        else:
+            step = rng.normal(0.0, 0.3, 3)
+        positions.append(positions[j] + step)
+        edges.append((j, i))
+    while len(edges) < n - 1 + extra:
+        a, b = sorted(int(v) for v in rng.choice(n, 2, replace=False))
+        if (a, b) not in edges:
+            edges.append((a, b))
+    families = [str(f) for f in rng.choice(["iso1", "iso2", "boundary"],
+                                           len(edges))]
+    return _graph(positions, edges, families)
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_frame_fem_matches_per_element_oracle_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    g = random_frame_graph(rng)
+    mat = Material(young_modulus=2.3e9, poisson_ratio=0.3, density=1200.0,
+                   yield_strength=48e6)
+    gravity = (0.0, 0.0, -9.81)
+    bcs = BoundaryConditions(
+        dirichlet=[Dirichlet(selector={"type": "indices", "values": [0]})],
+        neumann=[Neumann(selector={"type": "indices", "values": [n]},
+                         force=tuple(rng.normal(0.0, 10.0, 3)))
+                 for n in rng.choice(g.num_nodes, 4, replace=False)],
+        gravity=gravity,
+    )
+    radii = {"iso1": 0.004, "iso2": 0.007, "default": 0.0025}
+    model = build_truss_model(g, mat, radii, bcs)
+    assert len(set(model.radii.tolist())) == 3
+
+    no_gravity = build_truss_model(g, mat, radii, BoundaryConditions(
+        dirichlet=bcs.dirichlet, neumann=bcs.neumann))
+    assert _same_bits(model.loads, reference_gravity_loads(
+        model, gravity, no_gravity.loads))
+
+    got, want = frame_fem(model), reference_frame_fem(model)
+    for field in ("displacements", "reactions", "axial_force",
+                  "axial_stress", "bending_stress"):
+        assert _same_bits(getattr(got, field), getattr(want, field)), field
+    assert np.abs(got.bending_stress).max() > 0.0
