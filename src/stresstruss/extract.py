@@ -43,6 +43,12 @@ class ExtractionWarning(UserWarning):
     pass
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of (k, 3) x, bitwise equal to
+    ``np.linalg.norm`` of that row alone (``axis=1`` sums in another order)."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
 @dataclass
 class TrussGraph:
     positions: np.ndarray            # (N, 3) meters
@@ -60,10 +66,8 @@ class TrussGraph:
         return len(self.elements)
 
     def element_lengths(self) -> np.ndarray:
-        if self.num_elements == 0:
-            return np.zeros(0)
         d = self.positions[self.elements[:, 0]] - self.positions[self.elements[:, 1]]
-        return np.linalg.norm(d, axis=1)
+        return row_norms(d)
 
     def copy(self) -> "TrussGraph":
         return TrussGraph(

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, NumericalError
 from .mesh import TetMesh, shape_gradients
@@ -210,22 +211,10 @@ _RIGID_NAMES = (
 )
 
 
-def _rigid_modes(vertices: np.ndarray) -> np.ndarray:
-    """Six rigid-body displacement fields, shape (6, 3n)."""
-    n = len(vertices)
-    c = vertices.mean(axis=0)
-    x = vertices - c
-    modes = np.zeros((6, n, 3))
-    for a in range(3):
-        modes[a, :, a] = 1.0
-    axes = np.eye(3)
-    for a in range(3):
-        modes[3 + a] = np.cross(axes[a], x)
-    return modes.reshape(6, -1)
-
-
-def solve_static(mesh: TetMesh, material: Material, bcs: BoundaryConditions) -> np.ndarray:
-    """Static displacement field, shape (n, 3) meters.
+def solve_static(mesh: TetMesh, material: Material, bcs: BoundaryConditions,
+                 *, return_system: bool = False):
+    """Static displacement field u, shape (n, 3) meters, or (u, K, f) with
+    the assembled stiffness and load vector when ``return_system`` is set.
 
     Raises ConfigError for under-specified constraints and NumericalError
     with the unconstrained rigid modes named when the reduced system is
@@ -240,54 +229,89 @@ def solve_static(mesh: TetMesh, material: Material, bcs: BoundaryConditions) -> 
     u = np.zeros(n3)
     u[fixed] = fixed_vals
 
+    held = np.isin(np.arange(n3), fixed).reshape(-1, 3)
+    pairs = mesh.tets[:, [[0, 1], [1, 2], [2, 3]]]
+    loose, modes = free_rigid_motions(mesh.vertices, pairs, held)
+    if len(loose):
+        raise NumericalError(
+            "singular stiffness system; unconstrained rigid modes: "
+            f"{', '.join(modes)} ({len(loose)} vertices)"
+        )
     Kff = K[free][:, free].tocsc()
     rhs = f[free] - K[free][:, fixed] @ fixed_vals
-
-    def singular_error():
-        names = _unconstrained_modes(mesh, Kff, free)
-        return NumericalError(
-            "singular stiffness system; unconstrained rigid modes: " + ", ".join(names)
+    uf = solve_reduced(Kff, rhs)
+    if uf is None:
+        raise NumericalError(
+            "stiffness system singular to working precision: sparse LU "
+            "failed or its backward error is above 1e-8"
         )
+    u[free] = uf
+    u = u.reshape(-1, 3)
+    return (u, K, f) if return_system else u
 
+
+def free_rigid_motions(positions: np.ndarray, pairs: np.ndarray,
+                       fixed: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Nodes of the pieces, connected through ``pairs``, that their fixed
+    DOFs leave free to move rigidly, and the names of those motions.
+
+    ``fixed`` is (n, 3) for translation DOFs or (n, 6) with rotations too.
+    Each piece is taken as rigid, as frame members joined at nodes are;
+    tets sharing only an edge or a vertex are not, and such hinges are left
+    to the solve. A piece is held when the rows (e_k, p x e_k) and (0, e_k)
+    of its fixed DOFs in the rigid motion (t, w), translation t + w x p at
+    p, have rank 6; rotations are about the centroid of its fixed nodes.
+    """
+    n = len(positions)
+    pairs = np.asarray(pairs).reshape(-1, 2)
+    adj = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                        shape=(n, n))
+    npieces, label = connected_components(adj, directed=False)
+    node, dof = np.nonzero(fixed)
+    order = np.argsort(label[node], kind="stable")
+    node, dof = node[order], dof[order]
+    bounds = np.searchsorted(label[node], np.arange(npieces + 1))
+    held = np.zeros(npieces, dtype=bool)
+    free = set(range(6)) if np.any(bounds[1:] == bounds[:-1]) else set()
+    eye = np.eye(3)
+    for c in np.nonzero(bounds[1:] > bounds[:-1])[0]:
+        i, k = node[bounds[c]:bounds[c + 1]], dof[bounds[c]:bounds[c + 1]]
+        p = positions[i] - positions[i].mean(axis=0)
+        p /= max(np.abs(p).max(), 1e-300)
+        rows = np.zeros((len(i), 6))
+        rows[np.arange(len(i)), k] = 1.0        # t_k, or w_k for k >= 3
+        move = k < 3
+        rows[move, 3:] = np.cross(p[move], eye[k[move]])
+        _, sv, vt = np.linalg.svd(rows)
+        rank = int(np.sum(sv > 1e-9 * sv[0]))
+        for v in np.abs(vt[rank:]):
+            free.update(np.nonzero(v > 0.3 * v.max())[0].tolist())
+        held[c] = rank == 6
+    return np.nonzero(~held[label])[0], [_RIGID_NAMES[m] for m in sorted(free)]
+
+
+def solve_reduced(A, b: np.ndarray) -> np.ndarray | None:
+    """Sparse LU solution x of the reduced system A x = b, or None when
+    SuperLU finds A singular, x is not finite, or the normwise backward
+    error |A x - b|_inf / (|A|_inf |x|_inf + |b|_inf) is above 1e-8.
+
+    LU with partial pivoting keeps that error small even on a numerically
+    singular A, so this accepts a solve but does not detect a mechanism:
+    callers rule those out first with ``free_rigid_motions``.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)
         try:
-            uf = spla.spsolve(Kff, rhs)
+            x = spla.spsolve(A, b)
         except (spla.MatrixRankWarning, RuntimeError):
-            raise singular_error() from None
-    if not np.isfinite(uf).all():
-        raise singular_error()
-
-    res = Kff @ uf - rhs
-    scale = max(np.abs(rhs).max(), np.abs(Kff @ uf).max(), 1e-300)
-    if np.abs(res).max() > 1e-8 * scale:
-        names = _unconstrained_modes(mesh, Kff, free)
-        if names:
-            raise singular_error()
-        raise NumericalError(
-            f"solver residual {np.abs(res).max() / scale:.2e} above 1e-8"
-        )
-    u[free] = uf
-    return u.reshape(-1, 3)
-
-
-def _unconstrained_modes(mesh, Kff, free) -> list[str]:
-    """Names of rigid modes (or combinations) with near-zero strain energy
-    on the free DOFs. Combinations cover rotations about offset axes."""
-    M = _rigid_modes(mesh.vertices)[:, free]
-    norms = np.linalg.norm(M, axis=1)
-    norms[norms == 0] = 1.0
-    M = M / norms[:, None]
-    A = M @ (Kff @ M.T)
-    kscale = max(np.abs(Kff.diagonal()).max(), 1e-300)
-    w, v = np.linalg.eigh(A)
-    selected = []
-    for k in range(6):
-        if w[k] < 1e-9 * kscale:
-            for i in np.nonzero(np.abs(v[:, k]) > 0.3)[0]:
-                if _RIGID_NAMES[i] not in selected:
-                    selected.append(_RIGID_NAMES[i])
-    return sorted(selected, key=_RIGID_NAMES.index)
+            return None
+    if not np.isfinite(x).all():
+        return None
+    resid = np.abs(A @ x - b).max(initial=0.0)
+    scale = spla.norm(A, np.inf) * np.abs(x).max(initial=0.0)
+    if resid > 1e-8 * (scale + np.abs(b).max(initial=0.0)):
+        return None
+    return x
 
 
 # ---------------------------------------------------------------------------

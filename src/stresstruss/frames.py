@@ -8,14 +8,22 @@ surrogate; a Laplacian term plus a Tikhonov term keep the vertex field tame.
 The annealing loop starts smoothness-heavy and relaxes it by a fixed factor
 each outer iteration.
 
-The data gradient is contracted in closed form, with D = dE/dR per tet,
-ca = a'(|s|)/|s|, cb = b'(|s|)/|s| and vee(X) = (X21-X12, X02-X20, X10-X01):
+As K^2 = s s^T - |s|^2 I, column k of R is r_k = (1 - b|s|^2) e_k +
+a (s x e_k) + b s_k s; only r_2 and r_3, the columns the data term reads,
+are built. Its gradient is contracted in closed form, with D = dE/dR per tet
+(nonzero columns d_k = sign(q_k) M r_k / sqrt|q_k|, q_k = r_k^T M r_k, for
+k = 2, 3), ca = a'(|s|)/|s|, cb = b'(|s|)/|s|, s = (x, y, z) and
+vee(X) = (X21-X12, X02-X20, X10-X01):
 
-    dE/ds = (ca <D,K> + cb <D,K^2>) s + vee(a D + b (D K^T + K^T D)),
+    dE/ds = (ca <D,K> + cb <D,K^2> - 2 b tr D) s + a vee(D) + b (D + D^T) s,
+    <D,K> = s.vee(D),   vee(D) = (d_2z - d_3y, d_3x, -d_2x),
+    <D,K^2> = s^T D s - |s|^2 tr D,
+    (D + D^T) s = y d_2 + z d_3 + (0, d_2.s, d_3.s).
 
-evaluated as <D,K> = s.vee(D), vee(D K^T + K^T D) = (D + D^T) s - 2 tr(D) s,
-so no (m, 3, 3, 3) dR/ds tensor is formed. s = S omega and the vertex
-gradient S^T dE/ds use one sparse tet-vertex incidence S built once per fit.
+All of it runs component-major on (3, m) and (3, 2, m) arrays, M r_k as one
+einsum over M laid out (3, 3, m): no (m, 3, 3) tensor, no batched 3x3
+product. s = S omega and the vertex gradient S^T dE/ds use one sparse
+tet-vertex incidence S built once per fit.
 """
 
 from __future__ import annotations
@@ -56,8 +64,8 @@ class FrameField:
     omega: np.ndarray                  # (n, 3) per-vertex parameters
     frames: np.ndarray                 # (m, 3, 3) rotations, columns r1,r2,r3
     alpha_history: list[tuple[float, float]] = field(default_factory=list)
-    # Per outer iteration: L-BFGS (iterations, evaluations, converged).
-    inner: list[tuple[int, int, bool]] = field(default_factory=list)
+    # Per outer iteration: L-BFGS (iterations, evals, converged, |grad|).
+    inner: list[tuple[int, int, bool, float]] = field(default_factory=list)
 
 
 def perturb_zero_rows(omega: np.ndarray) -> np.ndarray:
@@ -82,57 +90,51 @@ def incidence(tets: np.ndarray, num_vertices: int) -> sp.csr_matrix:
 def _rodrigues_coefficients(theta: np.ndarray):
     """a = sin t / t, b = (1 - cos t) / t^2, and their derivative ratios
     ca = a'(t)/t, cb = b'(t)/t, with series for small t."""
-    t2 = theta * theta
     small = theta < SMALL_ANGLE
     safe = np.where(small, 1.0, theta)
     sin, cos = np.sin(safe), np.cos(safe)
-    a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, sin / safe)
-    b = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
-                 (1.0 - cos) / (safe * safe))
-    ca = np.where(small, -1.0 / 3.0 + t2 / 30.0,
-                  (safe * cos - sin) / safe**3)
-    cb = np.where(small, -1.0 / 12.0 + t2 / 180.0,
-                  (safe * sin + 2.0 * cos - 2.0) / safe**4)
+    a = sin / safe
+    b = (1.0 - cos) / (safe * safe)
+    ca = (safe * cos - sin) / safe**3
+    cb = (safe * sin + 2.0 * cos - 2.0) / safe**4
+    if small.any():
+        t2 = theta[small] ** 2
+        a[small] = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+        b[small] = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+        ca[small] = -1.0 / 3.0 + t2 / 30.0
+        cb[small] = -1.0 / 12.0 + t2 / 180.0
     return a, b, ca, cb
 
 
-def _cross_matrices(s: np.ndarray) -> np.ndarray:
-    K = np.zeros(s.shape[:-1] + (3, 3))
-    K[..., 0, 1] = -s[..., 2]
-    K[..., 0, 2] = s[..., 1]
-    K[..., 1, 0] = s[..., 2]
-    K[..., 1, 2] = -s[..., 0]
-    K[..., 2, 0] = -s[..., 1]
-    K[..., 2, 1] = s[..., 0]
-    return K
-
-
-def _rotations(s: np.ndarray):
-    """R = I + a K + b K^2 per row of s, with K^2 and the Rodrigues
+def _rotation_columns(s: np.ndarray, cols):
+    """Columns ``cols`` of R = exp([s]x) for component-major axis vectors
+    s (3, m), as (3, len(cols), m), with theta^2 and the Rodrigues
     coefficients (a, b, ca, cb) that the gradient reuses."""
-    theta = np.linalg.norm(s, axis=1)
-    coeffs = _rodrigues_coefficients(theta)
-    K = _cross_matrices(s)
-    K2 = K @ K
-    R = np.eye(3) + coeffs[0][:, None, None] * K + coeffs[1][:, None, None] * K2
-    return R, K2, coeffs
+    x, y, z = s
+    t2 = x * x + y * y + z * z
+    coeffs = _rodrigues_coefficients(np.sqrt(t2))
+    a, b = coeffs[:2]
+    c = 1.0 - b * t2
+    ax, ay, az = a * s
+    # Column k of (1 - b theta^2) I + a [s]x.
+    linear = ((c, az, -ay), (-az, c, ax), (ay, -ax, c))
+    r = (b * s)[:, None, :] * s[list(cols)]                     # b s_k s
+    for j, k in enumerate(cols):
+        r[:, j] += linear[k]
+    return r, t2, coeffs
 
 
 def rotations_from_axis_vectors(s: np.ndarray) -> np.ndarray:
     """Batch closed-form exp of cross-product matrices, shape (m, 3, 3)."""
-    return _rotations(np.atleast_2d(np.asarray(s, dtype=float)))[0]
+    s = np.atleast_2d(np.asarray(s, dtype=float))
+    r = _rotation_columns(np.ascontiguousarray(s.T), (0, 1, 2))[0]
+    return np.ascontiguousarray(r.transpose(2, 0, 1))
 
 
 def tet_frames(omega: np.ndarray, tets: np.ndarray) -> np.ndarray:
     """All tet rotations from the per-vertex field, shape (m, 3, 3)."""
     s = incidence(tets, len(omega)) @ perturb_zero_rows(omega)
     return rotations_from_axis_vectors(s)
-
-
-def _column_quotients(R: np.ndarray, M: np.ndarray):
-    """M r_k and Rayleigh quotients r_k^T M r_k of frame columns 2 and 3."""
-    Mr = (M @ R)[:, :, 1:]
-    return Mr, np.einsum("tik,tik->tk", R[:, :, 1:], Mr)
 
 
 def _smooth_terms(omega: np.ndarray, L: sp.spmatrix):
@@ -142,37 +144,31 @@ def _smooth_terms(omega: np.ndarray, L: sp.spmatrix):
     return 0.5 * float(np.vdot(omega, grad)), grad
 
 
-def smooth_energy(omega: np.ndarray, L: sp.spmatrix) -> float:
-    """0.5 w^T L w (blockwise per coordinate) + 0.5 w^T w."""
-    return _smooth_terms(np.asarray(omega, dtype=float), L)[0]
-
-
 def _data_energy_grad_s(s: np.ndarray, M: np.ndarray):
     """Total data energy and its gradient w.r.t. the per-tet axis vectors
     s (m, 3), for SPD tensors M (m, 3, 3)."""
-    R, K2, (a, b, ca, cb) = _rotations(s)
-    Mr, q = _column_quotients(R, M)
-    sq = np.sqrt(np.abs(q))                           # (m, 2)
+    s = np.ascontiguousarray(s.T)                     # component-major
+    r, t2, (a, b, ca, cb) = _rotation_columns(s, (1, 2))
+    Mr = np.einsum("ijt,jkt->ikt",
+                   np.ascontiguousarray(M.transpose(1, 2, 0)), r)
+    q = np.einsum("ikt,ikt->kt", r, Mr)               # r_k^T M r_k
+    sq = np.sqrt(np.abs(q))                           # (2, m)
     energy = float(sq.sum())
 
-    # dE/dR has nonzero columns 2,3: sign(q_k) M r_k / sqrt|q_k|.
-    D = np.zeros_like(R)
-    D[:, :, 1:] = Mr * (np.sign(q) / sq)[:, None, :]
-
-    # Closed-form contraction with dR/ds (module docstring).
-    vee_d = np.stack([D[:, 2, 1] - D[:, 1, 2],
-                      D[:, 0, 2] - D[:, 2, 0],
-                      D[:, 1, 0] - D[:, 0, 1]], axis=1)
-    trace_d = np.trace(D, axis1=1, axis2=2)
-    d_k = np.einsum("tm,tm->t", s, vee_d)             # <D, K>
-    d_k2 = np.einsum("tij,tij->t", D, K2)             # <D, K^2>
-    sym_s = np.einsum("tij,tj->ti", D + D.transpose(0, 2, 1), s)
-    grad_s = (
-        (ca * d_k + cb * d_k2 - 2.0 * b * trace_d)[:, None] * s
-        + a[:, None] * vee_d
-        + b[:, None] * sym_s
-    )
-    return energy, grad_s
+    # Nonzero columns of dE/dR: d_k = sign(q_k) M r_k / sqrt|q_k|.
+    d2, d3 = (Mr * (np.sign(q) / sq)).transpose(1, 0, 2)
+    x, y, z = s
+    p2 = d2[0] * x + d2[1] * y + d2[2] * z            # d_2 . s
+    p3 = d3[0] * x + d3[1] * y + d3[2] * z            # d_3 . s
+    trace_d = d2[1] + d3[2]
+    vee_d = np.stack([d2[2] - d3[1], d3[0], -d2[0]])
+    d_k = x * vee_d[0] + y * vee_d[1] + z * vee_d[2]  # <D, K>
+    d_k2 = y * p2 + z * p3 - t2 * trace_d             # <D, K^2>
+    sym_s = y * d2 + z * d3                           # (D + D^T) s
+    sym_s[1:] += (p2, p3)
+    grad_s = (ca * d_k + cb * d_k2 - 2.0 * b * trace_d) * s + a * vee_d \
+        + b * sym_s
+    return energy, grad_s.T
 
 
 def total_energy_grad(omega: np.ndarray, stress: StressField, alpha: float,
@@ -196,9 +192,8 @@ def total_energy_grad(omega: np.ndarray, stress: StressField, alpha: float,
 
 def data_energy_total(omega: np.ndarray, stress: StressField, tets: np.ndarray) -> float:
     """Sum over tets of sqrt|q_2| + sqrt|q_3|, the data term alone."""
-    R = tet_frames(omega, tets)
-    _, q = _column_quotients(R, stress.sigma_plus)
-    return float(np.sqrt(np.abs(q)).sum())
+    s = incidence(tets, len(omega)) @ perturb_zero_rows(omega)
+    return _data_energy_grad_s(s, stress.sigma_plus)[0]
 
 
 def fit_frame_field(
@@ -224,7 +219,7 @@ def fit_frame_field(
     omega = np.zeros((n, 3))
     alpha = cfg.alpha0_factor * mesh.num_tets
     history: list[tuple[float, float]] = []
-    inner: list[tuple[int, int, bool]] = []
+    inner: list[tuple[int, int, bool, float]] = []
     stall = 0
 
     for outer in range(cfg.outer_iterations):
@@ -254,7 +249,8 @@ def fit_frame_field(
                 f"(alpha={alpha:.6g}); last diagnostics: {failure.diagnostics}"
             )
         omega = result.x.reshape(n, 3)
-        inner.append((result.iterations, result.num_evals, result.converged))
+        inner.append((result.iterations, result.num_evals, result.converged,
+                      float(np.linalg.norm(result.grad))))
 
         e_data = data_energy_total(omega, stress, tets)
         history.append((alpha, e_data))

@@ -20,8 +20,7 @@ from .extract import (
     merge_graphs,
     perturb_parametrization,
 )
-from .fem import StressField, assemble_stiffness, assemble_loads, \
-    cauchy_stress, solve_static, stress_spd
+from .fem import StressField, cauchy_stress, solve_static, stress_spd
 from .fixtures import bar_mesh, box_mesh, unit_cube_mesh
 from .frames import fit_frame_field
 from .mesh import TetMesh, build_operators, feature_edges, load_tet_mesh
@@ -89,7 +88,7 @@ def _write_log(out: Path, stage: str, lines: list[str]) -> str:
 
 def _stage_fea(cfg: PipelineConfig, out: Path) -> list[str]:
     mesh = mesh_from_config(cfg)
-    u = solve_static(mesh, cfg.material, cfg.bcs)
+    u, K, f = solve_static(mesh, cfg.material, cfg.bcs, return_system=True)
     field = stress_spd(cauchy_stress(mesh, cfg.material, u))
     name = _ARTIFACT_FILES["fea"]
     artifacts.write_field(out / name, {
@@ -101,8 +100,6 @@ def _stage_fea(cfg: PipelineConfig, out: Path) -> list[str]:
         "eigenvalues_plus": field.eigenvalues_plus,
     }, meta={}, kind="stress")
 
-    K = assemble_stiffness(mesh, cfg.material)
-    f = assemble_loads(mesh, cfg.material, cfg.bcs)
     strain_energy = 0.5 * float(u.ravel() @ (K @ u.ravel()))
     work = 0.5 * float(f.ravel() @ u.ravel())
     gap = abs(strain_energy - work) / max(abs(strain_energy), 1e-300)
@@ -137,12 +134,12 @@ def _stage_frames(cfg: PipelineConfig, out: Path) -> list[str]:
         kind="frames")
 
     lines = [f"outer {k} alpha {a:.9e} energy {e:.9e} iterations {it} "
-             f"evals {ne} converged {int(ok)}"
-             for k, ((a, e), (it, ne, ok))
+             f"evals {ne} converged {int(ok)} grad_norm {gn:.9e}"
+             for k, ((a, e), (it, ne, ok, gn))
              in enumerate(zip(ff.alpha_history, ff.inner))]
     # The last outer energy is the data energy of the final omega.
     lines.append(f"final_data_energy {ff.alpha_history[-1][1]:.9e}")
-    lines.append(f"unconverged {sum(not ok for _, _, ok in ff.inner)}")
+    lines.append(f"unconverged {sum(not ok for _, _, ok, _ in ff.inner)}")
     log = _write_log(out, "frames", lines)
     return [name, log]
 

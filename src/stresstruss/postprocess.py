@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .extract import TAG_RANK, TrussGraph
+from .extract import TAG_RANK, TrussGraph, row_norms
 
 HIT_TAGS = ("edge_hit", "face_hit")
 
@@ -175,12 +175,6 @@ def resolve_radii(families: list[str], radius_policy) -> np.ndarray:
             raise ConfigError("radius must be positive")
         radii[i] = float(r)
     return radii
-
-
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of (k, 3) x, bitwise equal to
-    ``np.linalg.norm`` of that row alone (``axis=1`` sums in another order)."""
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
 def perp_basis(u: np.ndarray):

@@ -10,17 +10,16 @@ fallback. The capacity factor scales the load template until the combined
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .errors import ConfigError, NumericalError
-from .extract import TrussGraph
-from .fem import BoundaryConditions, Material
-from .postprocess import perp_basis, resolve_radii, row_norms
+from .extract import TrussGraph, row_norms
+from .fem import (BoundaryConditions, Material, free_rigid_motions,
+                  solve_reduced)
+from .postprocess import perp_basis, resolve_radii
 
 
 @dataclass
@@ -202,33 +201,20 @@ def _assemble(model: TrussModel, lam, k_loc):
     return ((K + K.T) * 0.5).tocsr()
 
 
-def _mechanism_error(kff, free_dofs):
-    nf = kff.shape[0]
-    scale = float(np.max(np.abs(kff.diagonal()))) if nf else 1.0
-    if nf <= 9000:
-        w, v = np.linalg.eigh(kff.toarray())
-    else:
-        from scipy.sparse.linalg import eigsh
-        w, v = eigsh(kff.tocsc(), k=min(12, nf - 1), which="SA")
-    null = np.nonzero(w < 1e-9 * max(scale, 1.0))[0]
-    nodes = set()
-    for m in null:
-        mode = np.abs(v[:, m])
-        for d in np.nonzero(mode > 0.3 * mode.max())[0]:
-            nodes.add(int(free_dofs[d] // 6))
-    listed = sorted(nodes)
-    shown = ", ".join(str(i) for i in listed[:12])
-    if len(listed) > 12:
-        shown += f", ... ({len(listed) - 12} more)"
-    return NumericalError(
-        f"mechanism: zero-energy mode involving nodes [{shown}]"
-    )
-
-
 def frame_fem(model: TrussModel) -> FrameResult:
     g = model.graph
     n = g.num_nodes
     lengths, lam = _element_frames(model)
+    # Members are rigidly joined, so only a piece its supports do not hold
+    # can move without strain.
+    loose, _ = free_rigid_motions(g.positions, g.elements, model.fixed)
+    if len(loose):
+        shown = ", ".join(str(i) for i in loose[:12])
+        if len(loose) > 12:
+            shown += f", ... ({len(loose) - 12} more)"
+        raise NumericalError(
+            f"mechanism: zero-energy mode involving nodes [{shown}]"
+        )
     k_loc = _element_stiffness(model, lengths)
     K = _assemble(model, lam, k_loc)
     f = model.loads.ravel()
@@ -237,18 +223,13 @@ def frame_fem(model: TrussModel) -> FrameResult:
     kff = K[free][:, free].tocsc()
     ff = f[free]
 
+    sol = solve_reduced(kff, ff)
+    if sol is None:
+        raise NumericalError(
+            "frame stiffness singular to working precision: sparse LU "
+            "failed or its backward error is above 1e-8"
+        )
     d = np.zeros(6 * n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            sol = spsolve(kff, ff)
-        except (MatrixRankWarning, RuntimeError):
-            raise _mechanism_error(kff, free) from None
-    if np.any(~np.isfinite(sol)):
-        raise _mechanism_error(kff, free)
-    resid = np.linalg.norm(kff @ sol - ff)
-    if resid > 1e-8 * (1.0 + np.linalg.norm(ff)):
-        raise _mechanism_error(kff, free)
     d[free] = sol
 
     reactions = (K @ d - f).reshape(n, 6)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stresstruss import artifacts, pipeline, verify
+from stresstruss import artifacts, fem, pipeline, verify
 from stresstruss.config import (
     config_hash,
     config_to_dict,
@@ -21,8 +21,8 @@ from stresstruss.config import (
 from stresstruss.errors import ArtifactError, ConfigError
 from stresstruss.extract import TrussGraph
 from stresstruss.fem import StressField
-from stresstruss.frames import data_energy_total
-from stresstruss.mesh import write_medit
+from stresstruss.frames import data_energy_total, total_energy_grad
+from stresstruss.mesh import build_operators, write_medit
 from stresstruss.fixtures import box_mesh
 from stresstruss.pipeline import STAGE_ORDER, mesh_from_config, run_stage
 
@@ -308,6 +308,34 @@ def test_verify_stage_solves_once_and_matches_capacity(pipeline_out,
     assert (out / "report.txt").read_bytes() == report
 
 
+def test_fea_stage_assembles_once(pipeline_out, monkeypatch):
+    cfg, out, _ = pipeline_out
+    log = (out / "fea.log").read_bytes()
+    calls = []
+    assemble = fem.assemble_stiffness
+
+    def counted(mesh, material):
+        calls.append(mesh)
+        return assemble(mesh, material)
+
+    monkeypatch.setattr(fem, "assemble_stiffness", counted)
+    # Also any binding the stage module holds of its own.
+    monkeypatch.setattr(pipeline, "assemble_stiffness", counted,
+                        raising=False)
+    run_stage("fea", cfg, out_dir=out)
+    assert len(calls) == 1
+    assert (out / "fea.log").read_bytes() == log
+    # The logged energies are those of a fresh assembly.
+    _, fea = artifacts.read_field(out / "fea.field", kind="stress")
+    mesh = mesh_from_config(cfg)
+    u = fea["u"].ravel()
+    K = assemble(mesh, cfg.material)
+    f = fem.assemble_loads(mesh, cfg.material, cfg.bcs)
+    lines = dict(ln.split(" ", 1) for ln in log.decode().splitlines())
+    assert lines["strain_energy"] == f"{0.5 * float(u @ (K @ u)):.9e}"
+    assert lines["external_work"] == f"{0.5 * float(f @ u):.9e}"
+
+
 def _frames_log(out):
     lines = (out / "frames.log").read_text().splitlines()
     return ([ln.split() for ln in lines if ln.startswith("outer ")],
@@ -318,8 +346,9 @@ def _frames_log(out):
 def test_frames_log_records_inner_solves(pipeline_out):
     cfg, out, _ = pipeline_out
     outer, tail = _frames_log(out)
-    assert [w[0::2][:6] for w in outer] == [
-        ["outer", "alpha", "energy", "iterations", "evals", "converged"]
+    assert [w[0::2] for w in outer] == [
+        ["outer", "alpha", "energy", "iterations", "evals", "converged",
+         "grad_norm"]
     ] * len(outer)
     assert all(int(w[7]) >= 1 and int(w[9]) > int(w[7]) for w in outer)
     assert int(tail["unconverged"]) == sum(w[11] == "0" for w in outer)
@@ -330,9 +359,15 @@ def test_frames_log_records_inner_solves(pipeline_out):
                          eigenvalues=fea["eigenvalues"],
                          sigma_plus=fea["sigma_plus"],
                          eigenvalues_plus=fea["eigenvalues_plus"])
-    energy = data_energy_total(fit["omega"], stress,
-                               mesh_from_config(cfg).tets)
+    mesh = mesh_from_config(cfg)
+    energy = data_energy_total(fit["omega"], stress, mesh.tets)
     assert tail["final_data_energy"] == f"{energy:.9e}" == outer[-1][5]
+    # grad_norm is that of the last inner solve's final gradient.
+    meta, _ = artifacts.read_field(out / "frames.field", kind="frames")
+    alpha = meta["alpha_history"][-1][0]
+    _, grad = total_energy_grad(fit["omega"], stress, alpha, mesh.tets,
+                                build_operators(mesh).L)
+    assert outer[-1][13] == f"{np.linalg.norm(grad):.9e}"
 
 
 def test_frames_log_counts_unconverged_solves(tmp_path):

@@ -462,3 +462,21 @@ def test_merge_interior_boundary(cube_case):
     # Feature/boundary provenance survives over interior provenance.
     assert all(t in ("boundary", "feature", "interior_grid", "face_hit",
                      "edge_hit") for t in m.tags)
+
+
+def test_element_lengths_are_per_row_norms():
+    # Random members, many of whose axis=1 norms round differently from the
+    # norm of the row alone; lengths must be the latter, the value that
+    # stiffness, geometry and simplification use.
+    rng = np.random.default_rng(8)
+    n = 400
+    positions = rng.standard_normal((n, 3)) * rng.uniform(1e-3, 10.0, (n, 1))
+    elements = np.column_stack([np.arange(0, n, 2), np.arange(1, n, 2)])
+    g = TrussGraph(positions=positions, params=np.zeros((n, 3)),
+                   tags=["interior_grid"] * n, elements=elements,
+                   families=["iso1"] * len(elements))
+    d = positions[elements[:, 1]] - positions[elements[:, 0]]
+    per_row = np.array([np.linalg.norm(v) for v in d])
+    assert np.any(np.linalg.norm(d, axis=1) != per_row)
+    np.testing.assert_array_equal(g.element_lengths(), per_row)
+    assert len(empty_graph().element_lengths()) == 0

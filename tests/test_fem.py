@@ -183,6 +183,22 @@ def test_singular_names_rigid_mode():
         solve_static(mesh, MAT, bcs)
 
 
+def test_singular_oblique_rotation_detected():
+    # Two pins on the bar's diagonal leave rotation about it free. Off the
+    # coordinate axes that mode is singular only to round-off, so the LU
+    # solve does not fail on its own; the supports give it away.
+    mesh = bar_mesh()
+    i0 = vertex_at(mesh, (0, 0, 0))
+    i1 = vertex_at(mesh, (0.2, 0.05, 0.05))
+    bcs = BoundaryConditions(
+        dirichlet=[Dirichlet({"type": "indices", "values": [i0, i1]})],
+        neumann=[Neumann({"type": "box", "min": [0.2 - 1e-9, -1, -1],
+                          "max": [1, 1, 1]}, force=(0.0, 5.0, 0.0))],
+    )
+    with pytest.raises(NumericalError, match="singular stiffness system"):
+        solve_static(mesh, MAT, bcs)
+
+
 def test_empty_selector_rejected():
     mesh = unit_cube_mesh(1)
     bcs = BoundaryConditions(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from stresstruss import lbfgs
 from stresstruss.errors import ConfigError
@@ -10,12 +11,12 @@ from stresstruss.frames import (
     FrameFitConfig,
     _data_energy_grad_s,
     _rodrigues_coefficients,
+    _smooth_terms,
     data_energy_total,
     fit_frame_field,
     incidence,
     perturb_zero_rows,
     rotations_from_axis_vectors,
-    smooth_energy,
     tet_frames,
     total_energy_grad,
 )
@@ -42,6 +43,11 @@ def frame_from_omega(omega_tet) -> np.ndarray:
     omega_tet = np.asarray(omega_tet, dtype=float).reshape(4, 3)
     s = perturb_zero_rows(omega_tet).sum(axis=0)
     return rotations_from_axis_vectors(s[None])[0]
+
+
+def smooth_energy(omega, L) -> float:
+    """0.5 w^T L w (blockwise per coordinate) + 0.5 w^T w."""
+    return _smooth_terms(np.asarray(omega, dtype=float), L)[0]
 
 
 def data_energy(R, sigma_plus) -> float:
@@ -139,6 +145,20 @@ def test_small_angle_continuity():
         c, sn = np.cos(mag), np.sin(mag)
         expected = np.array([[1, 0, 0], [0, c, -sn], [0, sn, c]])
         np.testing.assert_allclose(R, expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("low, high", [
+    (1e-9, 0.9 * SMALL_ANGLE),          # series branch
+    (0.5, 2.5),                         # closed form, generic angles
+    (np.pi - 1e-3, np.pi + 1e-3),       # closed form near a half turn
+])
+def test_rotations_match_matrix_exponential(low, high):
+    rng = np.random.default_rng(int(1e3 * high) + 1)
+    s = _random_axes(rng, 50, rng.uniform(low, high, size=50))
+    R = rotations_from_axis_vectors(s)
+    for st, Rt in zip(s, R):
+        K = np.cross(np.eye(3), st)             # rows e_k x s: K = [s]x
+        assert np.abs(Rt - expm(K)).max() <= 1e-12
 
 
 def test_data_energy_minimum_and_symmetry():

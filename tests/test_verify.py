@@ -198,6 +198,78 @@ def test_mechanism_reports_floating_nodes():
     assert "2" in str(err.value) and "3" in str(err.value)
 
 
+def test_mechanism_reports_oblique_loaded_floating_member():
+    # Off every axis, the floating member's rigid modes are singular only
+    # to round-off, so the LU solve itself does not fail.
+    g = _graph(
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+         [0.0, 2.0, 0.0], [1.0, 2.3, 0.7]],
+        [[0, 1], [2, 3]],
+    )
+    bcs = BoundaryConditions(
+        dirichlet=[Dirichlet(selector=_box([0, 0, 0]))],
+        neumann=[Neumann(selector=_box([1.0, 2.3, 0.7]), force=(0, 1, 0))],
+    )
+    model = build_truss_model(g, MAT, 0.01, bcs)
+    with pytest.raises(NumericalError, match=r"mechanism.*\[2, 3\]"):
+        frame_fem(model)
+
+
+def _pinned(points, pins, force_at, force):
+    """Members chaining ``points``; the nodes at ``pins`` have their three
+    translations fixed (by two Dirichlet entries, so rotations stay free)."""
+    g = _graph(points, [[i, i + 1] for i in range(len(points) - 1)])
+    dirichlet = []
+    for q in pins:
+        dirichlet += [Dirichlet(selector=_box(q), axes=(True, True, False)),
+                      Dirichlet(selector=_box(q), axes=(False, False, True))]
+    bcs = BoundaryConditions(
+        dirichlet=dirichlet,
+        neumann=[Neumann(selector=_box(force_at), force=force)],
+    )
+    return build_truss_model(g, MAT, 0.01, bcs)
+
+
+def test_pins_on_one_line_leave_a_mechanism():
+    # Both ends of an oblique straight chain pinned: it can spin about the
+    # line through them. Six fixed DOFs, but they hold only five motions.
+    d = np.array([1.0, 0.4, 0.3])
+    pts = [0.0 * d, 0.5 * d, d]
+    model = _pinned(pts, [pts[0], pts[2]], pts[1], (0.0, 0.0, 1.0))
+    with pytest.raises(NumericalError, match=r"mechanism.*\[0, 1, 2\]"):
+        frame_fem(model)
+
+
+def test_pins_off_one_line_hold_the_frame():
+    # Three pins not on one line hold all six motions; the free end deflects.
+    pts = [[0.3, 1.0, 0.1], [0.0, 0.0, 0.0], [1.0, 0.4, 0.3], [1.5, 0.2, 0.9]]
+    model = _pinned(pts, pts[:3], pts[3], (0.0, 0.0, 1.0))
+    res = frame_fem(model)
+    assert np.all(np.isfinite(res.displacements))
+    assert res.displacements[3, 2] > 0.0
+    assert np.allclose(res.reactions[:, :3].sum(axis=0), [0.0, 0.0, -1.0])
+
+
+def test_slender_oblique_cantilever_is_not_a_mechanism():
+    # A clamped two-member cantilever of r/L = 1e-4 along an oblique axis,
+    # loaded across it: well posed, but the axial stiffness is ~1e8 times
+    # the bending stiffness, so the residual is large next to the load alone.
+    d = np.array([3.0, 1.0, 2.0]) / np.sqrt(14.0)
+    t = np.array([-1.0, 1.0, 1.0])
+    t -= (t @ d) * d
+    t /= np.linalg.norm(t)
+    g = _graph([[0.0, 0.0, 0.0], d, 2.0 * d], [[0, 1], [1, 2]])
+    bcs = BoundaryConditions(
+        dirichlet=[Dirichlet(selector=_box([0, 0, 0]))],
+        neumann=[Neumann(selector=_box(2.0 * d), force=tuple(t))],
+    )
+    radius = 1e-4
+    res = frame_fem(build_truss_model(g, MAT, radius, bcs))
+    inertia = np.pi * radius ** 4 / 4.0
+    expected = 2.0 ** 3 / (3.0 * MAT.young_modulus * inertia)
+    assert abs(res.displacements[2, :3] @ t - expected) <= 1e-6 * expected
+
+
 def test_bc_mapping_nearest_node_fallback():
     g = _graph([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0, 1]])
     bcs = BoundaryConditions(
