@@ -2,8 +2,8 @@
 
 Graphs are JSON (nodes with positions/params/tags, elements with family
 tags); field data is a one-line JSON header followed by flat little-endian
-arrays. Writers must be byte-deterministic: floats go through the json
-module's repr-based formatting and arrays are written C-ordered.
+arrays. Writers must be byte-deterministic: floats take the json module's
+repr-based form and arrays are written C-ordered.
 """
 
 from __future__ import annotations
@@ -21,25 +21,47 @@ FIELD_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
 
+def _json_list(items: list[str], indent: str) -> str:
+    """A list of encoded items, laid out as ``json.dumps(..., indent=1)``
+    lays it out at ``indent``."""
+    if not items:
+        return "[]"
+    sep = ",\n" + indent + " "
+    return "[" + sep[1:] + sep.join(items) + "\n" + indent + "]"
+
+
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(a: np.ndarray) -> list[list[str]]:
+    """Rows of floats encoded as the json module encodes them."""
+    if np.isfinite(a).all():
+        return [[repr(x) for x in row] for row in a.tolist()]
+    return [[_JSON_SPECIAL.get(repr(x), repr(x)) for x in row]
+            for row in a.tolist()]
+
+
 def write_graph(path: str | Path, g: TrussGraph):
-    doc = {
-        "type": "truss_graph",
-        "version": GRAPH_VERSION,
-        "nodes": [
-            {
-                "position": [float(x) for x in g.positions[i]],
-                "params": [float(x) for x in g.params[i]],
-                "tag": g.tags[i],
-            }
-            for i in range(g.num_nodes)
-        ],
-        "elements": [
-            {"nodes": [int(a), int(b)], "family": g.families[i]}
-            for i, (a, b) in enumerate(g.elements)
-        ],
-    }
+    """The bytes of ``json.dumps(doc, indent=1, sort_keys=True)`` plus a
+    newline, built row by row (the json module's indenting encoder is pure
+    Python and several times slower)."""
+    tags = {t: json.dumps(t) for t in set(g.tags)}
+    families = {f: json.dumps(f) for f in set(g.families)}
+    nodes = [
+        f'{{\n   "params": {_json_list(par, "   ")},\n   "position": '
+        f'{_json_list(pos, "   ")},\n   "tag": {tags[tag]}\n  }}'
+        for pos, par, tag in zip(_json_floats(g.positions),
+                                 _json_floats(g.params), g.tags)
+    ]
+    elements = [
+        f'{{\n   "family": {families[fam]},\n   "nodes": [\n    {a},\n'
+        f'    {b}\n   ]\n  }}'
+        for (a, b), fam in zip(g.elements.tolist(), g.families)
+    ]
     Path(path).write_text(
-        json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        f'{{\n "elements": {_json_list(elements, " ")},\n "nodes": '
+        f'{_json_list(nodes, " ")},\n "type": "truss_graph",\n "version": '
+        f'{GRAPH_VERSION}\n}}\n')
 
 
 def read_graph(path: str | Path) -> TrussGraph:

@@ -1,22 +1,37 @@
-"""Integer-isocurve truss extraction.
+"""Integer-isocurve truss extraction, as array code.
 
-The perturbed parametrization maps the mesh into texture space; nodes are
-preimages of integer-grid points and elements connect grid neighbors. In 2D
-(triangle complexes, also reused for the volume boundary) nodes come from
-edge crossings of integer levels plus in-face double-integer points; in 3D
-they come from face crossings of double-integer curves plus in-tet
-triple-integer points. Everything is keyed so that shared geometry is
-computed once, which keeps positions bit-identical across adjacent cells and
-the output deterministic.
+Nodes are preimages of integer-grid points under the perturbed
+parametrization; elements connect grid neighbors. 3D: every candidate (tet,
+a, b), with integers a, b strictly inside the tet's range of a column pair
+(i, j), is listed at once, and its curve {phi_i = a, phi_j = b} is solved
+against the tet's four faces as a batch of 2x2 barycentric systems on each
+face's sorted vertex triple, so both tets of a face get the same bits. One
+hit is a tangential touch, more than two mark the tet inconsistent, and two
+bound a chain through the triple-integer points between them. 2D (also run
+on the volume boundary): edge crossings of integer levels, then per face and
+level a chain through the in-face double-integer points.
+
+Each node occurrence has an integer key: face triple, pair and (a, b); tet
+and grid point; edge, column and level; face and grid point; or vertex.
+Occurrences are listed in discovery order, and equal keys are one node,
+numbered and placed by its first occurrence (an in-face node by the first
+pass that finds it, ci -> cj before cj -> ci) and tagged with its highest
+rank. Nodes within MERGE_TOL then merge: a sweep over their projections on
+a generic direction, in a window slightly wider than MERGE_TOL so rounding
+drops no pair, proposes candidates, and a pair merges when ``row_norms`` of
+its difference is <= MERGE_TOL. A group keeps its highest-ranked, then
+lowest-numbered node. The canonical order makes the output independent of
+discovery order.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import NumericalError
 from .mesh import TetMesh
@@ -35,6 +50,7 @@ TAG_RANK = {
     "boundary": 3,
     "feature": 4,
 }
+_TAGS = tuple(sorted(TAG_RANK, key=TAG_RANK.get))
 
 INTERIOR_FAMILIES = ("iso1", "iso2", "iso3")
 
@@ -86,62 +102,84 @@ def empty_graph(param_width: int = 3) -> TrussGraph:
     )
 
 
-class _Builder:
-    """Accumulates nodes (deduplicated by structural key) and elements."""
+# ---------------------------------------------------------------------------
+# Array helpers
 
-    def __init__(self, param_width: int):
-        self.param_width = param_width
-        self.key_to_id: dict = {}
-        self.positions: list[np.ndarray] = []
-        self.params: list[np.ndarray] = []
-        self.tags: list[str] = []
-        self.elements: dict = {}
 
-    def add_node(self, key, pos, par, tag: str) -> int:
-        nid = self.key_to_id.get(key)
-        if nid is None:
-            nid = len(self.positions)
-            self.key_to_id[key] = nid
-            self.positions.append(np.asarray(pos, dtype=float))
-            self.params.append(np.asarray(par, dtype=float))
-            self.tags.append(tag)
-        elif TAG_RANK[tag] > TAG_RANK[self.tags[nid]]:
-            self.tags[nid] = tag
-        return nid
+def _lattice(lo, hi, shrink: float = 0.0):
+    """First integer strictly inside (lo + shrink, hi - shrink), and how
+    many there are, elementwise."""
+    first = np.floor(lo + shrink) + 1.0
+    count = np.maximum(np.ceil(hi - shrink) - first, 0.0)
+    return first.astype(np.int64), count.astype(np.int64)
 
-    def upgrade_tag(self, nid: int, tag: str):
-        if TAG_RANK[tag] > TAG_RANK[self.tags[nid]]:
-            self.tags[nid] = tag
 
-    def add_element(self, i: int, j: int, family: str):
-        if i == j:
-            return
-        key = (min(i, j), max(i, j), family)
-        self.elements[key] = True
+def _spread(count: np.ndarray):
+    """For items with the given counts: the item of each slot, and the
+    slot's index within its item."""
+    item = np.repeat(np.arange(len(count)), count)
+    start = np.cumsum(count) - count
+    return item, np.arange(len(item)) - start[item]
 
-    def finalize(self) -> TrussGraph:
-        n = len(self.positions)
-        if n == 0:
-            return empty_graph(self.param_width)
-        g = TrussGraph(
-            positions=np.vstack(self.positions),
-            params=np.vstack(self.params),
-            tags=list(self.tags),
-            elements=np.array(
-                [(k[0], k[1]) for k in self.elements], dtype=np.int64
-            ).reshape(-1, 2),
-            families=[k[2] for k in self.elements],
-        )
-        g = _coincidence_merge(g)
-        _upgrade_grid_tags(g)
-        return _canonical_order(g)
+
+def _key(kind: int, *cols) -> np.ndarray:
+    """Integer node keys: the kind, then the given columns, zero-padded."""
+    cols = np.broadcast_arrays(kind, *cols, *[0] * (6 - len(cols)))
+    return np.column_stack(cols).astype(np.int64)
+
+
+def _first_seen(keys: np.ndarray, axis=None):
+    """Number the distinct keys in order of first appearance: each key's
+    number, and the index where each number first appears."""
+    _, first, inverse = np.unique(keys, axis=axis, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return number[inverse.reshape(-1)], first[order]
+
+
+def _chain_links(lo, hi, inner, count):
+    """Links along chains: chain c runs from occurrence lo[c] through its
+    count[c] consecutive entries of inner to hi[c]. Returns the (e, 2)
+    links and each link's chain."""
+    chain, s = _spread(count + 1)
+    idx = (np.cumsum(count) - count)[chain] + s
+    ext = np.append(inner, 0)
+    near = np.where(s == 0, lo[chain], ext[idx - 1])
+    far = np.where(s == count[chain], hi[chain], ext[idx])
+    return np.column_stack([near, far]), chain
+
+
+def _raw_graph(keys, positions, params, ranks, links, families, names):
+    """The unmerged graph of node occurrences listed in discovery order:
+    equal keys are one node, placed by its first occurrence and tagged with
+    its highest rank; links between occurrences are elements of family
+    ``names[families]``, without self-links or repeats. Also returns each
+    occurrence's node."""
+    if not len(keys):
+        return empty_graph(params.shape[1]), np.zeros(0, dtype=np.int64)
+    node, first = _first_seen(keys, axis=0)
+    rank = np.zeros(len(first), dtype=np.int64)
+    np.maximum.at(rank, node, ranks)
+    ends = node[links]
+    keep = ends[:, 0] != ends[:, 1]
+    rows = np.unique(np.column_stack([np.sort(ends[keep], axis=1),
+                                      families[keep]]), axis=0)
+    g = TrussGraph(positions[first], params[first], [_TAGS[r] for r in rank],
+                   rows[:, :2].copy(), [names[f] for f in rows[:, 2]])
+    return g, node
+
+
+def _finalize(g: TrussGraph) -> TrussGraph:
+    g = _coincidence_merge(g)
+    _upgrade_grid_tags(g)
+    return _canonical_order(g)
 
 
 def _upgrade_grid_tags(g: TrussGraph):
     """Nodes whose every parameter is integral are grid nodes regardless of
     how they were discovered (a grid point can sit on a mesh edge exactly)."""
-    if g.num_nodes == 0:
-        return
     integral = (np.abs(g.params - np.round(g.params)) <= PARAM_TOL).all(axis=1)
     for i in np.nonzero(integral)[0]:
         if TAG_RANK[g.tags[i]] < TAG_RANK["interior_grid"]:
@@ -154,105 +192,69 @@ def _canonical_order(g: TrussGraph) -> TrussGraph:
     n = g.num_nodes
     if n == 0:
         return g
-    keys = [np.arange(n)]
-    keys += [g.positions[:, c] for c in (2, 1, 0)]
+    keys = [np.arange(n)] + [g.positions[:, c] for c in (2, 1, 0)]
     keys += [g.params[:, c] for c in range(g.params.shape[1] - 1, -1, -1)]
     order = np.lexsort(tuple(keys))
     inv = np.empty(n, dtype=np.int64)
     inv[order] = np.arange(n)
-
-    positions = g.positions[order]
-    params = g.params[order]
-    tags = [g.tags[i] for i in order]
-    if g.num_elements:
-        elements = inv[g.elements]
-        elements = np.sort(elements, axis=1)
-        fam_idx = np.array(
-            [(_family_sort_key(f)) for f in g.families], dtype=np.int64
-        )
-        eorder = np.lexsort((fam_idx, elements[:, 1], elements[:, 0]))
-        elements = elements[eorder]
-        families = [g.families[i] for i in eorder]
-    else:
-        elements = g.elements
-        families = []
-    return TrussGraph(positions, params, tags, elements, families)
+    elements = np.sort(inv[g.elements], axis=1)
+    fam = np.array([_FAMILY_ORDER.get(f, 99) for f in g.families],
+                   dtype=np.int64)
+    eorder = np.lexsort((fam, elements[:, 1], elements[:, 0]))
+    return TrussGraph(g.positions[order], g.params[order],
+                      [g.tags[i] for i in order], elements[eorder],
+                      [g.families[i] for i in eorder])
 
 
 _FAMILY_ORDER = {"iso1": 0, "iso2": 1, "iso3": 2, "boundary": 3, "feature": 4}
 
 
-def _family_sort_key(f: str) -> int:
-    return _FAMILY_ORDER.get(f, 99)
+# A generic unit direction: nodes spread along it even when they fill an
+# axis-aligned plane, which keeps the sweep's windows short.
+_SWEEP = np.array([1.0, np.sqrt(2.0), np.sqrt(3.0)]) / np.sqrt(6.0)
+
+
+def _merge_candidates(positions: np.ndarray):
+    """Node pairs (i, j) whose projections on _SWEEP lie within MERGE_TOL
+    plus a bound on the projection's rounding, so that no pair within
+    MERGE_TOL is missed."""
+    n = len(positions)
+    proj = positions @ _SWEEP
+    order = np.argsort(proj, kind="stable")
+    s = proj[order]
+    slack = 16.0 * np.finfo(float).eps * np.abs(positions).sum(axis=1).max()
+    end = np.searchsorted(s, s + (MERGE_TOL + slack), side="right")
+    src, off = _spread(end - np.arange(n) - 1)
+    return order[src], order[src + 1 + off]
 
 
 def _coincidence_merge(g: TrussGraph) -> TrussGraph:
-    """Union nodes within MERGE_TOL of each other (spatial hash + 27-cell
-    neighborhood); representative is the highest-rank tag, then lowest id."""
+    """Merge nodes within MERGE_TOL of each other; each group keeps its
+    highest-rank tag, then lowest index. Groups are numbered by their lowest
+    index; merged elements that collapse or repeat are dropped."""
     n = g.num_nodes
     if n == 0:
         return g
-    parent = np.arange(n)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    cells: dict[tuple, list[int]] = {}
-    grid = np.floor(g.positions / MERGE_TOL).astype(np.int64)
-    for i in range(n):
-        cells.setdefault(tuple(grid[i]), []).append(i)
-    offsets = [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-    ]
-    for i in range(n):
-        ci = grid[i]
-        for off in offsets:
-            bucket = cells.get((ci[0] + off[0], ci[1] + off[1], ci[2] + off[2]))
-            if not bucket:
-                continue
-            for j in bucket:
-                if j <= i:
-                    continue
-                if np.linalg.norm(g.positions[i] - g.positions[j]) <= MERGE_TOL:
-                    union(i, j)
-
-    roots = np.array([find(i) for i in range(n)])
-    uniq_roots = np.unique(roots)
-    if len(uniq_roots) == n:
+    i, j = _merge_candidates(g.positions)
+    close = row_norms(g.positions[i] - g.positions[j]) <= MERGE_TOL
+    if not close.any():
         return g
+    adj = sp.coo_matrix((np.ones(int(close.sum())), (i[close], j[close])),
+                        shape=(n, n))
+    group, first = _first_seen(connected_components(adj, directed=False)[1])
+    rank = np.array([TAG_RANK[t] for t in g.tags])
+    by_group = np.lexsort((np.arange(n), -rank, group))
+    rep = by_group[np.searchsorted(group[by_group], np.arange(len(first)))]
 
-    # Representative per group: highest tag rank, then lowest index.
-    rep: dict[int, int] = {}
-    for i in range(n):
-        r = roots[i]
-        cur = rep.get(r)
-        if cur is None or (TAG_RANK[g.tags[i]], -i) > (TAG_RANK[g.tags[cur]], -cur):
-            rep[r] = i
-    new_id = {r: k for k, r in enumerate(uniq_roots)}
-    positions = np.vstack([g.positions[rep[r]] for r in uniq_roots])
-    params = np.vstack([g.params[rep[r]] for r in uniq_roots])
-    tags = [g.tags[rep[r]] for r in uniq_roots]
-
-    remap = np.array([new_id[roots[i]] for i in range(n)], dtype=np.int64)
-    elements: dict = {}
-    for (a, b), fam in zip(g.elements, g.families):
-        na, nb = remap[a], remap[b]
-        if na == nb:
-            continue                      # merged endpoints: degenerate
-        elements[(min(na, nb), max(na, nb), fam)] = True
+    ends = group[g.elements]
+    keep = ends[:, 0] != ends[:, 1]
+    names, fam = np.unique(np.array(g.families, dtype=str),
+                           return_inverse=True)
+    rows = np.column_stack([np.sort(ends[keep], axis=1), fam[keep]])
+    once = _first_seen(rows, axis=0)[1]
     return TrussGraph(
-        positions, params, tags,
-        np.array([(k[0], k[1]) for k in elements], dtype=np.int64).reshape(-1, 2),
-        [k[2] for k in elements],
+        g.positions[rep], g.params[rep], [g.tags[r] for r in rep],
+        rows[once, :2].copy(), [str(names[f]) for f in rows[once, 2]],
     )
 
 
@@ -293,6 +295,8 @@ def perturb_parametrization(p: Parametrization, epsilon: float = 1e-7,
 
 
 def check_perturbed(params: np.ndarray):
+    if not np.isfinite(params).all():
+        raise NumericalError("non-finite parameter values")
     frac = np.abs(params - np.round(params))
     if (frac < PARAM_TOL).any():
         raise NumericalError(
@@ -300,141 +304,145 @@ def check_perturbed(params: np.ndarray):
         )
 
 
-def _integer_range(lo: float, hi: float, shrink: float = 0.0):
-    """Integers strictly inside (lo, hi), both bounds shrunk inward."""
-    a = math.floor(lo + shrink) + 1
-    b = math.ceil(hi - shrink) - 1
-    return range(a, b + 1)
-
-
 # ---------------------------------------------------------------------------
 # 2D extraction engine
 
+_SIDES = ((0, 1), (1, 2), (2, 0))
+
 
 def _unique_edges(faces: np.ndarray):
-    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    """Sorted unique edges, their face counts, and the edge of each face
+    side (0, 1), (1, 2), (2, 0)."""
+    e = np.concatenate([faces[:, list(s)] for s in _SIDES])
     e = np.sort(e, axis=1)
-    uniq, counts = np.unique(e, axis=0, return_counts=True)
-    return uniq, counts
+    uniq, inverse, counts = np.unique(e, axis=0, return_inverse=True,
+                                      return_counts=True)
+    return uniq, counts, inverse.reshape(3, len(faces)).T
 
 
-def _edge_crossings_2d(builder, vertices, params, edges, columns, tag,
-                       edge_points: dict):
-    """Nodes where one traced column hits an integer on a mesh edge.
+class _Complex2D:
+    """Node occurrences and links of a triangle complex's integer isocurves.
 
-    edge_points maps (a, b) -> list of (t, node_id) for boundary chains.
-    """
-    for a, b in edges:
-        pa_row, pb_row = params[a], params[b]
-        for c in columns:
-            pa, pb = pa_row[c], pb_row[c]
-            lo, hi = (pa, pb) if pa <= pb else (pb, pa)
-            for m in _integer_range(lo, hi):
-                if abs(pa - m) < PARAM_TOL or abs(pb - m) < PARAM_TOL:
-                    raise NumericalError(
-                        "isocurve through a vertex after perturbation"
-                    )
-                t = (m - pa) / (pb - pa)
-                pos = vertices[a] + t * (vertices[b] - vertices[a])
-                par = pa_row + t * (pb_row - pa_row)
-                par = par.copy()
-                par[c] = float(m)
-                nid = builder.add_node(("E2", int(a), int(b), int(c), int(m)),
-                                       pos, par, tag)
-                edge_points.setdefault((int(a), int(b)), []).append((float(t), nid))
+    The first occurrences are the edge crossings of every column in
+    ``columns``, in (edge, column, level) order; each face pass and edge
+    chain appends its own."""
+
+    def __init__(self, vertices, faces, params, columns, tag):
+        self.vertices, self.faces, self.params = vertices, faces, params
+        self.columns = list(columns)
+        self.edges, self.edge_faces, self.face_edges = _unique_edges(faces)
+        self.occ = ([], [], [], [])            # keys, positions, params, ranks
+        self.links, self.families = [], []
+        self.count = 0
+
+        cols = np.array(self.columns, dtype=np.int64)
+        pa = params[self.edges[:, 0]][:, cols]
+        pb = params[self.edges[:, 1]][:, cols]
+        first, count = _lattice(np.minimum(pa, pb), np.maximum(pa, pb))
+        block, r = _spread(count.ravel())
+        e, c = np.divmod(block, len(cols))
+        level = first.ravel()[block] + r
+        pa, pb = pa.ravel()[block], pb.ravel()[block]
+        a, b = self.edges[e, 0], self.edges[e, 1]
+        t = (level - pa) / (pb - pa)
+        pos = vertices[a] + t[:, None] * (vertices[b] - vertices[a])
+        par = params[a] + t[:, None] * (params[b] - params[a])
+        par[np.arange(len(par)), cols[c]] = level
+        keys = _key(0, a, b, cols[c], level)
+        self.add(keys, pos, par, tag)
+        self.cross = (keys, pos, par, t)
+        self.level_first = first
+        self.level_start = (np.cumsum(count.ravel())
+                            - count.ravel()).reshape(count.shape)
+        self.edge_count = count.sum(axis=1)
+
+    def add(self, keys, positions, params, tag) -> int:
+        """Append occurrences; return the index of the first."""
+        for store, x in zip(self.occ, (keys, positions, params,
+                                       np.full(len(keys), TAG_RANK[tag]))):
+            store.append(x)
+        self.count += len(keys)
+        return self.count - len(keys)
+
+    def link(self, lo, hi, inner, count, family):
+        links, _ = _chain_links(lo, hi, inner, count)
+        self.links.append(links)
+        self.families.append(np.full(len(links), family))
+
+    def graph(self, names):
+        return _raw_graph(*(np.concatenate(x) for x in self.occ),
+                          np.vstack(self.links), np.concatenate(self.families),
+                          names)
+
+    def face_pass(self, trace, other, tag, family):
+        """Trace the integer levels of column ``trace`` through each face:
+        a chain between the level's two edge crossings through the in-face
+        points where ``other`` is integral too."""
+        vals = self.params[self.faces, trace]
+        first, count = _lattice(vals.min(axis=1), vals.max(axis=1))
+        f, r = _spread(count)
+        level = first[f] + r
+        va = vals[f] - level[:, None]
+        crosses = va * np.roll(va, -1, axis=1) < 0.0     # two sides each
+        col = self.columns.index(trace)
+        sides = (crosses.argmax(axis=1), 2 - crosses[:, ::-1].argmax(axis=1))
+        n0, n1 = (self.level_start[e, col] + level - self.level_first[e, col]
+                  for e in (self.face_edges[f, s] for s in sides))
+        _, cross_pos, cross_par, _ = self.cross
+        q0, q1 = cross_par[n0, other], cross_par[n1, other]
+        swap = q0 > q1
+        lo, hi = np.where(swap, n1, n0), np.where(swap, n0, n1)
+        qlo, qhi = np.where(swap, q1, q0), np.where(swap, q0, q1)
+
+        qfirst, qcount = _lattice(qlo, qhi, PARAM_TOL)
+        seg, s = _spread(qcount)
+        q = qfirst[seg] + s
+        t = (q - qlo[seg]) / (qhi[seg] - qlo[seg])
+        p0, p1 = cross_pos[lo[seg]], cross_pos[hi[seg]]
+        pos = p0 + t[:, None] * (p1 - p0)
+        a0, a1 = cross_par[lo[seg]], cross_par[hi[seg]]
+        par = a0 + t[:, None] * (a1 - a0)
+        rows = np.arange(len(q))
+        par[rows, trace] = level[seg]
+        par[rows, other] = q
+        lvl = (level[seg], q) if trace < other else (q, level[seg])
+        keys = _key(1, f[seg], min(trace, other), lvl[0], max(trace, other),
+                    lvl[1])
+        self.link(lo, hi, self.add(keys, pos, par, tag) + rows, qcount,
+                  family)
+
+    def edge_chains(self, chain_edges, tag, family):
+        """Chains along the given sorted edges through their crossings in
+        (t, node) order, from one end vertex to the other; every node on
+        them takes ``tag``."""
+        nv = len(self.vertices)
+        code = self.edges[:, 0] * nv + self.edges[:, 1]
+        want = chain_edges[:, 0] * nv + chain_edges[:, 1]
+        e = np.minimum(np.searchsorted(code, want), len(code) - 1)
+        count = np.where(code[e] == want, self.edge_count[e], 0)
+        chain, s = _spread(count)
+        occ = self.level_start[e[chain], 0] + s
+        # By t; the sort is stable, so ties stay in node order.
+        occ = occ[np.lexsort((self.cross[3][occ], chain))]
+        # Re-adding a crossing's key raises its tag, as the chain asks.
+        inner = self.add(*(x[occ] for x in self.cross[:3]), tag)
+        ends = chain_edges.reshape(-1)
+        lo = self.add(_key(2, ends), self.vertices[ends], self.params[ends],
+                      tag) + 2 * np.arange(len(chain_edges))
+        self.link(lo, lo + 1, inner + np.arange(len(occ)), count, family)
+        return occ
 
 
-def _face_pass_2d(builder, faces, params, trace_col, other_col, node_tag,
-                  family):
-    """Trace integer isocurves of trace_col through each face, inserting
-    double-integer in-face nodes and chaining elements along each curve."""
-    for fidx, tri in enumerate(faces):
-        vals = params[tri][:, trace_col]
-        lo, hi = float(vals.min()), float(vals.max())
-        for m in _integer_range(lo, hi):
-            hit_ids = []
-            for (ia, ib) in ((0, 1), (1, 2), (2, 0)):
-                a, b = int(tri[ia]), int(tri[ib])
-                pa, pb = params[a][trace_col], params[b][trace_col]
-                if (pa - m) * (pb - m) < 0.0:
-                    aa, bb = (a, b) if a < b else (b, a)
-                    hit_ids.append(
-                        builder.key_to_id[("E2", aa, bb, int(trace_col), int(m))]
-                    )
-            if len(hit_ids) != 2:
-                raise NumericalError(
-                    f"isocurve level {m} crosses face {fidx} at "
-                    f"{len(hit_ids)} edges; expected 2"
-                )
-            n0, n1 = hit_ids
-            q0 = builder.params[n0][other_col]
-            q1 = builder.params[n1][other_col]
-            if q0 > q1:
-                n0, n1 = n1, n0
-                q0, q1 = q1, q0
-            chain = [(q0, n0)]
-            for q in _integer_range(q0, q1, shrink=PARAM_TOL):
-                t = (q - q0) / (q1 - q0)
-                pos = builder.positions[n0] + t * (
-                    builder.positions[n1] - builder.positions[n0]
-                )
-                par = builder.params[n0] + t * (
-                    builder.params[n1] - builder.params[n0]
-                )
-                par = par.copy()
-                par[trace_col] = float(m)
-                par[other_col] = float(q)
-                clo, chi = sorted((trace_col, other_col))
-                key = ("F2", int(fidx), clo, int(round(par[clo])),
-                       chi, int(round(par[chi])))
-                nid = builder.add_node(key, pos, par, node_tag)
-                chain.append((float(q), nid))
-            chain.append((q1, n1))
-            chain.sort(key=lambda item: item[0])
-            for (qa, na), (qb, nb) in zip(chain[:-1], chain[1:]):
-                builder.add_element(na, nb, family)
-
-
-def _boundary_chains_2d(builder, vertices, params, boundary_edges, edge_points,
-                        family="boundary", node_tag="boundary",
-                        include_endpoints=True):
-    """Chain nodes along each given mesh edge in edge-parameter order."""
-    for a, b in boundary_edges:
-        a, b = int(a), int(b)
-        pts = list(edge_points.get((a, b), []))
-        for t, nid in pts:
-            builder.upgrade_tag(nid, node_tag)
-        if include_endpoints:
-            na = builder.add_node(("V", a), vertices[a], params[a], node_tag)
-            nb = builder.add_node(("V", b), vertices[b], params[b], node_tag)
-            pts += [(0.0, na), (1.0, nb)]
-        pts.sort(key=lambda item: (item[0], item[1]))
-        for (_, na), (_, nb) in zip(pts[:-1], pts[1:]):
-            builder.add_element(na, nb, family)
-
-
-def _warn_closed_loops(builder, seed_ids):
+def _warn_closed_loops(g: TrussGraph, seeds: np.ndarray):
     """Isocurve elements unreachable from boundary seeds form closed loops."""
-    adj: dict[int, list[int]] = {}
-    iso_elems = [k for k in builder.elements if k[2] in INTERIOR_FAMILIES]
-    for eidx, (i, j, _f) in enumerate(iso_elems):
-        adj.setdefault(i, []).append(eidx)
-        adj.setdefault(j, []).append(eidx)
-    visited = set()
-    stack = [s for s in seed_ids if s in adj]
-    seen_nodes = set(stack)
-    while stack:
-        node = stack.pop()
-        for eidx in adj.get(node, ()):
-            if eidx in visited:
-                continue
-            visited.add(eidx)
-            i, j, _f = iso_elems[eidx]
-            for other in (i, j):
-                if other not in seen_nodes:
-                    seen_nodes.add(other)
-                    stack.append(other)
-    leftover = len(iso_elems) - len(visited)
+    iso = np.isin(np.array(g.families, dtype=str), INTERIOR_FAMILIES)
+    el = g.elements[iso]
+    n = g.num_nodes
+    adj = sp.coo_matrix((np.ones(len(el)), (el[:, 0], el[:, 1])), shape=(n, n))
+    ncomp, label = connected_components(adj, directed=False)
+    seeded = np.zeros(ncomp, dtype=bool)
+    seeded[label[seeds]] = True
+    leftover = int((~seeded[label[el[:, 0]]]).sum())
     if leftover:
         warnings.warn(
             f"{leftover} isocurve element(s) lie on closed loops",
@@ -457,31 +465,26 @@ def extract_2d(vertices: np.ndarray, faces: np.ndarray, params: np.ndarray,
     ci, cj = pair
     check_perturbed(params[:, [ci, cj]])
 
-    builder = _Builder(params.shape[1])
-    edges, counts = _unique_edges(faces)
-    edge_points: dict = {}
-    _edge_crossings_2d(builder, vertices, params, edges, (ci, cj), "edge_hit",
-                       edge_points)
-    _face_pass_2d(builder, faces, params, ci, cj, "interior_grid",
-                  f"iso{cj + 1}")
-    _face_pass_2d(builder, faces, params, cj, ci, "interior_grid",
-                  f"iso{ci + 1}")
-
-    boundary_edges = edges[counts == 1]
-    seed_ids = []
-    for a, b in boundary_edges:
-        for _t, nid in edge_points.get((int(a), int(b)), []):
-            seed_ids.append(nid)
-    _boundary_chains_2d(builder, vertices, params, boundary_edges, edge_points)
+    cx = _Complex2D(vertices, faces, params, (ci, cj), "edge_hit")
+    names = ("boundary", f"iso{cj + 1}", f"iso{ci + 1}")
+    cx.face_pass(ci, cj, "interior_grid", 1)
+    cx.face_pass(cj, ci, "interior_grid", 2)
+    boundary_edges = cx.edges[cx.edge_faces == 1]
+    seeds = cx.edge_chains(boundary_edges, "boundary", 0)
+    g, node = cx.graph(names)
     if len(boundary_edges):
-        _warn_closed_loops(builder, seed_ids)
-    return builder.finalize()
+        _warn_closed_loops(g, node[seeds])
+    return _finalize(g)
 
 
 # ---------------------------------------------------------------------------
 # 3D extraction
 
 _PAIRS_3D = ((0, 1), (0, 2), (1, 2))
+_PAIR_I = np.array([i for i, _ in _PAIRS_3D])
+_PAIR_J = np.array([j for _, j in _PAIRS_3D])
+# A tet's faces as local vertex triples, in the order they are tried.
+_TET_FACES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 
 def extract_3d(mesh: TetMesh, p: Parametrization) -> TrussGraph:
@@ -494,69 +497,31 @@ def extract_3d(mesh: TetMesh, p: Parametrization) -> TrussGraph:
     check_perturbed(params)
     verts = mesh.vertices
 
-    builder = _Builder(3)
-    face_cache: dict = {}           # key -> None | (pos, par)
-    tangential = 0
-    inconsistent_tets = 0
+    # Candidate lattice: (tet, pair, a, b) in discovery order.
+    vals = params[mesh.tets]
+    first, count = _lattice(vals.min(axis=1), vals.max(axis=1))
+    nb = count[:, _PAIR_J].ravel()
+    block, r = _spread(count[:, _PAIR_I].ravel() * nb)
+    tet, pair = np.divmod(block, 3)
+    a = first[:, _PAIR_I].ravel()[block] + r // nb[block]
+    b = first[:, _PAIR_J].ravel()[block] + r % nb[block]
+    i, j = _PAIR_I[pair][:, None], _PAIR_J[pair][:, None]
 
-    for tidx, tet in enumerate(mesh.tets):
-        tet = [int(v) for v in tet]
-        tet_faces = [tuple(sorted(f)) for f in (
-            (tet[0], tet[1], tet[2]),
-            (tet[0], tet[1], tet[3]),
-            (tet[0], tet[2], tet[3]),
-            (tet[1], tet[2], tet[3]),
-        )]
-        bad_tet = False
-        for (i, j) in _PAIRS_3D:
-            k = 3 - i - j
-            vi = params[tet, i]
-            vj = params[tet, j]
-            for a in _integer_range(vi.min(), vi.max()):
-                for b in _integer_range(vj.min(), vj.max()):
-                    hits = []
-                    for trip in tet_faces:
-                        key = ("F3", trip, i, int(a), j, int(b))
-                        if key in face_cache:
-                            entry = face_cache[key]
-                        else:
-                            entry = _face_hit(verts, params, trip, i, a, j, b)
-                            face_cache[key] = entry
-                        if entry is not None:
-                            hits.append((key, entry))
-                    if len(hits) == 0:
-                        continue
-                    if len(hits) == 1:
-                        tangential += 1
-                        continue
-                    if len(hits) > 2:
-                        bad_tet = True
-                        continue
-                    (key0, (pos0, par0)), (key1, (pos1, par1)) = hits
-                    n0 = builder.add_node(key0, pos0, par0, "face_hit")
-                    n1 = builder.add_node(key1, pos1, par1, "face_hit")
-                    c0, c1 = par0[k], par1[k]
-                    if c0 > c1:
-                        n0, n1 = n1, n0
-                        c0, c1 = c1, c0
-                        pos0, pos1 = pos1, pos0
-                    chain = [(c0, n0)]
-                    for nk in _integer_range(c0, c1, shrink=PARAM_TOL):
-                        t = (nk - c0) / (c1 - c0)
-                        pos = pos0 + t * (pos1 - pos0)
-                        par = np.empty(3)
-                        par[i], par[j], par[k] = float(a), float(b), float(nk)
-                        trip_key = tuple(int(round(par[c])) for c in range(3))
-                        nid = builder.add_node(("G3", tidx) + trip_key, pos,
-                                               par, "interior_grid")
-                        chain.append((float(nk), nid))
-                    chain.append((c1, n1))
-                    chain.sort(key=lambda item: item[0])
-                    for (ca, na), (cb, nb) in zip(chain[:-1], chain[1:]):
-                        builder.add_element(na, nb, f"iso{k + 1}")
-        if bad_tet:
-            inconsistent_tets += 1
-
+    # Each candidate curve against the tet's four faces.
+    tri = np.sort(mesh.tets[:, _TET_FACES], axis=2)[tet]
+    P, Q, R = tri[..., 0], tri[..., 1], tri[..., 2]
+    m00, m01 = params[Q, i] - params[P, i], params[R, i] - params[P, i]
+    m10, m11 = params[Q, j] - params[P, j], params[R, j] - params[P, j]
+    r0, r1 = a[:, None] - params[P, i], b[:, None] - params[P, j]
+    det = m00 * m11 - m01 * m10
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = (m11 * r0 - m01 * r1) / det
+        w = (m00 * r1 - m10 * r0) / det
+        u = 1.0 - v - w
+    hit = (det != 0.0) & (u > 0.0) & (v > 0.0) & (w > 0.0)
+    hits = hit.sum(axis=1)
+    tangential = int((hits == 1).sum())
+    inconsistent_tets = len(np.unique(tet[hits > 2]))
     if inconsistent_tets > 0.01 * mesh.num_tets:
         raise NumericalError(
             f"inconsistent face intersections in {inconsistent_tets} tets "
@@ -572,33 +537,58 @@ def extract_3d(mesh: TetMesh, p: Parametrization) -> TrussGraph:
             f"{tangential} tangential curve-face touch(es) skipped",
             ExtractionWarning,
         )
-    return builder.finalize()
 
+    # Two-hit candidates: both face hits, in face order, and the chain's
+    # triple-integer points between them.
+    c = np.nonzero(hits == 2)[0]
+    tet, pair, a, b = tet[c], pair[c], a[c], b[c]
+    i, j = i[c, 0], j[c, 0]
+    k = 3 - i - j
+    rows = np.arange(len(c))
+    face_keys, face_pos, face_par = [], [], []
+    for f in (hit[c].argmax(axis=1), 3 - hit[c, ::-1].argmax(axis=1)):
+        uu, vv, ww = (x[c, f][:, None] for x in (u, v, w))
+        p_, q_, r_ = P[c, f], Q[c, f], R[c, f]
+        face_pos.append(uu * verts[p_] + vv * verts[q_] + ww * verts[r_])
+        par = uu * params[p_] + vv * params[q_] + ww * params[r_]
+        par[rows, i] = a
+        par[rows, j] = b
+        face_par.append(par)
+        face_keys.append(_key(0, p_, q_, r_, pair, a, b))
+    c0, c1 = face_par[0][rows, k], face_par[1][rows, k]
+    swap = c0 > c1
+    lo_c, hi_c = np.where(swap, c1, c0), np.where(swap, c0, c1)
+    lo_pos = np.where(swap[:, None], face_pos[1], face_pos[0])
+    hi_pos = np.where(swap[:, None], face_pos[0], face_pos[1])
 
-def _face_hit(verts, params, trip, i, a, j, b):
-    """Intersection of the curve {phi_i = a, phi_j = b} with one face, or
-    None. trip is a sorted vertex triple, so every tet sharing the face
-    computes bit-identical results."""
-    p, q, r = trip
-    M = np.array([
-        [params[q, i] - params[p, i], params[r, i] - params[p, i]],
-        [params[q, j] - params[p, j], params[r, j] - params[p, j]],
-    ])
-    rhs = np.array([a - params[p, i], b - params[p, j]])
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if det == 0.0:
-        return None
-    v = (M[1, 1] * rhs[0] - M[0, 1] * rhs[1]) / det
-    w = (M[0, 0] * rhs[1] - M[1, 0] * rhs[0]) / det
-    u = 1.0 - v - w
-    if not (u > 0.0 and v > 0.0 and w > 0.0):
-        return None
-    pos = u * verts[p] + v * verts[q] + w * verts[r]
-    par = u * params[p] + v * params[q] + w * params[r]
-    par = par.copy()
-    par[i] = float(a)
-    par[j] = float(b)
-    return pos, par
+    kfirst, kcount = _lattice(lo_c, hi_c, PARAM_TOL)
+    cand, s = _spread(kcount)
+    nk = kfirst[cand] + s
+    t = (nk - lo_c[cand]) / (hi_c[cand] - lo_c[cand])
+    grid_pos = lo_pos[cand] + t[:, None] * (hi_pos[cand] - lo_pos[cand])
+    grid = np.empty((len(cand), 3), dtype=np.int64)
+    at = np.arange(len(cand))
+    grid[at, i[cand]] = a[cand]
+    grid[at, j[cand]] = b[cand]
+    grid[at, k[cand]] = nk
+
+    # Occurrences: first face hits, second face hits, grid points; put in
+    # discovery order, [first hit, second hit, grid points...] per candidate.
+    n2 = len(c)
+    disc = np.lexsort((np.concatenate([np.zeros(n2), np.ones(n2), 2 + s]),
+                       np.concatenate([rows, rows, cand])))
+    where = np.empty_like(disc)
+    where[disc] = np.arange(len(disc))
+    keys = np.vstack(face_keys + [_key(1, tet[cand], *grid.T)])[disc]
+    pos = np.vstack(face_pos + [grid_pos])[disc]
+    par = np.vstack(face_par + [grid])[disc]
+    ranks = np.repeat([TAG_RANK["face_hit"], TAG_RANK["interior_grid"]],
+                      [2 * n2, len(cand)])[disc]
+    links, chain = _chain_links(np.where(swap, n2 + rows, rows),
+                                np.where(swap, rows, n2 + rows),
+                                2 * n2 + at, kcount)
+    return _finalize(_raw_graph(keys, pos, par, ranks, where[links], k[chain],
+                                INTERIOR_FAMILIES)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -615,28 +605,17 @@ def extract_boundary(mesh: TetMesh, p: Parametrization,
         raise NumericalError("normalize_and_scale must run before extraction")
     params = np.asarray(p.phi_tilde, dtype=float)
     check_perturbed(params)
-    surface = mesh.boundary
-    faces = surface.triangles
-    verts = mesh.vertices
-
-    builder = _Builder(3)
-    edges, counts = _unique_edges(faces)
-    if len(edges) and counts.max(initial=0) > 2:
+    cx = _Complex2D(mesh.vertices, mesh.boundary.triangles, params,
+                    (0, 1, 2), "boundary")
+    if cx.edge_faces.max(initial=0) > 2:
         raise NumericalError("boundary complex is not manifold")
-    edge_points: dict = {}
-    _edge_crossings_2d(builder, verts, params, edges, (0, 1, 2), "boundary",
-                       edge_points)
     for (ci, cj) in _PAIRS_3D:
-        _face_pass_2d(builder, faces, params, ci, cj, "boundary", "boundary")
-        _face_pass_2d(builder, faces, params, cj, ci, "boundary", "boundary")
-
+        cx.face_pass(ci, cj, "boundary", 0)
+        cx.face_pass(cj, ci, "boundary", 0)
     if features is not None and len(features):
-        feature_set = np.asarray(features, dtype=np.int64)
-        feature_set = np.sort(feature_set, axis=1)
-        _boundary_chains_2d(builder, verts, params, feature_set, edge_points,
-                            family="feature", node_tag="feature",
-                            include_endpoints=True)
-    return builder.finalize()
+        feature_set = np.sort(np.asarray(features, dtype=np.int64), axis=1)
+        cx.edge_chains(feature_set, "feature", 1)
+    return _finalize(cx.graph(("boundary", "feature"))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -648,23 +627,13 @@ def merge_graphs(parts: list[TrussGraph]) -> TrussGraph:
     parts = [g for g in parts if g.num_nodes]
     if not parts:
         return empty_graph()
-    width = parts[0].params.shape[1]
-    for g in parts:
-        if g.params.shape[1] != width:
-            raise NumericalError("cannot merge graphs with different parameter widths")
-    positions = np.vstack([g.positions for g in parts])
-    params = np.vstack([g.params for g in parts])
-    tags = [t for g in parts for t in g.tags]
-    offsets = np.cumsum([0] + [g.num_nodes for g in parts][:-1])
-    elements = []
-    families = []
-    for g, off in zip(parts, offsets):
-        if g.num_elements:
-            elements.append(g.elements + off)
-            families.extend(g.families)
-    elements = (np.vstack(elements) if elements
-                else np.zeros((0, 2), dtype=np.int64))
-    merged = TrussGraph(positions, params, tags, elements, families)
-    merged = _coincidence_merge(merged)
-    _upgrade_grid_tags(merged)
-    return _canonical_order(merged)
+    if len({g.params.shape[1] for g in parts}) > 1:
+        raise NumericalError("cannot merge graphs with different parameter widths")
+    offsets = np.cumsum([0] + [g.num_nodes for g in parts[:-1]])
+    return _finalize(TrussGraph(
+        np.vstack([g.positions for g in parts]),
+        np.vstack([g.params for g in parts]),
+        [t for g in parts for t in g.tags],
+        np.vstack([g.elements + off for g, off in zip(parts, offsets)]),
+        [f for g in parts for f in g.families],
+    ))

@@ -151,16 +151,13 @@ class TetMesh:
         )
 
     def vertex_neighbors(self) -> list[np.ndarray]:
-        """Per-vertex 1-ring neighbor indices (via tet edges)."""
-        pairs = set()
-        for a, b, c, d in self.tets:
-            for u, v in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)):
-                pairs.add((int(u), int(v)))
-                pairs.add((int(v), int(u)))
-        neigh = [[] for _ in range(self.num_vertices)]
-        for u, v in pairs:
-            neigh[u].append(v)
-        return [np.array(sorted(ns), dtype=np.int64) for ns in neigh]
+        """Per-vertex 1-ring neighbor indices (via tet edges), sorted."""
+        n = self.num_vertices
+        u = self.tets[:, [0, 0, 0, 1, 1, 2, 1, 2, 3, 2, 3, 3]].ravel()
+        v = self.tets[:, [1, 2, 3, 2, 3, 3, 0, 0, 0, 1, 1, 2]].ravel()
+        code = np.unique(u * n + v)
+        src, dst = np.divmod(code, n)
+        return np.split(dst, np.cumsum(np.bincount(src, minlength=n))[:-1])
 
 
 def signed_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:

@@ -175,6 +175,47 @@ def test_graph_artifact_roundtrip(tmp_path):
     assert (tmp_path / "h.json").read_bytes() == path.read_bytes()
 
 
+def _json_oracle(g):
+    doc = {
+        "type": "truss_graph",
+        "version": artifacts.GRAPH_VERSION,
+        "nodes": [
+            {"position": [float(x) for x in g.positions[i]],
+             "params": [float(x) for x in g.params[i]],
+             "tag": g.tags[i]}
+            for i in range(g.num_nodes)
+        ],
+        "elements": [
+            {"nodes": [int(a), int(b)], "family": g.families[i]}
+            for i, (a, b) in enumerate(g.elements)
+        ],
+    }
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def test_write_graph_matches_json_module(tmp_path):
+    g = _sample_graph()
+    odd = g.copy()
+    odd.params[1] = [np.nan, np.inf, -np.inf]
+    odd.positions[2] = [-0.0, 1e-300, 12345678.9]
+    odd.tags[0] = 'a"b'
+    odd.families[1] = "\u00e9"
+    cases = {
+        "sample": g,
+        "odd": odd,
+        "empty": TrussGraph(np.zeros((0, 3)), np.zeros((0, 3)), [],
+                            np.zeros((0, 2), dtype=np.int64), []),
+        "no_elements": TrussGraph(g.positions, g.params, g.tags,
+                                  np.zeros((0, 2), dtype=np.int64), []),
+        "no_params": TrussGraph(g.positions, np.zeros((3, 0)), g.tags,
+                                g.elements, g.families),
+    }
+    for name, h in cases.items():
+        path = tmp_path / f"{name}.json"
+        artifacts.write_graph(path, h)
+        assert path.read_bytes() == _json_oracle(h).encode(), name
+
+
 def test_graph_artifact_errors(tmp_path):
     with pytest.raises(ArtifactError, match="does not exist"):
         artifacts.read_graph(tmp_path / "nope.json")

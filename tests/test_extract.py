@@ -3,16 +3,33 @@ parametrizations, boundary and feature handling, merging, determinism."""
 
 from __future__ import annotations
 
+import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from stresstruss import artifacts
+from stresstruss.config import parse_config
 from stresstruss.errors import NumericalError
 from stresstruss.extract import (
+    _PAIRS_3D,
+    MERGE_TOL,
+    PARAM_TOL,
+    TAG_RANK,
     ExtractionWarning,
     TrussGraph,
+    _canonical_order,
+    _coincidence_merge,
+    _merge_candidates,
+    _unique_edges,
+    _upgrade_grid_tags,
+    check_perturbed,
     empty_graph,
     extract_2d,
     extract_3d,
@@ -23,6 +40,7 @@ from stresstruss.extract import (
 from stresstruss.fixtures import unit_cube_mesh
 from stresstruss.mesh import TetMesh, feature_edges
 from stresstruss.param import Parametrization
+from stresstruss.pipeline import mesh_from_config, run_stage
 
 INTERIOR_FAMILIES = ("iso1", "iso2", "iso3")
 
@@ -358,6 +376,17 @@ def test_affine_inverse_oracle():
     assert np.allclose(got, oracle, atol=1e-7)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_parameters_rejected(bad):
+    mesh = _single_tet()
+    p = Parametrization(phi=np.zeros((4, 3)), beta=1.0)
+    p.phi_tilde = np.full((4, 3), 0.5)
+    p.phi_tilde[2, 1] = bad
+    for extract in (extract_3d, extract_boundary):
+        with pytest.raises(NumericalError, match="non-finite"):
+            extract(mesh, p)
+
+
 def test_single_tet_spanning_less_than_one():
     mesh = _single_tet()
     phi = np.column_stack([
@@ -480,3 +509,649 @@ def test_element_lengths_are_per_row_norms():
     assert np.any(np.linalg.norm(d, axis=1) != per_row)
     np.testing.assert_array_equal(g.element_lengths(), per_row)
     assert len(empty_graph().element_lengths()) == 0
+
+
+# ---------------------------------------------------------------------------
+# Array engines against the loop oracle
+#
+# The per-tet, per-lattice-point loop implementation that the array engines
+# replaced, kept as the oracle: a tuple-keyed node builder, the 2D and 3D
+# engines, and a spatial-hash union-find merge. The array code must write
+# the same graph.json bytes and raise the same warnings.
+
+
+class _OracleBuilder:
+    """Accumulates nodes (deduplicated by structural key) and elements."""
+
+    def __init__(self, param_width: int):
+        self.param_width = param_width
+        self.key_to_id: dict = {}
+        self.positions: list[np.ndarray] = []
+        self.params: list[np.ndarray] = []
+        self.tags: list[str] = []
+        self.elements: dict = {}
+
+    def add_node(self, key, pos, par, tag: str) -> int:
+        nid = self.key_to_id.get(key)
+        if nid is None:
+            nid = len(self.positions)
+            self.key_to_id[key] = nid
+            self.positions.append(np.asarray(pos, dtype=float))
+            self.params.append(np.asarray(par, dtype=float))
+            self.tags.append(tag)
+        elif TAG_RANK[tag] > TAG_RANK[self.tags[nid]]:
+            self.tags[nid] = tag
+        return nid
+
+    def upgrade_tag(self, nid: int, tag: str):
+        if TAG_RANK[tag] > TAG_RANK[self.tags[nid]]:
+            self.tags[nid] = tag
+
+    def add_element(self, i: int, j: int, family: str):
+        if i == j:
+            return
+        key = (min(i, j), max(i, j), family)
+        self.elements[key] = True
+
+    def finalize(self) -> TrussGraph:
+        n = len(self.positions)
+        if n == 0:
+            return empty_graph(self.param_width)
+        g = TrussGraph(
+            positions=np.vstack(self.positions),
+            params=np.vstack(self.params),
+            tags=list(self.tags),
+            elements=np.array(
+                [(k[0], k[1]) for k in self.elements], dtype=np.int64
+            ).reshape(-1, 2),
+            families=[k[2] for k in self.elements],
+        )
+        g = _oracle_merge(g)
+        _upgrade_grid_tags(g)
+        return _canonical_order(g)
+
+
+def _oracle_merge(g: TrussGraph) -> TrussGraph:
+    """Union nodes within MERGE_TOL of each other (spatial hash + 27-cell
+    neighborhood); representative is the highest-rank tag, then lowest id."""
+    n = g.num_nodes
+    if n == 0:
+        return g
+    parent = np.arange(n)
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    cells: dict[tuple, list[int]] = {}
+    grid = np.floor(g.positions / MERGE_TOL).astype(np.int64)
+    for i in range(n):
+        cells.setdefault(tuple(grid[i]), []).append(i)
+    offsets = [
+        (dx, dy, dz)
+        for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+    ]
+    for i in range(n):
+        ci = grid[i]
+        for off in offsets:
+            bucket = cells.get((ci[0] + off[0], ci[1] + off[1], ci[2] + off[2]))
+            if not bucket:
+                continue
+            for j in bucket:
+                if j <= i:
+                    continue
+                if np.linalg.norm(g.positions[i] - g.positions[j]) <= MERGE_TOL:
+                    union(i, j)
+
+    roots = np.array([find(i) for i in range(n)])
+    uniq_roots = np.unique(roots)
+    if len(uniq_roots) == n:
+        return g
+
+    # Representative per group: highest tag rank, then lowest index.
+    rep: dict[int, int] = {}
+    for i in range(n):
+        r = roots[i]
+        cur = rep.get(r)
+        if cur is None or (TAG_RANK[g.tags[i]], -i) > (TAG_RANK[g.tags[cur]], -cur):
+            rep[r] = i
+    new_id = {r: k for k, r in enumerate(uniq_roots)}
+    positions = np.vstack([g.positions[rep[r]] for r in uniq_roots])
+    params = np.vstack([g.params[rep[r]] for r in uniq_roots])
+    tags = [g.tags[rep[r]] for r in uniq_roots]
+
+    remap = np.array([new_id[roots[i]] for i in range(n)], dtype=np.int64)
+    elements: dict = {}
+    for (a, b), fam in zip(g.elements, g.families):
+        na, nb = remap[a], remap[b]
+        if na == nb:
+            continue                      # merged endpoints: degenerate
+        elements[(min(na, nb), max(na, nb), fam)] = True
+    return TrussGraph(
+        positions, params, tags,
+        np.array([(k[0], k[1]) for k in elements], dtype=np.int64).reshape(-1, 2),
+        [k[2] for k in elements],
+    )
+
+
+def _oracle_integer_range(lo: float, hi: float, shrink: float = 0.0):
+    """Integers strictly inside (lo, hi), both bounds shrunk inward."""
+    a = math.floor(lo + shrink) + 1
+    b = math.ceil(hi - shrink) - 1
+    return range(a, b + 1)
+
+
+def _oracle_edge_crossings_2d(builder, vertices, params, edges, columns, tag,
+                       edge_points: dict):
+    """Nodes where one traced column hits an integer on a mesh edge.
+
+    edge_points maps (a, b) -> list of (t, node_id) for boundary chains.
+    """
+    for a, b in edges:
+        pa_row, pb_row = params[a], params[b]
+        for c in columns:
+            pa, pb = pa_row[c], pb_row[c]
+            lo, hi = (pa, pb) if pa <= pb else (pb, pa)
+            for m in _oracle_integer_range(lo, hi):
+                if abs(pa - m) < PARAM_TOL or abs(pb - m) < PARAM_TOL:
+                    raise NumericalError(
+                        "isocurve through a vertex after perturbation"
+                    )
+                t = (m - pa) / (pb - pa)
+                pos = vertices[a] + t * (vertices[b] - vertices[a])
+                par = pa_row + t * (pb_row - pa_row)
+                par = par.copy()
+                par[c] = float(m)
+                nid = builder.add_node(("E2", int(a), int(b), int(c), int(m)),
+                                       pos, par, tag)
+                edge_points.setdefault((int(a), int(b)), []).append((float(t), nid))
+
+
+def _oracle_face_pass_2d(builder, faces, params, trace_col, other_col, node_tag,
+                  family):
+    """Trace integer isocurves of trace_col through each face, inserting
+    double-integer in-face nodes and chaining elements along each curve."""
+    for fidx, tri in enumerate(faces):
+        vals = params[tri][:, trace_col]
+        lo, hi = float(vals.min()), float(vals.max())
+        for m in _oracle_integer_range(lo, hi):
+            hit_ids = []
+            for (ia, ib) in ((0, 1), (1, 2), (2, 0)):
+                a, b = int(tri[ia]), int(tri[ib])
+                pa, pb = params[a][trace_col], params[b][trace_col]
+                if (pa - m) * (pb - m) < 0.0:
+                    aa, bb = (a, b) if a < b else (b, a)
+                    hit_ids.append(
+                        builder.key_to_id[("E2", aa, bb, int(trace_col), int(m))]
+                    )
+            if len(hit_ids) != 2:
+                raise NumericalError(
+                    f"isocurve level {m} crosses face {fidx} at "
+                    f"{len(hit_ids)} edges; expected 2"
+                )
+            n0, n1 = hit_ids
+            q0 = builder.params[n0][other_col]
+            q1 = builder.params[n1][other_col]
+            if q0 > q1:
+                n0, n1 = n1, n0
+                q0, q1 = q1, q0
+            chain = [(q0, n0)]
+            for q in _oracle_integer_range(q0, q1, shrink=PARAM_TOL):
+                t = (q - q0) / (q1 - q0)
+                pos = builder.positions[n0] + t * (
+                    builder.positions[n1] - builder.positions[n0]
+                )
+                par = builder.params[n0] + t * (
+                    builder.params[n1] - builder.params[n0]
+                )
+                par = par.copy()
+                par[trace_col] = float(m)
+                par[other_col] = float(q)
+                clo, chi = sorted((trace_col, other_col))
+                key = ("F2", int(fidx), clo, int(round(par[clo])),
+                       chi, int(round(par[chi])))
+                nid = builder.add_node(key, pos, par, node_tag)
+                chain.append((float(q), nid))
+            chain.append((q1, n1))
+            chain.sort(key=lambda item: item[0])
+            for (qa, na), (qb, nb) in zip(chain[:-1], chain[1:]):
+                builder.add_element(na, nb, family)
+
+
+def _oracle_boundary_chains_2d(builder, vertices, params, boundary_edges, edge_points,
+                        family="boundary", node_tag="boundary",
+                        include_endpoints=True):
+    """Chain nodes along each given mesh edge in edge-parameter order."""
+    for a, b in boundary_edges:
+        a, b = int(a), int(b)
+        pts = list(edge_points.get((a, b), []))
+        for t, nid in pts:
+            builder.upgrade_tag(nid, node_tag)
+        if include_endpoints:
+            na = builder.add_node(("V", a), vertices[a], params[a], node_tag)
+            nb = builder.add_node(("V", b), vertices[b], params[b], node_tag)
+            pts += [(0.0, na), (1.0, nb)]
+        pts.sort(key=lambda item: (item[0], item[1]))
+        for (_, na), (_, nb) in zip(pts[:-1], pts[1:]):
+            builder.add_element(na, nb, family)
+
+
+def _oracle_warn_closed_loops(builder, seed_ids):
+    """Isocurve elements unreachable from boundary seeds form closed loops."""
+    adj: dict[int, list[int]] = {}
+    iso_elems = [k for k in builder.elements if k[2] in INTERIOR_FAMILIES]
+    for eidx, (i, j, _f) in enumerate(iso_elems):
+        adj.setdefault(i, []).append(eidx)
+        adj.setdefault(j, []).append(eidx)
+    visited = set()
+    stack = [s for s in seed_ids if s in adj]
+    seen_nodes = set(stack)
+    while stack:
+        node = stack.pop()
+        for eidx in adj.get(node, ()):
+            if eidx in visited:
+                continue
+            visited.add(eidx)
+            i, j, _f = iso_elems[eidx]
+            for other in (i, j):
+                if other not in seen_nodes:
+                    seen_nodes.add(other)
+                    stack.append(other)
+    leftover = len(iso_elems) - len(visited)
+    if leftover:
+        warnings.warn(
+            f"{leftover} isocurve element(s) lie on closed loops",
+            ExtractionWarning,
+        )
+
+
+def oracle_extract_2d(vertices: np.ndarray, faces: np.ndarray, params: np.ndarray,
+               pair: tuple[int, int] = (0, 1)) -> TrussGraph:
+    """Integer-isocurve graph of a (possibly open) triangle complex.
+
+    vertices: (n, 3) positions; faces: (f, 3); params: (n, P) perturbed
+    values; pair: the two parameter columns to trace. Interior curves get
+    iso-families named by the varying column; chains along the complex's
+    boundary edges get family "boundary".
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    faces = np.asarray(faces, dtype=np.int64)
+    params = np.asarray(params, dtype=float)
+    ci, cj = pair
+    check_perturbed(params[:, [ci, cj]])
+
+    builder = _OracleBuilder(params.shape[1])
+    edges, counts, _ = _unique_edges(faces)
+    edge_points: dict = {}
+    _oracle_edge_crossings_2d(builder, vertices, params, edges, (ci, cj), "edge_hit",
+                       edge_points)
+    _oracle_face_pass_2d(builder, faces, params, ci, cj, "interior_grid",
+                  f"iso{cj + 1}")
+    _oracle_face_pass_2d(builder, faces, params, cj, ci, "interior_grid",
+                  f"iso{ci + 1}")
+
+    boundary_edges = edges[counts == 1]
+    seed_ids = []
+    for a, b in boundary_edges:
+        for _t, nid in edge_points.get((int(a), int(b)), []):
+            seed_ids.append(nid)
+    _oracle_boundary_chains_2d(builder, vertices, params, boundary_edges, edge_points)
+    if len(boundary_edges):
+        _oracle_warn_closed_loops(builder, seed_ids)
+    return builder.finalize()
+
+
+def oracle_extract_3d(mesh: TetMesh, p: Parametrization) -> TrussGraph:
+    """Trace double-integer curves through tets; nodes at face crossings and
+    triple-integer interior points, elements along each curve between them.
+    """
+    if p.phi_tilde is None:
+        raise NumericalError("normalize_and_scale must run before extraction")
+    params = np.asarray(p.phi_tilde, dtype=float)
+    check_perturbed(params)
+    verts = mesh.vertices
+
+    builder = _OracleBuilder(3)
+    face_cache: dict = {}           # key -> None | (pos, par)
+    tangential = 0
+    inconsistent_tets = 0
+
+    for tidx, tet in enumerate(mesh.tets):
+        tet = [int(v) for v in tet]
+        tet_faces = [tuple(sorted(f)) for f in (
+            (tet[0], tet[1], tet[2]),
+            (tet[0], tet[1], tet[3]),
+            (tet[0], tet[2], tet[3]),
+            (tet[1], tet[2], tet[3]),
+        )]
+        bad_tet = False
+        for (i, j) in _PAIRS_3D:
+            k = 3 - i - j
+            vi = params[tet, i]
+            vj = params[tet, j]
+            for a in _oracle_integer_range(vi.min(), vi.max()):
+                for b in _oracle_integer_range(vj.min(), vj.max()):
+                    hits = []
+                    for trip in tet_faces:
+                        key = ("F3", trip, i, int(a), j, int(b))
+                        if key in face_cache:
+                            entry = face_cache[key]
+                        else:
+                            entry = _oracle_face_hit(verts, params, trip, i, a, j, b)
+                            face_cache[key] = entry
+                        if entry is not None:
+                            hits.append((key, entry))
+                    if len(hits) == 0:
+                        continue
+                    if len(hits) == 1:
+                        tangential += 1
+                        continue
+                    if len(hits) > 2:
+                        bad_tet = True
+                        continue
+                    (key0, (pos0, par0)), (key1, (pos1, par1)) = hits
+                    n0 = builder.add_node(key0, pos0, par0, "face_hit")
+                    n1 = builder.add_node(key1, pos1, par1, "face_hit")
+                    c0, c1 = par0[k], par1[k]
+                    if c0 > c1:
+                        n0, n1 = n1, n0
+                        c0, c1 = c1, c0
+                        pos0, pos1 = pos1, pos0
+                    chain = [(c0, n0)]
+                    for nk in _oracle_integer_range(c0, c1, shrink=PARAM_TOL):
+                        t = (nk - c0) / (c1 - c0)
+                        pos = pos0 + t * (pos1 - pos0)
+                        par = np.empty(3)
+                        par[i], par[j], par[k] = float(a), float(b), float(nk)
+                        trip_key = tuple(int(round(par[c])) for c in range(3))
+                        nid = builder.add_node(("G3", tidx) + trip_key, pos,
+                                               par, "interior_grid")
+                        chain.append((float(nk), nid))
+                    chain.append((c1, n1))
+                    chain.sort(key=lambda item: item[0])
+                    for (ca, na), (cb, nb) in zip(chain[:-1], chain[1:]):
+                        builder.add_element(na, nb, f"iso{k + 1}")
+        if bad_tet:
+            inconsistent_tets += 1
+
+    if inconsistent_tets > 0.01 * mesh.num_tets:
+        raise NumericalError(
+            f"inconsistent face intersections in {inconsistent_tets} tets "
+            f"(> 1% of {mesh.num_tets})"
+        )
+    if inconsistent_tets:
+        warnings.warn(
+            f"{inconsistent_tets} tet(s) had inconsistent face intersections",
+            ExtractionWarning,
+        )
+    if tangential:
+        warnings.warn(
+            f"{tangential} tangential curve-face touch(es) skipped",
+            ExtractionWarning,
+        )
+    return builder.finalize()
+
+
+def _oracle_face_hit(verts, params, trip, i, a, j, b):
+    """Intersection of the curve {phi_i = a, phi_j = b} with one face, or
+    None. trip is a sorted vertex triple, so every tet sharing the face
+    computes bit-identical results."""
+    p, q, r = trip
+    M = np.array([
+        [params[q, i] - params[p, i], params[r, i] - params[p, i]],
+        [params[q, j] - params[p, j], params[r, j] - params[p, j]],
+    ])
+    rhs = np.array([a - params[p, i], b - params[p, j]])
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    if det == 0.0:
+        return None
+    v = (M[1, 1] * rhs[0] - M[0, 1] * rhs[1]) / det
+    w = (M[0, 0] * rhs[1] - M[1, 0] * rhs[0]) / det
+    u = 1.0 - v - w
+    if not (u > 0.0 and v > 0.0 and w > 0.0):
+        return None
+    pos = u * verts[p] + v * verts[q] + w * verts[r]
+    par = u * params[p] + v * params[q] + w * params[r]
+    par = par.copy()
+    par[i] = float(a)
+    par[j] = float(b)
+    return pos, par
+
+
+def oracle_extract_boundary(mesh: TetMesh, p: Parametrization,
+                     features: np.ndarray | None = None) -> TrussGraph:
+    """Surface truss: the three pairwise 2D extractions on the boundary
+    complex (all nodes tagged boundary, elements family "boundary"), plus
+    chains along feature edges (tagged/family "feature").
+    """
+    if p.phi_tilde is None:
+        raise NumericalError("normalize_and_scale must run before extraction")
+    params = np.asarray(p.phi_tilde, dtype=float)
+    check_perturbed(params)
+    surface = mesh.boundary
+    faces = surface.triangles
+    verts = mesh.vertices
+
+    builder = _OracleBuilder(3)
+    edges, counts, _ = _unique_edges(faces)
+    if len(edges) and counts.max(initial=0) > 2:
+        raise NumericalError("boundary complex is not manifold")
+    edge_points: dict = {}
+    _oracle_edge_crossings_2d(builder, verts, params, edges, (0, 1, 2), "boundary",
+                       edge_points)
+    for (ci, cj) in _PAIRS_3D:
+        _oracle_face_pass_2d(builder, faces, params, ci, cj, "boundary", "boundary")
+        _oracle_face_pass_2d(builder, faces, params, cj, ci, "boundary", "boundary")
+
+    if features is not None and len(features):
+        feature_set = np.asarray(features, dtype=np.int64)
+        feature_set = np.sort(feature_set, axis=1)
+        _oracle_boundary_chains_2d(builder, verts, params, feature_set, edge_points,
+                            family="feature", node_tag="feature",
+                            include_endpoints=True)
+    return builder.finalize()
+
+
+def oracle_merge_graphs(parts: list[TrussGraph]) -> TrussGraph:
+    """Concatenate graphs, merge coincident nodes, drop duplicate elements."""
+    parts = [g for g in parts if g.num_nodes]
+    if not parts:
+        return empty_graph()
+    width = parts[0].params.shape[1]
+    for g in parts:
+        if g.params.shape[1] != width:
+            raise NumericalError("cannot merge graphs with different parameter widths")
+    positions = np.vstack([g.positions for g in parts])
+    params = np.vstack([g.params for g in parts])
+    tags = [t for g in parts for t in g.tags]
+    offsets = np.cumsum([0] + [g.num_nodes for g in parts][:-1])
+    elements = []
+    families = []
+    for g, off in zip(parts, offsets):
+        if g.num_elements:
+            elements.append(g.elements + off)
+            families.extend(g.families)
+    elements = (np.vstack(elements) if elements
+                else np.zeros((0, 2), dtype=np.int64))
+    merged = TrussGraph(positions, params, tags, elements, families)
+    merged = _oracle_merge(merged)
+    _upgrade_grid_tags(merged)
+    return _canonical_order(merged)
+
+
+def _outcome(fn, *args):
+    """graph.json bytes (or the error) and the warnings of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = fn(*args)
+        except NumericalError as exc:
+            text = f"NumericalError: {exc}".encode()
+        else:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "graph.json"
+                artifacts.write_graph(path, g)
+                text = path.read_bytes()
+    return text, [(w.category, str(w.message)) for w in caught]
+
+
+def _assert_matches_oracle(mesh, pert, features):
+    """extract_3d, extract_boundary and their merge, against the oracle."""
+    for new, old, args in (
+        (extract_3d, oracle_extract_3d, (mesh, pert)),
+        (extract_boundary, oracle_extract_boundary, (mesh, pert, features)),
+    ):
+        assert _outcome(new, *args) == _outcome(old, *args), new.__name__
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtractionWarning)
+        parts = [oracle_extract_3d(mesh, pert),
+                 oracle_extract_boundary(mesh, pert, features)]
+    assert (_outcome(merge_graphs, parts)
+            == _outcome(oracle_merge_graphs, parts))
+
+
+def _closed_loop_case():
+    angles = np.linspace(0.0, 2 * np.pi, 9)[:-1]
+    verts = np.vstack([[0.0, 0.0, 0.0],
+                       np.column_stack([np.cos(angles), np.sin(angles),
+                                        np.zeros(8)])])
+    faces = np.array([[0, 1 + i, 1 + (i + 1) % 8] for i in range(8)])
+    params = np.column_stack([
+        np.concatenate([[0.3], np.full(8, 1.6)]),
+        0.1 + 0.05 * verts[:, 0],
+    ])
+    return verts, faces, params
+
+
+@pytest.mark.parametrize("case, pair", [
+    ("triangle", (0, 1)), ("square", (0, 1)), ("square", (1, 0)),
+    ("square7", (0, 1)), ("closed_loop", (0, 1)),
+])
+def test_2d_engine_matches_oracle(case, pair):
+    verts, faces, params = {
+        "triangle": _triangle_case,
+        "square": _square_case,
+        "square7": lambda: _square_case(rho=7.3),
+        "closed_loop": _closed_loop_case,
+    }[case]()
+    got = _outcome(extract_2d, verts, faces, params, pair)
+    want = _outcome(oracle_extract_2d, verts, faces, params, pair)
+    assert got == want
+    if case == "closed_loop":
+        assert want[1] == [(ExtractionWarning,
+                            "8 isocurve element(s) lie on closed loops")]
+
+
+@pytest.mark.parametrize("with_features", [False, True])
+def test_cube_matches_oracle(cube_case, with_features):
+    mesh, pert, _g3, _gb = cube_case
+    features = feature_edges(mesh.boundary, 0.9) if with_features else None
+    _assert_matches_oracle(mesh, pert, features)
+
+
+@pytest.fixture(scope="module", params=[0.0, 0.110])
+def bar_field(request, tmp_path_factory):
+    """A short-fit bending-bar parametrization, as the pipeline writes it."""
+    doc = {
+        "mesh": {"fixture": "bar", "jitter": request.param},
+        "material": {"young_modulus": 2.3e9, "poisson_ratio": 0.3,
+                     "yield_strength": 4.8e7},
+        "boundary_conditions": {
+            "dirichlet": [{"selector": {"type": "box",
+                                        "min": [-1e-9, -1.0, -1.0],
+                                        "max": [1e-9, 1.0, 1.0]}}],
+            "neumann": [{"selector": {"type": "box",
+                                      "min": [0.1999999, -1.0, -1.0],
+                                      "max": [0.2000001, 1.0, 1.0]},
+                         "force": [0.0, -100.0, 0.0]}],
+        },
+        "rho": 10.0,
+        "frame_fit": {"outer_iterations": 3},
+    }
+    cfg = parse_config(doc)
+    out = tmp_path_factory.mktemp("bar_field")
+    for stage in ("fea", "frames", "param"):
+        run_stage(stage, cfg, out_dir=out)
+    meta, arr = artifacts.read_field(out / "param.field", kind="param")
+    p = Parametrization(phi=arr["phi"], beta=float(meta["beta"]),
+                        rho=float(meta["rho"]))
+    p.phi_tilde = arr["phi_tilde"]
+    mesh = mesh_from_config(cfg)
+    return mesh, p, feature_edges(mesh.boundary, cfg.feature_cos_threshold)
+
+
+def test_bar_field_matches_oracle(bar_field):
+    _assert_matches_oracle(*bar_field)
+
+
+@pytest.mark.parametrize("rho, offset, shear", [
+    (4.0, 0.1, 0.0), (4.0, 0.1, 1.0), (4.0, 1 / 3, -1.0), (3.0, 0.25, 0.5),
+])
+def test_lattice_aligned_maps_match_oracle(rho, offset, shear):
+    # On an unjittered cube mesh these maps run curves through mesh edges and
+    # level crossings of two columns onto one point of a boundary edge, so
+    # tangential touches, coincident nodes whose merge falls to the lowest
+    # discovery index, and ties in a feature chain's order all occur.
+    mesh = unit_cube_mesh(2)
+    A = np.eye(3)
+    A[0, 1] = shear
+    pert = _param_tilde(mesh, rho * mesh.vertices @ A.T + offset)
+    _assert_matches_oracle(mesh, pert, feature_edges(mesh.boundary, 0.9))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 3), jitter=st.floats(0.0, 0.3),
+       rho=st.floats(1.5, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_random_smooth_maps_match_oracle(n, jitter, rho, seed):
+    rng = np.random.default_rng(seed)
+    mesh = unit_cube_mesh(n, jitter=jitter)
+    x = mesh.vertices
+    A = np.eye(3) + 0.4 * rng.standard_normal((3, 3))
+    bend = 0.3 * rng.standard_normal((3, 3))
+    phi = rho * (x @ A.T + 0.2 * np.sin(3.0 * x @ bend.T)) + rng.random(3)
+    pert = _param_tilde(mesh, phi)
+    _assert_matches_oracle(mesh, pert, feature_edges(mesh.boundary, 0.9))
+
+
+def test_merge_on_a_plane_matches_oracle():
+    # Nodes filling one axis-aligned plane: every fifth gets a partner just
+    # inside MERGE_TOL (every fiftieth two, merged through it), every tenth
+    # another one just outside. Random tags make groups tie at the top rank.
+    rng = np.random.default_rng(5)
+    y, z = np.meshgrid(np.arange(60) * 1e-3, np.arange(50) * 1e-3)
+    base = np.column_stack([np.full(y.size, 0.25), y.ravel(), z.ravel()])
+
+    def partners(idx, lo, hi):
+        d = rng.standard_normal((len(idx), 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        return base[idx] + d * rng.uniform(lo, hi, (len(idx), 1)) * MERGE_TOL
+
+    near = np.vstack([partners(np.arange(0, len(base), 5), 0.2, 0.99),
+                      partners(np.arange(0, len(base), 50), 0.2, 0.99)])
+    far = partners(np.arange(1, len(base), 10), 1.01, 2.0)
+    positions = rng.permutation(np.vstack([base, near, far]))
+    n = len(positions)
+    tags = list(rng.choice(list(TAG_RANK), n))
+    elements = np.sort(rng.integers(0, n, (2 * n, 2)), axis=1)
+    elements = elements[elements[:, 0] != elements[:, 1]]
+    families = list(rng.choice(["iso1", "iso2", "boundary"], len(elements)))
+    g = TrussGraph(positions, rng.random((n, 3)), tags, elements, families)
+
+    got, want = _coincidence_merge(g), _oracle_merge(g)
+    assert want.num_nodes == n - len(near)
+    np.testing.assert_array_equal(got.positions, want.positions)
+    np.testing.assert_array_equal(got.params, want.params)
+    assert got.tags == want.tags
+    np.testing.assert_array_equal(got.elements, want.elements)
+    assert got.families == want.families
+
+    # An x-sorted sweep would pair all 3,000 plane nodes with each other.
+    i, _j = _merge_candidates(positions)
+    assert len(i) <= 2 * n
