@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArtifactError
-from .extract import TrussGraph
+from .extract import TAG_RANK, TrussGraph
 
 GRAPH_VERSION = 1
 FIELD_VERSION = 1
@@ -86,6 +86,9 @@ def read_graph(path: str | Path) -> TrussGraph:
     params = np.array([nd["params"] for nd in nodes],
                       dtype=float).reshape(n, width)
     tags = [str(nd["tag"]) for nd in nodes]
+    unknown = set(tags) - TAG_RANK.keys()
+    if unknown:
+        raise ArtifactError(f"unknown node tag(s) {sorted(unknown)} in {path}")
     elems = np.array([e["nodes"] for e in elements],
                      dtype=np.int64).reshape(len(elements), 2)
     families = [str(e["family"]) for e in elements]

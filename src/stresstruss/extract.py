@@ -278,14 +278,15 @@ def perturb_parametrization(p: Parametrization, epsilon: float = 1e-7,
         if mesh is None:
             raise NumericalError("need mesh or precomputed neighbor lists")
         neighbors = mesh.vertex_neighbors()
-    phi = p.phi_tilde.copy()
-    near = np.abs(phi - np.round(phi)) < PARAM_TOL
-    for c in range(phi.shape[1]):
-        idx = np.nonzero(near[:, c])[0]
-        for v in idx:
-            col = p.phi_tilde[:, c]
-            is_min = (col[v] <= col[neighbors[v]]).all()
-            phi[v, c] = col[v] + epsilon if is_min else col[v] - epsilon
+    x = p.phi_tilde
+    count = np.array([len(nb) for nb in neighbors], dtype=np.int64)
+    start = (np.cumsum(count) - count)[count > 0]
+    flat = np.concatenate([np.zeros(0, np.int64), *neighbors])
+    ring = x[flat.astype(np.int64)]         # an empty list [] is float
+    ring_min = np.full_like(x, np.inf)      # an empty ring is a minimum
+    ring_min[count > 0] = np.minimum.reduceat(ring, start)
+    near = np.abs(x - np.round(x)) < PARAM_TOL
+    phi = np.where(near, np.where(x <= ring_min, x + epsilon, x - epsilon), x)
     frac = np.abs(phi - np.round(phi))
     if (frac < PARAM_TOL).any():
         raise NumericalError("perturbation failed to clear all near-integer values")

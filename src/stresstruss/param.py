@@ -105,11 +105,9 @@ def solve_parametrization(
     H = (beta * (D.T @ D) + O.T @ O).tocsr()
     rhs = beta * (D.T @ np.ones(D.shape[0]))
 
-    ones = np.ones(n) / n
-    C = sp.lil_matrix((3, 3 * n))
-    for c in range(3):
-        C[c, c * n:(c + 1) * n] = ones
-    C = C.tocsr()
+    C = sp.csr_matrix((np.ones(3 * n) / n,
+                       (np.repeat(np.arange(3), n), np.arange(3 * n))),
+                      shape=(3, 3 * n))
     KKT = sp.bmat([[H, C.T], [C, None]], format="csc")
     full_rhs = np.concatenate([rhs, np.zeros(3)])
 

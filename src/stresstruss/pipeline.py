@@ -9,6 +9,8 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from . import artifacts
 from .config import PipelineConfig, config_hash
@@ -199,17 +201,24 @@ def _stage_simplify(cfg: PipelineConfig, out: Path) -> list[str]:
     thr = cfg.simplify.length_threshold
     if thr is None:
         thr = default_length_threshold(g, cfg.simplify.length_factor)
+    passes: dict[str, int] = {}
     g2 = simplify(
         g, length_threshold=thr,
         remove_interior_hits=cfg.simplify.remove_interior_hits,
-        preserve_features=cfg.simplify.preserve_features,
+        preserve_features=cfg.simplify.preserve_features, record=passes,
     )
     name = _ARTIFACT_FILES["simplify"]
     artifacts.write_graph(out / name, g2)
+    pieces = connected_components(sp.coo_matrix(
+        (np.ones(g2.num_elements), g2.elements.T),
+        shape=(g2.num_nodes,) * 2), directed=False)[0]
     log = _write_log(out, "simplify", [
         f"length_threshold {thr:.9e}",
         f"before nodes {g.num_nodes} elements {g.num_elements}",
         f"after nodes {g2.num_nodes} elements {g2.num_elements}",
+        f"contraction_passes phase_a {passes['passes_a']} "
+        f"phase_b {passes['passes_b']}",
+        f"member_connected_pieces {pieces}",
     ])
     return [name, log]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .extract import TAG_RANK, TrussGraph, row_norms
+from .extract import TAG_RANK, TrussGraph, _first_seen, row_norms
 
 HIT_TAGS = ("edge_hit", "face_hit")
 
@@ -33,114 +33,103 @@ def default_length_threshold(g: TrussGraph, factor: float = 0.05) -> float:
 
 def simplify(g: TrussGraph, length_threshold: float | None = None,
              remove_interior_hits: bool = False,
-             preserve_features: bool = True) -> TrussGraph:
+             preserve_features: bool = True, *,
+             record: dict | None = None) -> TrussGraph:
     """Edge-contraction simplification.
 
     Elements shorter than the threshold collapse toward the higher-ranked
     endpoint (feature > boundary > interior_grid > hits; ties keep the lower
     index). With remove_interior_hits, every remaining hit-provenance node is
-    contracted into its nearest neighbor regardless of length. Elements whose
-    endpoints end up identical are dropped rather than contracted. The
-    connected-component count never changes.
+    then contracted into its nearest neighbor regardless of length. Elements
+    whose endpoints end up identical are dropped. The connected-component
+    count never changes. Each phase repeats passes until one contracts
+    nothing. A pass is the greedy matching of its candidates in strict key
+    order, (length, low, high) or (length, hit node, neighbor), skipping
+    feature-feature pairs under preserve_features. It is computed as rounds
+    that each match every locally dominant candidate, first in key order at
+    both endpoints (Preis, "Linear time 1/2-approximation algorithm for
+    maximum weighted matching in general graphs", STACS 1999). ``record``,
+    if given, counts each phase's contracting passes: "passes_a", "passes_b".
     """
     if length_threshold is None:
         length_threshold = default_length_threshold(g)
+    passes = record if record is not None else {}
+    passes.update(passes_a=0, passes_b=0)
     n = g.num_nodes
     if n == 0:
         return g.copy()
-
-    parent = np.arange(n)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def winner_loser(a, b):
-        ra, rb = TAG_RANK[g.tags[a]], TAG_RANK[g.tags[b]]
-        if ra > rb or (ra == rb and a < b):
-            return a, b
-        return b, a
+    rank = np.array([TAG_RANK[t] for t in g.tags])
+    prio = rank * n - np.arange(n)           # the winner of a contraction
+    hit = np.array([t in HIT_TAGS for t in g.tags])
+    blocked = (rank == TAG_RANK["feature"]) & preserve_features
+    names, fam = np.unique(np.array(g.families, dtype=str),
+                           return_inverse=True)
+    root = np.arange(n)
 
     def current_elements():
-        seen = {}
-        for (a, b), fam in zip(g.elements, g.families):
-            ra, rb = find(int(a)), find(int(b))
-            if ra == rb:
-                continue
-            seen.setdefault((min(ra, rb), max(ra, rb), fam), True)
-        return list(seen)
+        """Low root, high root, family and length of each distinct element
+        between two roots, in order of first occurrence."""
+        ends = np.sort(root[g.elements], axis=1)
+        keep = ends[:, 0] != ends[:, 1]
+        rows = np.column_stack([ends[keep], fam[keep]])
+        lo, hi, f = rows[_first_seen(rows, axis=0)[1]].T
+        return lo, hi, f, row_norms(g.positions[lo] - g.positions[hi])
 
-    def contract_pass(candidates):
-        """candidates: list of (sort_key, a, b); returns #contractions."""
-        touched = set()
-        done = 0
-        for _key, a, b in sorted(candidates):
-            ra, rb = find(a), find(b)
-            if ra == rb or ra in touched or rb in touched:
-                continue
-            if preserve_features and g.tags[ra] == "feature" \
-                    and g.tags[rb] == "feature":
-                continue
-            win, lose = winner_loser(ra, rb)
-            parent[lose] = win
-            touched.update((ra, rb))
-            done += 1
-        return done
+    def contract_pass(a, b, d):
+        """Contract the greedy matching of candidates (a, b) in (d, a, b)
+        order; returns whether any pair contracted."""
+        keep = ~(blocked[a] & blocked[b])
+        order = np.lexsort((b[keep], a[keep], d[keep]))
+        a, b = a[keep][order], b[keep][order]
+        matched = np.zeros(n, dtype=bool)
+        while len(a):
+            pos = np.arange(len(a))
+            first = np.full(n, len(a))
+            np.minimum.at(first, a, pos)
+            np.minimum.at(first, b, pos)
+            take = (first[a] == pos) & (first[b] == pos)
+            ta, tb = a[take], b[take]
+            win = np.where(prio[ta] > prio[tb], ta, tb)
+            root[ta + tb - win] = win
+            matched[ta] = matched[tb] = True
+            live = ~(matched[a] | matched[b])
+            a, b = a[live], b[live]
+        root[:] = root[root]     # no winner also lost: one jump suffices
+        return matched.any()
 
     # Phase A: contract everything shorter than the threshold.
     while True:
-        cands = []
-        for ra, rb, _fam in current_elements():
-            d = float(np.linalg.norm(g.positions[ra] - g.positions[rb]))
-            if d < length_threshold:
-                cands.append(((d, ra, rb), ra, rb))
-        if not cands or contract_pass(cands) == 0:
+        lo, hi, _, d = current_elements()
+        short = d < length_threshold
+        if not contract_pass(lo[short], hi[short], d[short]):
             break
+        passes["passes_a"] += 1
 
     # Phase B: eliminate hit-provenance nodes entirely.
-    if remove_interior_hits:
-        while True:
-            adjacency: dict[int, list[tuple[float, int]]] = {}
-            for ra, rb, _fam in current_elements():
-                d = float(np.linalg.norm(g.positions[ra] - g.positions[rb]))
-                adjacency.setdefault(ra, []).append((d, rb))
-                adjacency.setdefault(rb, []).append((d, ra))
-            cands = []
-            for node in range(n):
-                if find(node) != node or g.tags[node] not in HIT_TAGS:
-                    continue
-                incident = adjacency.get(node)
-                if not incident:
-                    continue
-                d, other = min(incident)
-                cands.append(((d, node, other), node, other))
-            if not cands or contract_pass(cands) == 0:
-                break
+    while remove_interior_hits:
+        lo, hi, _, d = current_elements()
+        node, other = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        d = np.concatenate([d, d])
+        order = np.lexsort((other, d, node))
+        order = order[hit[node[order]]]
+        near = order[np.diff(node[order], prepend=-1) != 0]
+        if not contract_pass(node[near], other[near], d[near]):
+            break
+        passes["passes_b"] += 1
 
     # Compact surviving roots, preserving input order. A component made
     # entirely of hit nodes contracts to one node that must survive, or the
     # component count would change.
-    roots = [i for i in range(n) if find(i) == i]
-    new_id = {r: k for k, r in enumerate(roots)}
-    elements = []
-    families = []
-    for ra, rb, fam in current_elements():
-        elements.append((new_id[ra], new_id[rb]))
-        families.append(fam)
-    elements = (np.array(elements, dtype=np.int64).reshape(-1, 2)
-                if elements else np.zeros((0, 2), dtype=np.int64))
-    if len(elements):
-        elements_sorted = np.sort(elements, axis=1)
-    else:
-        elements_sorted = elements
+    is_root = root == np.arange(n)
+    roots = np.nonzero(is_root)[0]
+    new_id = np.cumsum(is_root) - 1
+    lo, hi, f, _ = current_elements()
     return TrussGraph(
-        positions=g.positions[roots].copy(),
-        params=g.params[roots].copy(),
-        tags=[g.tags[r] for r in roots],
-        elements=elements_sorted,
-        families=families,
+        positions=g.positions[roots],
+        params=g.params[roots],
+        tags=[g.tags[r] for r in roots.tolist()],
+        elements=np.column_stack([new_id[lo], new_id[hi]]),
+        families=names[f].tolist(),
     )
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stresstruss import artifacts, fem, pipeline, verify
+from stresstruss import artifacts, fem, pipeline, postprocess, verify
 from stresstruss.config import (
     config_hash,
     config_to_dict,
@@ -227,6 +227,11 @@ def test_graph_artifact_errors(tmp_path):
     other.write_text(json.dumps({"type": "something_else"}))
     with pytest.raises(ArtifactError, match="not a truss graph"):
         artifacts.read_graph(other)
+    g = _sample_graph()
+    g.tags[1] = "bogus"
+    artifacts.write_graph(bad, g)
+    with pytest.raises(ArtifactError, match=r"unknown node tag.*'bogus'"):
+        artifacts.read_graph(bad)
 
 
 def test_field_artifact_roundtrip(tmp_path):
@@ -409,6 +414,37 @@ def test_frames_log_records_inner_solves(pipeline_out):
     _, grad = total_energy_grad(fit["omega"], stress, alpha, mesh.tets,
                                 build_operators(mesh).L)
     assert outer[-1][13] == f"{np.linalg.norm(grad):.9e}"
+
+
+def test_simplify_log_records_passes_and_pieces(pipeline_out):
+    cfg, out, _ = pipeline_out
+    words = [line.split()
+             for line in (out / "simplify.log").read_text().splitlines()]
+    record = {}
+    postprocess.simplify(artifacts.read_graph(out / "graph.json"),
+                         float(words[0][1]), cfg.simplify.remove_interior_hits,
+                         cfg.simplify.preserve_features, record=record)
+    assert record["passes_a"] >= 1 and record["passes_b"] >= 1
+    assert words[3] == ["contraction_passes", "phase_a",
+                        str(record["passes_a"]), "phase_b",
+                        str(record["passes_b"])]
+    # Pieces of the written graph, by flooding from each unseen node.
+    g = artifacts.read_graph(out / "graph_simplified.json")
+    nbrs = [[] for _ in range(g.num_nodes)]
+    for a, b in g.elements.tolist():
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    seen, pieces = set(), 0
+    for start in range(g.num_nodes):
+        if start not in seen:
+            pieces += 1
+            stack = [start]
+            while stack:
+                v = stack.pop()
+                if v not in seen:
+                    seen.add(v)
+                    stack += nbrs[v]
+    assert words[4:] == [["member_connected_pieces", str(pieces)]]
 
 
 def test_frames_log_counts_unconverged_solves(tmp_path):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from stresstruss import artifacts
-from stresstruss.config import parse_config
 from stresstruss.errors import NumericalError
 from stresstruss.extract import (
     _PAIRS_3D,
@@ -40,7 +39,6 @@ from stresstruss.extract import (
 from stresstruss.fixtures import unit_cube_mesh
 from stresstruss.mesh import TetMesh, feature_edges
 from stresstruss.param import Parametrization
-from stresstruss.pipeline import mesh_from_config, run_stage
 
 INTERIOR_FAMILIES = ("iso1", "iso2", "iso3")
 
@@ -143,6 +141,64 @@ def test_perturb_guard():
     on_min_plane = mesh.vertices[:, 0] == 0.0
     assert (pert[on_min_plane, 0] == 1e-7).all()
     assert (pert[mesh.vertices[:, 0] == 1.0, 0] == 2.0 - 1e-7).all()
+
+
+def oracle_perturb_parametrization(p, epsilon=1e-7, neighbors=None,
+                                   mesh=None):
+    """The per-value loop that perturb_parametrization replaced."""
+    if p.phi_tilde is None:
+        raise NumericalError("normalize_and_scale must run before perturbation")
+    if neighbors is None:
+        if mesh is None:
+            raise NumericalError("need mesh or precomputed neighbor lists")
+        neighbors = mesh.vertex_neighbors()
+    phi = p.phi_tilde.copy()
+    near = np.abs(phi - np.round(phi)) < PARAM_TOL
+    for c in range(phi.shape[1]):
+        idx = np.nonzero(near[:, c])[0]
+        for v in idx:
+            col = p.phi_tilde[:, c]
+            is_min = (col[v] <= col[neighbors[v]]).all()
+            phi[v, c] = col[v] + epsilon if is_min else col[v] - epsilon
+    frac = np.abs(phi - np.round(phi))
+    if (frac < PARAM_TOL).any():
+        raise NumericalError("perturbation failed to clear all near-integer values")
+    out = Parametrization(phi=p.phi, beta=p.beta, rho=p.rho)
+    out.phi_tilde = phi
+    return out
+
+
+def _assert_perturb_matches_oracle(x, **rings):
+    p = Parametrization(phi=x, beta=1.0)
+    p.phi_tilde = x
+    got = perturb_parametrization(p, **rings).phi_tilde
+    want = oracle_perturb_parametrization(p, **rings).phi_tilde
+    assert got.tobytes() == want.tobytes()
+    assert (got != x).any()
+
+
+def test_perturb_bar_field_matches_oracle(bar_field):
+    # A third of the values snapped onto (or within 4e-10 of) an integer,
+    # so that 1-ring minima, ties with neighbours and flat patches occur.
+    mesh, p, _ = bar_field
+    rng = np.random.default_rng(3)
+    x = p.phi_tilde.copy()
+    snap = rng.random(x.shape) < 0.3
+    x[snap] = np.round(x[snap]) + rng.choice([0.0, 4e-10, -4e-10], snap.sum())
+    _assert_perturb_matches_oracle(x, mesh=mesh)
+
+
+def test_perturb_unused_vertex_matches_oracle():
+    # Vertex 4 is in no tet: its empty 1-ring, an array or a list, counts
+    # as a minimum.
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [5, 5, 5]],
+                     dtype=float)
+    mesh = TetMesh(verts, np.array([[0, 1, 2, 3]]))
+    x = np.array([[1.0, 2.0, 0.5], [1.0, 1.0, 3.0], [2.0, 0.5, 3.0],
+                  [0.2, 1.0, 3.0], [1.0, 1.0, 1.0]])
+    _assert_perturb_matches_oracle(x, mesh=mesh)
+    _assert_perturb_matches_oracle(
+        x, neighbors=[nb.tolist() for nb in mesh.vertex_neighbors()])
 
 
 # ---------------------------------------------------------------------------
@@ -1054,37 +1110,6 @@ def test_cube_matches_oracle(cube_case, with_features):
     mesh, pert, _g3, _gb = cube_case
     features = feature_edges(mesh.boundary, 0.9) if with_features else None
     _assert_matches_oracle(mesh, pert, features)
-
-
-@pytest.fixture(scope="module", params=[0.0, 0.110])
-def bar_field(request, tmp_path_factory):
-    """A short-fit bending-bar parametrization, as the pipeline writes it."""
-    doc = {
-        "mesh": {"fixture": "bar", "jitter": request.param},
-        "material": {"young_modulus": 2.3e9, "poisson_ratio": 0.3,
-                     "yield_strength": 4.8e7},
-        "boundary_conditions": {
-            "dirichlet": [{"selector": {"type": "box",
-                                        "min": [-1e-9, -1.0, -1.0],
-                                        "max": [1e-9, 1.0, 1.0]}}],
-            "neumann": [{"selector": {"type": "box",
-                                      "min": [0.1999999, -1.0, -1.0],
-                                      "max": [0.2000001, 1.0, 1.0]},
-                         "force": [0.0, -100.0, 0.0]}],
-        },
-        "rho": 10.0,
-        "frame_fit": {"outer_iterations": 3},
-    }
-    cfg = parse_config(doc)
-    out = tmp_path_factory.mktemp("bar_field")
-    for stage in ("fea", "frames", "param"):
-        run_stage(stage, cfg, out_dir=out)
-    meta, arr = artifacts.read_field(out / "param.field", kind="param")
-    p = Parametrization(phi=arr["phi"], beta=float(meta["beta"]),
-                        rho=float(meta["rho"]))
-    p.phi_tilde = arr["phi_tilde"]
-    mesh = mesh_from_config(cfg)
-    return mesh, p, feature_edges(mesh.boundary, cfg.feature_cos_threshold)
 
 
 def test_bar_field_matches_oracle(bar_field):

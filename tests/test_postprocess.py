@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stresstruss import artifacts
 from stresstruss.errors import ConfigError
 from stresstruss.extract import (
+    TAG_RANK,
     ExtractionWarning,
     TrussGraph,
     empty_graph,
     extract_2d,
     extract_3d,
+    extract_boundary,
+    merge_graphs,
     perturb_parametrization,
 )
 from stresstruss.fixtures import unit_cube_mesh
@@ -21,9 +29,11 @@ from stresstruss.param import Parametrization
 from stresstruss.postprocess import (
     _ICO_FACES,
     _ICO_VERTS,
+    HIT_TAGS,
     ZERO_LENGTH,
     GeometryWarning,
     TriangleMesh,
+    default_length_threshold,
     emit_geometry,
     resolve_radii,
     simplify,
@@ -162,6 +172,217 @@ def test_component_and_length_invariants():
     s = simplify(g, length_threshold=0.2, remove_interior_hits=True)
     assert _num_components(s) == before_comp
     assert s.element_lengths().sum() <= before_len + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-element union-find loop that simplify computes as
+# matching rounds.
+
+
+def oracle_simplify(g: TrussGraph, length_threshold: float | None = None,
+                    remove_interior_hits: bool = False,
+                    preserve_features: bool = True) -> TrussGraph:
+    """The per-element union-find loop that simplify replaced.
+
+    Elements shorter than the threshold collapse toward the higher-ranked
+    endpoint (feature > boundary > interior_grid > hits; ties keep the lower
+    index). With remove_interior_hits, every remaining hit-provenance node is
+    contracted into its nearest neighbor regardless of length. Elements whose
+    endpoints end up identical are dropped rather than contracted. The
+    connected-component count never changes.
+    """
+    if length_threshold is None:
+        length_threshold = default_length_threshold(g)
+    n = g.num_nodes
+    if n == 0:
+        return g.copy()
+
+    parent = np.arange(n)
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def winner_loser(a, b):
+        ra, rb = TAG_RANK[g.tags[a]], TAG_RANK[g.tags[b]]
+        if ra > rb or (ra == rb and a < b):
+            return a, b
+        return b, a
+
+    def current_elements():
+        seen = {}
+        for (a, b), fam in zip(g.elements, g.families):
+            ra, rb = find(int(a)), find(int(b))
+            if ra == rb:
+                continue
+            seen.setdefault((min(ra, rb), max(ra, rb), fam), True)
+        return list(seen)
+
+    def contract_pass(candidates):
+        """candidates: list of (sort_key, a, b); returns #contractions."""
+        touched = set()
+        done = 0
+        for _key, a, b in sorted(candidates):
+            ra, rb = find(a), find(b)
+            if ra == rb or ra in touched or rb in touched:
+                continue
+            if preserve_features and g.tags[ra] == "feature" \
+                    and g.tags[rb] == "feature":
+                continue
+            win, lose = winner_loser(ra, rb)
+            parent[lose] = win
+            touched.update((ra, rb))
+            done += 1
+        return done
+
+    # Phase A: contract everything shorter than the threshold.
+    while True:
+        cands = []
+        for ra, rb, _fam in current_elements():
+            d = float(np.linalg.norm(g.positions[ra] - g.positions[rb]))
+            if d < length_threshold:
+                cands.append(((d, ra, rb), ra, rb))
+        if not cands or contract_pass(cands) == 0:
+            break
+
+    # Phase B: eliminate hit-provenance nodes entirely.
+    if remove_interior_hits:
+        while True:
+            adjacency: dict[int, list[tuple[float, int]]] = {}
+            for ra, rb, _fam in current_elements():
+                d = float(np.linalg.norm(g.positions[ra] - g.positions[rb]))
+                adjacency.setdefault(ra, []).append((d, rb))
+                adjacency.setdefault(rb, []).append((d, ra))
+            cands = []
+            for node in range(n):
+                if find(node) != node or g.tags[node] not in HIT_TAGS:
+                    continue
+                incident = adjacency.get(node)
+                if not incident:
+                    continue
+                d, other = min(incident)
+                cands.append(((d, node, other), node, other))
+            if not cands or contract_pass(cands) == 0:
+                break
+
+    # Compact surviving roots, preserving input order. A component made
+    # entirely of hit nodes contracts to one node that must survive, or the
+    # component count would change.
+    roots = [i for i in range(n) if find(i) == i]
+    new_id = {r: k for k, r in enumerate(roots)}
+    elements = []
+    families = []
+    for ra, rb, fam in current_elements():
+        elements.append((new_id[ra], new_id[rb]))
+        families.append(fam)
+    elements = (np.array(elements, dtype=np.int64).reshape(-1, 2)
+                if elements else np.zeros((0, 2), dtype=np.int64))
+    if len(elements):
+        elements_sorted = np.sort(elements, axis=1)
+    else:
+        elements_sorted = elements
+    return TrussGraph(
+        positions=g.positions[roots].copy(),
+        params=g.params[roots].copy(),
+        tags=[g.tags[r] for r in roots],
+        elements=elements_sorted,
+        families=families,
+    )
+
+
+
+
+def _graph_bytes(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        artifacts.write_graph(path, g)
+        return path.read_bytes()
+
+
+def _assert_simplify_matches_oracle(g, thresholds, flags):
+    for thr in thresholds:
+        for hits, features in flags:
+            got = simplify(g, thr, hits, features)
+            want = oracle_simplify(g, thr, hits, features)
+            assert _graph_bytes(got) == _graph_bytes(want), (thr, hits,
+                                                             features)
+            assert _num_components(got) == _num_components(g)
+
+
+_FAMILIES = ("iso1", "iso2", "iso3", "boundary", "feature")
+
+
+@st.composite
+def _small_graphs(draw):
+    """Graphs on a coarse grid (many tied lengths, coincident nodes), with
+    self-loops, a pair in two families, every tag, and a second block of
+    nodes tagged only as hits, so that some components hold only hits."""
+    mixed = draw(st.integers(1, 9))
+    hits = draw(st.integers(0, 5))
+    n = mixed + hits
+    tags = (draw(st.lists(st.sampled_from(tuple(TAG_RANK)), min_size=mixed,
+                          max_size=mixed))
+            + draw(st.lists(st.sampled_from(HIT_TAGS), min_size=hits,
+                            max_size=hits)))
+    coords = draw(st.lists(st.integers(0, 2), min_size=3 * n,
+                           max_size=3 * n))
+    pairs = []
+    for lo, size in ((0, mixed), (mixed, hits)):
+        if size:
+            node = st.integers(lo, lo + size - 1)
+            pairs += draw(st.lists(st.tuples(node, node), max_size=2 * size))
+    families = draw(st.lists(st.sampled_from(_FAMILIES), min_size=len(pairs),
+                             max_size=len(pairs)))
+    if pairs and draw(st.booleans()):
+        pairs.append(pairs[0])
+        families.append(next(f for f in _FAMILIES if f != families[0]))
+    params = np.zeros((n, 3))
+    params[:, 0] = np.arange(n)
+    return _graph(0.5 * np.reshape(coords, (n, 3)), tags,
+                  np.sort(np.reshape(pairs, (-1, 2)), axis=1), families,
+                  params)
+
+
+_ALL_FLAGS = [(hits, features) for hits in (False, True)
+              for features in (False, True)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_small_graphs(), threshold=st.sampled_from([0.3, 0.6, 0.8, 1.2]))
+def test_random_graphs_simplify_matches_oracle(g, threshold):
+    _assert_simplify_matches_oracle(g, [0.0, threshold, None], _ALL_FLAGS)
+
+
+def test_simplify_edge_cases_match_oracle():
+    cases = [
+        empty_graph(),
+        _graph([[0, 0, 0]], ["face_hit"], [], []),
+        _graph([[0, 0, 0], [0, 0, 0]], ["edge_hit", "face_hit"], [[0, 0]],
+               ["iso1"]),
+        # A chain whose keys rise along it: one contraction per round.
+        _graph(np.cumsum([[0, 0, 0], [1, 0, 0], [1.1, 0, 0], [1.2, 0, 0],
+                          [1.3, 0, 0], [1.4, 0, 0]], axis=0),
+               ["face_hit"] * 6, [[i, i + 1] for i in range(5)],
+               ["iso1"] * 5),
+    ]
+    for g in cases:
+        _assert_simplify_matches_oracle(g, [0.0, 1.25, 2.0], _ALL_FLAGS)
+
+
+@pytest.mark.parametrize("remove_hits", [False, True])
+def test_bar_field_simplify_matches_oracle(bar_field, remove_hits):
+    mesh, pert, features = bar_field
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtractionWarning)
+        g = merge_graphs([extract_3d(mesh, pert),
+                          extract_boundary(mesh, pert, features)])
+    thr = default_length_threshold(g)
+    got = simplify(g, thr, remove_hits)
+    assert got.num_elements < g.num_elements
+    assert _graph_bytes(got) == _graph_bytes(
+        oracle_simplify(g, thr, remove_hits))
 
 
 # ---------------------------------------------------------------------------
