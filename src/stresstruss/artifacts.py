@@ -91,6 +91,9 @@ def read_graph(path: str | Path) -> TrussGraph:
         raise ArtifactError(f"unknown node tag(s) {sorted(unknown)} in {path}")
     elems = np.array([e["nodes"] for e in elements],
                      dtype=np.int64).reshape(len(elements), 2)
+    if elems.size and (elems.min() < 0 or elems.max() >= n):
+        raise ArtifactError(
+            f"element node index out of range [0, {n}) in {path}")
     families = [str(e["family"]) for e in elements]
     return TrussGraph(positions=positions, params=params, tags=tags,
                       elements=elems, families=families)

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import selectors
 from .errors import ConfigError
 from .fem import BoundaryConditions, Dirichlet, Material, Neumann
 from .frames import FrameFitConfig
@@ -61,25 +62,10 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
-def _check_selector(sel, where: str):
-    _require(isinstance(sel, dict), f"{where}: selector must be an object")
-    kind = sel.get("type")
-    if kind == "box":
-        _require("min" in sel and "max" in sel,
-                 f"{where}: box selector needs min and max")
-    elif kind == "sphere":
-        _require("center" in sel and "radius" in sel,
-                 f"{where}: sphere selector needs center and radius")
-    elif kind == "indices":
-        _require("values" in sel, f"{where}: indices selector needs values")
-    else:
-        raise ConfigError(f"{where}: unknown selector type {kind!r}")
-
-
 def _parse_bcs(doc: dict) -> BoundaryConditions:
     dirichlet = []
     for i, d in enumerate(doc.get("dirichlet", [])):
-        _check_selector(d.get("selector"), f"dirichlet[{i}]")
+        selectors.check(d.get("selector"), f"dirichlet[{i}]")
         axes = tuple(bool(a) for a in d.get("axes", (True, True, True)))
         _require(len(axes) == 3, f"dirichlet[{i}]: axes must have 3 entries")
         value = tuple(float(v) for v in d.get("value", (0.0, 0.0, 0.0)))
@@ -88,7 +74,7 @@ def _parse_bcs(doc: dict) -> BoundaryConditions:
         dirichlet.append(Dirichlet(d["selector"], axes, value))
     neumann = []
     for i, nm in enumerate(doc.get("neumann", [])):
-        _check_selector(nm.get("selector"), f"neumann[{i}]")
+        selectors.check(nm.get("selector"), f"neumann[{i}]")
         force = tuple(float(v) for v in nm.get("force", (0.0, 0.0, 0.0)))
         _require(len(force) == 3, f"neumann[{i}]: force must have 3 entries")
         neumann.append(Neumann(nm["selector"], force))

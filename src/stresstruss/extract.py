@@ -30,11 +30,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NumericalError
-from .mesh import TetMesh
+from .mesh import TetMesh, pieces
 from .param import Parametrization
 
 # Absolute parameter-space tolerance for integer tests and interval shrinking.
@@ -239,9 +237,8 @@ def _coincidence_merge(g: TrussGraph) -> TrussGraph:
     close = row_norms(g.positions[i] - g.positions[j]) <= MERGE_TOL
     if not close.any():
         return g
-    adj = sp.coo_matrix((np.ones(int(close.sum())), (i[close], j[close])),
-                        shape=(n, n))
-    group, first = _first_seen(connected_components(adj, directed=False)[1])
+    group, first = _first_seen(
+        pieces(n, np.column_stack([i[close], j[close]]))[1])
     rank = np.array([TAG_RANK[t] for t in g.tags])
     by_group = np.lexsort((np.arange(n), -rank, group))
     rep = by_group[np.searchsorted(group[by_group], np.arange(len(first)))]
@@ -438,9 +435,7 @@ def _warn_closed_loops(g: TrussGraph, seeds: np.ndarray):
     """Isocurve elements unreachable from boundary seeds form closed loops."""
     iso = np.isin(np.array(g.families, dtype=str), INTERIOR_FAMILIES)
     el = g.elements[iso]
-    n = g.num_nodes
-    adj = sp.coo_matrix((np.ones(len(el)), (el[:, 0], el[:, 1])), shape=(n, n))
-    ncomp, label = connected_components(adj, directed=False)
+    ncomp, label = pieces(g.num_nodes, el)
     seeded = np.zeros(ncomp, dtype=bool)
     seeded[label[seeds]] = True
     leftover = int((~seeded[label[el[:, 0]]]).sum())

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
+from . import selectors
 from .errors import ConfigError, NumericalError
-from .mesh import TetMesh, shape_gradients
+from .mesh import TetMesh, pieces, shape_gradients
 
 # Field-wide |eigenvalue| target range of the SPD stress surrogate.
 SPD_RANGE = (1.0, 30.0)
@@ -84,48 +84,6 @@ class StressField:
 
 
 # ---------------------------------------------------------------------------
-# Selectors
-
-
-def select_vertices(mesh: TetMesh, selector: dict) -> np.ndarray:
-    """Vertex ids matched by a box/sphere/indices selector."""
-    kind = selector.get("type")
-    v = mesh.vertices
-    if kind == "box":
-        lo = np.asarray(selector["min"], dtype=float)
-        hi = np.asarray(selector["max"], dtype=float)
-        mask = ((v >= lo) & (v <= hi)).all(axis=1)
-        return np.nonzero(mask)[0]
-    if kind == "sphere":
-        c = np.asarray(selector["center"], dtype=float)
-        r = float(selector["radius"])
-        return np.nonzero(np.linalg.norm(v - c, axis=1) <= r)[0]
-    if kind == "indices":
-        ids = np.asarray(selector["values"], dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= len(v)):
-            raise ConfigError("vertex index selector out of range")
-        return np.unique(ids)
-    raise ConfigError(f"unknown selector type {kind!r}")
-
-
-def select_boundary_faces(mesh: TetMesh, selector: dict) -> np.ndarray:
-    """Boundary-triangle ids whose three vertices all match the selector.
-
-    An ``indices`` selector addresses boundary triangles directly.
-    """
-    if selector.get("type") == "indices":
-        ids = np.asarray(selector["values"], dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= len(mesh.boundary.triangles)):
-            raise ConfigError("face index selector out of range")
-        return np.unique(ids)
-    vids = select_vertices(mesh, selector)
-    mask = np.zeros(mesh.num_vertices, dtype=bool)
-    mask[vids] = True
-    tri = mesh.boundary.triangles
-    return np.nonzero(mask[tri].all(axis=1))[0]
-
-
-# ---------------------------------------------------------------------------
 # Assembly and solve
 
 
@@ -160,7 +118,8 @@ def assemble_stiffness(mesh: TetMesh, material: Material) -> sp.csr_matrix:
 def assemble_loads(mesh: TetMesh, material: Material, bcs: BoundaryConditions) -> np.ndarray:
     f = np.zeros(3 * mesh.num_vertices)
     for nm in bcs.neumann:
-        faces = select_boundary_faces(mesh, nm.selector)
+        faces = selectors.select_faces(mesh.vertices,
+                                       mesh.boundary.triangles, nm.selector)
         if len(faces) == 0:
             raise ConfigError("Neumann selector matched no boundary faces")
         tri = mesh.boundary.triangles[faces]
@@ -188,7 +147,7 @@ def prescribed_dofs(mesh: TetMesh, bcs: BoundaryConditions) -> tuple[np.ndarray,
     """Constrained DOF ids and values; later entries override earlier ones."""
     value_map: dict[int, float] = {}
     for d in bcs.dirichlet:
-        vids = select_vertices(mesh, d.selector)
+        vids = selectors.select(mesh.vertices, d.selector)
         if len(vids) == 0:
             raise ConfigError("Dirichlet selector matched no vertices")
         val = np.asarray(d.value, dtype=float)
@@ -262,11 +221,7 @@ def free_rigid_motions(positions: np.ndarray, pairs: np.ndarray,
     of its fixed DOFs in the rigid motion (t, w), translation t + w x p at
     p, have rank 6; rotations are about the centroid of its fixed nodes.
     """
-    n = len(positions)
-    pairs = np.asarray(pairs).reshape(-1, 2)
-    adj = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-                        shape=(n, n))
-    npieces, label = connected_components(adj, directed=False)
+    npieces, label = pieces(len(positions), pairs)
     node, dof = np.nonzero(fixed)
     order = np.argsort(label[node], kind="stable")
     node, dof = node[order], dof[order]
@@ -297,7 +252,8 @@ def solve_reduced(A, b: np.ndarray) -> np.ndarray | None:
 
     LU with partial pivoting keeps that error small even on a numerically
     singular A, so this accepts a solve but does not detect a mechanism:
-    callers rule those out first with ``free_rigid_motions``.
+    callers rule those out first (``free_rigid_motions``, or param's count
+    of mesh pieces).
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import MeshError
 
@@ -350,3 +351,14 @@ def feature_edges(surface: SurfaceMesh, cos_threshold: float = 0.9) -> np.ndarra
     n1 = surface.face_normals[surface.edge_faces[:, 1]]
     dots = np.einsum("ij,ij->i", n0, n1)
     return surface.edges[dots < cos_threshold]
+
+
+def pieces(num_nodes: int, pairs: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected pieces of the graph on ``num_nodes`` nodes whose edges are
+    the node pairs ``pairs`` (..., 2): their count and each node's piece
+    label, pieces numbered in the order of their lowest node."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    adj = sp.csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                        shape=(num_nodes, num_nodes))
+    count, labels = connected_components(adj, directed=False)
+    return int(count), labels

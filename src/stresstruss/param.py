@@ -8,16 +8,15 @@ one translation per component; mean-zero constraints fix that gauge.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, NumericalError
+from .fem import solve_reduced
 from .frames import FrameField
-from .mesh import DiscreteOperators, TetMesh, build_operators
+from .mesh import DiscreteOperators, TetMesh, build_operators, pieces
 
 
 @dataclass
@@ -95,7 +94,7 @@ def solve_parametrization(
 
     # A disconnected mesh has one translation null vector per piece and
     # component, which the 3 gauge constraints cannot absorb.
-    ncomp = _connected_components(mesh)
+    ncomp = pieces(n, mesh.tets[:, [[0, 1], [1, 2], [2, 3]]])[0]
     if ncomp > 1:
         raise NumericalError(
             "parametrization system singular beyond the translation gauge: "
@@ -111,42 +110,14 @@ def solve_parametrization(
     KKT = sp.bmat([[H, C.T], [C, None]], format="csc")
     full_rhs = np.concatenate([rhs, np.zeros(3)])
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", spla.MatrixRankWarning)
-        try:
-            sol = spla.spsolve(KKT, full_rhs)
-        except (spla.MatrixRankWarning, RuntimeError):
-            raise NumericalError(
-                "parametrization system singular beyond the translation gauge "
-                "(is the mesh disconnected?)"
-            ) from None
-    if not np.isfinite(sol).all():
+    sol = solve_reduced(KKT, full_rhs)
+    if sol is None:
         raise NumericalError(
-            "parametrization system singular beyond the translation gauge "
-            "(is the mesh disconnected?)"
+            "parametrization system singular to working precision: sparse "
+            "LU failed or its backward error is above 1e-8"
         )
-    x, mult = sol[:3 * n], sol[3 * n:]
-    residual = H @ x + C.T @ mult - rhs
-    scale = max(np.linalg.norm(rhs), 1e-300)
-    if np.linalg.norm(residual) > 1e-8 * scale:
-        raise NumericalError(
-            f"normal-equation residual {np.linalg.norm(residual) / scale:.2e} above 1e-8"
-        )
-    phi = x.reshape(3, n).T.copy()
+    phi = sol[:3 * n].reshape(3, n).T.copy()
     return Parametrization(phi=phi, beta=float(beta))
-
-
-def _connected_components(mesh: TetMesh) -> int:
-    t = mesh.tets
-    pairs = np.concatenate([t[:, [0, 1]], t[:, [0, 2]], t[:, [0, 3]],
-                            t[:, [1, 2]], t[:, [1, 3]], t[:, [2, 3]]])
-    n = mesh.num_vertices
-    adj = sp.csr_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
-    )
-    from scipy.sparse.csgraph import connected_components
-    ncomp, _ = connected_components(adj, directed=False)
-    return int(ncomp)
 
 
 def normalize_and_scale(p: Parametrization, rho: float) -> Parametrization:

@@ -9,8 +9,6 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from . import artifacts
 from .config import PipelineConfig, config_hash
@@ -25,7 +23,8 @@ from .extract import (
 from .fem import StressField, cauchy_stress, solve_static, stress_spd
 from .fixtures import bar_mesh, box_mesh, unit_cube_mesh
 from .frames import fit_frame_field
-from .mesh import TetMesh, build_operators, feature_edges, load_tet_mesh
+from .mesh import (TetMesh, build_operators, feature_edges, load_tet_mesh,
+                   pieces)
 from .param import evaluate_objective, normalize_and_scale, \
     solve_parametrization
 from .postprocess import default_length_threshold, emit_geometry, simplify, \
@@ -209,16 +208,13 @@ def _stage_simplify(cfg: PipelineConfig, out: Path) -> list[str]:
     )
     name = _ARTIFACT_FILES["simplify"]
     artifacts.write_graph(out / name, g2)
-    pieces = connected_components(sp.coo_matrix(
-        (np.ones(g2.num_elements), g2.elements.T),
-        shape=(g2.num_nodes,) * 2), directed=False)[0]
     log = _write_log(out, "simplify", [
         f"length_threshold {thr:.9e}",
         f"before nodes {g.num_nodes} elements {g.num_elements}",
         f"after nodes {g2.num_nodes} elements {g2.num_elements}",
         f"contraction_passes phase_a {passes['passes_a']} "
         f"phase_b {passes['passes_b']}",
-        f"member_connected_pieces {pieces}",
+        f"member_connected_pieces {pieces(g2.num_nodes, g2.elements)[0]}",
     ])
     return [name, log]
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
+from . import selectors
 from .errors import ConfigError, NumericalError
 from .extract import TrussGraph, row_norms
 from .fem import (BoundaryConditions, Material, free_rigid_motions,
@@ -42,54 +43,13 @@ class FrameResult:
     bending_stress: np.ndarray  # (E,) Pa, max fiber stress over both ends
 
 
-def _selector_center(selector) -> np.ndarray:
-    if callable(selector):
-        raise ConfigError(
-            "callable selector matched no truss nodes and has no center "
-            "for nearest-node fallback"
-        )
-    kind = selector.get("type")
-    if kind == "box":
-        lo = np.asarray(selector["min"], dtype=float)
-        hi = np.asarray(selector["max"], dtype=float)
-        return 0.5 * (lo + hi)
-    if kind == "sphere":
-        return np.asarray(selector["center"], dtype=float)
-    raise ConfigError(f"selector type {kind!r} has no geometric center")
-
-
-def _select_nodes(positions: np.ndarray, selector) -> np.ndarray:
-    """Node indices matched by a volumetric-style selector; an empty match
-    falls back to the single node nearest the selector's center."""
-    if callable(selector):
-        mask = np.asarray([bool(selector(p)) for p in positions])
-        idx = np.nonzero(mask)[0]
-    elif isinstance(selector, dict):
-        kind = selector.get("type")
-        if kind == "box":
-            lo = np.asarray(selector["min"], dtype=float)
-            hi = np.asarray(selector["max"], dtype=float)
-            mask = ((positions >= lo) & (positions <= hi)).all(axis=1)
-            idx = np.nonzero(mask)[0]
-        elif kind == "sphere":
-            c = np.asarray(selector["center"], dtype=float)
-            r = float(selector["radius"])
-            idx = np.nonzero(
-                np.linalg.norm(positions - c, axis=1) <= r
-            )[0]
-        elif kind == "indices":
-            idx = np.asarray(selector["values"], dtype=np.int64)
-            if len(idx) and (idx.min() < 0 or idx.max() >= len(positions)):
-                raise ConfigError("node index selector out of range")
-        else:
-            raise ConfigError(f"unknown selector type: {kind!r}")
-    else:
-        raise ConfigError("selector must be a dict or a callable")
+def _nodes_or_nearest(positions: np.ndarray, selector: dict) -> np.ndarray:
+    """Nodes the selector matches; an empty box or sphere match falls back
+    to the single node nearest the selector's center."""
+    idx = selectors.select(positions, selector)
     if len(idx) == 0:
-        center = _selector_center(selector)
-        idx = np.array([int(np.argmin(
-            np.linalg.norm(positions - center, axis=1)
-        ))])
+        dist = np.linalg.norm(positions - selectors.center(selector), axis=1)
+        idx = np.array([int(np.argmin(dist))])
     return idx
 
 
@@ -115,7 +75,7 @@ def build_truss_model(graph: TrussGraph, material: Material, radius_policy,
                 "nonzero prescribed displacements are not supported in "
                 "truss verification"
             )
-        nodes = _select_nodes(graph.positions, d.selector)
+        nodes = _nodes_or_nearest(graph.positions, d.selector)
         axes = np.asarray(d.axes, dtype=bool)
         for c in range(3):
             if axes[c]:
@@ -123,7 +83,7 @@ def build_truss_model(graph: TrussGraph, material: Material, radius_policy,
         if axes.all():
             fixed[nodes, 3:] = True
     for nm in bcs.neumann:
-        nodes = _select_nodes(graph.positions, nm.selector)
+        nodes = _nodes_or_nearest(graph.positions, nm.selector)
         share = np.asarray(nm.force, dtype=float) / len(nodes)
         loads[nodes, :3] += share
     if bcs.gravity is not None and material.density > 0.0:

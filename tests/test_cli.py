@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -120,6 +121,26 @@ def test_config_validation_errors(mutate, match):
     doc = json.loads(json.dumps(SMALL_BAR_DOC))
     mutate(doc)
     with pytest.raises(ConfigError, match=match):
+        parse_config(doc)
+
+
+_BOX = {"type": "box", "min": [0.0, 0.0, 0.0], "max": [1.0, 1.0, 1.0]}
+
+
+@pytest.mark.parametrize("side", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("selector, match", [
+    ({**_BOX, "min": [0.0, 0.0]}, "min must be 3 finite numbers"),
+    ({**_BOX, "min": "low"}, "min must be 3 finite numbers"),
+    ({"type": "sphere", "center": [0.0, 0.0, 0.0], "radius": "big"},
+     "radius must be a finite number"),
+    ({"type": "indices", "values": [0.5, 1.5]}, "flat list of integers"),
+    ({"type": "indices", "values": [[0, 1]]}, "flat list of integers"),
+    ({**_BOX, "radius": 1.0}, "exactly the keys"),
+])
+def test_config_rejects_malformed_selectors(side, selector, match):
+    doc = json.loads(json.dumps(SMALL_BAR_DOC))
+    doc["boundary_conditions"][side][0]["selector"] = selector
+    with pytest.raises(ConfigError, match=rf"^{side}\[0\]: .*{match}"):
         parse_config(doc)
 
 
@@ -323,6 +344,21 @@ def test_pipeline_graph_loadable(pipeline_out):
     assert "lambda_star" in report
 
 
+@pytest.mark.parametrize("name, stage, bad", [
+    ("graph.json", "simplify", [0, 1000000]),
+    ("graph_simplified.json", "geometry", [0, -1]),
+])
+def test_graph_element_index_out_of_range(pipeline_out, tmp_path, name,
+                                          stage, bad):
+    cfg, out, _ = pipeline_out
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    doc = json.loads((tmp_path / name).read_text())
+    doc["elements"][0]["nodes"] = bad
+    (tmp_path / name).write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError, match="element node index out of"):
+        run_stage(stage, cfg, out_dir=tmp_path)
+
+
 def test_stage_rerun_is_byte_identical(pipeline_out):
     cfg, out, _ = pipeline_out
     before = (out / "graph.json").read_bytes()
@@ -513,6 +549,13 @@ def test_cli_exit_codes(tmp_path):
                                             "poisson_ratio": 0.3}}))
     r = _run_cli("--config", str(bad))
     assert r.returncode == 2
+    doc = json.loads(json.dumps(SMALL_BAR_DOC))
+    doc["boundary_conditions"]["neumann"][0]["selector"]["min"] = [0.0, 0.0]
+    bad.write_text(json.dumps(doc))
+    r = _run_cli("--config", str(bad), "--stage", "fea",
+                 "--out", str(tmp_path / "bad_out"))
+    assert r.returncode == 2
+    assert "neumann[0]: box selector min must be 3 finite numbers" in r.stderr
     # 3: well-formed config whose constraints leave a rigid mode
     doc = json.loads(json.dumps(SMALL_BAR_DOC))
     doc["mesh"] = {"fixture": "box", "divisions": [2, 1, 1],

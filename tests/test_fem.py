@@ -12,12 +12,11 @@ from stresstruss.fem import (
     assemble_stiffness,
     cauchy_stress,
     prescribed_dofs,
-    select_boundary_faces,
-    select_vertices,
     solve_static,
     stress_spd,
 )
 from stresstruss.fixtures import bar_mesh, box_mesh, unit_cube_mesh
+from stresstruss.selectors import select, select_faces
 
 MAT = Material(young_modulus=2.3e9, poisson_ratio=0.35, density=1040.0,
                yield_strength=48e6)
@@ -65,18 +64,20 @@ def test_material_validation():
 
 def test_selectors():
     mesh = unit_cube_mesh(2)
-    vs = select_vertices(mesh, {"type": "box", "min": [-1, -1, -1], "max": [0, 2, 2]})
+    v = mesh.vertices
+    vs = select(v, {"type": "box", "min": [-1, -1, -1], "max": [0, 2, 2]})
     assert len(vs) == 9                       # the x=0 face of a 3x3x3 grid
-    vs2 = select_vertices(mesh, {"type": "sphere", "center": [0, 0, 0], "radius": 0.01})
+    vs2 = select(v, {"type": "sphere", "center": [0, 0, 0], "radius": 0.01})
     assert len(vs2) == 1
-    faces = select_boundary_faces(
-        mesh, {"type": "box", "min": [-1, -1, -1], "max": [0, 2, 2]}
+    faces = select_faces(
+        v, mesh.boundary.triangles,
+        {"type": "box", "min": [-1, -1, -1], "max": [0, 2, 2]}
     )
     assert len(faces) == 8                    # 2x2 cells, 2 triangles each
     with pytest.raises(ConfigError):
-        select_vertices(mesh, {"type": "nope"})
+        select(v, {"type": "nope"})
     with pytest.raises(ConfigError):
-        select_vertices(mesh, {"type": "indices", "values": [10**6]})
+        select(v, {"type": "indices", "values": [10**6]})
 
 
 def test_zero_load_zero_displacement():

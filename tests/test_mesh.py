@@ -8,6 +8,7 @@ from stresstruss.mesh import (
     build_operators,
     feature_edges,
     load_tet_mesh,
+    pieces,
     write_medit,
 )
 
@@ -247,3 +248,12 @@ def test_vertex_neighbors_unused_vertex():
     assert len(ns) == 5
     np.testing.assert_array_equal(ns[0], [1, 2, 3])
     assert len(ns[4]) == 0 and ns[4].dtype == np.int64
+
+
+def test_pieces_of_two_disjoint_tets():
+    tets = np.array([[0, 2, 4, 6], [7, 5, 3, 1]])
+    count, labels = pieces(8, tets[:, [[0, 1], [1, 2], [2, 3]]])
+    assert count == 2
+    for t in tets:
+        assert (labels[t] == labels[t[0]]).all()
+    assert labels[0] != labels[1]

@@ -113,6 +113,14 @@ def test_disconnected_mesh_rejected():
         solve_parametrization(mesh, identity_frames(mesh.num_tets))
 
 
+def test_non_finite_frames_rejected_by_the_solve():
+    mesh = box_mesh((1, 1, 1))
+    frames = identity_frames(mesh.num_tets)
+    frames[0, 0, 0] = np.nan
+    with pytest.raises(NumericalError, match="working precision"):
+        solve_parametrization(mesh, frames)
+
+
 def test_normalize_and_scale_rule():
     phi = np.array([
         [2.0, 0.0, 1.0],

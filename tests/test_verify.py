@@ -317,6 +317,17 @@ def test_bc_mapping_indices_and_errors():
     model = build_truss_model(g, MAT, 0.01, bcs)
     assert model.fixed[0].all()
 
+    # A repeated index names its node once and gets the whole force.
+    g3 = _graph([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]],
+                [[0, 1], [1, 2]])
+    model = build_truss_model(g3, MAT, 0.01, BoundaryConditions(
+        dirichlet=[Dirichlet(selector={"type": "indices", "values": [0]})],
+        neumann=[Neumann(selector={"type": "indices", "values": [2, 2]},
+                         force=(0.0, -4.0, 0.0))],
+    ))
+    assert model.loads[2, 1] == -4.0
+    assert model.loads.sum() == -4.0
+
     with pytest.raises(ConfigError, match="at least 6"):
         build_truss_model(g, MAT, 0.01, BoundaryConditions(
             dirichlet=[Dirichlet(selector=_box([0, 0, 0]),
