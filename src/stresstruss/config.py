@@ -62,26 +62,88 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
-def _parse_bcs(doc: dict) -> BoundaryConditions:
-    dirichlet = []
-    for i, d in enumerate(doc.get("dirichlet", [])):
-        selectors.check(d.get("selector"), f"dirichlet[{i}]")
-        axes = tuple(bool(a) for a in d.get("axes", (True, True, True)))
-        _require(len(axes) == 3, f"dirichlet[{i}]: axes must have 3 entries")
-        value = tuple(float(v) for v in d.get("value", (0.0, 0.0, 0.0)))
-        _require(len(value) == 3,
-                 f"dirichlet[{i}]: value must have 3 entries")
-        dirichlet.append(Dirichlet(d["selector"], axes, value))
-    neumann = []
-    for i, nm in enumerate(doc.get("neumann", [])):
-        selectors.check(nm.get("selector"), f"neumann[{i}]")
-        force = tuple(float(v) for v in nm.get("force", (0.0, 0.0, 0.0)))
-        _require(len(force) == 3, f"neumann[{i}]: force must have 3 entries")
-        neumann.append(Neumann(nm["selector"], force))
-    gravity = doc.get("gravity")
+def _check(value, name: str, kind):
+    """``value``, which must pass ``kind``: a test and what it asks, as in
+    ``selectors.KEYS``."""
+    valid, what = kind
+    _require(valid(value), f"{name} must be {what}")
+    return value
+
+
+def _count(low: int):
+    return (lambda v: isinstance(v, int) and not isinstance(v, bool)
+            and v >= low, f"an integer >= {low}")
+
+
+_ANY = (lambda v: True, "")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_LIST = (lambda v: isinstance(v, list), "a list")
+_FLAG = (lambda v: isinstance(v, bool), "true or false")
+_FLAGS = (lambda v: isinstance(v, (list, tuple)) and len(v) == 3
+          and all(isinstance(a, bool) for a in v), "3 booleans")
+_NUMBER = (selectors.is_number, "a finite number")
+_POSITIVE = (lambda v: selectors.is_number(v) and v > 0, "a positive number")
+_COSINE = (lambda v: selectors.is_number(v) and -1.0 < v <= 1.0,
+           "a number in (-1, 1]")
+_DIVISIONS = (lambda v: isinstance(v, list) and len(v) == 3
+              and all(map(_count(1)[0], v)), "3 integers >= 1")
+
+# Each section's keys, with their defaults and kinds. The mesh section is
+# kept as written; pipeline.mesh_from_config applies its defaults.
+_MESH_FILE = {"path": (None, _STRING), "format": (None, _STRING)}
+_MESH_FIXTURE = {"fixture": (None, _ANY), "jitter": (None, _NUMBER),
+                 "n": (None, _count(1)), "divisions": (None, _DIVISIONS),
+                 "size": (None, selectors.POINT),
+                 "origin": (None, selectors.POINT)}
+_MATERIAL = {"young_modulus": (None, _NUMBER),
+             "poisson_ratio": (None, _NUMBER), "density": (0.0, _NUMBER),
+             "yield_strength": (1.0, _NUMBER)}
+_BCS = {"dirichlet": ([], _LIST), "neumann": ([], _LIST),
+        "gravity": (None, selectors.POINT)}
+_DIRICHLET = {"selector": (None, _ANY), "axes": ((True,) * 3, _FLAGS),
+              "value": ((0.0,) * 3, selectors.POINT)}
+_NEUMANN = {"selector": (None, _ANY), "force": ((0.0,) * 3, selectors.POINT)}
+# Frame-fit kinds follow the types of FrameFitConfig's defaults.
+_FRAME_FIT = {k: (v, _FLAG if isinstance(v, bool) else
+                  _count(0) if isinstance(v, int) else _NUMBER)
+              for k, v in vars(FrameFitConfig()).items()}
+_SIMPLIFY = {"length_threshold": (None, selectors.NON_NEGATIVE),
+             "length_factor": (0.05, selectors.NON_NEGATIVE),
+             "remove_interior_hits": (True, _FLAG),
+             "preserve_features": (True, _FLAG)}
+_GEOMETRY = {"sides": (8, _count(3))}
+_FEATURES = {"enabled": (False, _FLAG), "cos_threshold": (0.9, _COSINE)}
+
+
+def _section(doc, name: str, keys: dict) -> dict:
+    """Every key of ``keys`` with its value in ``doc``, an object of only
+    those keys, or its default. Values are kept as written."""
+    _require(isinstance(doc, dict), f"{name} must be an object")
+    unknown = set(doc) - set(keys)
+    _require(not unknown, f"unknown {name} keys: {sorted(unknown)}")
+    for key, value in doc.items():
+        _check(value, f"{name}.{key}", keys[key][1])
+    return {k: doc.get(k, default) for k, (default, _) in keys.items()}
+
+
+def _entries(doc: list, name: str, keys: dict) -> list[dict]:
+    out = []
+    for i, entry in enumerate(doc):
+        out.append(_section(entry, f"{name}[{i}]", keys))
+        selectors.check(out[-1]["selector"], f"{name}[{i}]")
+    return out
+
+
+def _parse_bcs(doc) -> BoundaryConditions:
+    doc = _section(doc, "boundary_conditions", _BCS)
+    dirichlet = [Dirichlet(d["selector"], tuple(d["axes"]),
+                           tuple(float(v) for v in d["value"]))
+                 for d in _entries(doc["dirichlet"], "dirichlet", _DIRICHLET)]
+    neumann = [Neumann(nm["selector"], tuple(float(v) for v in nm["force"]))
+               for nm in _entries(doc["neumann"], "neumann", _NEUMANN)]
+    gravity = doc["gravity"]
     if gravity is not None:
         gravity = tuple(float(v) for v in gravity)
-        _require(len(gravity) == 3, "gravity must have 3 entries")
     return BoundaryConditions(dirichlet, neumann, gravity)
 
 
@@ -92,18 +154,14 @@ def _parse_mesh(doc, base_dir: Path) -> dict:
     _require(has_path != has_fixture,
              "mesh needs exactly one of 'path' or 'fixture'")
     if has_path:
-        allowed = {"path", "format"}
-        _require(set(doc) <= allowed,
-                 f"unknown mesh keys: {sorted(set(doc) - allowed)}")
+        _section(doc, "mesh", _MESH_FILE)
         p = (base_dir / doc["path"]).resolve()
         _require(p.exists(), f"mesh file does not exist: {p}")
     else:
         _require(doc["fixture"] in _FIXTURES,
                  f"unknown fixture {doc['fixture']!r}; "
                  f"choose from {_FIXTURES}")
-        allowed = {"fixture", "jitter", "n", "divisions", "size", "origin"}
-        _require(set(doc) <= allowed,
-                 f"unknown mesh keys: {sorted(set(doc) - allowed)}")
+        _section(doc, "mesh", _MESH_FIXTURE)
     return dict(doc)
 
 
@@ -116,21 +174,14 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> PipelineConfig:
     _require("material" in doc, "config needs a 'material' section")
 
     mesh_source = _parse_mesh(doc["mesh"], base_dir)
-    m = doc["material"]
-    material = Material(
-        young_modulus=float(m["young_modulus"]),
-        poisson_ratio=float(m["poisson_ratio"]),
-        density=float(m.get("density", 0.0)),
-        yield_strength=float(m.get("yield_strength", 1.0)),
-    )
+    m = _section(doc["material"], "material", _MATERIAL)
+    missing = [k for k, v in m.items() if v is None]
+    _require(not missing, f"material needs {missing}")
+    material = Material(**{k: float(v) for k, v in m.items()})
     bcs = _parse_bcs(doc.get("boundary_conditions", {}))
 
-    ff_doc = doc.get("frame_fit", {})
-    defaults = FrameFitConfig()
-    known = set(vars(defaults))
-    _require(set(ff_doc) <= known,
-             f"unknown frame_fit keys: {sorted(set(ff_doc) - known)}")
-    frame_fit = FrameFitConfig(**{**vars(defaults), **ff_doc})
+    frame_fit = FrameFitConfig(**_section(doc.get("frame_fit", {}),
+                                          "frame_fit", _FRAME_FIT))
     _require(frame_fit.outer_iterations >= 1,
              "frame_fit.outer_iterations must be >= 1")
     _require(frame_fit.alpha0_factor > 0,
@@ -138,54 +189,29 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> PipelineConfig:
     _require(0.0 < frame_fit.alpha_decay < 1.0,
              "frame_fit.alpha_decay must lie in (0, 1)")
 
-    beta = float(doc.get("beta", 1.0))
-    _require(beta > 0, "beta must be positive")
-    rho = float(doc.get("rho", 4.0))
-    _require(rho > 0, "rho must be positive")
-    epsilon = float(doc.get("epsilon", 1e-7))
+    beta = float(_check(doc.get("beta", 1.0), "beta", _POSITIVE))
+    rho = float(_check(doc.get("rho", 4.0), "rho", _POSITIVE))
+    epsilon = float(_check(doc.get("epsilon", 1e-7), "epsilon", _NUMBER))
     _require(0.0 < epsilon <= 1e-3, "epsilon must lie in (0, 1e-3]")
 
-    s_doc = doc.get("simplify", {})
-    s_known = {"length_threshold", "length_factor", "remove_interior_hits",
-               "preserve_features"}
-    _require(set(s_doc) <= s_known,
-             f"unknown simplify keys: {sorted(set(s_doc) - s_known)}")
-    thr = s_doc.get("length_threshold")
-    simplify = SimplifyParams(
-        length_threshold=None if thr is None else float(thr),
-        length_factor=float(s_doc.get("length_factor", 0.05)),
-        remove_interior_hits=bool(s_doc.get("remove_interior_hits", True)),
-        preserve_features=bool(s_doc.get("preserve_features", True)),
-    )
-    _require(simplify.length_factor >= 0,
-             "simplify.length_factor must be >= 0")
-    if simplify.length_threshold is not None:
-        _require(simplify.length_threshold >= 0,
-                 "simplify.length_threshold must be >= 0")
+    s = _section(doc.get("simplify", {}), "simplify", _SIMPLIFY)
+    thr = s["length_threshold"]
+    simplify = SimplifyParams(None if thr is None else float(thr),
+                              float(s["length_factor"]),
+                              s["remove_interior_hits"],
+                              s["preserve_features"])
 
     radius_policy = doc.get("radius_policy", 0.02)
     if isinstance(radius_policy, dict):
-        for k, v in radius_policy.items():
-            _require(float(v) > 0, f"radius_policy[{k!r}] must be positive")
-        radius_policy = {k: float(v) for k, v in radius_policy.items()}
+        radius_policy = {k: float(_check(v, f"radius_policy[{k!r}]",
+                                         _POSITIVE))
+                         for k, v in radius_policy.items()}
     else:
-        radius_policy = float(radius_policy)
-        _require(radius_policy > 0, "radius_policy must be positive")
+        radius_policy = float(_check(radius_policy, "radius_policy",
+                                     _POSITIVE))
 
-    g_doc = doc.get("geometry", {})
-    _require(set(g_doc) <= {"sides"},
-             f"unknown geometry keys: {sorted(set(g_doc) - {'sides'})}")
-    sides = int(g_doc.get("sides", 8))
-    _require(sides >= 3, "geometry.sides must be at least 3")
-
-    f_doc = doc.get("features", {})
-    _require(set(f_doc) <= {"enabled", "cos_threshold"},
-             "unknown features keys: "
-             f"{sorted(set(f_doc) - {'enabled', 'cos_threshold'})}")
-    features_enabled = bool(f_doc.get("enabled", False))
-    feature_cos = float(f_doc.get("cos_threshold", 0.9))
-    _require(-1.0 <= feature_cos <= 1.0,
-             "features.cos_threshold must lie in [-1, 1]")
+    sides = _section(doc.get("geometry", {}), "geometry", _GEOMETRY)["sides"]
+    features = _section(doc.get("features", {}), "features", _FEATURES)
 
     return PipelineConfig(
         mesh_source=mesh_source,
@@ -198,9 +224,9 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> PipelineConfig:
         simplify=simplify,
         radius_policy=radius_policy,
         sides=sides,
-        features_enabled=features_enabled,
-        feature_cos_threshold=feature_cos,
-        out_dir=str(doc.get("out_dir", "out")),
+        features_enabled=features["enabled"],
+        feature_cos_threshold=float(features["cos_threshold"]),
+        out_dir=_check(doc.get("out_dir", "out"), "out_dir", _STRING),
         base_dir=base_dir,
     )
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .mesh import TetMesh, pieces
+from .mesh import TetMesh, pieces, unique_edges
 from .param import Parametrization
 
 # Absolute parameter-space tolerance for integer tests and interval shrinking.
@@ -305,18 +305,6 @@ def check_perturbed(params: np.ndarray):
 # ---------------------------------------------------------------------------
 # 2D extraction engine
 
-_SIDES = ((0, 1), (1, 2), (2, 0))
-
-
-def _unique_edges(faces: np.ndarray):
-    """Sorted unique edges, their face counts, and the edge of each face
-    side (0, 1), (1, 2), (2, 0)."""
-    e = np.concatenate([faces[:, list(s)] for s in _SIDES])
-    e = np.sort(e, axis=1)
-    uniq, inverse, counts = np.unique(e, axis=0, return_inverse=True,
-                                      return_counts=True)
-    return uniq, counts, inverse.reshape(3, len(faces)).T
-
 
 class _Complex2D:
     """Node occurrences and links of a triangle complex's integer isocurves.
@@ -328,7 +316,7 @@ class _Complex2D:
     def __init__(self, vertices, faces, params, columns, tag):
         self.vertices, self.faces, self.params = vertices, faces, params
         self.columns = list(columns)
-        self.edges, self.edge_faces, self.face_edges = _unique_edges(faces)
+        self.edges, self.edge_faces, self.face_edges = unique_edges(faces)
         self.occ = ([], [], [], [])            # keys, positions, params, ranks
         self.links, self.families = [], []
         self.count = 0

@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 from . import selectors
 from .errors import ConfigError, NumericalError
-from .mesh import TetMesh, pieces, shape_gradients
+from .mesh import TetMesh, assemble, pieces, shape_gradients
 
 # Field-wide |eigenvalue| target range of the SPD stress surrogate.
 SPD_RANGE = (1.0, 30.0)
@@ -107,16 +107,11 @@ def assemble_stiffness(mesh: TetMesh, material: Material) -> sp.csr_matrix:
     ke = np.einsum("t,tki,kl,tlj->tij", mesh.volumes, B, C, B, optimize=True)
 
     dof = (3 * mesh.tets[:, :, None] + np.arange(3)).reshape(m, 12)
-    rows = np.repeat(dof, 12, axis=1).ravel()
-    cols = np.tile(dof, (1, 12)).ravel()
-    n3 = 3 * mesh.num_vertices
-    K = sp.csr_matrix((ke.ravel(), (rows, cols)), shape=(n3, n3))
-    K.sum_duplicates()
-    return ((K + K.T) * 0.5).tocsr()
+    return assemble(ke, dof, 3 * mesh.num_vertices)
 
 
 def assemble_loads(mesh: TetMesh, material: Material, bcs: BoundaryConditions) -> np.ndarray:
-    f = np.zeros(3 * mesh.num_vertices)
+    f = np.zeros((mesh.num_vertices, 3))
     for nm in bcs.neumann:
         faces = selectors.select_faces(mesh.vertices,
                                        mesh.boundary.triangles, nm.selector)
@@ -133,14 +128,12 @@ def assemble_loads(mesh: TetMesh, material: Material, bcs: BoundaryConditions) -
         F = np.asarray(nm.force, dtype=float)
         # Force split over faces by area, then a third to each face vertex.
         per_face = areas[:, None] / total * F            # (k, 3)
-        for c in range(3):
-            np.add.at(f, 3 * tri.ravel() + c, np.repeat(per_face[:, c] / 3.0, 3))
+        np.add.at(f, tri.ravel(), np.repeat(per_face / 3.0, 3, axis=0))
     if bcs.gravity is not None:
         gvec = np.asarray(bcs.gravity, dtype=float)
         per_tet = material.density * mesh.volumes[:, None] * gvec   # (m, 3)
-        for c in range(3):
-            np.add.at(f, 3 * mesh.tets.ravel() + c, np.repeat(per_tet[:, c] / 4.0, 4))
-    return f
+        np.add.at(f, mesh.tets.ravel(), np.repeat(per_tet / 4.0, 4, axis=0))
+    return f.ravel()
 
 
 def prescribed_dofs(mesh: TetMesh, bcs: BoundaryConditions) -> tuple[np.ndarray, np.ndarray]:
@@ -183,12 +176,7 @@ def solve_static(mesh: TetMesh, material: Material, bcs: BoundaryConditions,
     f = assemble_loads(mesh, material, bcs)
     fixed, fixed_vals = prescribed_dofs(mesh, bcs)
 
-    n3 = 3 * mesh.num_vertices
-    free = np.setdiff1d(np.arange(n3), fixed, assume_unique=False)
-    u = np.zeros(n3)
-    u[fixed] = fixed_vals
-
-    held = np.isin(np.arange(n3), fixed).reshape(-1, 3)
+    held = np.isin(np.arange(3 * mesh.num_vertices), fixed).reshape(-1, 3)
     pairs = mesh.tets[:, [[0, 1], [1, 2], [2, 3]]]
     loose, modes = free_rigid_motions(mesh.vertices, pairs, held)
     if len(loose):
@@ -196,15 +184,7 @@ def solve_static(mesh: TetMesh, material: Material, bcs: BoundaryConditions,
             "singular stiffness system; unconstrained rigid modes: "
             f"{', '.join(modes)} ({len(loose)} vertices)"
         )
-    Kff = K[free][:, free].tocsc()
-    rhs = f[free] - K[free][:, fixed] @ fixed_vals
-    uf = solve_reduced(Kff, rhs)
-    if uf is None:
-        raise NumericalError(
-            "stiffness system singular to working precision: sparse LU "
-            "failed or its backward error is above 1e-8"
-        )
-    u[free] = uf
+    u = solve_supported(K, f, fixed, fixed_vals, "stiffness")
     u = u.reshape(-1, 3)
     return (u, K, f) if return_system else u
 
@@ -245,10 +225,25 @@ def free_rigid_motions(positions: np.ndarray, pairs: np.ndarray,
     return np.nonzero(~held[label])[0], [_RIGID_NAMES[m] for m in sorted(free)]
 
 
-def solve_reduced(A, b: np.ndarray) -> np.ndarray | None:
-    """Sparse LU solution x of the reduced system A x = b, or None when
-    SuperLU finds A singular, x is not finite, or the normwise backward
-    error |A x - b|_inf / (|A|_inf |x|_inf + |b|_inf) is above 1e-8.
+def solve_supported(K, f: np.ndarray, held: np.ndarray, values: np.ndarray,
+                    what: str) -> np.ndarray:
+    """Solution u of K u = f with the DOFs ``held`` (sorted ids) fixed at
+    ``values``: the free block is solved by ``solve_reduced``, which names
+    the system ``what`` if it fails."""
+    u = np.zeros(len(f))
+    u[held] = values
+    free = np.setdiff1d(np.arange(len(f)), held)
+    Kf = K[free]
+    rhs = f[free] - Kf[:, held] @ values
+    u[free] = solve_reduced(Kf[:, free].tocsc(), rhs, what)
+    return u
+
+
+def solve_reduced(A, b: np.ndarray, what: str) -> np.ndarray:
+    """Sparse LU solution x of the reduced system A x = b. Raises
+    NumericalError naming the system ``what`` when SuperLU finds A singular,
+    x is not finite, or the normwise backward error
+    |A x - b|_inf / (|A|_inf |x|_inf + |b|_inf) is above 1e-8.
 
     LU with partial pivoting keeps that error small even on a numerically
     singular A, so this accepts a solve but does not detect a mechanism:
@@ -260,14 +255,16 @@ def solve_reduced(A, b: np.ndarray) -> np.ndarray | None:
         try:
             x = spla.spsolve(A, b)
         except (spla.MatrixRankWarning, RuntimeError):
-            return None
-    if not np.isfinite(x).all():
-        return None
-    resid = np.abs(A @ x - b).max(initial=0.0)
-    scale = spla.norm(A, np.inf) * np.abs(x).max(initial=0.0)
-    if resid > 1e-8 * (scale + np.abs(b).max(initial=0.0)):
-        return None
-    return x
+            x = None
+    if x is not None and np.isfinite(x).all():
+        resid = np.abs(A @ x - b).max(initial=0.0)
+        scale = spla.norm(A, np.inf) * np.abs(x).max(initial=0.0)
+        if resid <= 1e-8 * (scale + np.abs(b).max(initial=0.0)):
+            return x
+    raise NumericalError(
+        f"{what} system singular to working precision: sparse LU failed or "
+        "its backward error is above 1e-8"
+    )
 
 
 # ---------------------------------------------------------------------------

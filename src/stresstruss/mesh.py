@@ -69,6 +69,8 @@ class TetMesh:
         self.tets = np.ascontiguousarray(self.tets, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise MeshError("vertices must be an (n, 3) array")
+        if not np.isfinite(self.vertices).all():
+            raise MeshError("non-finite vertex coordinate")
         if self.tets.ndim != 2 or self.tets.shape[1] != 4:
             raise MeshError("tets must be an (m, 4) array")
         if self.tets.min(initial=0) < 0 or self.tets.max(initial=-1) >= len(self.vertices):
@@ -121,27 +123,17 @@ class TetMesh:
 
         normals = _triangle_normals(self.vertices, tris)
 
-        # Boundary edges: each must have exactly two incident boundary faces.
-        ne = len(tris)
-        e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-        e = np.sort(e, axis=1)
-        e_face = np.tile(np.arange(ne), 3)
-        uniq, inv, ecounts = np.unique(e, axis=0, return_inverse=True, return_counts=True)
-        if ne and not (ecounts == 2).all():
+        # Boundary edges: each must have exactly two incident boundary faces,
+        # listed in side-major encounter order.
+        uniq, ecounts, face_edges = unique_edges(tris)
+        if len(tris) and not (ecounts == 2).all():
             raise MeshError("boundary is not a closed 2-complex")
-        # Each unique edge gets its two incident faces, in encounter order.
-        edge_faces = np.full((len(uniq), 2), -1, dtype=np.int64)
-        order2 = np.argsort(inv, kind="stable")
-        edge_faces[:, 0] = e_face[order2[0::2]]
-        edge_faces[:, 1] = e_face[order2[1::2]]
+        edge_faces = (np.argsort(face_edges.T.ravel(), kind="stable")
+                      % len(tris)).reshape(-1, 2)
         # Dihedral angle between the two incident face normals.
-        if len(uniq):
-            n0 = normals[edge_faces[:, 0]]
-            n1 = normals[edge_faces[:, 1]]
-            cosang = np.clip(np.einsum("ij,ij->i", n0, n1), -1.0, 1.0)
-            dihedral = np.arccos(cosang)
-        else:
-            dihedral = np.zeros(0)
+        n0 = normals[edge_faces[:, 0]]
+        n1 = normals[edge_faces[:, 1]]
+        dihedral = np.arccos(np.clip(np.einsum("ij,ij->i", n0, n1), -1.0, 1.0))
         return SurfaceMesh(
             triangles=tris,
             face_tet=tri_tet,
@@ -192,15 +184,23 @@ def load_tet_mesh(path: str | Path, fmt: str | None = None) -> TetMesh:
             fmt = "tetgen_pair"
         else:
             raise MeshError(f"cannot infer mesh format from {path.name!r}")
-    if fmt == "medit_mesh":
-        verts, tets = _read_medit(path)
-    elif fmt == "tetgen_pair":
-        verts, tets = _read_tetgen(path)
-    else:
+    readers = {"medit_mesh": _read_medit, "tetgen_pair": _read_tetgen}
+    if fmt not in readers:
         raise MeshError(f"unknown mesh format {fmt!r}")
+    try:
+        verts, tets = readers[fmt](path)
+    except MeshError:
+        raise
+    except (ValueError, IndexError, OverflowError) as exc:
+        raise MeshError(f"{path.name}: malformed {fmt} file: {exc}") from exc
     if len(tets) == 0:
         raise MeshError(f"{path.name}: no tetrahedra")
     return TetMesh(verts, tets)
+
+
+# MEDIT sections: tokens per entry; surface triangles and edges are
+# recomputed from the tets, so only their counts are read.
+_MEDIT_WIDTHS = {"vertices": 4, "tetrahedra": 5, "triangles": 4, "edges": 3}
 
 
 def _read_medit(path: Path):
@@ -209,35 +209,26 @@ def _read_medit(path: Path):
         line = line.split("#", 1)[0].strip()
         if line:
             tokens.extend(line.split())
-    verts, tets = None, None
+    sections = {}
     i = 0
-    n = len(tokens)
-    while i < n:
+    while i < len(tokens) and tokens[i].lower() != "end":
         tok = tokens[i].lower()
-        if tok == "vertices":
-            cnt = int(tokens[i + 1])
-            i += 2
-            data = np.array(tokens[i:i + 4 * cnt], dtype=np.float64).reshape(cnt, 4)
-            verts = data[:, :3]
-            i += 4 * cnt
-        elif tok == "tetrahedra":
-            cnt = int(tokens[i + 1])
-            i += 2
-            data = np.array(tokens[i:i + 5 * cnt], dtype=np.int64).reshape(cnt, 5)
-            tets = data[:, :4] - 1    # MEDIT is 1-based
-            i += 5 * cnt
-        elif tok == "triangles":
-            cnt = int(tokens[i + 1])
-            i += 2 + 4 * cnt          # surface triangles are recomputed, skip
-        elif tok == "edges":
-            cnt = int(tokens[i + 1])
-            i += 2 + 3 * cnt
-        elif tok == "end":
-            break
-        else:
+        if tok not in _MEDIT_WIDTHS:
             i += 1
-    if verts is None or tets is None:
+            continue
+        cnt, width = int(tokens[i + 1]), _MEDIT_WIDTHS[tok]
+        body = tokens[i + 2:i + 2 + width * cnt]
+        if len(body) != width * cnt:
+            raise MeshError(f"{path.name}: {tokens[i]} section does not hold "
+                            f"{cnt} entries")
+        sections[tok] = body, cnt
+        i += 2 + width * cnt
+    if "vertices" not in sections or "tetrahedra" not in sections:
         raise MeshError(f"{path.name}: missing Vertices or Tetrahedra section")
+    body, cnt = sections["vertices"]
+    verts = np.array(body, dtype=np.float64).reshape(cnt, 4)[:, :3]
+    body, cnt = sections["tetrahedra"]
+    tets = np.array(body, dtype=np.int64).reshape(cnt, 5)[:, :4] - 1  # from 1
     return verts, tets
 
 
@@ -304,19 +295,25 @@ def build_operators(mesh: TetMesh) -> DiscreteOperators:
     m, n = mesh.num_tets, mesh.num_vertices
     rows = np.repeat(np.arange(m), 4)
     cols = mesh.tets.ravel()
-    ops = []
-    for axis in range(3):
-        G = sp.csr_matrix((grads[:, :, axis].ravel(), (rows, cols)), shape=(m, n))
-        ops.append(G)
+    Gx, Gy, Gz = (sp.csr_matrix((grads[:, :, axis].ravel(), (rows, cols)),
+                                shape=(m, n)) for axis in range(3))
 
     # Stiffness assembly: per-tet 4x4 block vol * g g^T.
     local = np.einsum("t,tia,tja->tij", mesh.volumes, grads, grads)   # (m, 4, 4)
-    li = np.repeat(mesh.tets, 4, axis=1).ravel()
-    lj = np.tile(mesh.tets, (1, 4)).ravel()
-    L = sp.csr_matrix((local.ravel(), (li, lj)), shape=(n, n))
-    L.sum_duplicates()
-    L = ((L + L.T) * 0.5).tocsr()     # exact symmetry (x+y == y+x bitwise)
-    return DiscreteOperators(Gx=ops[0], Gy=ops[1], Gz=ops[2], L=L)
+    L = assemble(local, mesh.tets, n)
+    return DiscreteOperators(Gx=Gx, Gy=Gy, Gz=Gz, L=L)
+
+
+def assemble(blocks: np.ndarray, dofs: np.ndarray, size: int) -> sp.csr_matrix:
+    """The size x size CSR matrix of element blocks (E, k, k) placed at
+    their DOFs (E, k): duplicates summed, then made exactly symmetric
+    ((A + A^T) / 2, as x + y == y + x bitwise)."""
+    k = dofs.shape[1]
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, (1, k)).ravel()
+    A = sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(size, size))
+    A.sum_duplicates()
+    return ((A + A.T) * 0.5).tocsr()
 
 
 def shape_gradients(mesh: TetMesh) -> np.ndarray:
@@ -351,6 +348,16 @@ def feature_edges(surface: SurfaceMesh, cos_threshold: float = 0.9) -> np.ndarra
     n1 = surface.face_normals[surface.edge_faces[:, 1]]
     dots = np.einsum("ij,ij->i", n0, n1)
     return surface.edges[dots < cos_threshold]
+
+
+def unique_edges(faces: np.ndarray):
+    """Sorted unique edges of a triangle set, their face counts, and the
+    edge of each face side (0, 1), (1, 2), (2, 0), shape (nf, 3)."""
+    e = np.sort(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
+                                faces[:, [2, 0]]]), axis=1)
+    uniq, inverse, counts = np.unique(e, axis=0, return_inverse=True,
+                                      return_counts=True)
+    return uniq, counts, inverse.reshape(3, len(faces)).T
 
 
 def pieces(num_nodes: int, pairs: np.ndarray) -> tuple[int, np.ndarray]:

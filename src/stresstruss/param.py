@@ -110,12 +110,7 @@ def solve_parametrization(
     KKT = sp.bmat([[H, C.T], [C, None]], format="csc")
     full_rhs = np.concatenate([rhs, np.zeros(3)])
 
-    sol = solve_reduced(KKT, full_rhs)
-    if sol is None:
-        raise NumericalError(
-            "parametrization system singular to working precision: sparse "
-            "LU failed or its backward error is above 1e-8"
-        )
+    sol = solve_reduced(KKT, full_rhs, "parametrization")
     phi = sol[:3 * n].reshape(3, n).T.copy()
     return Parametrization(phi=phi, beta=float(beta))
 

@@ -8,26 +8,24 @@ once.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 
 import numpy as np
 
 from .errors import ConfigError
 
 
-def _is_number(x) -> bool:
+def is_number(x) -> bool:
+    """A finite real number that is not a bool (a huge int is not finite)."""
     return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and math.isfinite(x))
+            and abs(x) <= sys.float_info.max)
 
 
-def _is_point(v) -> bool:
+def is_point(v) -> bool:
+    """A list or tuple of 3 finite numbers."""
     return (isinstance(v, (list, tuple)) and len(v) == 3
-            and all(map(_is_number, v)))
-
-
-def _is_radius(v) -> bool:
-    return _is_number(v) and v >= 0
+            and all(map(is_number, v)))
 
 
 def _is_index_list(v) -> bool:
@@ -36,12 +34,13 @@ def _is_index_list(v) -> bool:
         for i in v)
 
 
-_POINT = (_is_point, "3 finite numbers")
+POINT = (is_point, "3 finite numbers")
+NON_NEGATIVE = (lambda v: is_number(v) and v >= 0, "a finite number >= 0")
 # Each type's keys, with a test of a valid value and what the test asks.
 KEYS = {
-    "box": {"min": _POINT, "max": _POINT},
-    "sphere": {"center": _POINT,
-               "radius": (_is_radius, "a finite number >= 0")},
+    "box": {"min": POINT, "max": POINT},
+    "sphere": {"center": POINT,
+               "radius": NON_NEGATIVE},
     "indices": {"values": (_is_index_list, "a flat list of integers")},
 }
 

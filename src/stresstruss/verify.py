@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import selectors
 from .errors import ConfigError, NumericalError
 from .extract import TrussGraph, row_norms
 from .fem import (BoundaryConditions, Material, free_rigid_motions,
-                  solve_reduced)
+                  solve_supported)
+from .mesh import assemble
 from .postprocess import perp_basis, resolve_radii
 
 
@@ -77,9 +77,7 @@ def build_truss_model(graph: TrussGraph, material: Material, radius_policy,
             )
         nodes = _nodes_or_nearest(graph.positions, d.selector)
         axes = np.asarray(d.axes, dtype=bool)
-        for c in range(3):
-            if axes[c]:
-                fixed[nodes, c] = True
+        fixed[np.ix_(nodes, axes)] = True
         if axes.all():
             fixed[nodes, 3:] = True
     for nm in bcs.neumann:
@@ -152,13 +150,7 @@ def _assemble(model: TrussModel, lam, k_loc):
     k_glob = 0.5 * (k_glob + k_glob.transpose(0, 2, 1))
     dofs = (6 * model.graph.elements[:, :, None]
             + np.arange(6)).reshape(-1, 12)
-    # Triplets element by element, column by column: the order tocsr sums
-    # duplicates in. k_glob is symmetric, so its rows are its columns.
-    rows = np.broadcast_to(dofs[:, None, :], (ne, 12, 12)).ravel()
-    cols = np.broadcast_to(dofs[:, :, None], (ne, 12, 12)).ravel()
-    vals = k_glob.ravel()
-    K = sp.coo_matrix((vals, (rows, cols)), shape=(6 * n, 6 * n)).tocsr()
-    return ((K + K.T) * 0.5).tocsr()
+    return assemble(k_glob, dofs, 6 * n)
 
 
 def frame_fem(model: TrussModel) -> FrameResult:
@@ -178,19 +170,8 @@ def frame_fem(model: TrussModel) -> FrameResult:
     k_loc = _element_stiffness(model, lengths)
     K = _assemble(model, lam, k_loc)
     f = model.loads.ravel()
-    fixed = model.fixed.ravel()
-    free = np.nonzero(~fixed)[0]
-    kff = K[free][:, free].tocsc()
-    ff = f[free]
-
-    sol = solve_reduced(kff, ff)
-    if sol is None:
-        raise NumericalError(
-            "frame stiffness singular to working precision: sparse LU "
-            "failed or its backward error is above 1e-8"
-        )
-    d = np.zeros(6 * n)
-    d[free] = sol
+    held = np.nonzero(model.fixed.ravel())[0]
+    d = solve_supported(K, f, held, np.zeros(len(held)), "frame stiffness")
 
     reactions = (K @ d - f).reshape(n, 6)
     ne = g.num_elements

@@ -116,6 +116,55 @@ def test_config_defaults():
     (lambda d: d.update(radius_policy=-0.1), "positive"),
     (lambda d: d["boundary_conditions"]["dirichlet"][0].update(
         selector={"type": "cone"}), "selector"),
+    # Malformed values name their key instead of escaping as a traceback.
+    pytest.param(lambda d: d["boundary_conditions"].update(dirichlet=[5]),
+                 r"^dirichlet\[0\] must be an object", id="dirichlet-entry"),
+    pytest.param(lambda d: d["material"].update(young_modulus="x"),
+                 "^material.young_modulus must be a finite number",
+                 id="young-modulus-string"),
+    pytest.param(lambda d: d["material"].pop("young_modulus"),
+                 r"^material needs \['young_modulus'\]",
+                 id="young-modulus-missing"),
+    pytest.param(lambda d: d.update(material=[1]),
+                 "^material must be an object", id="material-list"),
+    pytest.param(lambda d: d["boundary_conditions"]["dirichlet"][0].update(
+        axes=5), r"^dirichlet\[0\]\.axes must be 3 booleans", id="axes"),
+    pytest.param(lambda d: d["boundary_conditions"].update(gravity=5),
+                 "^boundary_conditions.gravity must be 3 finite numbers", id="gravity"),
+    pytest.param(lambda d: d["boundary_conditions"]["neumann"][0].update(
+        force="abc"), r"^neumann\[0\]\.force must be 3 finite numbers",
+        id="force"),
+    pytest.param(lambda d: d.update(boundary_conditions=[]),
+                 "^boundary_conditions must be an object", id="bcs-list"),
+    pytest.param(lambda d: d.update(rho="x"),
+                 "^rho must be a positive number", id="rho"),
+    pytest.param(lambda d: d.update(frame_fit={"outer_iterations": "3"}),
+                 "^frame_fit.outer_iterations must be an integer",
+                 id="outer-iterations-string"),
+    pytest.param(lambda d: d.update(frame_fit={"outer_iterations": 2.5}),
+                 "^frame_fit.outer_iterations must be an integer",
+                 id="outer-iterations-fraction"),
+    pytest.param(lambda d: d.update(frame_fit={"gtol": "a"}),
+                 "^frame_fit.gtol must be a finite number", id="gtol"),
+    pytest.param(lambda d: d.update(radius_policy="x"),
+                 "^radius_policy must be a positive number",
+                 id="radius-policy"),
+    pytest.param(lambda d: d.update(radius_policy={"default": "x"}),
+                 r"^radius_policy\['default'\] must be a positive number",
+                 id="radius-policy-entry"),
+    pytest.param(lambda d: d["mesh"].update(divisions="a"),
+                 "^mesh.divisions must be 3 integers >= 1", id="divisions"),
+    pytest.param(lambda d: d["mesh"].update(jitter="a"),
+                 "^mesh.jitter must be a finite number", id="jitter"),
+    pytest.param(lambda d: d.update(simplify={"remove_interior_hits": "no"}),
+                 "^simplify.remove_interior_hits must be true or false",
+                 id="remove-interior-hits"),
+    pytest.param(lambda d: d.update(geometry={"sides": 3.7}),
+                 "^geometry.sides must be an integer >= 3",
+                 id="sides-fraction"),
+    pytest.param(lambda d: d.update(features={"cos_threshold": -1.0}),
+                 r"^features.cos_threshold must be a number in \(-1, 1\]",
+                 id="cos-threshold"),
 ])
 def test_config_validation_errors(mutate, match):
     doc = json.loads(json.dumps(SMALL_BAR_DOC))
@@ -528,10 +577,15 @@ def test_cli_pipeline_and_determinism(tmp_path):
     r2 = _run_cli("--config", str(cfg_path), "--out", str(tmp_path / "b"),
                   "--log-level", "warning")
     assert r2.returncode == 0, r2.stderr
-    for name in ("graph.json", "graph_simplified.json", "manifest.json"):
+    # Every file of both runs: fields, logs, graphs, geometry, report and
+    # manifest.
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert {"fea.field", "verify.log", "truss.ply", "report.txt",
+            "manifest.json"} <= set(names)
+    for name in names:
         assert ((tmp_path / "a" / name).read_bytes()
-                == (tmp_path / "b" / name).read_bytes())
-    assert (tmp_path / "a" / "report.txt").exists()
+                == (tmp_path / "b" / name).read_bytes()), name
 
 
 def test_cli_exit_codes(tmp_path):

@@ -26,7 +26,6 @@ from stresstruss.extract import (
     _canonical_order,
     _coincidence_merge,
     _merge_candidates,
-    _unique_edges,
     _upgrade_grid_tags,
     check_perturbed,
     empty_graph,
@@ -37,7 +36,7 @@ from stresstruss.extract import (
     perturb_parametrization,
 )
 from stresstruss.fixtures import unit_cube_mesh
-from stresstruss.mesh import TetMesh, feature_edges
+from stresstruss.mesh import TetMesh, feature_edges, unique_edges
 from stresstruss.param import Parametrization
 
 INTERIOR_FAMILIES = ("iso1", "iso2", "iso3")
@@ -844,7 +843,7 @@ def oracle_extract_2d(vertices: np.ndarray, faces: np.ndarray, params: np.ndarra
     check_perturbed(params[:, [ci, cj]])
 
     builder = _OracleBuilder(params.shape[1])
-    edges, counts, _ = _unique_edges(faces)
+    edges, counts, _ = unique_edges(faces)
     edge_points: dict = {}
     _oracle_edge_crossings_2d(builder, vertices, params, edges, (ci, cj), "edge_hit",
                        edge_points)
@@ -996,7 +995,7 @@ def oracle_extract_boundary(mesh: TetMesh, p: Parametrization,
     verts = mesh.vertices
 
     builder = _OracleBuilder(3)
-    edges, counts, _ = _unique_edges(faces)
+    edges, counts, _ = unique_edges(faces)
     if len(edges) and counts.max(initial=0) > 2:
         raise NumericalError("boundary complex is not manifold")
     edge_points: dict = {}

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from stresstruss.errors import ConfigError, NumericalError
+from stresstruss.extract import TrussGraph
 from stresstruss.fem import (
     BoundaryConditions,
     Dirichlet,
@@ -13,10 +15,13 @@ from stresstruss.fem import (
     cauchy_stress,
     prescribed_dofs,
     solve_static,
+    solve_supported,
     stress_spd,
 )
 from stresstruss.fixtures import bar_mesh, box_mesh, unit_cube_mesh
+from stresstruss.param import solve_parametrization
 from stresstruss.selectors import select, select_faces
+from stresstruss.verify import build_truss_model, frame_fem
 
 MAT = Material(young_modulus=2.3e9, poisson_ratio=0.35, density=1040.0,
                yield_strength=48e6)
@@ -198,6 +203,54 @@ def test_singular_oblique_rotation_detected():
     )
     with pytest.raises(NumericalError, match="singular stiffness system"):
         solve_static(mesh, MAT, bcs)
+
+
+def test_solve_supported_honours_prescribed_values():
+    # A chain of unit springs pulled apart by its held end DOFs: the free
+    # DOFs interpolate the prescribed values linearly.
+    n = 9
+    K = sp.diags([-np.ones(n - 1), np.r_[1.0, 2.0 * np.ones(n - 2), 1.0],
+                  -np.ones(n - 1)], [-1, 0, 1], format="csr")
+    held = np.array([0, n - 1])
+    u = solve_supported(K, np.zeros(n), held, np.array([0.25, 2.25]),
+                        "spring")
+    np.testing.assert_allclose(u, np.linspace(0.25, 2.25, n), atol=1e-14)
+    assert u[0] == 0.25 and u[-1] == 2.25
+
+
+def _nan_load(mesh):
+    bcs = patch_test_bcs(mesh, 1.0, 1.0)
+    bcs.neumann = [Neumann({"type": "box", "min": [1 - 1e-9, -1, -1],
+                            "max": [2, 2, 2]}, force=(np.nan, 0.0, 0.0))]
+    return solve_static(mesh, MAT, bcs)
+
+
+def _nan_frame(mesh):
+    frames = np.tile(np.eye(3), (mesh.num_tets, 1, 1))
+    frames[0, 0, 0] = np.nan
+    return solve_parametrization(mesh, frames)
+
+
+def _nan_truss_load(mesh):
+    g = TrussGraph(positions=np.array([[0.0, 0, 0], [1.0, 0, 0]]),
+                   params=np.zeros((2, 3)), tags=["interior_grid"] * 2,
+                   elements=np.array([[0, 1]]), families=["iso1"])
+    bcs = BoundaryConditions(
+        dirichlet=[Dirichlet({"type": "indices", "values": [0]})],
+        neumann=[Neumann({"type": "indices", "values": [1]},
+                         force=(0.0, np.nan, 0.0))])
+    return frame_fem(build_truss_model(g, MAT, 0.01, bcs))
+
+
+@pytest.mark.parametrize("solve, system", [
+    (_nan_load, "stiffness"),
+    (_nan_frame, "parametrization"),
+    (_nan_truss_load, "frame stiffness"),
+], ids=["fea", "param", "verify"])
+def test_solve_failure_names_its_system(solve, system):
+    with pytest.raises(NumericalError,
+                       match=f"^{system} system singular to working precision"):
+        solve(unit_cube_mesh(1))
 
 
 def test_empty_selector_rejected():

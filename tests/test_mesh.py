@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stresstruss.errors import MeshError
 from stresstruss.fixtures import bar_mesh, box_mesh, unit_cube_mesh
@@ -85,6 +87,49 @@ def test_tetgen_pair_both_bases(tmp_path):
         m2 = load_tet_mesh(tmp_path / "m.node")
         np.testing.assert_array_equal(m2.tets, m.tets)
         np.testing.assert_allclose(m2.vertices, m.vertices)
+
+
+_ONE_TET = ("MeshVersionFormatted 2\nDimension 3\n"
+            "Vertices\n4\n0 0 0 0\n1 0 0 0\n0 1 0 0\n0 0 1 0\n"
+            "Tetrahedra\n1\n1 2 3 4 0\nEnd\n")
+_NODE = "4 3 0 0\n0 0 0 0\n1 1 0 0\n2 0 1 0\n3 0 0 1\n"
+_ELE = "1 4 0\n0 0 1 2 3\n"
+
+
+@pytest.mark.parametrize("files, match", [
+    ({"m.mesh": _ONE_TET.replace("1 0 0 0", "nan 0 0 0")}, "non-finite"),
+    ({"m.mesh": _ONE_TET[:_ONE_TET.index("1 2 3 4")]},
+     "Tetrahedra section does not hold 1 entries"),
+    ({"m.mesh": _ONE_TET.replace("Vertices\n4", "Vertices\nfour")},
+     "malformed medit_mesh file"),
+    ({"m.node": "", "m.ele": _ELE}, "malformed tetgen_pair file"),
+    ({"m.node": _NODE.replace("1 1 0 0", "1 x 0 0"), "m.ele": _ELE},
+     "malformed tetgen_pair file"),
+], ids=["medit-nan", "medit-truncated", "medit-count", "tetgen-empty-node",
+        "tetgen-text-coordinate"])
+def test_corrupt_mesh_files_raise_mesh_error(tmp_path, files, match):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    with pytest.raises(MeshError, match=match):
+        load_tet_mesh(tmp_path / next(iter(files)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cut=st.floats(0.0, 1.0))
+def test_cut_medit_loads_or_raises_mesh_error(tmp_path, cut):
+    mesh = box_mesh((2, 1, 1))
+    path = tmp_path / "cut.mesh"
+    write_medit(path, mesh.vertices, mesh.tets)
+    text = path.read_text()
+    path.write_text(text[:round(cut * len(text))])
+    try:
+        loaded = load_tet_mesh(path)
+    except MeshError:
+        return
+    # A cut file that loads has kept every section whole.
+    assert np.array_equal(loaded.tets, mesh.tets)
+    assert np.array_equal(loaded.vertices, mesh.vertices)
 
 
 def test_inverted_tet_reoriented():

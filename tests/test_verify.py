@@ -3,14 +3,19 @@ oracles."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+from stresstruss import verify
 from stresstruss.errors import ConfigError, NumericalError
-from stresstruss.extract import TrussGraph
+from stresstruss.extract import (ExtractionWarning, TrussGraph, extract_3d,
+                                 extract_boundary, merge_graphs)
 from stresstruss.fem import BoundaryConditions, Dirichlet, Material, Neumann
+from stresstruss.postprocess import default_length_threshold, simplify
 from stresstruss.verify import (
     FrameResult,
     TrussModel,
@@ -541,3 +546,42 @@ def test_frame_fem_matches_per_element_oracle_bitwise(seed):
                   "axial_stress", "bending_stress"):
         assert _same_bits(getattr(got, field), getattr(want, field)), field
     assert np.abs(got.bending_stress).max() > 0.0
+
+
+def column_major_assemble(model, lam, k_loc):
+    """verify's former global assembly, kept as the oracle of
+    ``mesh.assemble``: COO triplets element by element, column by column,
+    summed by ``tocsr``."""
+    n, ne = model.graph.num_nodes, len(lam)
+    k_glob = lam.transpose(0, 2, 1)[:, None] @ k_loc.reshape(ne, 4, 3, 12)
+    k_glob = (k_glob.reshape(ne, 12, 4, 3) @ lam[:, None]).reshape(ne, 12, 12)
+    k_glob = 0.5 * (k_glob + k_glob.transpose(0, 2, 1))
+    dofs = (6 * model.graph.elements[:, :, None]
+            + np.arange(6)).reshape(-1, 12)
+    rows = np.broadcast_to(dofs[:, None, :], (ne, 12, 12)).ravel()
+    cols = np.broadcast_to(dofs[:, :, None], (ne, 12, 12)).ravel()
+    vals = k_glob.ravel()
+    K = sp.coo_matrix((vals, (rows, cols)), shape=(6 * n, 6 * n)).tocsr()
+    return ((K + K.T) * 0.5).tocsr()
+
+
+def test_assembly_matches_column_major_oracle_on_pipeline_graph(bar_field):
+    mesh, pert, features = bar_field
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtractionWarning)
+        g = merge_graphs([extract_3d(mesh, pert),
+                          extract_boundary(mesh, pert, features)])
+    g = simplify(g, default_length_threshold(g))
+    bcs = BoundaryConditions(
+        dirichlet=[Dirichlet(selector=_box([0.0, 0.025, 0.025], 0.03))],
+        neumann=[Neumann(selector=_box([0.2, 0.025, 0.025], 0.03),
+                         force=(0.0, -100.0, 0.0))],
+    )
+    model = build_truss_model(g, MAT, 0.003, bcs)
+    lengths, lam = verify._element_frames(model)
+    k_loc = verify._element_stiffness(model, lengths)
+    got = verify._assemble(model, lam, k_loc)
+    want = column_major_assemble(model, lam, k_loc)
+    assert g.num_elements > 1000
+    for part in ("indptr", "indices", "data"):
+        assert _same_bits(getattr(got, part), getattr(want, part)), part
