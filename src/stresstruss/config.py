@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from . import selectors
@@ -75,11 +75,16 @@ def _count(low: int):
             and v >= low, f"an integer >= {low}")
 
 
-_ANY = (lambda v: True, "")
+def _or_null(kind):
+    valid, what = kind
+    return (lambda v: v is None or valid(v), f"null or {what}")
+
+
 _STRING = (lambda v: isinstance(v, str), "a string")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
 _LIST = (lambda v: isinstance(v, list), "a list")
 _FLAG = (lambda v: isinstance(v, bool), "true or false")
-_FLAGS = (lambda v: isinstance(v, (list, tuple)) and len(v) == 3
+_FLAGS = (lambda v: isinstance(v, list) and len(v) == 3
           and all(isinstance(a, bool) for a in v), "3 booleans")
 _NUMBER = (selectors.is_number, "a finite number")
 _POSITIVE = (lambda v: selectors.is_number(v) and v > 0, "a positive number")
@@ -88,63 +93,67 @@ _COSINE = (lambda v: selectors.is_number(v) and -1.0 < v <= 1.0,
 _DIVISIONS = (lambda v: isinstance(v, list) and len(v) == 3
               and all(map(_count(1)[0], v)), "3 integers >= 1")
 
-# Each section's keys, with their defaults and kinds. The mesh section is
-# kept as written; pipeline.mesh_from_config applies its defaults.
-_MESH_FILE = {"path": (None, _STRING), "format": (None, _STRING)}
-_MESH_FIXTURE = {"fixture": (None, _ANY), "jitter": (None, _NUMBER),
-                 "n": (None, _count(1)), "divisions": (None, _DIVISIONS),
-                 "size": (None, selectors.POINT),
-                 "origin": (None, selectors.POINT)}
-_MATERIAL = {"young_modulus": (None, _NUMBER),
-             "poisson_ratio": (None, _NUMBER), "density": (0.0, _NUMBER),
-             "yield_strength": (1.0, _NUMBER)}
-_BCS = {"dirichlet": ([], _LIST), "neumann": ([], _LIST),
-        "gravity": (None, selectors.POINT)}
-_DIRICHLET = {"selector": (None, _ANY), "axes": ((True,) * 3, _FLAGS),
-              "value": ((0.0,) * 3, selectors.POINT)}
-_NEUMANN = {"selector": (None, _ANY), "force": ((0.0,) * 3, selectors.POINT)}
+# The kind of each key a section may hold. A key left out takes its
+# dataclass default; pipeline.mesh_from_config applies the mesh defaults.
+_MESH_FILE = {"path": _STRING, "format": _STRING}
+_MESH_FIXTURE = {"fixture": _STRING, "jitter": _NUMBER, "n": _count(1),
+                 "divisions": _DIVISIONS, "size": selectors.POINT,
+                 "origin": selectors.POINT}
+_MATERIAL = {f.name: _NUMBER for f in fields(Material)}
+_BCS = {"dirichlet": _LIST, "neumann": _LIST,
+        "gravity": _or_null(selectors.POINT)}
+_DIRICHLET = {"selector": _OBJECT, "axes": _FLAGS, "value": selectors.POINT}
+_NEUMANN = {"selector": _OBJECT, "force": selectors.POINT}
 # Frame-fit kinds follow the types of FrameFitConfig's defaults.
-_FRAME_FIT = {k: (v, _FLAG if isinstance(v, bool) else
-                  _count(0) if isinstance(v, int) else _NUMBER)
+_FRAME_FIT = {k: _FLAG if isinstance(v, bool) else
+              _count(0) if isinstance(v, int) else _NUMBER
               for k, v in vars(FrameFitConfig()).items()}
-_SIMPLIFY = {"length_threshold": (None, selectors.NON_NEGATIVE),
-             "length_factor": (0.05, selectors.NON_NEGATIVE),
-             "remove_interior_hits": (True, _FLAG),
-             "preserve_features": (True, _FLAG)}
-_GEOMETRY = {"sides": (8, _count(3))}
-_FEATURES = {"enabled": (False, _FLAG), "cos_threshold": (0.9, _COSINE)}
+_SIMPLIFY = {"length_threshold": _or_null(selectors.NON_NEGATIVE),
+             "length_factor": selectors.NON_NEGATIVE,
+             "remove_interior_hits": _FLAG, "preserve_features": _FLAG}
+_GEOMETRY = {"sides": _count(3)}
+_FEATURES = {"enabled": _FLAG, "cos_threshold": _COSINE}
+_SCALARS = {"beta": _POSITIVE, "rho": _POSITIVE, "epsilon": _NUMBER,
+            "out_dir": _STRING}
 
 
-def _section(doc, name: str, keys: dict) -> dict:
-    """Every key of ``keys`` with its value in ``doc``, an object of only
-    those keys, or its default. Values are kept as written."""
+def _section(doc, name: str, kinds: dict) -> dict:
+    """``doc``, an object of only keys of ``kinds`` whose values pass
+    their kinds."""
     _require(isinstance(doc, dict), f"{name} must be an object")
-    unknown = set(doc) - set(keys)
+    unknown = set(doc) - set(kinds)
     _require(not unknown, f"unknown {name} keys: {sorted(unknown)}")
     for key, value in doc.items():
-        _check(value, f"{name}.{key}", keys[key][1])
-    return {k: doc.get(k, default) for k, (default, _) in keys.items()}
+        _check(value, f"{name}.{key}", kinds[key])
+    return doc
 
 
-def _entries(doc: list, name: str, keys: dict) -> list[dict]:
+def _floats(doc: dict) -> dict:
+    """``doc`` with numbers as floats and lists as tuples, as the dataclasses
+    hold them (the hash tells 1 from 1.0); a selector stays as written."""
+    def num(v):
+        return float(v) if selectors.is_number(v) else v
+    return {k: v if k == "selector" else
+            tuple(map(num, v)) if isinstance(v, list) else num(v)
+            for k, v in doc.items()}
+
+
+def _entries(doc: list, name: str, kinds: dict) -> list[dict]:
     out = []
     for i, entry in enumerate(doc):
-        out.append(_section(entry, f"{name}[{i}]", keys))
-        selectors.check(out[-1]["selector"], f"{name}[{i}]")
+        out.append(_floats(_section(entry, f"{name}[{i}]", kinds)))
+        selectors.check(entry.get("selector"), f"{name}[{i}]")
     return out
 
 
 def _parse_bcs(doc) -> BoundaryConditions:
     doc = _section(doc, "boundary_conditions", _BCS)
-    dirichlet = [Dirichlet(d["selector"], tuple(d["axes"]),
-                           tuple(float(v) for v in d["value"]))
-                 for d in _entries(doc["dirichlet"], "dirichlet", _DIRICHLET)]
-    neumann = [Neumann(nm["selector"], tuple(float(v) for v in nm["force"]))
-               for nm in _entries(doc["neumann"], "neumann", _NEUMANN)]
-    gravity = doc["gravity"]
-    if gravity is not None:
-        gravity = tuple(float(v) for v in gravity)
-    return BoundaryConditions(dirichlet, neumann, gravity)
+    return BoundaryConditions(
+        [Dirichlet(**d) for d in _entries(doc.get("dirichlet", []),
+                                          "dirichlet", _DIRICHLET)],
+        [Neumann(**nm) for nm in _entries(doc.get("neumann", []),
+                                          "neumann", _NEUMANN)],
+        _floats(doc).get("gravity"))
 
 
 def _parse_mesh(doc, base_dir: Path) -> dict:
@@ -158,10 +167,10 @@ def _parse_mesh(doc, base_dir: Path) -> dict:
         p = (base_dir / doc["path"]).resolve()
         _require(p.exists(), f"mesh file does not exist: {p}")
     else:
+        _section(doc, "mesh", _MESH_FIXTURE)
         _require(doc["fixture"] in _FIXTURES,
                  f"unknown fixture {doc['fixture']!r}; "
                  f"choose from {_FIXTURES}")
-        _section(doc, "mesh", _MESH_FIXTURE)
     return dict(doc)
 
 
@@ -175,9 +184,10 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> PipelineConfig:
 
     mesh_source = _parse_mesh(doc["mesh"], base_dir)
     m = _section(doc["material"], "material", _MATERIAL)
-    missing = [k for k, v in m.items() if v is None]
+    missing = [f.name for f in fields(Material)
+               if f.default is MISSING and f.name not in m]
     _require(not missing, f"material needs {missing}")
-    material = Material(**{k: float(v) for k, v in m.items()})
+    material = Material(**_floats(m))
     bcs = _parse_bcs(doc.get("boundary_conditions", {}))
 
     frame_fit = FrameFitConfig(**_section(doc.get("frame_fit", {}),
@@ -189,46 +199,31 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> PipelineConfig:
     _require(0.0 < frame_fit.alpha_decay < 1.0,
              "frame_fit.alpha_decay must lie in (0, 1)")
 
-    beta = float(_check(doc.get("beta", 1.0), "beta", _POSITIVE))
-    rho = float(_check(doc.get("rho", 4.0), "rho", _POSITIVE))
-    epsilon = float(_check(doc.get("epsilon", 1e-7), "epsilon", _NUMBER))
-    _require(0.0 < epsilon <= 1e-3, "epsilon must lie in (0, 1e-3]")
+    simplify = SimplifyParams(**_floats(
+        _section(doc.get("simplify", {}), "simplify", _SIMPLIFY)))
 
-    s = _section(doc.get("simplify", {}), "simplify", _SIMPLIFY)
-    thr = s["length_threshold"]
-    simplify = SimplifyParams(None if thr is None else float(thr),
-                              float(s["length_factor"]),
-                              s["remove_interior_hits"],
-                              s["preserve_features"])
-
-    radius_policy = doc.get("radius_policy", 0.02)
+    # The top-level values a config holds, under PipelineConfig's names.
+    given = _floats({k: _check(doc[k], k, kind)
+                     for k, kind in _SCALARS.items() if k in doc})
+    radius_policy = doc.get("radius_policy")
     if isinstance(radius_policy, dict):
-        radius_policy = {k: float(_check(v, f"radius_policy[{k!r}]",
-                                         _POSITIVE))
-                         for k, v in radius_policy.items()}
-    else:
-        radius_policy = float(_check(radius_policy, "radius_policy",
-                                     _POSITIVE))
-
-    sides = _section(doc.get("geometry", {}), "geometry", _GEOMETRY)["sides"]
+        given["radius_policy"] = {
+            k: float(_check(v, f"radius_policy[{k!r}]", _POSITIVE))
+            for k, v in radius_policy.items()}
+    elif "radius_policy" in doc:
+        given["radius_policy"] = float(_check(radius_policy, "radius_policy",
+                                              _POSITIVE))
+    given.update(_section(doc.get("geometry", {}), "geometry", _GEOMETRY))
     features = _section(doc.get("features", {}), "features", _FEATURES)
+    names = {"enabled": "features_enabled",
+             "cos_threshold": "feature_cos_threshold"}
+    given.update(_floats({names[k]: v for k, v in features.items()}))
 
-    return PipelineConfig(
-        mesh_source=mesh_source,
-        material=material,
-        bcs=bcs,
-        frame_fit=frame_fit,
-        beta=beta,
-        rho=rho,
-        epsilon=epsilon,
-        simplify=simplify,
-        radius_policy=radius_policy,
-        sides=sides,
-        features_enabled=features["enabled"],
-        feature_cos_threshold=float(features["cos_threshold"]),
-        out_dir=_check(doc.get("out_dir", "out"), "out_dir", _STRING),
-        base_dir=base_dir,
-    )
+    cfg = PipelineConfig(mesh_source=mesh_source, material=material,
+                         bcs=bcs, frame_fit=frame_fit, simplify=simplify,
+                         base_dir=base_dir, **given)
+    _require(0.0 < cfg.epsilon <= 1e-3, "epsilon must lie in (0, 1e-3]")
+    return cfg
 
 
 def load_config(path: str | Path) -> PipelineConfig:

@@ -111,7 +111,7 @@ def assemble_stiffness(mesh: TetMesh, material: Material) -> sp.csr_matrix:
 
 
 def assemble_loads(mesh: TetMesh, material: Material, bcs: BoundaryConditions) -> np.ndarray:
-    f = np.zeros((mesh.num_vertices, 3))
+    f = np.zeros(3 * mesh.num_vertices)
     for nm in bcs.neumann:
         faces = selectors.select_faces(mesh.vertices,
                                        mesh.boundary.triangles, nm.selector)
@@ -128,12 +128,14 @@ def assemble_loads(mesh: TetMesh, material: Material, bcs: BoundaryConditions) -
         F = np.asarray(nm.force, dtype=float)
         # Force split over faces by area, then a third to each face vertex.
         per_face = areas[:, None] / total * F            # (k, 3)
-        np.add.at(f, tri.ravel(), np.repeat(per_face / 3.0, 3, axis=0))
+        for c in range(3):
+            np.add.at(f, 3 * tri.ravel() + c, np.repeat(per_face[:, c] / 3.0, 3))
     if bcs.gravity is not None:
         gvec = np.asarray(bcs.gravity, dtype=float)
         per_tet = material.density * mesh.volumes[:, None] * gvec   # (m, 3)
-        np.add.at(f, mesh.tets.ravel(), np.repeat(per_tet / 4.0, 4, axis=0))
-    return f.ravel()
+        for c in range(3):
+            np.add.at(f, 3 * mesh.tets.ravel() + c, np.repeat(per_tet[:, c] / 4.0, 4))
+    return f
 
 
 def prescribed_dofs(mesh: TetMesh, bcs: BoundaryConditions) -> tuple[np.ndarray, np.ndarray]:

@@ -184,11 +184,13 @@ def load_tet_mesh(path: str | Path, fmt: str | None = None) -> TetMesh:
             fmt = "tetgen_pair"
         else:
             raise MeshError(f"cannot infer mesh format from {path.name!r}")
-    readers = {"medit_mesh": _read_medit, "tetgen_pair": _read_tetgen}
-    if fmt not in readers:
-        raise MeshError(f"unknown mesh format {fmt!r}")
     try:
-        verts, tets = readers[fmt](path)
+        if fmt == "medit_mesh":
+            verts, tets = _read_medit(path)
+        elif fmt == "tetgen_pair":
+            verts, tets = _read_tetgen(path)
+        else:
+            raise MeshError(f"unknown mesh format {fmt!r}")
     except MeshError:
         raise
     except (ValueError, IndexError, OverflowError) as exc:
@@ -295,13 +297,15 @@ def build_operators(mesh: TetMesh) -> DiscreteOperators:
     m, n = mesh.num_tets, mesh.num_vertices
     rows = np.repeat(np.arange(m), 4)
     cols = mesh.tets.ravel()
-    Gx, Gy, Gz = (sp.csr_matrix((grads[:, :, axis].ravel(), (rows, cols)),
-                                shape=(m, n)) for axis in range(3))
+    ops = []
+    for axis in range(3):
+        G = sp.csr_matrix((grads[:, :, axis].ravel(), (rows, cols)), shape=(m, n))
+        ops.append(G)
 
     # Stiffness assembly: per-tet 4x4 block vol * g g^T.
     local = np.einsum("t,tia,tja->tij", mesh.volumes, grads, grads)   # (m, 4, 4)
     L = assemble(local, mesh.tets, n)
-    return DiscreteOperators(Gx=Gx, Gy=Gy, Gz=Gz, L=L)
+    return DiscreteOperators(Gx=ops[0], Gy=ops[1], Gz=ops[2], L=L)
 
 
 def assemble(blocks: np.ndarray, dofs: np.ndarray, size: int) -> sp.csr_matrix:

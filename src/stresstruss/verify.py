@@ -77,7 +77,9 @@ def build_truss_model(graph: TrussGraph, material: Material, radius_policy,
             )
         nodes = _nodes_or_nearest(graph.positions, d.selector)
         axes = np.asarray(d.axes, dtype=bool)
-        fixed[np.ix_(nodes, axes)] = True
+        for c in range(3):
+            if axes[c]:
+                fixed[nodes, c] = True
         if axes.all():
             fixed[nodes, 3:] = True
     for nm in bcs.neumann:

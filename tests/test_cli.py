@@ -78,19 +78,37 @@ FULL_DOC = {
 
 
 def test_config_roundtrip_identity():
-    cfg = parse_config(FULL_DOC)
-    d1 = config_to_dict(cfg)
-    cfg2 = parse_config(json.loads(json.dumps(d1)))
-    assert config_to_dict(cfg2) == d1
-    assert config_hash(cfg2) == config_hash(cfg)
+    # SMALL_BAR_DOC leaves gravity and length_threshold unset: null in
+    # the canonical form.
+    for doc in (FULL_DOC, SMALL_BAR_DOC):
+        cfg = parse_config(doc)
+        d1 = config_to_dict(cfg)
+        cfg2 = parse_config(json.loads(json.dumps(d1)))
+        assert config_to_dict(cfg2) == d1
+        assert config_hash(cfg2) == config_hash(cfg)
 
 
 def test_config_save_load(tmp_path):
-    cfg = parse_config(FULL_DOC)
-    path = tmp_path / "cfg.json"
-    save_config(cfg, path)
-    again = load_config(path)
-    assert config_to_dict(again) == config_to_dict(cfg)
+    for doc in (FULL_DOC, SMALL_BAR_DOC):
+        cfg = parse_config(doc)
+        path = tmp_path / "cfg.json"
+        save_config(cfg, path)
+        again = load_config(path)
+        assert config_to_dict(again) == config_to_dict(cfg)
+
+
+def test_config_null_means_default_only_where_written_so():
+    # config_to_dict writes gravity and length_threshold as null when unset.
+    doc = json.loads(json.dumps(SMALL_BAR_DOC))
+    doc["boundary_conditions"]["gravity"] = None
+    doc["simplify"] = {"length_threshold": None}
+    assert config_hash(parse_config(doc)) == config_hash(
+        parse_config(SMALL_BAR_DOC))
+    for section, key in [("material", "young_modulus"), ("mesh", "jitter")]:
+        doc = json.loads(json.dumps(SMALL_BAR_DOC))
+        doc[section][key] = None
+        with pytest.raises(ConfigError, match=f"^{section}.{key} must be"):
+            parse_config(doc)
 
 
 def test_config_defaults():
@@ -130,7 +148,8 @@ def test_config_defaults():
     pytest.param(lambda d: d["boundary_conditions"]["dirichlet"][0].update(
         axes=5), r"^dirichlet\[0\]\.axes must be 3 booleans", id="axes"),
     pytest.param(lambda d: d["boundary_conditions"].update(gravity=5),
-                 "^boundary_conditions.gravity must be 3 finite numbers", id="gravity"),
+                 "^boundary_conditions.gravity must be null or 3 finite numbers",
+                 id="gravity"),
     pytest.param(lambda d: d["boundary_conditions"]["neumann"][0].update(
         force="abc"), r"^neumann\[0\]\.force must be 3 finite numbers",
         id="force"),
