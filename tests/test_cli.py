@@ -97,20 +97,6 @@ def test_config_save_load(tmp_path):
         assert config_to_dict(again) == config_to_dict(cfg)
 
 
-def test_config_null_means_default_only_where_written_so():
-    # config_to_dict writes gravity and length_threshold as null when unset.
-    doc = json.loads(json.dumps(SMALL_BAR_DOC))
-    doc["boundary_conditions"]["gravity"] = None
-    doc["simplify"] = {"length_threshold": None}
-    assert config_hash(parse_config(doc)) == config_hash(
-        parse_config(SMALL_BAR_DOC))
-    for section, key in [("material", "young_modulus"), ("mesh", "jitter")]:
-        doc = json.loads(json.dumps(SMALL_BAR_DOC))
-        doc[section][key] = None
-        with pytest.raises(ConfigError, match=f"^{section}.{key} must be"):
-            parse_config(doc)
-
-
 def test_config_defaults():
     cfg = parse_config({"mesh": {"fixture": "bar"},
                         "material": {"young_modulus": 1e9,
@@ -140,6 +126,9 @@ def test_config_defaults():
     pytest.param(lambda d: d["material"].update(young_modulus="x"),
                  "^material.young_modulus must be a finite number",
                  id="young-modulus-string"),
+    pytest.param(lambda d: d["material"].update(young_modulus=None),
+                 "^material.young_modulus must be a finite number",
+                 id="young-modulus-null"),
     pytest.param(lambda d: d["material"].pop("young_modulus"),
                  r"^material needs \['young_modulus'\]",
                  id="young-modulus-missing"),
@@ -175,6 +164,8 @@ def test_config_defaults():
                  "^mesh.divisions must be 3 integers >= 1", id="divisions"),
     pytest.param(lambda d: d["mesh"].update(jitter="a"),
                  "^mesh.jitter must be a finite number", id="jitter"),
+    pytest.param(lambda d: d["mesh"].update(jitter=None),
+                 "^mesh.jitter must be a finite number", id="jitter-null"),
     pytest.param(lambda d: d.update(simplify={"remove_interior_hits": "no"}),
                  "^simplify.remove_interior_hits must be true or false",
                  id="remove-interior-hits"),
