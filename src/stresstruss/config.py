@@ -198,6 +198,10 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> PipelineConfig:
              "frame_fit.alpha0_factor must be positive")
     _require(0.0 < frame_fit.alpha_decay < 1.0,
              "frame_fit.alpha_decay must lie in (0, 1)")
+    # A stop test no gradient can pass, or no step at all, never converges.
+    _require(frame_fit.gtol > 0, "frame_fit.gtol must be positive")
+    _require(frame_fit.max_inner_iterations >= 1,
+             "frame_fit.max_inner_iterations must be >= 1")
 
     simplify = SimplifyParams(**_floats(
         _section(doc.get("simplify", {}), "simplify", _SIMPLIFY)))

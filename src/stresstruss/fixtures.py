@@ -12,7 +12,8 @@ import itertools
 
 import numpy as np
 
-from .mesh import TetMesh
+from .errors import ConfigError
+from .mesh import TetMesh, signed_volumes
 
 # Six tets per hex cell, one per axis permutation, all sharing the main
 # diagonal. Adjacent cells triangulate shared faces identically.
@@ -29,7 +30,8 @@ def box_mesh(
 
     ``jitter`` displaces interior vertices by at most that fraction of the
     smallest cell edge, using a fixed closed-form formula of the integer
-    grid coordinates. Keep it below ~0.2 so no tet degenerates.
+    grid coordinates. Keep it below ~0.2 so no tet degenerates; a jitter
+    that turns any tet inside out raises ConfigError.
     """
     nx, ny, nz = divisions
     if min(nx, ny, nz) < 1:
@@ -45,6 +47,7 @@ def box_mesh(
     ).reshape(-1, 3).astype(np.float64)
 
     if jitter:
+        grid = verts.copy()
         interior = (
             (ii > 0) & (ii < nx) & (jj > 0) & (jj < ny) & (kk > 0) & (kk < nz)
         ).ravel()
@@ -79,6 +82,12 @@ def box_mesh(
         )
         tets.append(tet)
     tets = np.concatenate(tets)
+    if jitter:
+        flipped = np.count_nonzero(np.signbit(signed_volumes(verts, tets))
+                                   != np.signbit(signed_volumes(grid, tets)))
+        if flipped:
+            raise ConfigError(f"mesh.jitter {jitter!r} tangles the mesh: "
+                              f"{flipped} tets flip orientation")
     return TetMesh(verts, tets)
 
 

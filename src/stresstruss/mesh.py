@@ -98,9 +98,7 @@ class TetMesh:
         bad = np.nonzero(vol < DEGENERATE_VOLUME)[0]
         if bad.size:
             raise MeshError(f"degenerate tet (volume < {DEGENERATE_VOLUME:g}) at index {bad[0]}")
-        key = np.sort(self.tets, axis=1)
-        _, counts = np.unique(key, axis=0, return_counts=True)
-        if (counts > 1).any():
+        if (unique_rows(np.sort(self.tets, axis=1))[2] > 1).any():
             raise MeshError("duplicate tets")
         self.volumes = vol
 
@@ -108,8 +106,7 @@ class TetMesh:
         m = self.num_tets
         faces = np.concatenate([self.tets[:, idx] for idx in _TET_FACES])   # (4m, 3)
         face_tet = np.tile(np.arange(m), 4)
-        key = np.sort(faces, axis=1)
-        _, inverse, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
+        _, inverse, counts = unique_rows(np.sort(faces, axis=1))
         on_boundary = counts[inverse] == 1
         if counts.max(initial=1) > 2:
             raise MeshError("non-manifold face (shared by more than two tets)")
@@ -359,9 +356,36 @@ def unique_edges(faces: np.ndarray):
     edge of each face side (0, 1), (1, 2), (2, 0), shape (nf, 3)."""
     e = np.sort(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
                                 faces[:, [2, 0]]]), axis=1)
-    uniq, inverse, counts = np.unique(e, axis=0, return_inverse=True,
-                                      return_counts=True)
+    uniq, inverse, counts = unique_rows(e)
     return uniq, counts, inverse.reshape(3, len(faces)).T
+
+
+def unique_rows(rows: np.ndarray):
+    """``np.unique(rows, axis=0, return_inverse=True, return_counts=True)``
+    for an (N, k) array of non-negative ints: the sorted distinct rows, each
+    row's index among them, and their counts.
+
+    Each row is read as one int64 key, its digits in base max + 1, so key
+    order is the rows' lexicographic order. Where such a key could overflow
+    (base**k > 2**63), one lexsort and a compare of neighbours do the same.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    base = int(rows.max(initial=-1)) + 1
+    if base ** rows.shape[1] <= 2 ** 63:
+        key = rows[:, 0]
+        for c in range(1, rows.shape[1]):
+            key = key * base + rows[:, c]
+        _, first, inverse, counts = np.unique(
+            key, return_index=True, return_inverse=True, return_counts=True)
+        return rows[first], inverse, counts
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.cumsum(new) - 1
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = group
+    return ranked[new], inverse, np.bincount(group)
 
 
 def pieces(num_nodes: int, pairs: np.ndarray) -> tuple[int, np.ndarray]:

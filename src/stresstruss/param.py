@@ -3,7 +3,7 @@
 Each parameter component should advance by one unit per step along its own
 frame direction (spacing, weighted by beta) while staying constant along the
 other two (orthogonality). The resulting quadratic is singular exactly up to
-one translation per component; mean-zero constraints fix that gauge.
+one translation per component; a mean-zero gauge fixes it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, NumericalError
-from .fem import solve_reduced
+from .fem import solve_cholesky, solve_supported
 from .frames import FrameField
 from .mesh import DiscreteOperators, TetMesh, build_operators, pieces
 
@@ -78,12 +78,18 @@ def solve_parametrization(
     frames: FrameField | np.ndarray,
     beta: float = 1.0,
     ops: DiscreteOperators | None = None,
+    *,
+    systems: list | None = None,
 ) -> Parametrization:
     """Minimize the spacing/orthogonality quadratic with mean-zero gauge.
 
-    Solved through the KKT system of the normal equations with one mean
-    constraint per component; the right-hand side is orthogonal to the
-    translation null space, so the multipliers vanish.
+    Each row of O reads one component and D is block-diagonal, so the
+    quadratic splits into one n x n system per component k:
+    H_k = beta G_k^T G_k + sum_{j != k} G_j^T G_j, right-hand side
+    beta G_k^T 1. H_k is singular only up to a constant on a connected mesh,
+    and the right-hand side is orthogonal to the constants, so the solve
+    with vertex 0 pinned, minus its mean, is the mean-zero minimiser. Each
+    system's (dofs, nnz, bandwidth) is appended to ``systems``.
     """
     if beta <= 0:
         raise ConfigError("beta must be positive")
@@ -92,26 +98,23 @@ def solve_parametrization(
         ops = build_operators(mesh)
     n = mesh.num_vertices
 
-    # A disconnected mesh has one translation null vector per piece and
-    # component, which the 3 gauge constraints cannot absorb.
+    # A disconnected mesh has one constant null vector per piece and
+    # component, which one pinned vertex cannot absorb.
     ncomp = pieces(n, mesh.tets[:, [[0, 1], [1, 2], [2, 3]]])[0]
     if ncomp > 1:
         raise NumericalError(
             "parametrization system singular beyond the translation gauge: "
             f"mesh has {ncomp} disconnected components"
         )
-    D, O = objective_terms(ops, R)
-    H = (beta * (D.T @ D) + O.T @ O).tocsr()
-    rhs = beta * (D.T @ np.ones(D.shape[0]))
-
-    C = sp.csr_matrix((np.ones(3 * n) / n,
-                       (np.repeat(np.arange(3), n), np.arange(3 * n))),
-                      shape=(3, 3 * n))
-    KKT = sp.bmat([[H, C.T], [C, None]], format="csc")
-    full_rhs = np.concatenate([rhs, np.zeros(3)])
-
-    sol = solve_reduced(KKT, full_rhs, "parametrization")
-    phi = sol[:3 * n].reshape(3, n).T.copy()
+    G = [directional_gradient(ops, R[:, :, k]) for k in range(3)]
+    GtG = [g.T @ g for g in G]
+    phi = np.empty((n, 3))
+    for k in range(3):
+        H = (beta * GtG[k] + GtG[k - 2] + GtG[k - 1]).tocsr()
+        rhs = beta * (G[k].T @ np.ones(G[k].shape[0]))
+        x = solve_supported(H, rhs, np.array([0]), np.zeros(1), lambda A, b:
+                            solve_cholesky(A, b, "parametrization", systems))
+        phi[:, k] = x - x.mean()
     return Parametrization(phi=phi, beta=float(beta))
 
 

@@ -87,9 +87,18 @@ def _write_log(out: Path, stage: str, lines: list[str]) -> str:
     return name
 
 
+def _system_lines(systems: list[tuple[int, int, int]]) -> list[str]:
+    """One log line per solved system: its size, nonzeros and the band
+    half-width of its Cholesky ordering."""
+    return [f"system dofs {n} nnz {nnz} bandwidth {w}"
+            for n, nnz, w in systems]
+
+
 def _stage_fea(cfg: PipelineConfig, out: Path) -> list[str]:
     mesh = mesh_from_config(cfg)
-    u, K, f = solve_static(mesh, cfg.material, cfg.bcs, return_system=True)
+    systems: list[tuple[int, int, int]] = []
+    u, K, f = solve_static(mesh, cfg.material, cfg.bcs, return_system=True,
+                           systems=systems)
     field = stress_spd(cauchy_stress(mesh, cfg.material, u))
     name = _ARTIFACT_FILES["fea"]
     artifacts.write_field(out / name, {
@@ -106,6 +115,7 @@ def _stage_fea(cfg: PipelineConfig, out: Path) -> list[str]:
     gap = abs(strain_energy - work) / max(abs(strain_energy), 1e-300)
     log = _write_log(out, "fea", [
         f"vertices {mesh.num_vertices} tets {mesh.num_tets}",
+        *_system_lines(systems),
         f"strain_energy {strain_energy:.9e}",
         f"external_work {work:.9e}",
         f"energy_balance_gap {gap:.3e}",
@@ -150,7 +160,9 @@ def _stage_param(cfg: PipelineConfig, out: Path) -> list[str]:
     _, arr = artifacts.read_field(_prerequisite_path(out, "param"),
                                   kind="frames")
     ops = build_operators(mesh)
-    p = solve_parametrization(mesh, arr["frames"], cfg.beta, ops=ops)
+    systems: list[tuple[int, int, int]] = []
+    p = solve_parametrization(mesh, arr["frames"], cfg.beta, ops=ops,
+                              systems=systems)
     p = normalize_and_scale(p, cfg.rho)
     p = perturb_parametrization(p, cfg.epsilon, mesh=mesh)
     name = _ARTIFACT_FILES["param"]
@@ -164,6 +176,7 @@ def _stage_param(cfg: PipelineConfig, out: Path) -> list[str]:
     spans = p.phi_tilde.max(axis=0) - p.phi_tilde.min(axis=0)
     log = _write_log(out, "param", [
         f"objective {objective:.9e}",
+        *_system_lines(systems),
         f"component_spans {spans[0]:.9e} {spans[1]:.9e} {spans[2]:.9e}",
         f"rho {cfg.rho:.9e} beta {cfg.beta:.9e}",
     ])

@@ -18,7 +18,7 @@ from . import selectors
 from .errors import ConfigError, NumericalError
 from .extract import TrussGraph, row_norms
 from .fem import (BoundaryConditions, Material, free_rigid_motions,
-                  solve_supported)
+                  solve_lu, solve_supported)
 from .mesh import assemble
 from .postprocess import perp_basis, resolve_radii
 
@@ -173,7 +173,8 @@ def frame_fem(model: TrussModel) -> FrameResult:
     K = _assemble(model, lam, k_loc)
     f = model.loads.ravel()
     held = np.nonzero(model.fixed.ravel())[0]
-    d = solve_supported(K, f, held, np.zeros(len(held)), "frame stiffness")
+    d = solve_supported(K, f, held, np.zeros(len(held)),
+                        lambda A, b: solve_lu(A, b, "frame stiffness"))
 
     reactions = (K @ d - f).reshape(n, 6)
     ne = g.num_elements

@@ -27,9 +27,9 @@ settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session", params=[0.0, 0.110])
-def bar_field(request, tmp_path_factory):
-    """A short-fit bending-bar parametrization, as the pipeline writes it:
-    (mesh, parametrization, feature edges)."""
+def bar_frames(request, tmp_path_factory):
+    """The bending bar's short frame fit, as the pipeline writes it: (config,
+    output directory holding its fea and frames artifacts)."""
     doc = {
         "mesh": {"fixture": "bar", "jitter": request.param},
         "material": {"young_modulus": 2.3e9, "poisson_ratio": 0.3,
@@ -48,8 +48,17 @@ def bar_field(request, tmp_path_factory):
     }
     cfg = parse_config(doc)
     out = tmp_path_factory.mktemp("bar_field")
-    for stage in ("fea", "frames", "param"):
+    for stage in ("fea", "frames"):
         run_stage(stage, cfg, out_dir=out)
+    return cfg, out
+
+
+@pytest.fixture(scope="session")
+def bar_field(bar_frames):
+    """A short-fit bending-bar parametrization, as the pipeline writes it:
+    (mesh, parametrization, feature edges)."""
+    cfg, out = bar_frames
+    run_stage("param", cfg, out_dir=out)
     meta, arr = artifacts.read_field(out / "param.field", kind="param")
     p = Parametrization(phi=arr["phi"], beta=float(meta["beta"]),
                         rho=float(meta["rho"]))

@@ -154,6 +154,14 @@ def test_config_defaults():
                  id="outer-iterations-fraction"),
     pytest.param(lambda d: d.update(frame_fit={"gtol": "a"}),
                  "^frame_fit.gtol must be a finite number", id="gtol"),
+    # Values no inner solve can ever converge with.
+    pytest.param(lambda d: d.update(frame_fit={"gtol": -1.0}),
+                 "^frame_fit.gtol must be positive", id="gtol-negative"),
+    pytest.param(lambda d: d.update(frame_fit={"gtol": 0.0}),
+                 "^frame_fit.gtol must be positive", id="gtol-zero"),
+    pytest.param(lambda d: d.update(frame_fit={"max_inner_iterations": 0}),
+                 "^frame_fit.max_inner_iterations must be >= 1",
+                 id="max-inner-iterations-zero"),
     pytest.param(lambda d: d.update(radius_policy="x"),
                  "^radius_policy must be a positive number",
                  id="radius-policy"),
@@ -542,6 +550,22 @@ def test_simplify_log_records_passes_and_pieces(pipeline_out):
     assert words[4:] == [["member_connected_pieces", str(pieces)]]
 
 
+def test_logs_record_solved_systems(pipeline_out):
+    cfg, out, _ = pipeline_out
+    mesh = mesh_from_config(cfg)
+
+    def systems(stage):
+        lines = (out / f"{stage}.log").read_text().splitlines()
+        return [[int(w) for w in ln.split()[2::2]] for ln in lines
+                if ln.startswith("system dofs ")]
+    (fea,) = systems("fea")
+    held = np.count_nonzero(np.abs(mesh.vertices[:, 0]) <= 1e-9)
+    assert fea[0] == 3 * (mesh.num_vertices - held)
+    param = systems("param")
+    assert [s[0] for s in param] == [mesh.num_vertices - 1] * 3
+    assert all(0 < w < n < nnz for n, nnz, w in [fea] + param)
+
+
 def test_frames_log_counts_unconverged_solves(tmp_path):
     doc = {**SMALL_BAR_DOC,
            "frame_fit": {"outer_iterations": 2, "max_inner_iterations": 1}}
@@ -635,6 +659,14 @@ def test_cli_exit_codes(tmp_path):
     r = _run_cli("--config", str(loose), "--stage", "fea",
                  "--out", str(tmp_path / "loose_out"))
     assert r.returncode == 3
+    # 2: a fixture jitter that turns tets inside out
+    doc = json.loads(json.dumps(SMALL_BAR_DOC))
+    doc["mesh"]["jitter"] = 3.0
+    bad.write_text(json.dumps(doc))
+    r = _run_cli("--config", str(bad), "--stage", "fea",
+                 "--out", str(tmp_path / "tangled_out"))
+    assert r.returncode == 2
+    assert "mesh.jitter 3.0 tangles the mesh: 31 tets" in r.stderr
     # argparse rejects unknown stages and a missing --config with code 2
     r = _run_cli("--config", str(cfg_path), "--stage", "polish")
     assert r.returncode == 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from stresstruss.errors import ConfigError, NumericalError
 from stresstruss.extract import TrussGraph
@@ -14,11 +15,13 @@ from stresstruss.fem import (
     assemble_stiffness,
     cauchy_stress,
     prescribed_dofs,
+    solve_cholesky,
     solve_static,
     solve_supported,
     stress_spd,
 )
 from stresstruss.fixtures import bar_mesh, box_mesh, unit_cube_mesh
+from stresstruss.mesh import TetMesh
 from stresstruss.param import solve_parametrization
 from stresstruss.selectors import select, select_faces
 from stresstruss.verify import build_truss_model, frame_fem
@@ -213,9 +216,57 @@ def test_solve_supported_honours_prescribed_values():
                   -np.ones(n - 1)], [-1, 0, 1], format="csr")
     held = np.array([0, n - 1])
     u = solve_supported(K, np.zeros(n), held, np.array([0.25, 2.25]),
-                        "spring")
+                        lambda A, b: solve_cholesky(A, b, "spring"))
     np.testing.assert_allclose(u, np.linspace(0.25, 2.25, n), atol=1e-14)
     assert u[0] == 0.25 and u[-1] == 2.25
+    # With every DOF held there is nothing left to solve.
+    held = np.arange(n)
+    u = solve_supported(K, np.zeros(n), held, held * 0.5,
+                        lambda A, b: solve_cholesky(A, b, "spring"))
+    np.testing.assert_array_equal(u, held * 0.5)
+
+
+@pytest.mark.parametrize("make_mesh", [
+    bar_mesh,
+    lambda: box_mesh((24, 10, 10), size=(0.2, 0.05, 0.05)),
+], ids=["bar", "box-8x"])
+def test_cholesky_matches_sparse_lu_on_fea_systems(make_mesh):
+    mesh = make_mesh()
+    bcs = BoundaryConditions(   # the cantilever: fixed at x = 0, loaded at 0.2
+        dirichlet=[Dirichlet({"type": "box", "min": [-1e-9, -1, -1],
+                              "max": [1e-9, 1, 1]})],
+        neumann=[Neumann({"type": "box", "min": [0.2 - 1e-9, -1, -1],
+                          "max": [0.2 + 1e-9, 1, 1]},
+                         force=(0.0, -100.0, 0.0))])
+    K = assemble_stiffness(mesh, MAT)
+    f = assemble_loads(mesh, MAT, bcs)
+    held, _ = prescribed_dofs(mesh, bcs)
+    free = np.setdiff1d(np.arange(len(f)), held)
+    A, b = K[free][:, free], f[free]
+    systems = []
+    x = solve_cholesky(A, b, "stiffness", systems)
+    ref = spla.spsolve(A.tocsc(), b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    (dofs, nnz, width), = systems
+    assert (dofs, nnz) == (len(free), A.nnz) and 0 < width < dofs
+
+
+def test_vertex_hinge_fails_by_name():
+    # Tet 1 is tet 0 reflected through vertex 1, the only vertex they share.
+    # Tet 0 is held, so the supports check sees one held piece, yet tet 1
+    # can turn about vertex 1: its stiffness is singular to round-off.
+    # Here the banded Cholesky meets a non-positive pivot (SuperLU accepted
+    # this system, max |u| 4.9e10 m). The pivot's sign is round-off, so the
+    # solve catches such hinges often, not always.
+    v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                  [2, 0, 0], [2, -1, 0], [2, 0, -1]], dtype=float)
+    mesh = TetMesh(v, np.array([[0, 1, 2, 3], [1, 4, 5, 6]]))
+    bcs = BoundaryConditions(
+        dirichlet=[Dirichlet({"type": "indices", "values": [0, 1, 2, 3]})],
+        gravity=(0.0, -9.81, 0.0))
+    with pytest.raises(NumericalError, match="^stiffness system singular to "
+                                             "working precision"):
+        solve_static(mesh, MAT, bcs)
 
 
 def _nan_load(mesh):

@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 from stresstruss.errors import MeshError
 from stresstruss.fixtures import bar_mesh, box_mesh, unit_cube_mesh
 from stresstruss.mesh import (
+    _TET_FACES,
     TetMesh,
     build_operators,
     feature_edges,
     load_tet_mesh,
     pieces,
+    unique_edges,
+    unique_rows,
     write_medit,
 )
 
@@ -156,6 +159,62 @@ def test_out_of_range_and_duplicates():
         TetMesh(verts, np.array([[0, 1, 2, 9]]))
     with pytest.raises(MeshError, match="duplicate"):
         TetMesh(verts, np.array([[0, 1, 2, 3], [1, 0, 3, 2]]))
+
+
+def test_duplicate_high_index_tets_rejected():
+    # Base-n keys of four indices overflow int64 above 55,108 vertices, so
+    # a 60,000-vertex mesh takes the lexsort path.
+    n = 60_000
+    verts = np.zeros((n, 3))
+    verts[:, 0] = np.arange(n)
+    verts[-4:] = [[0, 0, 1], [1, 0, 1], [0, 1, 1], [0, 0, 2]]
+    tet = np.arange(n - 4, n)
+    assert TetMesh(verts, tet[None]).num_tets == 1
+    with pytest.raises(MeshError, match="duplicate tets"):
+        TetMesh(verts, np.array([tet, tet[[1, 0, 3, 2]]]))
+
+
+@pytest.mark.parametrize("base, k", [(7, 3), (60_000, 2), (60_000, 4),
+                                     (3_000_000, 3)])
+def test_unique_rows_matches_numpy(base, k):
+    rng = np.random.default_rng(base + k)
+    rows = rng.integers(0, base, size=(400, k))
+    rows = np.vstack([rows, rows[::7], [[base - 1] * k]])
+    uniq, inverse, counts = np.unique(rows, axis=0, return_inverse=True,
+                                      return_counts=True)
+    got = unique_rows(rows)
+    np.testing.assert_array_equal(got[0], uniq)
+    np.testing.assert_array_equal(got[1], inverse.ravel())
+    np.testing.assert_array_equal(got[2], counts)
+
+
+def oracle_boundary(mesh):
+    """Boundary triangles, their tets, the boundary edges and each
+    triangle's edges, by the row-wise ``np.unique(axis=0)`` code that the
+    integer keys replaced."""
+    faces = np.concatenate([mesh.tets[:, idx] for idx in _TET_FACES])
+    face_tet = np.tile(np.arange(mesh.num_tets), 4)
+    _, inverse, counts = np.unique(np.sort(faces, axis=1), axis=0,
+                                   return_inverse=True, return_counts=True)
+    on_boundary = counts[inverse.ravel()] == 1
+    tris, tri_tet = faces[on_boundary], face_tet[on_boundary]
+    order = np.lexsort(np.sort(tris, axis=1).T[::-1])
+    tris, tri_tet = tris[order], tri_tet[order]
+    e = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]],
+                                tris[:, [2, 0]]]), axis=1)
+    edges, einv = np.unique(e, axis=0, return_inverse=True)
+    return tris, tri_tet, edges, einv.reshape(3, len(tris)).T
+
+
+@pytest.mark.parametrize("mesh", [box_mesh((5, 4, 3), jitter=0.1),
+                                  bar_mesh(jitter=0.11)], ids=["box", "bar"])
+def test_boundary_matches_unique_rows_oracle(mesh):
+    tris, tri_tet, edges, face_edges = oracle_boundary(mesh)
+    b = mesh.boundary
+    np.testing.assert_array_equal(b.triangles, tris)
+    np.testing.assert_array_equal(b.face_tet, tri_tet)
+    np.testing.assert_array_equal(b.edges, edges)
+    np.testing.assert_array_equal(unique_edges(b.triangles)[2], face_edges)
 
 
 def test_non_manifold_face_rejected():

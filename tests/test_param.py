@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from stresstruss import artifacts
 
 from stresstruss.errors import ConfigError, NumericalError
 from stresstruss.fem import cauchy_stress, solve_static, stress_spd
@@ -11,8 +15,10 @@ from stresstruss.param import (
     directional_gradient,
     evaluate_objective,
     normalize_and_scale,
+    objective_terms,
     solve_parametrization,
 )
+from stresstruss.pipeline import mesh_from_config
 
 from test_fem import MAT, patch_test_bcs
 
@@ -102,6 +108,33 @@ def test_beta_tradeoff_monotone():
     assert spacing[0] >= spacing[1] >= spacing[2]
     assert ortho[0] <= ortho[1] <= ortho[2]
     assert spacing[0] > spacing[2]          # the trade-off actually moves
+
+
+def kkt_oracle(mesh, frames, beta):
+    """The mean-zero minimiser through the 3n + 3 KKT system of the normal
+    equations, one mean constraint per component, solved by SuperLU: the
+    solve that the three per-component systems replaced."""
+    n = mesh.num_vertices
+    D, O = objective_terms(build_operators(mesh), frames)
+    H = (beta * (D.T @ D) + O.T @ O).tocsr()
+    rhs = beta * (D.T @ np.ones(D.shape[0]))
+    C = sp.csr_matrix((np.ones(3 * n) / n,
+                       (np.repeat(np.arange(3), n), np.arange(3 * n))),
+                      shape=(3, 3 * n))
+    KKT = sp.bmat([[H, C.T], [C, None]], format="csc")
+    sol = spla.spsolve(KKT, np.concatenate([rhs, np.zeros(3)]))
+    return sol[:3 * n].reshape(3, n).T
+
+
+def test_component_solves_match_kkt_oracle(bar_frames):
+    cfg, out = bar_frames
+    mesh = mesh_from_config(cfg)
+    _, arr = artifacts.read_field(out / "frames.field", kind="frames")
+    systems = []
+    p = solve_parametrization(mesh, arr["frames"], cfg.beta, systems=systems)
+    ref = kkt_oracle(mesh, arr["frames"], cfg.beta)
+    assert np.linalg.norm(p.phi - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert [s[0] for s in systems] == [mesh.num_vertices - 1] * 3
 
 
 def test_disconnected_mesh_rejected():
