@@ -9,6 +9,8 @@ repr-based form and arrays are written C-ordered.
 from __future__ import annotations
 
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -64,37 +66,53 @@ def write_graph(path: str | Path, g: TrussGraph):
         f'{GRAPH_VERSION}\n}}\n')
 
 
+def _json_object(data: bytes, path: Path, what: str) -> dict:
+    """The JSON object ``data`` holds; ArtifactError naming ``path`` if it
+    holds anything else."""
+    try:
+        doc = json.loads(data)
+    except ValueError as exc:      # undecodable bytes or malformed JSON
+        raise ArtifactError(f"corrupt {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ArtifactError(f"corrupt {what} {path}: not a JSON object")
+    return doc
+
+
 def read_graph(path: str | Path) -> TrussGraph:
     path = Path(path)
     if not path.exists():
         raise ArtifactError(f"graph artifact does not exist: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"corrupt graph artifact {path}: {exc}") from exc
+    doc = _json_object(path.read_bytes(), path, "graph artifact")
     if doc.get("type") != "truss_graph":
         raise ArtifactError(f"{path} is not a truss graph artifact")
     if doc.get("version") != GRAPH_VERSION:
+        raise ArtifactError(f"unsupported graph version in {path}: "
+                            f"{doc.get('version')!r}")
+    try:
+        nodes = doc["nodes"]
+        elements = doc["elements"]
+        n = len(nodes)
+        width = len(nodes[0]["params"]) if n else 3
+        positions = np.array([nd["position"] for nd in nodes],
+                             dtype=float).reshape(n, 3)
+        params = np.array([nd["params"] for nd in nodes],
+                          dtype=float).reshape(n, width)
+        tags = [str(nd["tag"]) for nd in nodes]
+        elems = np.array([e["nodes"] for e in elements])
+        # No string, null or fraction passes as a node index.
+        if elems.size and elems.dtype.kind not in "iu":
+            raise ValueError("element node indices must be integers")
+        elems = elems.astype(np.int64).reshape(len(elements), 2)
+        families = [str(e["family"]) for e in elements]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(
-            f"unsupported graph version {doc.get('version')!r}")
-    nodes = doc["nodes"]
-    elements = doc["elements"]
-    n = len(nodes)
-    width = len(nodes[0]["params"]) if n else 3
-    positions = np.array([nd["position"] for nd in nodes],
-                         dtype=float).reshape(n, 3)
-    params = np.array([nd["params"] for nd in nodes],
-                      dtype=float).reshape(n, width)
-    tags = [str(nd["tag"]) for nd in nodes]
+            f"malformed graph artifact {path}: {exc!r}") from exc
     unknown = set(tags) - TAG_RANK.keys()
     if unknown:
         raise ArtifactError(f"unknown node tag(s) {sorted(unknown)} in {path}")
-    elems = np.array([e["nodes"] for e in elements],
-                     dtype=np.int64).reshape(len(elements), 2)
     if elems.size and (elems.min() < 0 or elems.max() >= n):
         raise ArtifactError(
             f"element node index out of range [0, {n}) in {path}")
-    families = [str(e["family"]) for e in elements]
     return TrussGraph(positions=positions, params=params, tags=tags,
                       elements=elems, families=families)
 
@@ -133,26 +151,32 @@ def read_field(path: str | Path,
         raise ArtifactError(f"field artifact does not exist: {path}")
     with open(path, "rb") as fh:
         line = fh.readline()
-        try:
-            header = json.loads(line.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ArtifactError(
-                f"corrupt field artifact {path}: {exc}") from exc
+        header = _json_object(line, path, "field artifact")
         if kind is not None and header.get("type") != kind:
             raise ArtifactError(
                 f"{path} holds {header.get('type')!r}, expected {kind!r}")
         if header.get("version") != FIELD_VERSION:
-            raise ArtifactError(
-                f"unsupported field version {header.get('version')!r}")
+            raise ArtifactError(f"unsupported field version in {path}: "
+                                f"{header.get('version')!r}")
+        left = os.fstat(fh.fileno()).st_size - len(line)
         arrays = {}
-        for entry in header["arrays"]:
-            dt = np.dtype(entry["dtype"])
-            count = int(np.prod(entry["shape"], dtype=np.int64))
-            raw = fh.read(count * dt.itemsize)
-            if len(raw) != count * dt.itemsize:
-                raise ArtifactError(f"truncated field artifact {path}")
-            arrays[entry["name"]] = np.frombuffer(
-                raw, dtype=dt).reshape(entry["shape"]).copy()
+        try:
+            for entry in header["arrays"]:
+                dt = np.dtype(entry["dtype"])
+                shape = entry["shape"]
+                if dt.kind not in "biufc" or not all(
+                        isinstance(k, int) and k >= 0 for k in shape):
+                    raise ValueError(f"bad dtype or shape in {entry!r}")
+                # Sized by the header only once the file holds the bytes.
+                size = math.prod(shape) * dt.itemsize
+                if size > left:
+                    raise ArtifactError(f"truncated field artifact {path}")
+                left -= size
+                arrays[entry["name"]] = np.frombuffer(
+                    fh.read(size), dtype=dt).reshape(shape).copy()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArtifactError(
+                f"malformed field artifact {path}: {exc!r}") from exc
     return header.get("meta", {}), arrays
 
 
@@ -163,10 +187,7 @@ def update_manifest(out_dir: str | Path, cfg_hash: str, stage: str,
     path = Path(out_dir) / MANIFEST_NAME
     doc = {"config_hash": cfg_hash, "stages": {}}
     if path.exists():
-        try:
-            old = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ArtifactError(f"corrupt manifest {path}: {exc}") from exc
+        old = read_manifest(out_dir)
         if old.get("config_hash") == cfg_hash:
             doc = old
     doc["config_hash"] = cfg_hash
@@ -181,4 +202,4 @@ def read_manifest(out_dir: str | Path) -> dict:
     path = Path(out_dir) / MANIFEST_NAME
     if not path.exists():
         raise ArtifactError(f"manifest does not exist: {path}")
-    return json.loads(path.read_text())
+    return _json_object(path.read_bytes(), path, "manifest")

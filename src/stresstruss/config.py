@@ -9,21 +9,16 @@ the json module) and round-trip through ``load_config`` unchanged.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import selectors
 from .errors import ConfigError
 from .fem import BoundaryConditions, Dirichlet, Material, Neumann
+from .fixtures import FIXTURES
 from .frames import FrameFitConfig
-
-_TOP_KEYS = {
-    "mesh", "material", "boundary_conditions", "frame_fit", "beta", "rho",
-    "epsilon", "simplify", "radius_policy", "geometry", "features",
-    "out_dir",
-}
-_FIXTURES = ("bar", "cube", "box")
 
 
 @dataclass
@@ -35,26 +30,41 @@ class SimplifyParams:
 
 
 @dataclass
+class GeometryParams:
+    sides: int = 8                           # strut cross-section polygon
+
+
+@dataclass
+class FeatureParams:
+    enabled: bool = False                    # trace boundary feature edges
+    cos_threshold: float = 0.9
+
+
+@dataclass
 class PipelineConfig:
-    mesh_source: dict
+    """A config file's sections, each under the file's own key."""
+    mesh: dict
     material: Material
-    bcs: BoundaryConditions
+    boundary_conditions: BoundaryConditions = field(
+        default_factory=BoundaryConditions)
     frame_fit: FrameFitConfig = field(default_factory=FrameFitConfig)
     beta: float = 1.0
     rho: float = 4.0
     epsilon: float = 1e-7
     simplify: SimplifyParams = field(default_factory=SimplifyParams)
     radius_policy: float | dict = 0.02
-    sides: int = 8
-    features_enabled: bool = False
-    feature_cos_threshold: float = 0.9
+    geometry: GeometryParams = field(default_factory=GeometryParams)
+    features: FeatureParams = field(default_factory=FeatureParams)
     out_dir: str = "out"
     base_dir: Path = field(default_factory=Path)   # config file's directory
 
     def mesh_path(self) -> Path | None:
-        if "path" not in self.mesh_source:
+        if "path" not in self.mesh:
             return None
-        return (self.base_dir / self.mesh_source["path"]).resolve()
+        return (self.base_dir / self.mesh["path"]).resolve()
+
+
+_TOP_KEYS = {f.name for f in fields(PipelineConfig)} - {"base_dir"}
 
 
 def _require(cond: bool, msg: str):
@@ -94,11 +104,10 @@ _DIVISIONS = (lambda v: isinstance(v, list) and len(v) == 3
               and all(map(_count(1)[0], v)), "3 integers >= 1")
 
 # The kind of each key a section may hold. A key left out takes its
-# dataclass default; pipeline.mesh_from_config applies the mesh defaults.
+# dataclass default, or for a fixture its function's default.
 _MESH_FILE = {"path": _STRING, "format": _STRING}
-_MESH_FIXTURE = {"fixture": _STRING, "jitter": _NUMBER, "n": _count(1),
-                 "divisions": _DIVISIONS, "size": selectors.POINT,
-                 "origin": selectors.POINT}
+_FIXTURE_ARGS = {"jitter": _NUMBER, "n": _count(1), "divisions": _DIVISIONS,
+                 "size": selectors.POINT, "origin": selectors.POINT}
 _MATERIAL = {f.name: _NUMBER for f in fields(Material)}
 _BCS = {"dirichlet": _LIST, "neumann": _LIST,
         "gravity": _or_null(selectors.POINT)}
@@ -113,8 +122,11 @@ _SIMPLIFY = {"length_threshold": _or_null(selectors.NON_NEGATIVE),
              "remove_interior_hits": _FLAG, "preserve_features": _FLAG}
 _GEOMETRY = {"sides": _count(3)}
 _FEATURES = {"enabled": _FLAG, "cos_threshold": _COSINE}
+# One radius for all members, or an object of radii by family.
+_RADIUS = (lambda v: isinstance(v, dict) or _POSITIVE[0](v),
+           "a positive number or an object of them")
 _SCALARS = {"beta": _POSITIVE, "rho": _POSITIVE, "epsilon": _NUMBER,
-            "out_dir": _STRING}
+            "radius_policy": _RADIUS, "out_dir": _STRING}
 
 
 def _section(doc, name: str, kinds: dict) -> dict:
@@ -167,10 +179,16 @@ def _parse_mesh(doc, base_dir: Path) -> dict:
         p = (base_dir / doc["path"]).resolve()
         _require(p.exists(), f"mesh file does not exist: {p}")
     else:
-        _section(doc, "mesh", _MESH_FIXTURE)
-        _require(doc["fixture"] in _FIXTURES,
-                 f"unknown fixture {doc['fixture']!r}; "
-                 f"choose from {_FIXTURES}")
+        name = _check(doc["fixture"], "mesh.fixture", _STRING)
+        _require(name in FIXTURES, f"unknown fixture {name!r}; "
+                 f"choose from {tuple(FIXTURES)}")
+        # A fixture takes exactly its function's keyword arguments.
+        args = inspect.signature(FIXTURES[name]).parameters
+        _section(doc, "mesh", {"fixture": _STRING,
+                               **{k: _FIXTURE_ARGS[k] for k in args}})
+        missing = [k for k, a in args.items()
+                   if a.default is a.empty and k not in doc]
+        _require(not missing, f"mesh fixture {name!r} needs {missing}")
     return dict(doc)
 
 
@@ -182,13 +200,12 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> PipelineConfig:
     _require("mesh" in doc, "config needs a 'mesh' section")
     _require("material" in doc, "config needs a 'material' section")
 
-    mesh_source = _parse_mesh(doc["mesh"], base_dir)
+    mesh = _parse_mesh(doc["mesh"], base_dir)
     m = _section(doc["material"], "material", _MATERIAL)
     missing = [f.name for f in fields(Material)
                if f.default is MISSING and f.name not in m]
     _require(not missing, f"material needs {missing}")
     material = Material(**_floats(m))
-    bcs = _parse_bcs(doc.get("boundary_conditions", {}))
 
     frame_fit = FrameFitConfig(**_section(doc.get("frame_fit", {}),
                                           "frame_fit", _FRAME_FIT))
@@ -203,29 +220,25 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> PipelineConfig:
     _require(frame_fit.max_inner_iterations >= 1,
              "frame_fit.max_inner_iterations must be >= 1")
 
-    simplify = SimplifyParams(**_floats(
-        _section(doc.get("simplify", {}), "simplify", _SIMPLIFY)))
-
-    # The top-level values a config holds, under PipelineConfig's names.
+    # The top-level values a config holds.
     given = _floats({k: _check(doc[k], k, kind)
                      for k, kind in _SCALARS.items() if k in doc})
-    radius_policy = doc.get("radius_policy")
-    if isinstance(radius_policy, dict):
+    if isinstance(given.get("radius_policy"), dict):
         given["radius_policy"] = {
             k: float(_check(v, f"radius_policy[{k!r}]", _POSITIVE))
-            for k, v in radius_policy.items()}
-    elif "radius_policy" in doc:
-        given["radius_policy"] = float(_check(radius_policy, "radius_policy",
-                                              _POSITIVE))
-    given.update(_section(doc.get("geometry", {}), "geometry", _GEOMETRY))
-    features = _section(doc.get("features", {}), "features", _FEATURES)
-    names = {"enabled": "features_enabled",
-             "cos_threshold": "feature_cos_threshold"}
-    given.update(_floats({names[k]: v for k, v in features.items()}))
+            for k, v in given["radius_policy"].items()}
 
-    cfg = PipelineConfig(mesh_source=mesh_source, material=material,
-                         bcs=bcs, frame_fit=frame_fit, simplify=simplify,
-                         base_dir=base_dir, **given)
+    cfg = PipelineConfig(
+        mesh=mesh, material=material,
+        boundary_conditions=_parse_bcs(doc.get("boundary_conditions", {})),
+        frame_fit=frame_fit,
+        simplify=SimplifyParams(**_floats(
+            _section(doc.get("simplify", {}), "simplify", _SIMPLIFY))),
+        geometry=GeometryParams(**_section(doc.get("geometry", {}),
+                                           "geometry", _GEOMETRY)),
+        features=FeatureParams(**_floats(_section(
+            doc.get("features", {}), "features", _FEATURES))),
+        base_dir=base_dir, **given)
     _require(0.0 < cfg.epsilon <= 1e-3, "epsilon must lie in (0, 1e-3]")
     return cfg
 
@@ -241,51 +254,13 @@ def load_config(path: str | Path) -> PipelineConfig:
     return parse_config(doc, base_dir=path.parent)
 
 
-def _selector_dict(sel):
-    return {k: (list(v) if isinstance(v, (tuple, list)) else v)
-            for k, v in sel.items()}
-
-
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    """Canonical, fully populated dict form; hashing and round-trip base."""
-    return {
-        "mesh": dict(cfg.mesh_source),
-        "material": {
-            "young_modulus": cfg.material.young_modulus,
-            "poisson_ratio": cfg.material.poisson_ratio,
-            "density": cfg.material.density,
-            "yield_strength": cfg.material.yield_strength,
-        },
-        "boundary_conditions": {
-            "dirichlet": [
-                {"selector": _selector_dict(d.selector),
-                 "axes": list(d.axes), "value": list(d.value)}
-                for d in cfg.bcs.dirichlet
-            ],
-            "neumann": [
-                {"selector": _selector_dict(nm.selector),
-                 "force": list(nm.force)}
-                for nm in cfg.bcs.neumann
-            ],
-            "gravity": (None if cfg.bcs.gravity is None
-                        else list(cfg.bcs.gravity)),
-        },
-        "frame_fit": dict(vars(cfg.frame_fit)),
-        "beta": cfg.beta,
-        "rho": cfg.rho,
-        "epsilon": cfg.epsilon,
-        "simplify": {
-            "length_threshold": cfg.simplify.length_threshold,
-            "length_factor": cfg.simplify.length_factor,
-            "remove_interior_hits": cfg.simplify.remove_interior_hits,
-            "preserve_features": cfg.simplify.preserve_features,
-        },
-        "radius_policy": cfg.radius_policy,
-        "geometry": {"sides": cfg.sides},
-        "features": {"enabled": cfg.features_enabled,
-                     "cos_threshold": cfg.feature_cos_threshold},
-        "out_dir": cfg.out_dir,
-    }
+    """Canonical, fully populated dict form; hashing and round-trip base.
+    It is the config file's own shape, so the json round trip only turns
+    tuples into lists."""
+    doc = asdict(cfg)
+    del doc["base_dir"]
+    return json.loads(json.dumps(doc))
 
 
 def save_config(cfg: PipelineConfig, path: str | Path):

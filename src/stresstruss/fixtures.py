@@ -99,3 +99,8 @@ def bar_mesh(jitter: float = 0.0) -> TetMesh:
 def unit_cube_mesh(n: int = 5, jitter: float = 0.0) -> TetMesh:
     """Unit cube with n cells per axis."""
     return box_mesh((n, n, n), size=(1.0, 1.0, 1.0), jitter=jitter)
+
+
+# The fixtures a config's ``mesh.fixture`` names; the other mesh keys are
+# the function's keyword arguments, with its defaults.
+FIXTURES = {"bar": bar_mesh, "cube": unit_cube_mesh, "box": box_mesh}

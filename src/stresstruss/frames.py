@@ -36,7 +36,7 @@ import scipy.sparse as sp
 from . import lbfgs
 from .errors import ConfigError, NumericalError
 from .fem import StressField
-from .mesh import TetMesh
+from .mesh import TetMesh, build_operators
 
 # Below this rotation angle the Rodrigues coefficients switch to series form.
 SMALL_ANGLE = 1e-4
@@ -200,18 +200,14 @@ def fit_frame_field(
     mesh: TetMesh,
     stress: StressField,
     config: FrameFitConfig | None = None,
-    L: sp.spmatrix | None = None,
 ) -> FrameField:
     """Annealed fit: repeated warm-started quasi-Newton solves while the
     smoothness weight decays geometrically from alpha0_factor * num_tets.
     """
-    from .mesh import build_operators
-
     cfg = config or FrameFitConfig()
     if stress.sigma_plus is None:
         raise ConfigError("stress field lacks the SPD surrogate")
-    if L is None:
-        L = build_operators(mesh).L
+    L = build_operators(mesh).L
     tets = mesh.tets
     n = mesh.num_vertices
     S = incidence(tets, n)

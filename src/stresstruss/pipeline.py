@@ -1,7 +1,7 @@
-"""Staged execution: each stage reads its prerequisite artifacts from the
-output directory, writes its own artifact plus a log, and records itself
-in the run manifest. Artifacts and the manifest carry no timestamps, so a
-re-run with an identical config is byte-identical.
+"""Staged execution: each stage reads the artifact of the stage it needs
+from the output directory, writes its own artifact plus a log, and records
+itself in the run manifest. Artifacts and the manifest carry no timestamps,
+so a re-run with an identical config is byte-identical.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .extract import (
     perturb_parametrization,
 )
 from .fem import StressField, cauchy_stress, solve_static, stress_spd
-from .fixtures import bar_mesh, box_mesh, unit_cube_mesh
+from .fixtures import FIXTURES
 from .frames import fit_frame_field
 from .mesh import (TetMesh, build_operators, feature_edges, load_tet_mesh,
                    pieces)
@@ -31,10 +31,6 @@ from .postprocess import default_length_threshold, emit_geometry, simplify, \
     write_lines_obj, write_obj, write_ply
 from .verify import build_truss_model, frame_fem, load_factor, write_report
 
-STAGE_ORDER = ("fea", "frames", "param", "extract", "simplify", "geometry",
-               "verify")
-STAGE_VERSIONS = {s: 1 for s in STAGE_ORDER}
-
 _ARTIFACT_FILES = {
     "fea": "fea.field",
     "frames": "frames.field",
@@ -42,42 +38,20 @@ _ARTIFACT_FILES = {
     "extract": "graph.json",
     "simplify": "graph_simplified.json",
 }
-_PREREQUISITE = {
-    "fea": None,
-    "frames": "fea",
-    "param": "frames",
-    "extract": "param",
-    "simplify": "extract",
-    "geometry": "simplify",
-    "verify": "simplify",
-}
 
 
 def mesh_from_config(cfg: PipelineConfig) -> TetMesh:
-    src = cfg.mesh_source
-    if "path" in src:
-        return load_tet_mesh(cfg.mesh_path(), src.get("format"))
-    name = src["fixture"]
-    jitter = float(src.get("jitter", 0.0))
-    if name == "bar":
-        return bar_mesh(jitter=jitter)
-    if name == "cube":
-        return unit_cube_mesh(int(src.get("n", 5)), jitter=jitter)
-    if "divisions" not in src:
-        raise ConfigError("box fixture needs 'divisions'")
-    return box_mesh(
-        tuple(int(v) for v in src["divisions"]),
-        size=tuple(float(v) for v in src.get("size", (1.0, 1.0, 1.0))),
-        origin=tuple(float(v) for v in src.get("origin", (0.0, 0.0, 0.0))),
-        jitter=jitter,
-    )
+    if "path" in cfg.mesh:
+        return load_tet_mesh(cfg.mesh_path(), cfg.mesh.get("format"))
+    args = dict(cfg.mesh)
+    return FIXTURES[args.pop("fixture")](**args)
 
 
-def _prerequisite_path(out: Path, stage: str) -> Path:
-    prereq = _PREREQUISITE[stage]
-    path = out / _ARTIFACT_FILES[prereq]
+def _artifact(out: Path, stage: str) -> Path:
+    """The artifact ``stage`` wrote, which a later stage needs."""
+    path = out / _ARTIFACT_FILES[stage]
     if not path.exists():
-        raise ArtifactError(f"missing artifact: {prereq}")
+        raise ArtifactError(f"missing artifact: {stage}")
     return path
 
 
@@ -97,18 +71,12 @@ def _system_lines(systems: list[tuple[int, int, int]]) -> list[str]:
 def _stage_fea(cfg: PipelineConfig, out: Path) -> list[str]:
     mesh = mesh_from_config(cfg)
     systems: list[tuple[int, int, int]] = []
-    u, K, f = solve_static(mesh, cfg.material, cfg.bcs, return_system=True,
-                           systems=systems)
+    u, K, f = solve_static(mesh, cfg.material, cfg.boundary_conditions,
+                           return_system=True, systems=systems)
     field = stress_spd(cauchy_stress(mesh, cfg.material, u))
     name = _ARTIFACT_FILES["fea"]
-    artifacts.write_field(out / name, {
-        "u": u,
-        "sigma": field.sigma,
-        "eigenvectors": field.eigenvectors,
-        "eigenvalues": field.eigenvalues,
-        "sigma_plus": field.sigma_plus,
-        "eigenvalues_plus": field.eigenvalues_plus,
-    }, meta={}, kind="stress")
+    artifacts.write_field(out / name, {"u": u, **vars(field)}, meta={},
+                          kind="stress")
 
     strain_energy = 0.5 * float(u.ravel() @ (K @ u.ravel()))
     work = 0.5 * float(f.ravel() @ u.ravel())
@@ -129,13 +97,9 @@ def _stage_fea(cfg: PipelineConfig, out: Path) -> list[str]:
 
 def _stage_frames(cfg: PipelineConfig, out: Path) -> list[str]:
     mesh = mesh_from_config(cfg)
-    _, arr = artifacts.read_field(_prerequisite_path(out, "frames"),
-                                  kind="stress")
-    field = StressField(
-        sigma=arr["sigma"], eigenvectors=arr["eigenvectors"],
-        eigenvalues=arr["eigenvalues"], sigma_plus=arr["sigma_plus"],
-        eigenvalues_plus=arr["eigenvalues_plus"],
-    )
+    _, arr = artifacts.read_field(_artifact(out, "fea"), kind="stress")
+    del arr["u"]
+    field = StressField(**arr)
     ff = fit_frame_field(mesh, field, cfg.frame_fit)
     name = _ARTIFACT_FILES["frames"]
     artifacts.write_field(out / name, {
@@ -157,8 +121,7 @@ def _stage_frames(cfg: PipelineConfig, out: Path) -> list[str]:
 
 def _stage_param(cfg: PipelineConfig, out: Path) -> list[str]:
     mesh = mesh_from_config(cfg)
-    _, arr = artifacts.read_field(_prerequisite_path(out, "param"),
-                                  kind="frames")
+    _, arr = artifacts.read_field(_artifact(out, "frames"), kind="frames")
     ops = build_operators(mesh)
     systems: list[tuple[int, int, int]] = []
     p = solve_parametrization(mesh, arr["frames"], cfg.beta, ops=ops,
@@ -185,15 +148,14 @@ def _stage_param(cfg: PipelineConfig, out: Path) -> list[str]:
 
 def _stage_extract(cfg: PipelineConfig, out: Path) -> list[str]:
     mesh = mesh_from_config(cfg)
-    meta, arr = artifacts.read_field(_prerequisite_path(out, "extract"),
-                                     kind="param")
+    meta, arr = artifacts.read_field(_artifact(out, "param"), kind="param")
     p = Parametrization(phi=arr["phi"], beta=float(meta["beta"]),
                         rho=float(meta["rho"]))
     p.phi_tilde = arr["phi_tilde"]
     interior = extract_3d(mesh, p)
     features = None
-    if cfg.features_enabled:
-        features = feature_edges(mesh.boundary, cfg.feature_cos_threshold)
+    if cfg.features.enabled:
+        features = feature_edges(mesh.boundary, cfg.features.cos_threshold)
     surface = extract_boundary(mesh, p, features)
     g = merge_graphs([interior, surface])
     name = _ARTIFACT_FILES["extract"]
@@ -209,7 +171,7 @@ def _stage_extract(cfg: PipelineConfig, out: Path) -> list[str]:
 
 
 def _stage_simplify(cfg: PipelineConfig, out: Path) -> list[str]:
-    g = artifacts.read_graph(_prerequisite_path(out, "simplify"))
+    g = artifacts.read_graph(_artifact(out, "extract"))
     thr = cfg.simplify.length_threshold
     if thr is None:
         thr = default_length_threshold(g, cfg.simplify.length_factor)
@@ -233,21 +195,22 @@ def _stage_simplify(cfg: PipelineConfig, out: Path) -> list[str]:
 
 
 def _stage_geometry(cfg: PipelineConfig, out: Path) -> list[str]:
-    g = artifacts.read_graph(_prerequisite_path(out, "geometry"))
-    tri = emit_geometry(g, cfg.radius_policy, sides=cfg.sides)
+    g = artifacts.read_graph(_artifact(out, "simplify"))
+    tri = emit_geometry(g, cfg.radius_policy, sides=cfg.geometry.sides)
     write_obj(tri, out / "truss.obj")
     write_ply(tri, out / "truss.ply")
     write_lines_obj(g, out / "graph_lines.obj")
     log = _write_log(out, "geometry", [
         f"vertices {len(tri.vertices)} triangles {tri.num_triangles}",
-        f"sides {cfg.sides}",
+        f"sides {cfg.geometry.sides}",
     ])
     return ["truss.obj", "truss.ply", "graph_lines.obj", log]
 
 
 def _stage_verify(cfg: PipelineConfig, out: Path) -> list[str]:
-    g = artifacts.read_graph(_prerequisite_path(out, "verify"))
-    model = build_truss_model(g, cfg.material, cfg.radius_policy, cfg.bcs)
+    g = artifacts.read_graph(_artifact(out, "simplify"))
+    model = build_truss_model(g, cfg.material, cfg.radius_policy,
+                              cfg.boundary_conditions)
     result = frame_fem(model)
     lam = load_factor(model, result)
     write_report(out / "report.txt", model, result, lam)
@@ -271,6 +234,8 @@ _STAGE_FUNCS = {
     "geometry": _stage_geometry,
     "verify": _stage_verify,
 }
+STAGE_ORDER = tuple(_STAGE_FUNCS)
+STAGE_VERSIONS = {s: 1 for s in STAGE_ORDER}
 
 
 def run_stage(stage: str, cfg: PipelineConfig,

@@ -64,4 +64,4 @@ def bar_field(bar_frames):
                         rho=float(meta["rho"]))
     p.phi_tilde = arr["phi_tilde"]
     mesh = mesh_from_config(cfg)
-    return mesh, p, feature_edges(mesh.boundary, cfg.feature_cos_threshold)
+    return mesh, p, feature_edges(mesh.boundary, cfg.features.cos_threshold)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import shutil
 import subprocess
 import sys
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from stresstruss import artifacts, fem, pipeline, postprocess, verify
+from stresstruss import artifacts, cli, fem, pipeline, postprocess, verify
 from stresstruss.config import (
     config_hash,
     config_to_dict,
@@ -24,7 +27,7 @@ from stresstruss.extract import TrussGraph
 from stresstruss.fem import StressField
 from stresstruss.frames import data_energy_total, total_energy_grad
 from stresstruss.mesh import build_operators, write_medit
-from stresstruss.fixtures import box_mesh
+from stresstruss.fixtures import box_mesh, unit_cube_mesh
 from stresstruss.pipeline import STAGE_ORDER, mesh_from_config, run_stage
 
 SMALL_BAR_DOC = {
@@ -102,7 +105,7 @@ def test_config_defaults():
                         "material": {"young_modulus": 1e9,
                                      "poisson_ratio": 0.3}})
     assert cfg.beta == 1.0 and cfg.rho == 4.0 and cfg.epsilon == 1e-7
-    assert cfg.sides == 8 and cfg.out_dir == "out"
+    assert cfg.geometry.sides == 8 and cfg.out_dir == "out"
     assert cfg.frame_fit.outer_iterations == 30
     assert cfg.simplify.remove_interior_hits is True
 
@@ -174,6 +177,18 @@ def test_config_defaults():
                  "^mesh.jitter must be a finite number", id="jitter"),
     pytest.param(lambda d: d["mesh"].update(jitter=None),
                  "^mesh.jitter must be a finite number", id="jitter-null"),
+    # Each fixture takes only its own keys, and box needs its divisions.
+    pytest.param(lambda d: d.update(mesh={"fixture": "bar", "n": 3}),
+                 r"^unknown mesh keys: \['n'\]", id="bar-n"),
+    pytest.param(lambda d: d.update(mesh={"fixture": "cube",
+                                          "divisions": [2, 2, 2]}),
+                 r"^unknown mesh keys: \['divisions'\]",
+                 id="cube-divisions"),
+    pytest.param(lambda d: d.update(mesh={"fixture": "box"}),
+                 r"^mesh fixture 'box' needs \['divisions'\]",
+                 id="box-without-divisions"),
+    pytest.param(lambda d: d.update(mesh={"fixture": 5}),
+                 "^mesh.fixture must be a string", id="fixture-number"),
     pytest.param(lambda d: d.update(simplify={"remove_interior_hits": "no"}),
                  "^simplify.remove_interior_hits must be true or false",
                  id="remove-interior-hits"),
@@ -224,6 +239,24 @@ def test_config_mesh_path(tmp_path):
     doc["mesh"] = {"path": "absent.mesh"}
     with pytest.raises(ConfigError, match="does not exist"):
         parse_config(doc, base_dir=tmp_path)
+
+
+def test_fixture_defaults_come_from_fixtures():
+    def mesh(spec):
+        doc = {**SMALL_BAR_DOC, "mesh": spec}
+        return mesh_from_config(parse_config(doc))
+    cube = mesh({"fixture": "cube"})
+    box = mesh({"fixture": "box", "divisions": [2, 1, 1]})
+    assert np.array_equal(cube.vertices, unit_cube_mesh().vertices)
+    assert np.array_equal(box.vertices, box_mesh((2, 1, 1)).vertices)
+
+
+def test_config_hash_pinned():
+    # Any change to the canonical form changes every manifest's hash.
+    assert config_hash(parse_config(SMALL_BAR_DOC)) == (
+        "7d7c452bd1f599074135099f2e6965d89d035440a7850a9ab5553b84ce83e593")
+    assert config_hash(parse_config(FULL_DOC)) == (
+        "76f1164895bf86b23acf127bb19b52bd222cee3eea74f866900e6faec5e73558")
 
 
 def test_config_hash_changes_with_content():
@@ -320,6 +353,122 @@ def test_graph_artifact_errors(tmp_path):
     artifacts.write_graph(bad, g)
     with pytest.raises(ArtifactError, match=r"unknown node tag.*'bogus'"):
         artifacts.read_graph(bad)
+
+
+def _malformed_graphs() -> dict:
+    def doc():
+        return json.loads(_json_oracle(_sample_graph()))
+    no_nodes, not_object, ragged, text, fraction = (doc() for _ in range(5))
+    del no_nodes["nodes"]
+    not_object["nodes"][1] = 5
+    ragged["nodes"][0]["position"] = [0.0, 1.0]
+    text["elements"][0]["nodes"] = [0, "1"]
+    fraction["elements"][0]["nodes"] = [0, 1.5]
+    return {"no-nodes": no_nodes, "node-not-object": not_object,
+            "ragged-position": ragged, "text-index": text,
+            "fraction-index": fraction, "list-root": [doc()]}
+
+
+def _malformed_fields() -> dict:
+    def header():
+        return {"arrays": [{"dtype": "<f8", "name": "a", "shape": [8]}],
+                "meta": {}, "type": "stress", "version": 1}
+    no_arrays, dtype, negative, huge = (header() for _ in range(4))
+    del no_arrays["arrays"]
+    dtype["arrays"][0]["dtype"] = "zz"
+    negative["arrays"][0]["shape"] = [-8]
+    huge["arrays"][0]["shape"] = [10 ** 15]
+    return {"no-arrays": no_arrays, "dtype-zz": dtype,
+            "negative-shape": negative, "huge-shape": huge,
+            "list-header": [header()]}
+
+
+_MALFORMED_GRAPHS = _malformed_graphs()
+_MALFORMED_FIELDS = _malformed_fields()
+
+
+def _write_malformed(out: Path, case: str) -> Path:
+    """The malformed artifact ``case`` names, written where the stage
+    after its writer reads it."""
+    if case in _MALFORMED_GRAPHS:
+        path = out / "graph.json"
+        path.write_text(json.dumps(_MALFORMED_GRAPHS[case]))
+    else:
+        path = out / "fea.field"
+        path.write_bytes(json.dumps(_MALFORMED_FIELDS[case]).encode()
+                         + b"\n" + np.ones(8).tobytes())
+    return path
+
+
+@pytest.mark.parametrize("case", [*_MALFORMED_GRAPHS, *_MALFORMED_FIELDS])
+def test_malformed_artifact_fails_by_name(tmp_path, case):
+    path = _write_malformed(tmp_path, case)
+    read = (artifacts.read_graph if path.suffix == ".json" else
+            artifacts.read_field)
+    with pytest.raises(ArtifactError) as err:
+        read(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("case", [*_MALFORMED_GRAPHS, *_MALFORMED_FIELDS])
+def test_cli_malformed_artifact_exits_4(tmp_path, monkeypatch, caplog,
+                                       case):
+    # main in this process, without its process-wide logging setup.
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: None)
+    monkeypatch.setattr(logging, "captureWarnings", lambda capture: None)
+    cfg_path = tmp_path / "bar.json"
+    cfg_path.write_text(json.dumps(SMALL_BAR_DOC))
+    path = _write_malformed(tmp_path, case)
+    stage = "simplify" if path.suffix == ".json" else "frames"
+    argv = ["--config", str(cfg_path), "--stage", stage,
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 4
+    assert f"artifact error: {stage}: " in caplog.text
+    assert str(path) in caplog.text
+
+
+def test_manifest_errors(tmp_path):
+    with pytest.raises(ArtifactError, match="manifest does not exist"):
+        artifacts.read_manifest(tmp_path)
+    for text in ("{broken", "[1, 2]"):
+        (tmp_path / artifacts.MANIFEST_NAME).write_text(text)
+        with pytest.raises(ArtifactError, match="^corrupt manifest .*"
+                                                "manifest.json"):
+            artifacts.read_manifest(tmp_path)
+        with pytest.raises(ArtifactError, match="^corrupt manifest"):
+            artifacts.update_manifest(tmp_path, "h1", "fea", 1, [])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cut=st.floats(0.0, 1.0))
+def test_cut_artifacts_load_or_raise_artifact_error(tmp_path, cut):
+    g = _sample_graph()
+    arrays = {"a": np.arange(12.0).reshape(4, 3),
+              "b": np.arange(6, dtype=np.int64)}
+    artifacts.write_graph(tmp_path / "g.json", g)
+    artifacts.write_field(tmp_path / "f.field", arrays, meta={"rho": 6.0},
+                          kind="stress")
+    for name in ("g.json", "f.field"):
+        data = (tmp_path / name).read_bytes()
+        path = tmp_path / f"cut_{name}"
+        path.write_bytes(data[:round(cut * len(data))])
+        try:
+            if name == "g.json":
+                h = artifacts.read_graph(path)
+            else:
+                meta, got = artifacts.read_field(path, kind="stress")
+        except ArtifactError:
+            continue
+        # A cut file that loads has kept every value whole.
+        if name == "g.json":
+            assert np.array_equal(h.positions, g.positions)
+            assert np.array_equal(h.params, g.params)
+            assert np.array_equal(h.elements, g.elements)
+            assert (h.tags, h.families) == (g.tags, g.families)
+        else:
+            assert meta == {"rho": 6.0} and got.keys() == arrays.keys()
+            assert all(np.array_equal(got[k], arrays[k]) for k in arrays)
 
 
 def test_field_artifact_roundtrip(tmp_path):
@@ -479,7 +628,7 @@ def test_fea_stage_assembles_once(pipeline_out, monkeypatch):
     mesh = mesh_from_config(cfg)
     u = fea["u"].ravel()
     K = assemble(mesh, cfg.material)
-    f = fem.assemble_loads(mesh, cfg.material, cfg.bcs)
+    f = fem.assemble_loads(mesh, cfg.material, cfg.boundary_conditions)
     lines = dict(ln.split(" ", 1) for ln in log.decode().splitlines())
     assert lines["strain_energy"] == f"{0.5 * float(u @ (K @ u)):.9e}"
     assert lines["external_work"] == f"{0.5 * float(f @ u):.9e}"
