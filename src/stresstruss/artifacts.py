@@ -1,9 +1,9 @@
 """Staged artifact files.
 
-Graphs are JSON (nodes with positions/params/tags, elements with family
-tags); field data is a one-line JSON header followed by flat little-endian
-arrays. Writers must be byte-deterministic: floats take the json module's
-repr-based form and arrays are written C-ordered.
+A graph is one line of JSON holding the truss graph's fields, arrays as
+nested lists; field data is a one-line JSON header followed by flat
+little-endian arrays. Writers must be byte-deterministic: floats take the
+json module's repr-based form and arrays are written C-ordered.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -18,52 +19,19 @@ import numpy as np
 from .errors import ArtifactError
 from .extract import TAG_RANK, TrussGraph
 
-GRAPH_VERSION = 1
+GRAPH_VERSION = 2
 FIELD_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
 
-def _json_list(items: list[str], indent: str) -> str:
-    """A list of encoded items, laid out as ``json.dumps(..., indent=1)``
-    lays it out at ``indent``."""
-    if not items:
-        return "[]"
-    sep = ",\n" + indent + " "
-    return "[" + sep[1:] + sep.join(items) + "\n" + indent + "]"
-
-
-_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_floats(a: np.ndarray) -> list[list[str]]:
-    """Rows of floats encoded as the json module encodes them."""
-    if np.isfinite(a).all():
-        return [[repr(x) for x in row] for row in a.tolist()]
-    return [[_JSON_SPECIAL.get(repr(x), repr(x)) for x in row]
-            for row in a.tolist()]
-
-
 def write_graph(path: str | Path, g: TrussGraph):
-    """The bytes of ``json.dumps(doc, indent=1, sort_keys=True)`` plus a
-    newline, built row by row (the json module's indenting encoder is pure
-    Python and several times slower)."""
-    tags = {t: json.dumps(t) for t in set(g.tags)}
-    families = {f: json.dumps(f) for f in set(g.families)}
-    nodes = [
-        f'{{\n   "params": {_json_list(par, "   ")},\n   "position": '
-        f'{_json_list(pos, "   ")},\n   "tag": {tags[tag]}\n  }}'
-        for pos, par, tag in zip(_json_floats(g.positions),
-                                 _json_floats(g.params), g.tags)
-    ]
-    elements = [
-        f'{{\n   "family": {families[fam]},\n   "nodes": [\n    {a},\n'
-        f'    {b}\n   ]\n  }}'
-        for (a, b), fam in zip(g.elements.tolist(), g.families)
-    ]
+    """The graph's fields as one line of JSON, arrays as nested lists."""
+    doc = {"type": "truss_graph", "version": GRAPH_VERSION,
+           "positions": g.positions.tolist(), "params": g.params.tolist(),
+           "tags": g.tags, "elements": g.elements.tolist(),
+           "families": g.families}
     Path(path).write_text(
-        f'{{\n "elements": {_json_list(elements, " ")},\n "nodes": '
-        f'{_json_list(nodes, " ")},\n "type": "truss_graph",\n "version": '
-        f'{GRAPH_VERSION}\n}}\n')
+        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _json_object(data: bytes, path: Path, what: str) -> dict:
@@ -78,6 +46,26 @@ def _json_object(data: bytes, path: Path, what: str) -> dict:
     return doc
 
 
+# The Python types a graph's numeric columns may hold: a JSON true, false
+# or null is no number.
+_NUMBERS = {float, int}
+
+
+def _column(doc: dict, key: str, types: set, dtype=None, width: int = 0):
+    """The JSON list ``doc[key]``, each value of a type in ``types``: as
+    it is, or given a ``dtype`` as the array of its rows ``width`` long."""
+    col = doc[key]
+    if not isinstance(col, list):
+        raise ValueError(f"{key} is not a list")
+    found = set(map(type, chain.from_iterable(col) if dtype else col))
+    if not found <= types:
+        raise ValueError(f"{key} holds "
+                         f"{sorted(t.__name__ for t in found - types)}")
+    if dtype is None:
+        return col
+    return np.array(col, dtype=dtype).reshape(len(col), width)
+
+
 def read_graph(path: str | Path) -> TrussGraph:
     path = Path(path)
     if not path.exists():
@@ -89,22 +77,16 @@ def read_graph(path: str | Path) -> TrussGraph:
         raise ArtifactError(f"unsupported graph version in {path}: "
                             f"{doc.get('version')!r}")
     try:
-        nodes = doc["nodes"]
-        elements = doc["elements"]
-        n = len(nodes)
-        width = len(nodes[0]["params"]) if n else 3
-        positions = np.array([nd["position"] for nd in nodes],
-                             dtype=float).reshape(n, 3)
-        params = np.array([nd["params"] for nd in nodes],
-                          dtype=float).reshape(n, width)
-        tags = [str(nd["tag"]) for nd in nodes]
-        elems = np.array([e["nodes"] for e in elements])
-        # No string, null or fraction passes as a node index.
-        if elems.size and elems.dtype.kind not in "iu":
-            raise ValueError("element node indices must be integers")
-        elems = elems.astype(np.int64).reshape(len(elements), 2)
-        families = [str(e["family"]) for e in elements]
-    except (KeyError, TypeError, ValueError) as exc:
+        positions = _column(doc, "positions", _NUMBERS, float, 3)
+        params = _column(doc, "params", _NUMBERS, float,
+                         len(doc["params"][0]) if doc["params"] else 3)
+        tags = _column(doc, "tags", {str})
+        elems = _column(doc, "elements", {int}, np.int64, 2)
+        families = _column(doc, "families", {str})
+        n = len(positions)
+        if len(params) != n or len(tags) != n or len(families) != len(elems):
+            raise ValueError("columns of unequal length")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(
             f"malformed graph artifact {path}: {exc!r}") from exc
     unknown = set(tags) - TAG_RANK.keys()
@@ -144,8 +126,11 @@ def write_field(path: str | Path, arrays: dict[str, np.ndarray],
             fh.write(blob)
 
 
-def read_field(path: str | Path,
-               kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
+def read_field(path: str | Path, kind: str | None = None,
+               names: tuple[str, ...] = ()
+               ) -> tuple[dict, dict[str, np.ndarray]]:
+    """The meta and arrays of a field artifact; ArtifactError if it lacks
+    any of the arrays ``names``."""
     path = Path(path)
     if not path.exists():
         raise ArtifactError(f"field artifact does not exist: {path}")
@@ -177,6 +162,9 @@ def read_field(path: str | Path,
         except (KeyError, TypeError, ValueError) as exc:
             raise ArtifactError(
                 f"malformed field artifact {path}: {exc!r}") from exc
+    missing = [name for name in names if name not in arrays]
+    if missing:
+        raise ArtifactError(f"field artifact {path} lacks {missing}")
     return header.get("meta", {}), arrays
 
 

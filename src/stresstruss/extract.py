@@ -591,8 +591,6 @@ def extract_boundary(mesh: TetMesh, p: Parametrization,
     check_perturbed(params)
     cx = _Complex2D(mesh.vertices, mesh.boundary.triangles, params,
                     (0, 1, 2), "boundary")
-    if cx.edge_faces.max(initial=0) > 2:
-        raise NumericalError("boundary complex is not manifold")
     for (ci, cj) in _PAIRS_3D:
         cx.face_pass(ci, cj, "boundary", 0)
         cx.face_pass(cj, ci, "boundary", 0)

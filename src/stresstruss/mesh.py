@@ -29,16 +29,13 @@ class SurfaceMesh:
     """Boundary triangle 2-complex of a tet mesh.
 
     Triangles index into the parent mesh's vertex array and are oriented
-    outward. ``face_tet`` maps each boundary triangle to the tet it came
-    from. ``edges`` lists unique boundary edges with their two incident
-    boundary faces and the dihedral angle between them.
+    outward. ``edges`` lists unique boundary edges with their two incident
+    boundary faces.
     """
 
     triangles: np.ndarray          # (nb, 3) int
-    face_tet: np.ndarray           # (nb,) int
     edges: np.ndarray              # (ne, 2) int, sorted vertex pairs
     edge_faces: np.ndarray         # (ne, 2) int, incident boundary triangles
-    dihedral_angles: np.ndarray    # (ne,) float, radians in [0, pi]
     face_normals: np.ndarray       # (nb, 3) float, unit outward normals
 
 
@@ -103,20 +100,16 @@ class TetMesh:
         self.volumes = vol
 
     def _extract_boundary(self) -> SurfaceMesh:
-        m = self.num_tets
         faces = np.concatenate([self.tets[:, idx] for idx in _TET_FACES])   # (4m, 3)
-        face_tet = np.tile(np.arange(m), 4)
         _, inverse, counts = unique_rows(np.sort(faces, axis=1))
         on_boundary = counts[inverse] == 1
         if counts.max(initial=1) > 2:
             raise MeshError("non-manifold face (shared by more than two tets)")
         tris = faces[on_boundary]
-        tri_tet = face_tet[on_boundary]
 
         # Deterministic ordering: by sorted vertex triple.
         order = np.lexsort(np.sort(tris, axis=1).T[::-1])
         tris = tris[order]
-        tri_tet = tri_tet[order]
 
         normals = _triangle_normals(self.vertices, tris)
 
@@ -127,16 +120,10 @@ class TetMesh:
             raise MeshError("boundary is not a closed 2-complex")
         edge_faces = (np.argsort(face_edges.T.ravel(), kind="stable")
                       % len(tris)).reshape(-1, 2)
-        # Dihedral angle between the two incident face normals.
-        n0 = normals[edge_faces[:, 0]]
-        n1 = normals[edge_faces[:, 1]]
-        dihedral = np.arccos(np.clip(np.einsum("ij,ij->i", n0, n1), -1.0, 1.0))
         return SurfaceMesh(
             triangles=tris,
-            face_tet=tri_tet,
             edges=uniq,
             edge_faces=edge_faces,
-            dihedral_angles=dihedral,
             face_normals=normals,
         )
 
@@ -202,12 +189,16 @@ def load_tet_mesh(path: str | Path, fmt: str | None = None) -> TetMesh:
 _MEDIT_WIDTHS = {"vertices": 4, "tetrahedra": 5, "triangles": 4, "edges": 3}
 
 
+def _token_rows(path: Path) -> list[list[str]]:
+    """The tokens of each line of ``path`` that holds any outside its
+    ``#`` comment."""
+    rows = (line.split("#", 1)[0].split()
+            for line in path.read_text().splitlines())
+    return [row for row in rows if row]
+
+
 def _read_medit(path: Path):
-    tokens = []
-    for line in path.read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
+    tokens = [tok for row in _token_rows(path) for tok in row]
     sections = {}
     i = 0
     while i < len(tokens) and tokens[i].lower() != "end":
@@ -238,15 +229,7 @@ def _read_tetgen(path: Path):
         if not p.exists():
             raise MeshError(f"missing TetGen file {p.name}")
 
-    def rows(p):
-        out = []
-        for line in p.read_text().splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                out.append(line.split())
-        return out
-
-    nrows = rows(node_path)
+    nrows = _token_rows(node_path)
     npts, dim = int(nrows[0][0]), int(nrows[0][1])
     if dim != 3:
         raise MeshError(f"{node_path.name}: expected dimension 3, got {dim}")
@@ -256,7 +239,7 @@ def _read_tetgen(path: Path):
     first_index = int(body[0][0])   # 0- or 1-based, from the first row
     verts = np.array([r[1:4] for r in body], dtype=np.float64)
 
-    erows = rows(ele_path)
+    erows = _token_rows(ele_path)
     ntets, npe = int(erows[0][0]), int(erows[0][1])
     if npe != 4:
         raise MeshError(f"{ele_path.name}: expected 4 nodes per tet, got {npe}")

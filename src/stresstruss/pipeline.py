@@ -6,6 +6,7 @@ so a re-run with an identical config is byte-identical.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -97,9 +98,10 @@ def _stage_fea(cfg: PipelineConfig, out: Path) -> list[str]:
 
 def _stage_frames(cfg: PipelineConfig, out: Path) -> list[str]:
     mesh = mesh_from_config(cfg)
-    _, arr = artifacts.read_field(_artifact(out, "fea"), kind="stress")
-    del arr["u"]
-    field = StressField(**arr)
+    names = tuple(f.name for f in fields(StressField))
+    _, arr = artifacts.read_field(_artifact(out, "fea"), kind="stress",
+                                  names=names)
+    field = StressField(**{k: arr[k] for k in names})
     ff = fit_frame_field(mesh, field, cfg.frame_fit)
     name = _ARTIFACT_FILES["frames"]
     artifacts.write_field(out / name, {
@@ -121,7 +123,8 @@ def _stage_frames(cfg: PipelineConfig, out: Path) -> list[str]:
 
 def _stage_param(cfg: PipelineConfig, out: Path) -> list[str]:
     mesh = mesh_from_config(cfg)
-    _, arr = artifacts.read_field(_artifact(out, "frames"), kind="frames")
+    _, arr = artifacts.read_field(_artifact(out, "frames"), kind="frames",
+                                  names=("frames",))
     ops = build_operators(mesh)
     systems: list[tuple[int, int, int]] = []
     p = solve_parametrization(mesh, arr["frames"], cfg.beta, ops=ops,
@@ -148,10 +151,11 @@ def _stage_param(cfg: PipelineConfig, out: Path) -> list[str]:
 
 def _stage_extract(cfg: PipelineConfig, out: Path) -> list[str]:
     mesh = mesh_from_config(cfg)
-    meta, arr = artifacts.read_field(_artifact(out, "param"), kind="param")
-    p = Parametrization(phi=arr["phi"], beta=float(meta["beta"]),
-                        rho=float(meta["rho"]))
-    p.phi_tilde = arr["phi_tilde"]
+    _, arr = artifacts.read_field(_artifact(out, "param"), kind="param",
+                                  names=("phi", "phi_tilde"))
+    # Extraction reads only phi_tilde; beta and rho ride along from cfg.
+    p = Parametrization(phi=arr["phi"], beta=cfg.beta, rho=cfg.rho,
+                        phi_tilde=arr["phi_tilde"])
     interior = extract_3d(mesh, p)
     features = None
     if cfg.features.enabled:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import shutil
 import subprocess
 import sys
@@ -300,18 +301,26 @@ def _json_oracle(g):
     doc = {
         "type": "truss_graph",
         "version": artifacts.GRAPH_VERSION,
-        "nodes": [
-            {"position": [float(x) for x in g.positions[i]],
-             "params": [float(x) for x in g.params[i]],
-             "tag": g.tags[i]}
-            for i in range(g.num_nodes)
-        ],
-        "elements": [
-            {"nodes": [int(a), int(b)], "family": g.families[i]}
-            for i, (a, b) in enumerate(g.elements)
-        ],
+        "positions": [[float(x) for x in row] for row in g.positions],
+        "params": [[float(x) for x in row] for row in g.params],
+        "tags": list(g.tags),
+        "elements": [[int(a), int(b)] for a, b in g.elements],
+        "families": list(g.families),
     }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _version_1_doc(g):
+    """``g`` in the per-node layout of graph artifact version 1."""
+    return {
+        "type": "truss_graph",
+        "version": 1,
+        "nodes": [{"position": pos, "params": par, "tag": tag}
+                  for pos, par, tag in zip(g.positions.tolist(),
+                                           g.params.tolist(), g.tags)],
+        "elements": [{"nodes": pair, "family": fam}
+                     for pair, fam in zip(g.elements.tolist(), g.families)],
+    }
 
 
 def test_write_graph_matches_json_module(tmp_path):
@@ -356,20 +365,42 @@ def test_graph_artifact_errors(tmp_path):
 
 
 def _malformed_graphs() -> dict:
+    """Each case: a valid graph document changed by the one fault the case
+    names, and the message that fault raises."""
     def doc():
         return json.loads(_json_oracle(_sample_graph()))
-    no_nodes, not_object, ragged, text, fraction = (doc() for _ in range(5))
-    del no_nodes["nodes"]
-    not_object["nodes"][1] = 5
-    ragged["nodes"][0]["position"] = [0.0, 1.0]
-    text["elements"][0]["nodes"] = [0, "1"]
-    fraction["elements"][0]["nodes"] = [0, 1.5]
-    return {"no-nodes": no_nodes, "node-not-object": not_object,
-            "ragged-position": ragged, "text-index": text,
-            "fraction-index": fraction, "list-root": [doc()]}
+    (no_nodes, not_list, ragged, null, boolean, text, fraction, huge,
+     number_tag, short) = (doc() for _ in range(10))
+    for key in ("positions", "params", "tags"):
+        del no_nodes[key]
+    not_list["positions"][1] = 5
+    ragged["positions"][0] = [0.0, 1.0]
+    null["positions"][0][0] = None
+    boolean["positions"][0][1] = True
+    text["elements"][0] = [0, "1"]
+    fraction["elements"][0] = [0, 1.5]
+    huge["elements"][0] = [0, 2 ** 70]
+    number_tag["tags"][0] = 5
+    short["tags"].pop()
+    malformed = "malformed graph artifact"
+    return {"no-nodes": (no_nodes, malformed),
+            "position-not-list": (not_list, malformed),
+            "ragged-position": (ragged, malformed),
+            "null-coordinate": (null, malformed),
+            "bool-coordinate": (boolean, malformed),
+            "text-index": (text, malformed),
+            "fraction-index": (fraction, malformed),
+            "huge-index": (huge, malformed),
+            "number-tag": (number_tag, malformed),
+            "short-tags": (short, malformed),
+            "list-root": ([doc()], "corrupt graph artifact"),
+            "version-1": (_version_1_doc(_sample_graph()),
+                          "unsupported graph version in .*: 1")}
 
 
 def _malformed_fields() -> dict:
+    """Each case: a field header with one fault, and the message that
+    fault raises."""
     def header():
         return {"arrays": [{"dtype": "<f8", "name": "a", "shape": [8]}],
                 "meta": {}, "type": "stress", "version": 1}
@@ -378,53 +409,88 @@ def _malformed_fields() -> dict:
     dtype["arrays"][0]["dtype"] = "zz"
     negative["arrays"][0]["shape"] = [-8]
     huge["arrays"][0]["shape"] = [10 ** 15]
-    return {"no-arrays": no_arrays, "dtype-zz": dtype,
-            "negative-shape": negative, "huge-shape": huge,
-            "list-header": [header()]}
+    malformed = "malformed field artifact"
+    return {"no-arrays": (no_arrays, malformed),
+            "dtype-zz": (dtype, malformed),
+            "negative-shape": (negative, malformed),
+            "huge-shape": (huge, "truncated field artifact"),
+            "list-header": ([header()], "corrupt field artifact")}
 
 
 _MALFORMED_GRAPHS = _malformed_graphs()
 _MALFORMED_FIELDS = _malformed_fields()
 
 
-def _write_malformed(out: Path, case: str) -> Path:
+def _write_malformed(out: Path, case: str) -> tuple[Path, str]:
     """The malformed artifact ``case`` names, written where the stage
-    after its writer reads it."""
+    after its writer reads it, and the message it must raise."""
     if case in _MALFORMED_GRAPHS:
+        doc, match = _MALFORMED_GRAPHS[case]
         path = out / "graph.json"
-        path.write_text(json.dumps(_MALFORMED_GRAPHS[case]))
+        path.write_text(json.dumps(doc))
     else:
+        doc, match = _MALFORMED_FIELDS[case]
         path = out / "fea.field"
-        path.write_bytes(json.dumps(_MALFORMED_FIELDS[case]).encode()
-                         + b"\n" + np.ones(8).tobytes())
-    return path
+        path.write_bytes(json.dumps(doc).encode() + b"\n"
+                         + np.ones(8).tobytes())
+    return path, match
 
 
 @pytest.mark.parametrize("case", [*_MALFORMED_GRAPHS, *_MALFORMED_FIELDS])
 def test_malformed_artifact_fails_by_name(tmp_path, case):
-    path = _write_malformed(tmp_path, case)
+    path, match = _write_malformed(tmp_path, case)
     read = (artifacts.read_graph if path.suffix == ".json" else
             artifacts.read_field)
-    with pytest.raises(ArtifactError) as err:
+    with pytest.raises(ArtifactError, match=match) as err:
         read(path)
     assert str(path) in str(err.value)
+
+
+def _main_in_process(monkeypatch, out: Path, stage: str) -> int:
+    """``cli.main`` on SMALL_BAR_DOC for ``stage`` in ``out``, run in this
+    process without its process-wide logging setup."""
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: None)
+    monkeypatch.setattr(logging, "captureWarnings", lambda capture: None)
+    cfg_path = out / "bar.json"
+    cfg_path.write_text(json.dumps(SMALL_BAR_DOC))
+    return cli.main(["--config", str(cfg_path), "--stage", stage,
+                     "--out", str(out)])
 
 
 @pytest.mark.parametrize("case", [*_MALFORMED_GRAPHS, *_MALFORMED_FIELDS])
 def test_cli_malformed_artifact_exits_4(tmp_path, monkeypatch, caplog,
                                        case):
-    # main in this process, without its process-wide logging setup.
-    monkeypatch.setattr(logging, "basicConfig", lambda **kw: None)
-    monkeypatch.setattr(logging, "captureWarnings", lambda capture: None)
-    cfg_path = tmp_path / "bar.json"
-    cfg_path.write_text(json.dumps(SMALL_BAR_DOC))
-    path = _write_malformed(tmp_path, case)
+    path, match = _write_malformed(tmp_path, case)
     stage = "simplify" if path.suffix == ".json" else "frames"
-    argv = ["--config", str(cfg_path), "--stage", stage,
-            "--out", str(tmp_path)]
-    assert cli.main(argv) == 4
+    assert _main_in_process(monkeypatch, tmp_path, stage) == 4
     assert f"artifact error: {stage}: " in caplog.text
     assert str(path) in caplog.text
+    assert re.search(match, caplog.text)
+
+
+def test_cli_field_lacking_arrays_exits_4(pipeline_out, tmp_path,
+                                          monkeypatch, caplog):
+    _, out, _ = pipeline_out
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    _, fea = artifacts.read_field(out / "fea.field", kind="stress")
+    path = tmp_path / "fea.field"
+    artifacts.write_field(path, {"u": fea["u"], "sigma": fea["sigma"]},
+                          meta={}, kind="stress")
+    assert _main_in_process(monkeypatch, tmp_path, "frames") == 4
+    assert (f"field artifact {path} lacks ['eigenvectors', 'eigenvalues', "
+            f"'sigma_plus', 'eigenvalues_plus']") in caplog.text
+
+
+def test_cli_extract_reads_no_param_meta(pipeline_out, tmp_path,
+                                         monkeypatch):
+    _, out, _ = pipeline_out
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    _, arr = artifacts.read_field(out / "param.field", kind="param")
+    artifacts.write_field(tmp_path / "param.field", arr, meta={},
+                          kind="param")
+    assert _main_in_process(monkeypatch, tmp_path, "extract") == 0
+    assert ((tmp_path / "graph.json").read_bytes()
+            == (out / "graph.json").read_bytes())
 
 
 def test_manifest_errors(tmp_path):
@@ -569,7 +635,7 @@ def test_graph_element_index_out_of_range(pipeline_out, tmp_path, name,
     cfg, out, _ = pipeline_out
     shutil.copytree(out, tmp_path, dirs_exist_ok=True)
     doc = json.loads((tmp_path / name).read_text())
-    doc["elements"][0]["nodes"] = bad
+    doc["elements"][0] = bad
     (tmp_path / name).write_text(json.dumps(doc))
     with pytest.raises(ArtifactError, match="element node index out of"):
         run_stage(stage, cfg, out_dir=tmp_path)

@@ -189,30 +189,26 @@ def test_unique_rows_matches_numpy(base, k):
 
 
 def oracle_boundary(mesh):
-    """Boundary triangles, their tets, the boundary edges and each
-    triangle's edges, by the row-wise ``np.unique(axis=0)`` code that the
-    integer keys replaced."""
+    """Boundary triangles, the boundary edges and each triangle's edges,
+    by the row-wise ``np.unique(axis=0)`` code that the integer keys
+    replaced."""
     faces = np.concatenate([mesh.tets[:, idx] for idx in _TET_FACES])
-    face_tet = np.tile(np.arange(mesh.num_tets), 4)
     _, inverse, counts = np.unique(np.sort(faces, axis=1), axis=0,
                                    return_inverse=True, return_counts=True)
-    on_boundary = counts[inverse.ravel()] == 1
-    tris, tri_tet = faces[on_boundary], face_tet[on_boundary]
-    order = np.lexsort(np.sort(tris, axis=1).T[::-1])
-    tris, tri_tet = tris[order], tri_tet[order]
+    tris = faces[counts[inverse.ravel()] == 1]
+    tris = tris[np.lexsort(np.sort(tris, axis=1).T[::-1])]
     e = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]],
                                 tris[:, [2, 0]]]), axis=1)
     edges, einv = np.unique(e, axis=0, return_inverse=True)
-    return tris, tri_tet, edges, einv.reshape(3, len(tris)).T
+    return tris, edges, einv.reshape(3, len(tris)).T
 
 
 @pytest.mark.parametrize("mesh", [box_mesh((5, 4, 3), jitter=0.1),
                                   bar_mesh(jitter=0.11)], ids=["box", "bar"])
 def test_boundary_matches_unique_rows_oracle(mesh):
-    tris, tri_tet, edges, face_edges = oracle_boundary(mesh)
+    tris, edges, face_edges = oracle_boundary(mesh)
     b = mesh.boundary
     np.testing.assert_array_equal(b.triangles, tris)
-    np.testing.assert_array_equal(b.face_tet, tri_tet)
     np.testing.assert_array_equal(b.edges, edges)
     np.testing.assert_array_equal(unique_edges(b.triangles)[2], face_edges)
 
@@ -235,7 +231,6 @@ def test_boundary_closed_and_euler():
         E = len(b.edges)
         F = len(b.triangles)
         assert V - E + F == 2
-        assert (b.dihedral_angles >= 0).all() and (b.dihedral_angles <= np.pi).all()
 
 
 def test_boundary_normals_point_outward():
