@@ -269,6 +269,9 @@ def save_config(cfg: PipelineConfig, path: str | Path):
 
 
 def config_hash(cfg: PipelineConfig) -> str:
-    canon = json.dumps(config_to_dict(cfg), sort_keys=True,
-                       separators=(",", ":"))
+    """sha256 of the canonical config without ``out_dir``: where a run
+    writes does not change what it writes."""
+    doc = config_to_dict(cfg)
+    del doc["out_dir"]
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()

@@ -1,5 +1,10 @@
 """Integer-isocurve truss extraction, as array code.
 
+The input is the perturbed parametrization, a plain (n, 3) array with one
+row per mesh vertex: ``perturb_parametrization(phi_tilde, mesh.tets)``
+moves param's phi_tilde off the integers, and ``extract_3d`` and
+``extract_boundary`` read the result.
+
 Nodes are preimages of integer-grid points under the perturbed
 parametrization; elements connect grid neighbors. 3D: every candidate (tet,
 a, b), with integers a, b strictly inside the tet's range of a column pair
@@ -33,7 +38,6 @@ import numpy as np
 
 from .errors import NumericalError
 from .mesh import TetMesh, pieces, unique_edges
-from .param import Parametrization
 
 # Absolute parameter-space tolerance for integer tests and interval shrinking.
 PARAM_TOL = 1e-9
@@ -259,37 +263,29 @@ def _coincidence_merge(g: TrussGraph) -> TrussGraph:
 # Perturbation
 
 
-def perturb_parametrization(p: Parametrization, epsilon: float = 1e-7,
-                            neighbors: list[np.ndarray] | None = None,
-                            mesh: TetMesh | None = None) -> Parametrization:
+def perturb_parametrization(phi_tilde: np.ndarray, cells: np.ndarray,
+                            epsilon: float = 1e-7) -> np.ndarray:
     """Move near-integer vertex values off the integers.
 
     Values within PARAM_TOL of an integer move by -epsilon, or +epsilon when
     the vertex value is a 1-ring minimum of that component (ties count as
     minima, so flat integer-level patches are lifted off the level rather
-    than split into spurious sheets). All other values are bit-unchanged.
+    than split into spurious sheets). A vertex's 1-ring is every vertex that
+    shares a row of ``cells`` (the mesh's tets) with it; a vertex in no cell
+    has an empty ring, which counts as a minimum. All other values are
+    bit-unchanged.
     """
-    if p.phi_tilde is None:
-        raise NumericalError("normalize_and_scale must run before perturbation")
-    if neighbors is None:
-        if mesh is None:
-            raise NumericalError("need mesh or precomputed neighbor lists")
-        neighbors = mesh.vertex_neighbors()
-    x = p.phi_tilde
-    count = np.array([len(nb) for nb in neighbors], dtype=np.int64)
-    start = (np.cumsum(count) - count)[count > 0]
-    flat = np.concatenate([np.zeros(0, np.int64), *neighbors])
-    ring = x[flat.astype(np.int64)]         # an empty list [] is float
-    ring_min = np.full_like(x, np.inf)      # an empty ring is a minimum
-    ring_min[count > 0] = np.minimum.reduceat(ring, start)
+    x = np.asarray(phi_tilde, dtype=float)
+    cells = np.asarray(cells, dtype=np.int64)
+    a, b = np.nonzero(~np.eye(cells.shape[1], dtype=bool))
+    ring_min = np.full_like(x, np.inf)
+    np.minimum.at(ring_min, cells[:, a].ravel(), x[cells[:, b].ravel()])
     near = np.abs(x - np.round(x)) < PARAM_TOL
     phi = np.where(near, np.where(x <= ring_min, x + epsilon, x - epsilon), x)
     frac = np.abs(phi - np.round(phi))
     if (frac < PARAM_TOL).any():
         raise NumericalError("perturbation failed to clear all near-integer values")
-    out = Parametrization(phi=p.phi, beta=p.beta, rho=p.rho)
-    out.phi_tilde = phi
-    return out
+    return phi
 
 
 def check_perturbed(params: np.ndarray):
@@ -471,13 +467,12 @@ _PAIR_J = np.array([j for _, j in _PAIRS_3D])
 _TET_FACES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 
-def extract_3d(mesh: TetMesh, p: Parametrization) -> TrussGraph:
+def extract_3d(mesh: TetMesh, params: np.ndarray) -> TrussGraph:
     """Trace double-integer curves through tets; nodes at face crossings and
     triple-integer interior points, elements along each curve between them.
+    params: (n, 3) perturbed parametrization, one row per mesh vertex.
     """
-    if p.phi_tilde is None:
-        raise NumericalError("normalize_and_scale must run before extraction")
-    params = np.asarray(p.phi_tilde, dtype=float)
+    params = np.asarray(params, dtype=float)
     check_perturbed(params)
     verts = mesh.vertices
 
@@ -579,15 +574,14 @@ def extract_3d(mesh: TetMesh, p: Parametrization) -> TrussGraph:
 # Boundary extraction
 
 
-def extract_boundary(mesh: TetMesh, p: Parametrization,
+def extract_boundary(mesh: TetMesh, params: np.ndarray,
                      features: np.ndarray | None = None) -> TrussGraph:
     """Surface truss: the three pairwise 2D extractions on the boundary
     complex (all nodes tagged boundary, elements family "boundary"), plus
-    chains along feature edges (tagged/family "feature").
+    chains along feature edges (tagged/family "feature"). params: (n, 3)
+    perturbed parametrization, as for ``extract_3d``.
     """
-    if p.phi_tilde is None:
-        raise NumericalError("normalize_and_scale must run before extraction")
-    params = np.asarray(p.phi_tilde, dtype=float)
+    params = np.asarray(params, dtype=float)
     check_perturbed(params)
     cx = _Complex2D(mesh.vertices, mesh.boundary.triangles, params,
                     (0, 1, 2), "boundary")

@@ -91,8 +91,6 @@ class StressField:
     sigma: np.ndarray                       # (m, 3, 3) Cauchy, Pa
     eigenvectors: np.ndarray                # (m, 3, 3), columns, decreasing lam
     eigenvalues: np.ndarray                 # (m, 3), decreasing
-    sigma_plus: np.ndarray | None = None    # (m, 3, 3) SPD surrogate
-    eigenvalues_plus: np.ndarray | None = None   # (m, 3), same column order as Q
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +336,11 @@ def cauchy_stress(mesh: TetMesh, material: Material, u: np.ndarray) -> StressFie
     )
 
 
-def stress_spd(field: StressField) -> StressField:
-    """Populate the SPD surrogate: |eigenvalues|, then one global affine map
-    of the field-wide |eigenvalue| range onto [1, 30]. Eigenvectors unchanged.
+def stress_spd(field: StressField) -> tuple[np.ndarray, np.ndarray]:
+    """The SPD surrogate: |eigenvalues|, then one global affine map of the
+    field-wide |eigenvalue| range onto [1, 30]. Eigenvectors unchanged.
+    Returns sigma_plus (m, 3, 3) and its eigenvalues (m, 3), in the column
+    order of ``field.eigenvectors``.
     """
     lam_abs = np.abs(field.eigenvalues)
     lo, hi = float(lam_abs.min()), float(lam_abs.max())
@@ -352,7 +352,4 @@ def stress_spd(field: StressField) -> StressField:
     else:
         lam_new = a + (b - a) * (lam_abs - lo) / (hi - lo)
     Q = field.eigenvectors
-    sigma_plus = np.einsum("tik,tk,tjk->tij", Q, lam_new, Q)
-    field.sigma_plus = sigma_plus
-    field.eigenvalues_plus = lam_new
-    return field
+    return np.einsum("tik,tk,tjk->tij", Q, lam_new, Q), lam_new

@@ -34,8 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lbfgs
-from .errors import ConfigError, NumericalError
-from .fem import StressField
+from .errors import NumericalError
 from .mesh import TetMesh, build_operators
 
 # Below this rotation angle the Rodrigues coefficients switch to series form.
@@ -171,42 +170,40 @@ def _data_energy_grad_s(s: np.ndarray, M: np.ndarray):
     return energy, grad_s.T
 
 
-def total_energy_grad(omega: np.ndarray, stress: StressField, alpha: float,
+def total_energy_grad(omega: np.ndarray, M: np.ndarray, alpha: float,
                       tets: np.ndarray, L: sp.spmatrix, *,
                       S: sp.spmatrix | None = None):
-    """Data + alpha * smoothness energy and its per-vertex gradient.
+    """Data + alpha * smoothness energy and its per-vertex gradient, for the
+    SPD stress surrogate M (m, 3, 3).
 
     Repeated callers pass ``S = incidence(tets, n)`` prebuilt. Zero-length
     vertex vectors are perturbed before differentiation, so the gradient is
     defined everywhere, including the all-zero start.
     """
-    if stress.sigma_plus is None:
-        raise ConfigError("stress field lacks the SPD surrogate")
     omega = perturb_zero_rows(omega)
     if S is None:
         S = incidence(tets, len(omega))
-    e_data, grad_s = _data_energy_grad_s(S @ omega, stress.sigma_plus)
+    e_data, grad_s = _data_energy_grad_s(S @ omega, M)
     e_smooth, grad_smooth = _smooth_terms(omega, L)
     return e_data + alpha * e_smooth, S.T @ grad_s + alpha * grad_smooth
 
 
-def data_energy_total(omega: np.ndarray, stress: StressField, tets: np.ndarray) -> float:
+def data_energy_total(omega: np.ndarray, M: np.ndarray, tets: np.ndarray) -> float:
     """Sum over tets of sqrt|q_2| + sqrt|q_3|, the data term alone."""
     s = incidence(tets, len(omega)) @ perturb_zero_rows(omega)
-    return _data_energy_grad_s(s, stress.sigma_plus)[0]
+    return _data_energy_grad_s(s, M)[0]
 
 
 def fit_frame_field(
     mesh: TetMesh,
-    stress: StressField,
+    M: np.ndarray,
     config: FrameFitConfig | None = None,
 ) -> FrameField:
-    """Annealed fit: repeated warm-started quasi-Newton solves while the
+    """Annealed fit to the SPD stress surrogate M (m, 3, 3), ``stress_spd``'s
+    sigma_plus: repeated warm-started quasi-Newton solves while the
     smoothness weight decays geometrically from alpha0_factor * num_tets.
     """
     cfg = config or FrameFitConfig()
-    if stress.sigma_plus is None:
-        raise ConfigError("stress field lacks the SPD surrogate")
     L = build_operators(mesh).L
     tets = mesh.tets
     n = mesh.num_vertices
@@ -220,7 +217,7 @@ def fit_frame_field(
 
     for outer in range(cfg.outer_iterations):
         def fun(x, _alpha=alpha):
-            e, g = total_energy_grad(x.reshape(n, 3), stress, _alpha, tets, L,
+            e, g = total_energy_grad(x.reshape(n, 3), M, _alpha, tets, L,
                                      S=S)
             return e, g.ravel()
 
@@ -248,7 +245,7 @@ def fit_frame_field(
         inner.append((result.iterations, result.num_evals, result.converged,
                       float(np.linalg.norm(result.grad))))
 
-        e_data = data_energy_total(omega, stress, tets)
+        e_data = data_energy_total(omega, M, tets)
         history.append((alpha, e_data))
         if len(history) > 1:
             prev = history[-2][1]

@@ -127,15 +127,6 @@ class TetMesh:
             face_normals=normals,
         )
 
-    def vertex_neighbors(self) -> list[np.ndarray]:
-        """Per-vertex 1-ring neighbor indices (via tet edges), sorted."""
-        n = self.num_vertices
-        u = self.tets[:, [0, 0, 0, 1, 1, 2, 1, 2, 3, 2, 3, 3]].ravel()
-        v = self.tets[:, [1, 2, 3, 2, 3, 3, 0, 0, 0, 1, 1, 2]].ravel()
-        code = np.unique(u * n + v)
-        src, dst = np.divmod(code, n)
-        return np.split(dst, np.cumsum(np.bincount(src, minlength=n))[:-1])
-
 
 def signed_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     p = vertices[tets]

@@ -4,11 +4,13 @@ Each parameter component should advance by one unit per step along its own
 frame direction (spacing, weighted by beta) while staying constant along the
 other two (orthogonality). The resulting quadratic is singular exactly up to
 one translation per component; a mean-zero gauge fixes it.
+
+``solve_parametrization`` returns phi (n, 3), and ``normalize_and_scale``
+maps it to phi_tilde (n, 3), the array that extraction reads once it is
+perturbed off the integers (``extract.perturb_parametrization``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,14 +19,6 @@ from .errors import ConfigError, NumericalError
 from .fem import solve_cholesky, solve_supported
 from .frames import FrameField
 from .mesh import DiscreteOperators, TetMesh, build_operators, pieces
-
-
-@dataclass
-class Parametrization:
-    phi: np.ndarray                     # (n, 3) texture coordinates
-    beta: float
-    rho: float = 1.0
-    phi_tilde: np.ndarray | None = None
 
 
 def directional_gradient(ops: DiscreteOperators, v: np.ndarray) -> sp.csr_matrix:
@@ -80,7 +74,7 @@ def solve_parametrization(
     ops: DiscreteOperators | None = None,
     *,
     systems: list | None = None,
-) -> Parametrization:
+) -> np.ndarray:
     """Minimize the spacing/orthogonality quadratic with mean-zero gauge.
 
     Each row of O reads one component and D is block-diagonal, so the
@@ -89,7 +83,8 @@ def solve_parametrization(
     beta G_k^T 1. H_k is singular only up to a constant on a connected mesh,
     and the right-hand side is orthogonal to the constants, so the solve
     with vertex 0 pinned, minus its mean, is the mean-zero minimiser. Each
-    system's (dofs, nnz, bandwidth) is appended to ``systems``.
+    system's (dofs, nnz, bandwidth) is appended to ``systems``. Returns
+    phi (n, 3).
     """
     if beta <= 0:
         raise ConfigError("beta must be positive")
@@ -115,20 +110,18 @@ def solve_parametrization(
         x = solve_supported(H, rhs, np.array([0]), np.zeros(1), lambda A, b:
                             solve_cholesky(A, b, "parametrization", systems))
         phi[:, k] = x - x.mean()
-    return Parametrization(phi=phi, beta=float(beta))
+    return phi
 
 
-def normalize_and_scale(p: Parametrization, rho: float) -> Parametrization:
-    """Zero-min translate each component, apply one uniform scale so the
-    largest component range becomes 1, then multiply by rho."""
+def normalize_and_scale(phi: np.ndarray, rho: float) -> np.ndarray:
+    """phi_tilde: zero-min translate each component of phi, apply one
+    uniform scale so the largest component range becomes 1, then multiply
+    by rho."""
     if rho <= 0:
         raise ConfigError("rho must be positive")
-    phi = p.phi
     lo = phi.min(axis=0)
     ranges = phi.max(axis=0) - lo
     max_range = float(ranges.max())
     if max_range <= 0.0:
         raise NumericalError("constant parametrization")
-    p.phi_tilde = (phi - lo) * (rho / max_range)
-    p.rho = float(rho)
-    return p
+    return (phi - lo) * (rho / max_range)

@@ -6,7 +6,6 @@ so a re-run with an identical config is byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +13,9 @@ import numpy as np
 from . import artifacts
 from .config import PipelineConfig, config_hash
 from .errors import ArtifactError, ConfigError, NumericalError
-from .extract import (
-    Parametrization,
-    extract_3d,
-    extract_boundary,
-    merge_graphs,
-    perturb_parametrization,
-)
-from .fem import StressField, cauchy_stress, solve_static, stress_spd
+from .extract import (extract_3d, extract_boundary, merge_graphs,
+                      perturb_parametrization)
+from .fem import cauchy_stress, solve_static, stress_spd
 from .fixtures import FIXTURES
 from .frames import fit_frame_field
 from .mesh import (TetMesh, build_operators, feature_edges, load_tet_mesh,
@@ -74,10 +68,12 @@ def _stage_fea(cfg: PipelineConfig, out: Path) -> list[str]:
     systems: list[tuple[int, int, int]] = []
     u, K, f = solve_static(mesh, cfg.material, cfg.boundary_conditions,
                            return_system=True, systems=systems)
-    field = stress_spd(cauchy_stress(mesh, cfg.material, u))
+    field = cauchy_stress(mesh, cfg.material, u)
+    sigma_plus, eigenvalues_plus = stress_spd(field)
     name = _ARTIFACT_FILES["fea"]
-    artifacts.write_field(out / name, {"u": u, **vars(field)}, meta={},
-                          kind="stress")
+    artifacts.write_field(out / name, {
+        "u": u, **vars(field), "sigma_plus": sigma_plus,
+        "eigenvalues_plus": eigenvalues_plus}, meta={}, kind="stress")
 
     strain_energy = 0.5 * float(u.ravel() @ (K @ u.ravel()))
     work = 0.5 * float(f.ravel() @ u.ravel())
@@ -89,20 +85,17 @@ def _stage_fea(cfg: PipelineConfig, out: Path) -> list[str]:
         f"external_work {work:.9e}",
         f"energy_balance_gap {gap:.3e}",
         f"max_displacement {float(np.max(np.abs(u))):.9e}",
-        f"sigma_plus_eigenvalue_range "
-        f"{float(field.eigenvalues_plus.min()):.9e} "
-        f"{float(field.eigenvalues_plus.max()):.9e}",
+        f"sigma_plus_eigenvalue_range {float(eigenvalues_plus.min()):.9e} "
+        f"{float(eigenvalues_plus.max()):.9e}",
     ])
     return [name, log]
 
 
 def _stage_frames(cfg: PipelineConfig, out: Path) -> list[str]:
     mesh = mesh_from_config(cfg)
-    names = tuple(f.name for f in fields(StressField))
     _, arr = artifacts.read_field(_artifact(out, "fea"), kind="stress",
-                                  names=names)
-    field = StressField(**{k: arr[k] for k in names})
-    ff = fit_frame_field(mesh, field, cfg.frame_fit)
+                                  names=("sigma_plus",))
+    ff = fit_frame_field(mesh, arr["sigma_plus"], cfg.frame_fit)
     name = _ARTIFACT_FILES["frames"]
     artifacts.write_field(out / name, {
         "omega": ff.omega,
@@ -127,19 +120,19 @@ def _stage_param(cfg: PipelineConfig, out: Path) -> list[str]:
                                   names=("frames",))
     ops = build_operators(mesh)
     systems: list[tuple[int, int, int]] = []
-    p = solve_parametrization(mesh, arr["frames"], cfg.beta, ops=ops,
-                              systems=systems)
-    p = normalize_and_scale(p, cfg.rho)
-    p = perturb_parametrization(p, cfg.epsilon, mesh=mesh)
+    phi = solve_parametrization(mesh, arr["frames"], cfg.beta, ops=ops,
+                                systems=systems)
+    phi_tilde = perturb_parametrization(normalize_and_scale(phi, cfg.rho),
+                                        mesh.tets, cfg.epsilon)
     name = _ARTIFACT_FILES["param"]
     artifacts.write_field(out / name, {
-        "phi": p.phi,
-        "phi_tilde": p.phi_tilde,
+        "phi": phi,
+        "phi_tilde": phi_tilde,
     }, meta={"beta": cfg.beta, "rho": cfg.rho, "epsilon": cfg.epsilon},
         kind="param")
 
-    objective = evaluate_objective(ops, arr["frames"], p.phi, cfg.beta)
-    spans = p.phi_tilde.max(axis=0) - p.phi_tilde.min(axis=0)
+    objective = evaluate_objective(ops, arr["frames"], phi, cfg.beta)
+    spans = phi_tilde.max(axis=0) - phi_tilde.min(axis=0)
     log = _write_log(out, "param", [
         f"objective {objective:.9e}",
         *_system_lines(systems),
@@ -152,15 +145,13 @@ def _stage_param(cfg: PipelineConfig, out: Path) -> list[str]:
 def _stage_extract(cfg: PipelineConfig, out: Path) -> list[str]:
     mesh = mesh_from_config(cfg)
     _, arr = artifacts.read_field(_artifact(out, "param"), kind="param",
-                                  names=("phi", "phi_tilde"))
-    # Extraction reads only phi_tilde; beta and rho ride along from cfg.
-    p = Parametrization(phi=arr["phi"], beta=cfg.beta, rho=cfg.rho,
-                        phi_tilde=arr["phi_tilde"])
-    interior = extract_3d(mesh, p)
+                                  names=("phi_tilde",))
+    params = arr["phi_tilde"]
+    interior = extract_3d(mesh, params)
     features = None
     if cfg.features.enabled:
         features = feature_edges(mesh.boundary, cfg.features.cos_threshold)
-    surface = extract_boundary(mesh, p, features)
+    surface = extract_boundary(mesh, params, features)
     g = merge_graphs([interior, surface])
     name = _ARTIFACT_FILES["extract"]
     artifacts.write_graph(out / name, g)
@@ -211,6 +202,17 @@ def _stage_geometry(cfg: PipelineConfig, out: Path) -> list[str]:
     return ["truss.obj", "truss.ply", "graph_lines.obj", log]
 
 
+def _check_verify_selectors(cfg: PipelineConfig) -> None:
+    # An indices selector names mesh vertices or faces, which are not the
+    # truss nodes; only box and sphere selectors carry over to the truss.
+    for kind in ("dirichlet", "neumann"):
+        for i, bc in enumerate(getattr(cfg.boundary_conditions, kind)):
+            if bc.selector["type"] == "indices":
+                raise ConfigError(
+                    f"verify: {kind}[{i}]: indices selectors name mesh "
+                    "entries, not truss nodes; use a box or sphere selector")
+
+
 def _stage_verify(cfg: PipelineConfig, out: Path) -> list[str]:
     g = artifacts.read_graph(_artifact(out, "simplify"))
     model = build_truss_model(g, cfg.material, cfg.radius_policy,
@@ -250,9 +252,11 @@ def run_stage(stage: str, cfg: PipelineConfig,
         raise ConfigError(
             f"unknown stage {stage!r}; choose from "
             f"{STAGE_ORDER + ('pipeline',)}")
+    stages = STAGE_ORDER if stage == "pipeline" else (stage,)
+    if "verify" in stages:  # fail before anything is written
+        _check_verify_selectors(cfg)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stages = STAGE_ORDER if stage == "pipeline" else (stage,)
     cfg_hash = config_hash(cfg)
     written: list[Path] = []
     for s in stages:

@@ -4,12 +4,14 @@ Elements are linear 3D frames (axial + torsion + Euler-Bernoulli bending,
 6 DOF per node); extracted graphs are rarely fully triangulated, so
 pin-jointed bars would form mechanisms. Node-level boundary conditions are
 derived from the volumetric ones by selector matching with a nearest-node
-fallback. The capacity factor scales the load template until the combined
-|axial| + |bending| stress reaches yield, exact by linearity.
+fallback, which warns (``BoundaryWarning``). The capacity factor scales the
+load template until the combined |axial| + |bending| stress reaches yield,
+exact by linearity.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +23,10 @@ from .fem import (BoundaryConditions, Material, free_rigid_motions,
                   solve_lu, solve_supported)
 from .mesh import assemble
 from .postprocess import perp_basis, resolve_radii
+
+
+class BoundaryWarning(UserWarning):
+    pass
 
 
 @dataclass
@@ -44,12 +50,16 @@ class FrameResult:
 
 
 def _nodes_or_nearest(positions: np.ndarray, selector: dict) -> np.ndarray:
-    """Nodes the selector matches; an empty box or sphere match falls back
-    to the single node nearest the selector's center."""
+    """Nodes the selector matches; an empty box or sphere match falls back,
+    with a BoundaryWarning, to the single node nearest the selector's
+    center."""
     idx = selectors.select(positions, selector)
     if len(idx) == 0:
         dist = np.linalg.norm(positions - selectors.center(selector), axis=1)
         idx = np.array([int(np.argmin(dist))])
+        warnings.warn(
+            f"{selector['type']} selector matched no truss node; using the "
+            f"nearest node {idx[0]}", BoundaryWarning)
     return idx
 
 

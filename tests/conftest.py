@@ -15,7 +15,6 @@ from hypothesis import settings
 from stresstruss import artifacts
 from stresstruss.config import parse_config
 from stresstruss.mesh import feature_edges
-from stresstruss.param import Parametrization
 from stresstruss.pipeline import mesh_from_config, run_stage
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -56,12 +55,10 @@ def bar_frames(request, tmp_path_factory):
 @pytest.fixture(scope="session")
 def bar_field(bar_frames):
     """A short-fit bending-bar parametrization, as the pipeline writes it:
-    (mesh, parametrization, feature edges)."""
+    (mesh, perturbed phi_tilde, feature edges)."""
     cfg, out = bar_frames
     run_stage("param", cfg, out_dir=out)
-    meta, arr = artifacts.read_field(out / "param.field", kind="param")
-    p = Parametrization(phi=arr["phi"], beta=float(meta["beta"]),
-                        rho=float(meta["rho"]))
-    p.phi_tilde = arr["phi_tilde"]
+    _, arr = artifacts.read_field(out / "param.field", kind="param")
     mesh = mesh_from_config(cfg)
-    return mesh, p, feature_edges(mesh.boundary, cfg.features.cos_threshold)
+    return (mesh, arr["phi_tilde"],
+            feature_edges(mesh.boundary, cfg.features.cos_threshold))

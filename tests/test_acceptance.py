@@ -29,13 +29,11 @@ from stresstruss.fem import (
     cauchy_stress,
     solve_static,
     stress_spd,
-    StressField,
 )
 from stresstruss.fixtures import bar_mesh, box_mesh, unit_cube_mesh
 from stresstruss.frames import FrameFitConfig, fit_frame_field, total_energy_grad
 from stresstruss.mesh import build_operators
 from stresstruss.param import (
-    Parametrization,
     evaluate_objective,
     normalize_and_scale,
     solve_parametrization,
@@ -195,7 +193,7 @@ def uniaxial_field():
     mesh = bar_mesh()
     bcs = _uniaxial_bcs(mesh, 0.2, 1e6)
     u = solve_static(mesh, MAT, bcs)
-    return mesh, stress_spd(cauchy_stress(mesh, MAT, u))
+    return mesh, stress_spd(cauchy_stress(mesh, MAT, u))[0]
 
 
 @pytest.fixture(scope="module")
@@ -219,10 +217,7 @@ def bending_pipeline(tmp_path_factory):
 @pytest.fixture(scope="module")
 def affine_cube():
     mesh = unit_cube_mesh(5, jitter=0.3)
-    phi = 4.0 * mesh.vertices
-    p = Parametrization(phi=phi, beta=1.0, rho=4.0)
-    p.phi_tilde = phi.copy()
-    p = perturb_parametrization(p, mesh=mesh)
+    p = perturb_parametrization(4.0 * mesh.vertices, mesh.tets)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtractionWarning)
         g = extract_3d(mesh, p)
@@ -262,12 +257,12 @@ def test_02_spd_surrogate_contract():
                          force=(0.0, -100.0, 0.0))],
     )
     u = solve_static(mesh, MAT, bcs)
-    field = stress_spd(cauchy_stress(mesh, MAT, u))
-    lam = field.eigenvalues_plus
+    field = cauchy_stress(mesh, MAT, u)
+    sigma_plus, lam = stress_spd(field)
     assert lam.min() >= 1.0 - 1e-9
     assert lam.max() <= 30.0 + 1e-9
     # sigma_plus q_i = lam'_i q_i for every retained eigenpair
-    resid = field.sigma_plus @ field.eigenvectors - \
+    resid = sigma_plus @ field.eigenvectors - \
         field.eigenvectors * lam[:, None, :]
     assert np.abs(resid).max() <= 1e-8
 
@@ -284,16 +279,14 @@ def test_03_frame_energy_gradient():
     for trial in range(100):
         A = rng.standard_normal((m, 3, 3))
         spd = np.einsum("tik,tjk->tij", A, A) + 0.5 * np.eye(3)
-        stress = StressField(sigma=spd, eigenvectors=np.zeros_like(spd),
-                             eigenvalues=np.zeros((m, 3)), sigma_plus=spd)
         omega = rng.standard_normal((n, 3))
         alpha = float(rng.choice([0.0, 0.7, 4.0]))
-        e0, grad = total_energy_grad(omega, stress, alpha, tets, L)
+        e0, grad = total_energy_grad(omega, spd, alpha, tets, L)
         d = rng.standard_normal((n, 3))
         d /= np.linalg.norm(d)
         h = 1e-6 * max(np.linalg.norm(omega), 1.0)
-        ep, _ = total_energy_grad(omega + h * d, stress, alpha, tets, L)
-        em, _ = total_energy_grad(omega - h * d, stress, alpha, tets, L)
+        ep, _ = total_energy_grad(omega + h * d, spd, alpha, tets, L)
+        em, _ = total_energy_grad(omega - h * d, spd, alpha, tets, L)
         fd = (ep - em) / (2.0 * h)
         an = float((grad * d).sum())
         assert abs(an - fd) <= 1e-4 * max(abs(fd), 1e-8), f"state {trial}"
@@ -334,7 +327,8 @@ def test_05_frame_orthonormality(uniaxial_fit, bending_pipeline):
                          force=(50.0, 0.0, 0.0))],
     )
     u = solve_static(cube, MAT, cube_bcs)
-    cube_fit = fit_frame_field(cube, stress_spd(cauchy_stress(cube, MAT, u)))
+    cube_fit = fit_frame_field(cube,
+                               stress_spd(cauchy_stress(cube, MAT, u))[0])
     collected.append(cube_fit.frames)
 
     box = box_mesh((4, 2, 2), size=(0.1, 0.05, 0.05))
@@ -346,7 +340,7 @@ def test_05_frame_orthonormality(uniaxial_fit, bending_pipeline):
                          force=(0.0, -20.0, 0.0))],
     )
     u = solve_static(box, MAT, box_bcs)
-    box_fit = fit_frame_field(box, stress_spd(cauchy_stress(box, MAT, u)))
+    box_fit = fit_frame_field(box, stress_spd(cauchy_stress(box, MAT, u))[0])
     collected.append(box_fit.frames)
 
     worst = 0.0
@@ -363,16 +357,16 @@ def test_06_exact_fit_parametrization():
     mesh = unit_cube_mesh(4, jitter=0.2)
     ops = build_operators(mesh)
     frames = np.tile(np.eye(3), (mesh.num_tets, 1, 1))
-    p = solve_parametrization(mesh, frames, beta=1.0, ops=ops)
-    obj = evaluate_objective(ops, frames, p.phi, 1.0)
+    phi = solve_parametrization(mesh, frames, beta=1.0, ops=ops)
+    obj = evaluate_objective(ops, frames, phi, 1.0)
     assert obj <= 1e-10, f"objective {obj:.3e}"
 
     rho = 6.0
-    ranges = p.phi.max(axis=0) - p.phi.min(axis=0)
+    ranges = phi.max(axis=0) - phi.min(axis=0)
     s = 1.0 / float(ranges.max())
-    p = normalize_and_scale(p, rho)
+    phi_tilde = normalize_and_scale(phi, rho)
     for i, G in enumerate((ops.Gx, ops.Gy, ops.Gz)):
-        vals = G @ p.phi_tilde[:, i]
+        vals = G @ phi_tilde[:, i]
         assert np.abs(vals - rho * s).max() <= 1e-8, f"component {i}"
 
 
@@ -426,9 +420,7 @@ def test_07_affine_extraction_oracle(affine_cube):
     A = np.array([[3.1, 0.7, -0.4], [-0.5, 2.7, 0.6], [0.3, -0.6, 2.9]])
     b = np.array([0.37017, 0.45071, 0.29031])
     phi = mesh2.vertices @ A.T + b
-    p2 = Parametrization(phi=phi, beta=1.0, rho=1.0)
-    p2.phi_tilde = phi.copy()
-    p2 = perturb_parametrization(p2, mesh=mesh2)
+    p2 = perturb_parametrization(phi, mesh2.tets)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtractionWarning)
         g2 = extract_3d(mesh2, p2)
@@ -462,11 +454,8 @@ def test_08_perturbation_guard():
         [3.0, 2.4999, 1.0000001],
         [0.25, 7.0 + 9e-10, 1.3],
     ])
-    neighbors = [np.array([1, 3]), np.array([0, 2]),
-                 np.array([1, 3]), np.array([0, 2])]
-    p = Parametrization(phi=phi.copy(), beta=1.0)
-    p.phi_tilde = phi.copy()
-    out = perturb_parametrization(p, neighbors=neighbors).phi_tilde
+    cells = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
+    out = perturb_parametrization(phi, cells)
     assert (np.abs(out - np.round(out)) > 1e-9).all()
     near = np.abs(phi - np.round(phi)) < 1e-9
     same = out == phi

@@ -25,7 +25,6 @@ from stresstruss.config import (
 )
 from stresstruss.errors import ArtifactError, ConfigError
 from stresstruss.extract import TrussGraph
-from stresstruss.fem import StressField
 from stresstruss.frames import data_energy_total, total_energy_grad
 from stresstruss.mesh import build_operators, write_medit
 from stresstruss.fixtures import box_mesh, unit_cube_mesh
@@ -255,9 +254,9 @@ def test_fixture_defaults_come_from_fixtures():
 def test_config_hash_pinned():
     # Any change to the canonical form changes every manifest's hash.
     assert config_hash(parse_config(SMALL_BAR_DOC)) == (
-        "7d7c452bd1f599074135099f2e6965d89d035440a7850a9ab5553b84ce83e593")
+        "2ff7e0de54e98e9d42825412aea3fdf76b167b05ea2192fd6f38f4fdb56591b0")
     assert config_hash(parse_config(FULL_DOC)) == (
-        "76f1164895bf86b23acf127bb19b52bd222cee3eea74f866900e6faec5e73558")
+        "f3005d99913f788f230a5534c045ddf704f114de036f32a7dd09c3bf4678767e")
 
 
 def test_config_hash_changes_with_content():
@@ -267,6 +266,15 @@ def test_config_hash_changes_with_content():
     b = parse_config(doc)
     assert config_hash(a) != config_hash(b)
     assert len(config_hash(a)) == 64
+
+
+def test_config_hash_ignores_out_dir():
+    # Where a run writes does not change what it writes; the saved config
+    # keeps the key.
+    docs = [{**SMALL_BAR_DOC, "out_dir": d} for d in ("run_a", "elsewhere/b")]
+    a, b = (parse_config(doc) for doc in docs)
+    assert config_hash(a) == config_hash(b)
+    assert config_to_dict(a)["out_dir"] == "run_a"
 
 
 def _sample_graph():
@@ -446,13 +454,14 @@ def test_malformed_artifact_fails_by_name(tmp_path, case):
     assert str(path) in str(err.value)
 
 
-def _main_in_process(monkeypatch, out: Path, stage: str) -> int:
-    """``cli.main`` on SMALL_BAR_DOC for ``stage`` in ``out``, run in this
-    process without its process-wide logging setup."""
+def _main_in_process(monkeypatch, out: Path, stage: str,
+                     doc: dict = SMALL_BAR_DOC) -> int:
+    """``cli.main`` on ``doc`` for ``stage`` in ``out``, run in this process
+    without its process-wide logging setup."""
     monkeypatch.setattr(logging, "basicConfig", lambda **kw: None)
     monkeypatch.setattr(logging, "captureWarnings", lambda capture: None)
     cfg_path = out / "bar.json"
-    cfg_path.write_text(json.dumps(SMALL_BAR_DOC))
+    cfg_path.write_text(json.dumps(doc))
     return cli.main(["--config", str(cfg_path), "--stage", stage,
                      "--out", str(out)])
 
@@ -477,8 +486,28 @@ def test_cli_field_lacking_arrays_exits_4(pipeline_out, tmp_path,
     artifacts.write_field(path, {"u": fea["u"], "sigma": fea["sigma"]},
                           meta={}, kind="stress")
     assert _main_in_process(monkeypatch, tmp_path, "frames") == 4
-    assert (f"field artifact {path} lacks ['eigenvectors', 'eigenvalues', "
-            f"'sigma_plus', 'eigenvalues_plus']") in caplog.text
+    assert f"field artifact {path} lacks ['sigma_plus']" in caplog.text
+
+
+def test_cli_verify_rejects_indices_selector(pipeline_out, tmp_path,
+                                             monkeypatch, caplog):
+    # Indices name mesh vertices or faces, not truss nodes.
+    _, out, _ = pipeline_out
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    report = (tmp_path / "report.txt").read_bytes()
+    doc = json.loads(json.dumps(SMALL_BAR_DOC))
+    doc["boundary_conditions"]["neumann"][0]["selector"] = {
+        "type": "indices", "values": [3, 5]}
+    assert _main_in_process(monkeypatch, tmp_path, "verify", doc) == 2
+    assert ("configuration error: verify: neumann[0]: indices selectors "
+            "name mesh entries, not truss nodes") in caplog.text
+    assert (tmp_path / "report.txt").read_bytes() == report
+    # A full run fails the same way before its first stage writes.
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    assert _main_in_process(monkeypatch, fresh, "pipeline", doc) == 2
+    assert not (fresh / "fea.field").exists()
+    assert not (fresh / artifacts.MANIFEST_NAME).exists()
 
 
 def test_cli_extract_reads_no_param_meta(pipeline_out, tmp_path,
@@ -719,18 +748,14 @@ def test_frames_log_records_inner_solves(pipeline_out):
     # The final data energy is the fit's last one, for the same omega.
     _, fea = artifacts.read_field(out / "fea.field", kind="stress")
     _, fit = artifacts.read_field(out / "frames.field", kind="frames")
-    stress = StressField(sigma=fea["sigma"], eigenvectors=fea["eigenvectors"],
-                         eigenvalues=fea["eigenvalues"],
-                         sigma_plus=fea["sigma_plus"],
-                         eigenvalues_plus=fea["eigenvalues_plus"])
     mesh = mesh_from_config(cfg)
-    energy = data_energy_total(fit["omega"], stress, mesh.tets)
+    energy = data_energy_total(fit["omega"], fea["sigma_plus"], mesh.tets)
     assert tail["final_data_energy"] == f"{energy:.9e}" == outer[-1][5]
     # grad_norm is that of the last inner solve's final gradient.
     meta, _ = artifacts.read_field(out / "frames.field", kind="frames")
     alpha = meta["alpha_history"][-1][0]
-    _, grad = total_energy_grad(fit["omega"], stress, alpha, mesh.tets,
-                                build_operators(mesh).L)
+    _, grad = total_energy_grad(fit["omega"], fea["sigma_plus"], alpha,
+                                mesh.tets, build_operators(mesh).L)
     assert outer[-1][13] == f"{np.linalg.norm(grad):.9e}"
 
 

@@ -37,30 +37,8 @@ from stresstruss.extract import (
 )
 from stresstruss.fixtures import unit_cube_mesh
 from stresstruss.mesh import TetMesh, feature_edges, unique_edges
-from stresstruss.param import Parametrization
 
 INTERIOR_FAMILIES = ("iso1", "iso2", "iso3")
-
-
-def _ring(faces, n):
-    nb = [set() for _ in range(n)]
-    for a, b, c in np.asarray(faces, dtype=int):
-        nb[a].update((b, c))
-        nb[b].update((a, c))
-        nb[c].update((a, b))
-    return [np.array(sorted(s), dtype=int) for s in nb]
-
-
-def _perturb_raw(params, neighbors):
-    p = Parametrization(phi=np.asarray(params, dtype=float), beta=1.0)
-    p.phi_tilde = np.asarray(params, dtype=float).copy()
-    return perturb_parametrization(p, neighbors=neighbors).phi_tilde
-
-
-def _param_tilde(mesh, phi):
-    p = Parametrization(phi=phi, beta=1.0, rho=1.0)
-    p.phi_tilde = phi.copy()
-    return perturb_parametrization(p, mesh=mesh)
 
 
 def _integral_mask(g, tol=1e-9):
@@ -118,7 +96,7 @@ def test_perturb_examples():
         [3.2, 2.4, 0.6],
         [3.7, 2.5, 0.7],
     ])
-    pert = _param_tilde(mesh, phi).phi_tilde
+    pert = perturb_parametrization(phi, mesh.tets)
     # 3.0 with a smaller neighbor: not a 1-ring min, moves down.
     assert pert[0, 0] == 3.0 - 1e-7
     # 2.0 below all neighbors: 1-ring minimum, moves up.
@@ -133,7 +111,7 @@ def test_perturb_examples():
 def test_perturb_guard():
     mesh = unit_cube_mesh(3)
     phi = 2.0 * mesh.vertices
-    pert = _param_tilde(mesh, phi).phi_tilde
+    pert = perturb_parametrization(phi, mesh.tets)
     frac = np.abs(pert - np.round(pert))
     assert frac.min() >= 1e-9
     # Plane x=0 holds the component minimum: moved up, not down.
@@ -142,36 +120,31 @@ def test_perturb_guard():
     assert (pert[mesh.vertices[:, 0] == 1.0, 0] == 2.0 - 1e-7).all()
 
 
-def oracle_perturb_parametrization(p, epsilon=1e-7, neighbors=None,
-                                   mesh=None):
-    """The per-value loop that perturb_parametrization replaced."""
-    if p.phi_tilde is None:
-        raise NumericalError("normalize_and_scale must run before perturbation")
-    if neighbors is None:
-        if mesh is None:
-            raise NumericalError("need mesh or precomputed neighbor lists")
-        neighbors = mesh.vertex_neighbors()
-    phi = p.phi_tilde.copy()
+def oracle_perturb_parametrization(phi_tilde, cells, epsilon=1e-7):
+    """The per-value loop that perturb_parametrization replaced, with each
+    vertex's 1-ring built as a set of the vertices sharing a cell with it."""
+    rings = [set() for _ in range(len(phi_tilde))]
+    for cell in cells:
+        for u in cell:
+            rings[u].update(int(v) for v in cell if v != u)
+    neighbors = [np.array(sorted(r), dtype=np.int64) for r in rings]
+    phi = phi_tilde.copy()
     near = np.abs(phi - np.round(phi)) < PARAM_TOL
     for c in range(phi.shape[1]):
         idx = np.nonzero(near[:, c])[0]
         for v in idx:
-            col = p.phi_tilde[:, c]
+            col = phi_tilde[:, c]
             is_min = (col[v] <= col[neighbors[v]]).all()
             phi[v, c] = col[v] + epsilon if is_min else col[v] - epsilon
     frac = np.abs(phi - np.round(phi))
     if (frac < PARAM_TOL).any():
         raise NumericalError("perturbation failed to clear all near-integer values")
-    out = Parametrization(phi=p.phi, beta=p.beta, rho=p.rho)
-    out.phi_tilde = phi
-    return out
+    return phi
 
 
-def _assert_perturb_matches_oracle(x, **rings):
-    p = Parametrization(phi=x, beta=1.0)
-    p.phi_tilde = x
-    got = perturb_parametrization(p, **rings).phi_tilde
-    want = oracle_perturb_parametrization(p, **rings).phi_tilde
+def _assert_perturb_matches_oracle(x, cells):
+    got = perturb_parametrization(x, cells)
+    want = oracle_perturb_parametrization(x, cells)
     assert got.tobytes() == want.tobytes()
     assert (got != x).any()
 
@@ -179,25 +152,33 @@ def _assert_perturb_matches_oracle(x, **rings):
 def test_perturb_bar_field_matches_oracle(bar_field):
     # A third of the values snapped onto (or within 4e-10 of) an integer,
     # so that 1-ring minima, ties with neighbours and flat patches occur.
-    mesh, p, _ = bar_field
+    mesh, phi_tilde, _ = bar_field
     rng = np.random.default_rng(3)
-    x = p.phi_tilde.copy()
+    x = phi_tilde.copy()
     snap = rng.random(x.shape) < 0.3
     x[snap] = np.round(x[snap]) + rng.choice([0.0, 4e-10, -4e-10], snap.sum())
-    _assert_perturb_matches_oracle(x, mesh=mesh)
+    _assert_perturb_matches_oracle(x, mesh.tets)
 
 
 def test_perturb_unused_vertex_matches_oracle():
-    # Vertex 4 is in no tet: its empty 1-ring, an array or a list, counts
-    # as a minimum.
+    # Vertex 4 is in no tet: its empty 1-ring counts as a minimum.
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [5, 5, 5]],
                      dtype=float)
     mesh = TetMesh(verts, np.array([[0, 1, 2, 3]]))
     x = np.array([[1.0, 2.0, 0.5], [1.0, 1.0, 3.0], [2.0, 0.5, 3.0],
                   [0.2, 1.0, 3.0], [1.0, 1.0, 1.0]])
-    _assert_perturb_matches_oracle(x, mesh=mesh)
-    _assert_perturb_matches_oracle(
-        x, neighbors=[nb.tolist() for nb in mesh.vertex_neighbors()])
+    _assert_perturb_matches_oracle(x, mesh.tets)
+
+
+def test_perturb_vertex_in_no_cell_moves_up():
+    # Vertex 2 is in no cell, so each of its near-integer values is a
+    # 1-ring minimum and moves by +epsilon, even above its neighbours'
+    # values; its other value is bit-unchanged.
+    x = np.array([[0.0, 3.0], [4.0, 1.0], [5.0 + 4e-10, 0.5], [2.0, 7.0]])
+    got = perturb_parametrization(x, np.array([[0, 1], [1, 3], [3, 0]]))
+    assert got[2, 0] == x[2, 0] + 1e-7
+    assert got[2, 1] == 0.5
+    assert (got[[0, 1, 3]] != x[[0, 1, 3]]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +189,7 @@ def _triangle_case():
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     faces = np.array([[0, 1, 2]])
     params = 3.0 * verts[:, :2]
-    pert = _perturb_raw(params, _ring(faces, 3))
+    pert = perturb_parametrization(params, faces)
     return verts, faces, pert
 
 
@@ -246,7 +227,7 @@ def _square_case(rho=4.0):
     ])
     faces = np.array([[0, 1, 2], [0, 2, 3]])
     params = rho * verts[:, :2]
-    pert = _perturb_raw(params, _ring(faces, 4))
+    pert = perturb_parametrization(params, faces)
     return verts, faces, pert
 
 
@@ -321,7 +302,7 @@ CUBE_RHO = 4.0
 def cube_case():
     mesh = unit_cube_mesh(5, jitter=0.3)
     phi = CUBE_RHO * mesh.vertices
-    pert = _param_tilde(mesh, phi)
+    pert = perturb_parametrization(phi, mesh.tets)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtractionWarning)
         g3 = extract_3d(mesh, pert)
@@ -409,8 +390,8 @@ def test_affine_inverse_oracle():
     phi = mesh.vertices @ A.T + b
     frac = np.abs(phi - np.round(phi))
     assert frac.min() > 1e-6          # perturbation is a no-op here
-    pert = _param_tilde(mesh, phi)
-    assert (pert.phi_tilde == phi).all()
+    pert = perturb_parametrization(phi, mesh.tets)
+    assert (pert == phi).all()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtractionWarning)
         g = extract_3d(mesh, pert)
@@ -434,12 +415,11 @@ def test_affine_inverse_oracle():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_parameters_rejected(bad):
     mesh = _single_tet()
-    p = Parametrization(phi=np.zeros((4, 3)), beta=1.0)
-    p.phi_tilde = np.full((4, 3), 0.5)
-    p.phi_tilde[2, 1] = bad
+    params = np.full((4, 3), 0.5)
+    params[2, 1] = bad
     for extract in (extract_3d, extract_boundary):
         with pytest.raises(NumericalError, match="non-finite"):
-            extract(mesh, p)
+            extract(mesh, params)
 
 
 def test_single_tet_spanning_less_than_one():
@@ -449,7 +429,7 @@ def test_single_tet_spanning_less_than_one():
         0.3 + 0.4 * mesh.vertices[:, 1],
         0.1 + 0.6 * mesh.vertices[:, 2],
     ])
-    pert = _param_tilde(mesh, phi)
+    pert = perturb_parametrization(phi, mesh.tets)
     g = extract_3d(mesh, pert)
     assert g.num_nodes == 0
     assert g.num_elements == 0
@@ -863,13 +843,11 @@ def oracle_extract_2d(vertices: np.ndarray, faces: np.ndarray, params: np.ndarra
     return builder.finalize()
 
 
-def oracle_extract_3d(mesh: TetMesh, p: Parametrization) -> TrussGraph:
+def oracle_extract_3d(mesh: TetMesh, params: np.ndarray) -> TrussGraph:
     """Trace double-integer curves through tets; nodes at face crossings and
     triple-integer interior points, elements along each curve between them.
     """
-    if p.phi_tilde is None:
-        raise NumericalError("normalize_and_scale must run before extraction")
-    params = np.asarray(p.phi_tilde, dtype=float)
+    params = np.asarray(params, dtype=float)
     check_perturbed(params)
     verts = mesh.vertices
 
@@ -980,15 +958,13 @@ def _oracle_face_hit(verts, params, trip, i, a, j, b):
     return pos, par
 
 
-def oracle_extract_boundary(mesh: TetMesh, p: Parametrization,
+def oracle_extract_boundary(mesh: TetMesh, params: np.ndarray,
                      features: np.ndarray | None = None) -> TrussGraph:
     """Surface truss: the three pairwise 2D extractions on the boundary
     complex (all nodes tagged boundary, elements family "boundary"), plus
     chains along feature edges (tagged/family "feature").
     """
-    if p.phi_tilde is None:
-        raise NumericalError("normalize_and_scale must run before extraction")
-    params = np.asarray(p.phi_tilde, dtype=float)
+    params = np.asarray(params, dtype=float)
     check_perturbed(params)
     surface = mesh.boundary
     faces = surface.triangles
@@ -1126,7 +1102,8 @@ def test_lattice_aligned_maps_match_oracle(rho, offset, shear):
     mesh = unit_cube_mesh(2)
     A = np.eye(3)
     A[0, 1] = shear
-    pert = _param_tilde(mesh, rho * mesh.vertices @ A.T + offset)
+    pert = perturb_parametrization(rho * mesh.vertices @ A.T + offset,
+                                   mesh.tets)
     _assert_matches_oracle(mesh, pert, feature_edges(mesh.boundary, 0.9))
 
 
@@ -1140,7 +1117,7 @@ def test_random_smooth_maps_match_oracle(n, jitter, rho, seed):
     A = np.eye(3) + 0.4 * rng.standard_normal((3, 3))
     bend = 0.3 * rng.standard_normal((3, 3))
     phi = rho * (x @ A.T + 0.2 * np.sin(3.0 * x @ bend.T)) + rng.random(3)
-    pert = _param_tilde(mesh, phi)
+    pert = perturb_parametrization(phi, mesh.tets)
     _assert_matches_oracle(mesh, pert, feature_edges(mesh.boundary, 0.9))
 
 

@@ -326,8 +326,8 @@ def test_stress_spd_example_tensor():
     w, v = np.linalg.eigh(sigma)
     field = StressField(sigma=sigma, eigenvectors=v[:, :, ::-1].copy(),
                         eigenvalues=w[:, ::-1].copy())
-    out = stress_spd(field)
-    np.testing.assert_allclose(out.sigma_plus[0], np.diag([30.0, 15.5, 1.0]),
+    sigma_plus, _ = stress_spd(field)
+    np.testing.assert_allclose(sigma_plus[0], np.diag([30.0, 15.5, 1.0]),
                                atol=1e-12)
 
 
@@ -336,8 +336,8 @@ def test_stress_spd_degenerate_range():
     w, v = np.linalg.eigh(sigma)
     field = StressField(sigma=sigma, eigenvectors=v[:, :, ::-1].copy(),
                         eigenvalues=w[:, ::-1].copy())
-    out = stress_spd(field)
-    for s in out.sigma_plus:
+    sigma_plus, _ = stress_spd(field)
+    for s in sigma_plus:
         np.testing.assert_allclose(s, 15.5 * np.eye(3), atol=1e-12)
 
 
@@ -350,19 +350,19 @@ def test_stress_spd_random_fields():
         w, v = np.linalg.eigh(sigma)
         field = StressField(sigma=sigma, eigenvectors=v[:, :, ::-1].copy(),
                             eigenvalues=w[:, ::-1].copy())
-        out = stress_spd(field)
-        ev = np.linalg.eigvalsh(out.sigma_plus)
+        sigma_plus, eigenvalues_plus = stress_spd(field)
+        ev = np.linalg.eigvalsh(sigma_plus)
         assert ev.min() >= 1.0 - 1e-9
         assert ev.max() <= 30.0 + 1e-9
         # Eigenvector preservation at the mapped eigenvalue.
         for t in range(m):
             for k in range(3):
-                vec = out.eigenvectors[t, :, k]
-                lam = out.eigenvalues_plus[t, k]
-                assert np.linalg.norm(out.sigma_plus[t] @ vec - lam * vec) <= 1e-8
+                vec = field.eigenvectors[t, :, k]
+                lam = eigenvalues_plus[t, k]
+                assert np.linalg.norm(sigma_plus[t] @ vec - lam * vec) <= 1e-8
         # Monotone map: ordering of |eigenvalues| is preserved.
         order = np.argsort(np.abs(field.eigenvalues), axis=1)
-        mapped = np.take_along_axis(out.eigenvalues_plus, order, axis=1)
+        mapped = np.take_along_axis(eigenvalues_plus, order, axis=1)
         assert (np.diff(mapped, axis=1) >= -1e-12).all()
 
 

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from stresstruss import lbfgs
 from stresstruss.errors import ConfigError
-from stresstruss.fem import Material, StressField, cauchy_stress, solve_static, stress_spd
+from stresstruss.fem import Material, cauchy_stress, solve_static, stress_spd
 from stresstruss.fixtures import bar_mesh, box_mesh
 from stresstruss.frames import (
     SMALL_ANGLE,
@@ -99,11 +99,7 @@ def random_spd_field(rng, m):
 
 
 def constant_stress_field(sigma_plus, m):
-    sp3 = np.broadcast_to(sigma_plus, (m, 3, 3)).copy()
-    w, v = np.linalg.eigh(sp3)
-    return StressField(sigma=sp3, eigenvectors=v[:, :, ::-1].copy(),
-                       eigenvalues=w[:, ::-1].copy(), sigma_plus=sp3,
-                       eigenvalues_plus=w[:, ::-1].copy())
+    return np.broadcast_to(sigma_plus, (m, 3, 3)).copy()
 
 
 def test_tensor_norm_examples():
@@ -251,16 +247,14 @@ def test_gradient_matches_finite_differences():
     n = mesh.num_vertices
     for trial in range(100):
         sp3 = random_spd_field(rng, mesh.num_tets)
-        stress = StressField(sigma=sp3, eigenvectors=np.zeros_like(sp3),
-                             eigenvalues=np.zeros((len(sp3), 3)), sigma_plus=sp3)
         omega = rng.standard_normal((n, 3))
         alpha = float(rng.choice([0.0, 0.5, 3.0]))
-        e0, g = total_energy_grad(omega, stress, alpha, tets, L)
+        e0, g = total_energy_grad(omega, sp3, alpha, tets, L)
         d = rng.standard_normal((n, 3))
         d /= np.linalg.norm(d)
         h = 1e-6 * max(np.linalg.norm(omega), 1.0)
-        ep, _ = total_energy_grad(omega + h * d, stress, alpha, tets, L)
-        em, _ = total_energy_grad(omega - h * d, stress, alpha, tets, L)
+        ep, _ = total_energy_grad(omega + h * d, sp3, alpha, tets, L)
+        em, _ = total_energy_grad(omega - h * d, sp3, alpha, tets, L)
         fd = (ep - em) / (2 * h)
         an = float((g * d).sum())
         assert abs(an - fd) <= 1e-4 * max(abs(fd), 1e-8), f"trial {trial}"
@@ -273,14 +267,12 @@ def test_gradient_at_stationary_point():
     mesh = TetMesh(verts, np.array([[0, 1, 2, 3]]))
     L = build_operators(mesh).L
     sp3 = np.diag([30.0, 15.5, 1.0])[None]
-    stress = StressField(sigma=sp3, eigenvectors=np.eye(3)[None],
-                         eigenvalues=np.array([[30.0, 15.5, 1.0]]), sigma_plus=sp3)
     omega = np.array([[0.1, 0, 0], [-0.1, 0, 0], [0.2, 0, 0], [-0.2, 0, 0]])
-    _, g = total_energy_grad(omega, stress, 0.0, mesh.tets, L)
+    _, g = total_energy_grad(omega, sp3, 0.0, mesh.tets, L)
     assert np.linalg.norm(g) <= 1e-6
     # All-zero omega lands sqrt(machine eps) away from the stationary point,
     # so the gradient is small but not zero.
-    _, g0 = total_energy_grad(np.zeros((4, 3)), stress, 0.0, mesh.tets, L)
+    _, g0 = total_energy_grad(np.zeros((4, 3)), sp3, 0.0, mesh.tets, L)
     assert np.linalg.norm(g0) <= 1e-5
 
 
@@ -289,19 +281,17 @@ def test_gradient_alpha_dominated():
     mesh = box_mesh((1, 1, 2), jitter=0.05)
     L = build_operators(mesh).L
     sp3 = random_spd_field(rng, mesh.num_tets)
-    stress = StressField(sigma=sp3, eigenvectors=np.zeros_like(sp3),
-                         eigenvalues=np.zeros((len(sp3), 3)), sigma_plus=sp3)
     omega = rng.standard_normal((mesh.num_vertices, 3))
     alpha = 1e9
-    _, g = total_energy_grad(omega, stress, alpha, mesh.tets, L)
+    _, g = total_energy_grad(omega, sp3, alpha, mesh.tets, L)
     quad = alpha * (np.column_stack([L @ omega[:, c] for c in range(3)]) + omega)
     assert np.abs(g - quad).max() <= 1e-6 * np.abs(quad).max()
 
 
 def test_fit_constant_field_aligns_primary_axis():
     mesh = box_mesh((2, 2, 2), jitter=0.1)
-    stress = constant_stress_field(np.diag([30.0, 15.5, 1.0]), mesh.num_tets)
-    field = fit_frame_field(mesh, stress)
+    M = constant_stress_field(np.diag([30.0, 15.5, 1.0]), mesh.num_tets)
+    field = fit_frame_field(mesh, M)
     r1 = field.frames[:, :, 0]
     align = np.abs(r1[:, 0])                       # |r1 . e1|
     assert (align >= np.cos(1e-3)).all()
@@ -315,8 +305,8 @@ def test_fit_two_tets_identical_tensors_identical_frames():
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float
     )
     mesh = TetMesh(verts, np.array([[0, 1, 2, 3], [1, 2, 3, 4]]))
-    stress = constant_stress_field(np.diag([25.0, 9.0, 2.0]), 2)
-    field = fit_frame_field(mesh, stress)
+    M = constant_stress_field(np.diag([25.0, 9.0, 2.0]), 2)
+    field = fit_frame_field(mesh, M)
     assert np.abs(field.frames[0] - field.frames[1]).max() <= 1e-5
 
 
@@ -324,12 +314,9 @@ def test_fit_monotone_history_and_determinism():
     mesh = box_mesh((2, 2, 2), jitter=0.08)
     rng = np.random.default_rng(41)
     sp3 = random_spd_field(rng, mesh.num_tets)
-    w, v = np.linalg.eigh(sp3)
-    stress = StressField(sigma=sp3, eigenvectors=v[:, :, ::-1].copy(),
-                         eigenvalues=w[:, ::-1].copy(), sigma_plus=sp3)
     cfg = FrameFitConfig(outer_iterations=10, early_stop=False)
-    f1 = fit_frame_field(mesh, stress, cfg)
-    f2 = fit_frame_field(mesh, stress, cfg)
+    f1 = fit_frame_field(mesh, sp3, cfg)
+    f2 = fit_frame_field(mesh, sp3, cfg)
     np.testing.assert_array_equal(f1.omega, f2.omega)
     assert len(f1.alpha_history) == 10
     alphas = [a for a, _ in f1.alpha_history]
@@ -344,8 +331,8 @@ def test_fit_bar_uniaxial_alignment():
     mesh = bar_mesh(jitter=0.1)
     bcs = patch_test_bcs(mesh, 0.2, 1.0e6)
     u = solve_static(mesh, MAT, bcs)
-    stress = stress_spd(cauchy_stress(mesh, MAT, u))
-    field = fit_frame_field(mesh, stress)
+    sigma_plus, _ = stress_spd(cauchy_stress(mesh, MAT, u))
+    field = fit_frame_field(mesh, sigma_plus)
     r1 = field.frames[:, :, 0]
     angles = np.arccos(np.clip(np.abs(r1[:, 0]), -1.0, 1.0))
     frac = float((angles <= 1e-2).sum()) / len(angles)
@@ -382,9 +369,7 @@ def test_data_energy_total_matches_per_tet_sum():
     rng = np.random.default_rng(9)
     mesh = box_mesh((1, 2, 1), jitter=0.05)
     sp3 = random_spd_field(rng, mesh.num_tets)
-    stress = StressField(sigma=sp3, eigenvectors=np.zeros_like(sp3),
-                         eigenvalues=np.zeros((len(sp3), 3)), sigma_plus=sp3)
     omega = rng.standard_normal((mesh.num_vertices, 3))
     frames = tet_frames(omega, mesh.tets)
     ref = sum(data_energy(frames[t], sp3[t]) for t in range(mesh.num_tets))
-    assert data_energy_total(omega, stress, mesh.tets) == pytest.approx(ref, rel=1e-12)
+    assert data_energy_total(omega, sp3, mesh.tets) == pytest.approx(ref, rel=1e-12)

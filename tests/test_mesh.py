@@ -314,41 +314,6 @@ def test_feature_edges_threshold_validation():
         feature_edges(m.boundary, -1.0)
 
 
-def test_vertex_neighbors_single_tet():
-    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
-    m = TetMesh(verts, np.array([[0, 1, 2, 3]]))
-    for ns in m.vertex_neighbors():
-        assert len(ns) == 3
-
-
-def _set_neighbors(mesh):
-    nb = [set() for _ in range(mesh.num_vertices)]
-    for tet in mesh.tets:
-        for u in tet:
-            nb[u].update(int(v) for v in tet if v != u)
-    return [np.array(sorted(s), dtype=np.int64) for s in nb]
-
-
-def test_vertex_neighbors_match_set_version():
-    m = box_mesh((5, 3, 4), (1.0, 0.6, 0.8), jitter=0.2)
-    got = m.vertex_neighbors()
-    want = _set_neighbors(m)
-    assert len(got) == len(want) == m.num_vertices
-    for g, w in zip(got, want):
-        assert g.dtype == np.int64
-        np.testing.assert_array_equal(g, w)
-
-
-def test_vertex_neighbors_unused_vertex():
-    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [5, 5, 5]],
-                     dtype=float)
-    m = TetMesh(verts, np.array([[0, 1, 2, 3]]))
-    ns = m.vertex_neighbors()
-    assert len(ns) == 5
-    np.testing.assert_array_equal(ns[0], [1, 2, 3])
-    assert len(ns[4]) == 0 and ns[4].dtype == np.int64
-
-
 def test_pieces_of_two_disjoint_tets():
     tets = np.array([[0, 2, 4, 6], [7, 5, 3, 1]])
     count, labels = pieces(8, tets[:, [[0, 1], [1, 2], [2, 3]]])

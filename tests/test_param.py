@@ -11,7 +11,6 @@ from stresstruss.fixtures import bar_mesh, box_mesh, unit_cube_mesh
 from stresstruss.frames import fit_frame_field, rotations_from_axis_vectors
 from stresstruss.mesh import TetMesh, build_operators
 from stresstruss.param import (
-    Parametrization,
     directional_gradient,
     evaluate_objective,
     normalize_and_scale,
@@ -53,12 +52,12 @@ def test_identity_frames_exact_fit():
     mesh = unit_cube_mesh(3, jitter=0.06)
     ops = build_operators(mesh)
     frames = identity_frames(mesh.num_tets)
-    p = solve_parametrization(mesh, frames, beta=1.0, ops=ops)
+    phi = solve_parametrization(mesh, frames, beta=1.0, ops=ops)
     # phi = x + const: mean-zero gauge pins the constant.
     expected = mesh.vertices - mesh.vertices.mean(axis=0)
-    np.testing.assert_allclose(p.phi, expected, atol=1e-8)
-    assert evaluate_objective(ops, frames, p.phi, 1.0) <= 1e-10
-    assert np.abs(p.phi.mean(axis=0)).max() <= 1e-10
+    np.testing.assert_allclose(phi, expected, atol=1e-8)
+    assert evaluate_objective(ops, frames, phi, 1.0) <= 1e-10
+    assert np.abs(phi.mean(axis=0)).max() <= 1e-10
 
 
 def test_constant_rotation_equivariance():
@@ -67,8 +66,8 @@ def test_constant_rotation_equivariance():
     base = solve_parametrization(mesh, identity_frames(mesh.num_tets), ops=ops)
     R0 = rotations_from_axis_vectors(np.array([[0.4, -0.3, 0.8]]))[0]
     rotated = np.broadcast_to(R0, (mesh.num_tets, 3, 3)).copy()
-    p = solve_parametrization(mesh, rotated, ops=ops)
-    np.testing.assert_allclose(p.phi, base.phi @ R0, atol=1e-8)
+    phi = solve_parametrization(mesh, rotated, ops=ops)
+    np.testing.assert_allclose(phi, base @ R0, atol=1e-8)
 
 
 def test_quadratic_optimality_random_perturbations():
@@ -77,13 +76,13 @@ def test_quadratic_optimality_random_perturbations():
     ops = build_operators(mesh)
     s = rng.standard_normal((mesh.num_tets, 3)) * 0.2
     frames = rotations_from_axis_vectors(s)
-    p = solve_parametrization(mesh, frames, beta=1.0, ops=ops)
-    base = evaluate_objective(ops, frames, p.phi, 1.0)
+    phi = solve_parametrization(mesh, frames, beta=1.0, ops=ops)
+    base = evaluate_objective(ops, frames, phi, 1.0)
     for _ in range(20):
-        d = rng.standard_normal(p.phi.shape)
+        d = rng.standard_normal(phi.shape)
         d -= d.mean(axis=0)                 # stay inside the gauge
         d *= 1e-3 / np.linalg.norm(d)
-        assert evaluate_objective(ops, frames, p.phi + d, 1.0) >= base
+        assert evaluate_objective(ops, frames, phi + d, 1.0) >= base
 
 
 def test_beta_tradeoff_monotone():
@@ -97,8 +96,8 @@ def test_beta_tradeoff_monotone():
     D, O = None, None
     spacing, ortho = [], []
     for beta in (0.1, 1.0, 10.0):
-        p = solve_parametrization(mesh, frames, beta=beta, ops=ops)
-        x = p.phi.T.ravel()
+        phi = solve_parametrization(mesh, frames, beta=beta, ops=ops)
+        x = phi.T.ravel()
         from stresstruss.param import objective_terms
         D, O = objective_terms(ops, frames)
         rd = D @ x - 1.0
@@ -131,9 +130,9 @@ def test_component_solves_match_kkt_oracle(bar_frames):
     mesh = mesh_from_config(cfg)
     _, arr = artifacts.read_field(out / "frames.field", kind="frames")
     systems = []
-    p = solve_parametrization(mesh, arr["frames"], cfg.beta, systems=systems)
+    phi = solve_parametrization(mesh, arr["frames"], cfg.beta, systems=systems)
     ref = kkt_oracle(mesh, arr["frames"], cfg.beta)
-    assert np.linalg.norm(p.phi - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert np.linalg.norm(phi - ref) <= 1e-10 * np.linalg.norm(ref)
     assert [s[0] for s in systems] == [mesh.num_vertices - 1] * 3
 
 
@@ -160,15 +159,13 @@ def test_normalize_and_scale_rule():
         [5.0, 1.0, 2.0],
         [3.5, 0.25, 1.25],
     ])
-    p = Parametrization(phi=phi, beta=1.0)
-    out = normalize_and_scale(p, 10.0)
-    t = out.phi_tilde
+    t = normalize_and_scale(phi, 10.0)
     np.testing.assert_allclose(t.min(axis=0), 0.0, atol=1e-15)
     np.testing.assert_allclose(t.max(axis=0), [10.0, 10.0 / 3.0, 10.0 / 3.0],
                                rtol=1e-12)
     # Doubling rho doubles every value.
-    out2 = normalize_and_scale(Parametrization(phi=phi, beta=1.0), 20.0)
-    np.testing.assert_allclose(out2.phi_tilde, 2.0 * t, rtol=1e-12)
+    t2 = normalize_and_scale(phi, 20.0)
+    np.testing.assert_allclose(t2, 2.0 * t, rtol=1e-12)
 
 
 def test_normalize_identity_range():
@@ -176,30 +173,30 @@ def test_normalize_identity_range():
     phi = rng.uniform(0.0, 1.0, size=(40, 3))
     phi[0] = [0.0, 0.0, 0.0]
     phi[1] = [1.0, 0.7, 0.4]            # max range exactly 1 in component 1
-    p = normalize_and_scale(Parametrization(phi=phi, beta=1.0), 1.0)
-    np.testing.assert_allclose(p.phi_tilde, phi - phi.min(axis=0), rtol=1e-12)
+    t = normalize_and_scale(phi, 1.0)
+    np.testing.assert_allclose(t, phi - phi.min(axis=0), rtol=1e-12)
 
 
 def test_normalize_constant_error():
-    p = Parametrization(phi=np.ones((5, 3)), beta=1.0)
     with pytest.raises(NumericalError, match="constant"):
-        normalize_and_scale(p, 10.0)
+        normalize_and_scale(np.ones((5, 3)), 10.0)
     with pytest.raises(ConfigError):
-        normalize_and_scale(Parametrization(phi=np.eye(3), beta=1.0), 0.0)
+        normalize_and_scale(np.eye(3), 0.0)
 
 
 def test_bar_alignment_median_angle():
     mesh = bar_mesh(jitter=0.1)
     bcs = patch_test_bcs(mesh, 0.2, 1.0e6)
     u = solve_static(mesh, MAT, bcs)
-    stress = stress_spd(cauchy_stress(mesh, MAT, u))
-    field = fit_frame_field(mesh, stress)
+    sigma_plus, _ = stress_spd(cauchy_stress(mesh, MAT, u))
+    field = fit_frame_field(mesh, sigma_plus)
     ops = build_operators(mesh)
-    p = normalize_and_scale(solve_parametrization(mesh, field, ops=ops), 10.0)
+    phi_tilde = normalize_and_scale(
+        solve_parametrization(mesh, field, ops=ops), 10.0)
     g1 = np.stack([
-        ops.Gx @ p.phi_tilde[:, 0],
-        ops.Gy @ p.phi_tilde[:, 0],
-        ops.Gz @ p.phi_tilde[:, 0],
+        ops.Gx @ phi_tilde[:, 0],
+        ops.Gy @ phi_tilde[:, 0],
+        ops.Gz @ phi_tilde[:, 0],
     ], axis=1)
     r1 = field.frames[:, :, 0]
     cosang = np.einsum("ti,ti->t", g1, r1) / np.linalg.norm(g1, axis=1)

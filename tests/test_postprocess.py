@@ -25,7 +25,6 @@ from stresstruss.extract import (
     perturb_parametrization,
 )
 from stresstruss.fixtures import unit_cube_mesh
-from stresstruss.param import Parametrization
 from stresstruss.postprocess import (
     _ICO_FACES,
     _ICO_VERTS,
@@ -75,10 +74,7 @@ def _num_components(g):
 @pytest.fixture(scope="module")
 def cube_graph():
     mesh = unit_cube_mesh(5, jitter=0.3)
-    phi = 4.0 * mesh.vertices
-    p = Parametrization(phi=phi, beta=1.0, rho=4.0)
-    p.phi_tilde = phi.copy()
-    pert = perturb_parametrization(p, mesh=mesh)
+    pert = perturb_parametrization(4.0 * mesh.vertices, mesh.tets)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtractionWarning)
         return extract_3d(mesh, pert)
@@ -162,10 +158,7 @@ def test_component_and_length_invariants():
     ])
     faces = np.array([[0, 1, 2], [0, 2, 3]])
     params = 4.0 * verts[:, :2]
-    p = Parametrization(phi=params.copy(), beta=1.0)
-    p.phi_tilde = params.copy()
-    nb = [np.array(x) for x in ([1, 2, 3], [0, 2], [0, 1, 3], [0, 2])]
-    pert = perturb_parametrization(p, neighbors=nb).phi_tilde
+    pert = perturb_parametrization(params, faces)
     g = extract_2d(verts, faces, pert, pair=(0, 1))
     before_comp = _num_components(g)
     before_len = g.element_lengths().sum()

@@ -17,6 +17,7 @@ from stresstruss.extract import (ExtractionWarning, TrussGraph, extract_3d,
 from stresstruss.fem import BoundaryConditions, Dirichlet, Material, Neumann
 from stresstruss.postprocess import default_length_threshold, simplify
 from stresstruss.verify import (
+    BoundaryWarning,
     FrameResult,
     TrussModel,
     build_truss_model,
@@ -286,7 +287,12 @@ def test_bc_mapping_nearest_node_fallback():
                                    "radius": 1e-3},
                          force=(0.0, -1.0, 0.0))],
     )
-    model = build_truss_model(g, MAT, 0.01, bcs)
+    with pytest.warns(BoundaryWarning) as record:
+        model = build_truss_model(g, MAT, 0.01, bcs)
+    assert [str(w.message) for w in record] == [
+        "sphere selector matched no truss node; using the nearest node 0",
+        "sphere selector matched no truss node; using the nearest node 1",
+    ]
     assert model.fixed[0].all()
     assert not model.fixed[1].any()
     assert np.allclose(model.loads[1, :3], [0.0, -1.0, 0.0])
