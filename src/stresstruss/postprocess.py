@@ -247,19 +247,18 @@ def emit_geometry(g: TrussGraph, radius_policy, sides: int = 8) -> TriangleMesh:
 # Writers
 
 
-def _rows(a: np.ndarray):
-    """Rows of a as Python lists, converted a block at a time so that the
-    whole array is never held as Python objects."""
+def _write_rows(fh, line: str, a: np.ndarray):
+    """Writes ``line % row`` for each row of a, one ``%`` per 4,096 rows so
+    that a is never held whole as Python objects (``%r`` is a float's repr)."""
     for i in range(0, len(a), 4096):
-        yield from a[i:i + 4096].tolist()
+        block = a[i:i + 4096]
+        fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_obj(mesh: TriangleMesh, path):
     with open(path, "w") as fh:
-        fh.writelines(f"v {x!r} {y!r} {z!r}\n"
-                      for x, y, z in _rows(mesh.vertices))
-        fh.writelines(f"f {a + 1} {b + 1} {c + 1}\n"
-                      for a, b, c in _rows(mesh.triangles))
+        _write_rows(fh, "v %r %r %r\n", mesh.vertices)
+        _write_rows(fh, "f %d %d %d\n", mesh.triangles + 1)
         if not len(mesh.vertices) + len(mesh.triangles):
             fh.write("\n")                  # no lines: one empty line
 
@@ -292,8 +291,7 @@ def write_ply(mesh: TriangleMesh, path):
 def write_lines_obj(g: TrussGraph, path):
     """Line-segment OBJ of the bare graph for visualization."""
     with open(path, "w") as fh:
-        fh.writelines(f"v {x!r} {y!r} {z!r}\n"
-                      for x, y, z in _rows(g.positions))
-        fh.writelines(f"l {a + 1} {b + 1}\n" for a, b in _rows(g.elements))
+        _write_rows(fh, "v %r %r %r\n", g.positions)
+        _write_rows(fh, "l %d %d\n", g.elements + 1)
         if not g.num_nodes + g.num_elements:
             fh.write("\n")                  # no lines: one empty line

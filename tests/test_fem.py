@@ -16,6 +16,7 @@ from stresstruss.fem import (
     cauchy_stress,
     prescribed_dofs,
     solve_cholesky,
+    solve_lu,
     solve_static,
     solve_supported,
     stress_spd,
@@ -302,6 +303,16 @@ def test_solve_failure_names_its_system(solve, system):
     with pytest.raises(NumericalError,
                        match=f"^{system} system singular to working precision"):
         solve(unit_cube_mesh(1))
+
+
+@pytest.mark.parametrize("A", [
+    [[0.0, 0.0], [0.0, 1.0]],
+    [[1.0, 1.0], [1.0, 1.0]],
+], ids=["zero-row", "rank-deficient"])
+def test_sparse_lu_singular_fails_by_name(A):
+    with pytest.raises(NumericalError, match="^frame stiffness system "
+                                             "singular to working precision"):
+        solve_lu(sp.csr_matrix(A), np.ones(2), "frame stiffness")
 
 
 def test_empty_selector_rejected():

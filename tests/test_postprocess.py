@@ -466,15 +466,27 @@ def _reference_lines_file(path, points, cells, tag):
 
 
 def test_writers_match_per_row_oracle_bytes(tmp_path, cube_graph):
+    rng = np.random.default_rng(0)
+    n, ne = 200, 320        # more than one 4,096-row block of each kind
+    dense = _graph(rng.uniform(-1.0, 1.0, (n, 3)), ["interior_grid"] * n,
+                   [rng.choice(n, 2, replace=False) for _ in range(ne)],
+                   ["iso1"] * ne)
+    awkward = np.array([[-0.0, 5e-324, 1e22], [0.1 + 0.2, -1.5e-07, 1.0]])
+    odd = _graph(awkward, ["interior_grid"] * 2, [[0, 1]], ["iso1"])
+    cases = [(emit_geometry(g, 0.01, sides=5), g)
+             for g in (cube_graph, dense)]
+    cases.append((TriangleMesh(awkward, np.array([[0, 1, 1]])), odd))
+    cases.append((emit_geometry(empty_graph(), 0.01, sides=5), empty_graph()))
+    assert min(len(cases[1][0].vertices), len(cases[1][0].triangles)) > 4096
     got, want = tmp_path / "got.obj", tmp_path / "want.obj"
-    for g in (cube_graph, empty_graph()):
-        mesh = emit_geometry(g, 0.01, sides=5)
+    for mesh, g in cases:
         write_obj(mesh, got)
         _reference_lines_file(want, mesh.vertices, mesh.triangles, "f")
         assert got.read_bytes() == want.read_bytes()
         write_lines_obj(g, got)
         _reference_lines_file(want, g.positions, g.elements, "l")
         assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes() == b"\n"          # the empty graph: one line
 
 
 def test_emit_counts_single_element():

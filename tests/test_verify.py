@@ -8,13 +8,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+import scipy.sparse.linalg as spla
 
 from stresstruss import verify
 from stresstruss.errors import ConfigError, NumericalError
 from stresstruss.extract import (ExtractionWarning, TrussGraph, extract_3d,
                                  extract_boundary, merge_graphs)
-from stresstruss.fem import BoundaryConditions, Dirichlet, Material, Neumann
+from stresstruss.fem import (BoundaryConditions, Dirichlet, Material,
+                             Neumann, solve_lu)
 from stresstruss.postprocess import default_length_threshold, simplify
 from stresstruss.verify import (
     BoundaryWarning,
@@ -456,7 +457,9 @@ def reference_frame_fem(model):
     f = model.loads.ravel()
     free = np.nonzero(~model.fixed.ravel())[0]
     d = np.zeros(6 * n)
-    d[free] = spsolve(K[free][:, free].tocsc(), f[free])
+    d[free] = spla.splu(K[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                        diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True}).solve(f[free])
     reactions = (K @ d - f).reshape(n, 6)
 
     ne = g.num_elements
@@ -524,34 +527,58 @@ def _same_bits(a, b):
             and a.tobytes() == b.tobytes())
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_frame_fem_matches_per_element_oracle_bitwise(seed):
+def random_frame_case(seed):
+    """A random frame graph held at node 0, with four point loads and
+    gravity, its material and its three member radii."""
     rng = np.random.default_rng(seed)
     g = random_frame_graph(rng)
     mat = Material(young_modulus=2.3e9, poisson_ratio=0.3, density=1200.0,
                    yield_strength=48e6)
-    gravity = (0.0, 0.0, -9.81)
     bcs = BoundaryConditions(
         dirichlet=[Dirichlet(selector={"type": "indices", "values": [0]})],
         neumann=[Neumann(selector={"type": "indices", "values": [n]},
                          force=tuple(rng.normal(0.0, 10.0, 3)))
                  for n in rng.choice(g.num_nodes, 4, replace=False)],
-        gravity=gravity,
+        gravity=(0.0, 0.0, -9.81),
     )
-    radii = {"iso1": 0.004, "iso2": 0.007, "default": 0.0025}
+    return g, mat, {"iso1": 0.004, "iso2": 0.007, "default": 0.0025}, bcs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_frame_fem_matches_per_element_oracle_bitwise(seed):
+    g, mat, radii, bcs = random_frame_case(seed)
     model = build_truss_model(g, mat, radii, bcs)
     assert len(set(model.radii.tolist())) == 3
 
     no_gravity = build_truss_model(g, mat, radii, BoundaryConditions(
         dirichlet=bcs.dirichlet, neumann=bcs.neumann))
     assert _same_bits(model.loads, reference_gravity_loads(
-        model, gravity, no_gravity.loads))
+        model, bcs.gravity, no_gravity.loads))
 
     got, want = frame_fem(model), reference_frame_fem(model)
     for field in ("displacements", "reactions", "axial_force",
                   "axial_stress", "bending_stress"):
         assert _same_bits(getattr(got, field), getattr(want, field)), field
     assert np.abs(got.bending_stress).max() > 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_frame_solve_matches_spsolve(seed, monkeypatch):
+    g, mat, radii, bcs = random_frame_case(seed)
+    systems = []
+
+    def capture(A, b, what):
+        systems.append((A, b))
+        return solve_lu(A, b, what)
+
+    monkeypatch.setattr(verify, "solve_lu", capture)
+    frame_fem(build_truss_model(g, mat, radii, bcs))
+    (A, b), = systems
+    x, ref = solve_lu(A, b, "frame stiffness"), spla.spsolve(A.tocsc(), b)
+    assert np.linalg.norm(x - ref) <= 1e-6 * np.linalg.norm(ref)
+    resid = np.abs(A @ x - b).max()     # _accepted's normwise backward error
+    assert resid <= 1e-8 * (spla.norm(A, np.inf) * np.abs(x).max()
+                            + np.abs(b).max())
 
 
 def column_major_assemble(model, lam, k_loc):

@@ -1,6 +1,8 @@
 """Byte-identity ladder: the whole pipeline on the benchmark's three
 workloads, each at jitter 0 and at every ``JITTERS`` value of bench/run.py
-(27 configurations), one ``sha256  workload/jitter/file`` line per output.
+(27 configurations), one ``sha256  workload/jitter/file`` line per output
+and one ``lambda_star <value>  workload/jitter`` line per configuration, so
+that a change of ``report.txt`` also shows as a readable number.
 
     python3 tools/ladder.py > after.txt
     python3 tools/ladder.py --root ../parent-checkout > before.txt
@@ -50,6 +52,8 @@ def main(argv=None) -> int:
                 for f in sorted(p for p in out.iterdir() if p.is_file()):
                     digest = hashlib.sha256(f.read_bytes()).hexdigest()
                     print(f"{digest}  {label}/{f.name}", flush=True)
+                lam = (out / "report.txt").read_text().splitlines()[-1]
+                print(f"{lam}  {label}", flush=True)
     finally:
         if args.out is None:
             shutil.rmtree(base, ignore_errors=True)
