@@ -30,7 +30,8 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import selectors
 from .errors import ConfigError, NumericalError
-from .mesh import TetMesh, assemble, pieces, shape_gradients
+from .mesh import (TetMesh, assemble, face_pairs, pieces, shape_gradients,
+                   unique_rows)
 
 # Field-wide |eigenvalue| target range of the SPD stress surrogate.
 SPD_RANGE = (1.0, 30.0)
@@ -117,6 +118,7 @@ def assemble_stiffness(mesh: TetMesh, material: Material) -> sp.csr_matrix:
         B[:, 5, c + 1] = g[:, i, 0]
     C = material.elasticity_voigt()
     ke = np.einsum("t,tki,kl,tlj->tij", mesh.volumes, B, C, B, optimize=True)
+    del g, B    # freed before assembly, whose peak sets fea's memory
 
     dof = (3 * mesh.tets[:, :, None] + np.arange(3)).reshape(m, 12)
     return assemble(ke, dof, 3 * mesh.num_vertices)
@@ -192,13 +194,18 @@ def solve_static(mesh: TetMesh, material: Material, bcs: BoundaryConditions,
     f = assemble_loads(mesh, material, bcs)
     fixed, fixed_vals = prescribed_dofs(mesh, bcs)
 
+    # Rigidity follows face adjacency: tets that share only a vertex are
+    # separate pieces, hinged there.
     held = np.isin(np.arange(3 * mesh.num_vertices), fixed).reshape(-1, 3)
-    pairs = mesh.tets[:, [[0, 1], [1, 2], [2, 3]]]
-    loose, modes = free_rigid_motions(mesh.vertices, pairs, held)
-    if len(loose):
+    npieces, label = pieces(mesh.num_tets, face_pairs(mesh.tets))
+    loose, modes, nfree = free_rigid_motions(
+        mesh.vertices, np.column_stack([np.repeat(label, 4),
+                                        mesh.tets.ravel()]), held)
+    if nfree:
         raise NumericalError(
             "singular stiffness system; unconstrained rigid modes: "
-            f"{', '.join(modes)} ({len(loose)} vertices)"
+            f"{', '.join(modes)} ({len(loose)} vertices; {nfree} of "
+            f"{npieces} face-connected pieces free)"
         )
     u = solve_supported(K, f, fixed, fixed_vals, lambda A, b:
                         solve_cholesky(A, b, "stiffness", systems))
@@ -206,40 +213,57 @@ def solve_static(mesh: TetMesh, material: Material, bcs: BoundaryConditions,
     return (u, K, f) if return_system else u
 
 
-def free_rigid_motions(positions: np.ndarray, pairs: np.ndarray,
-                       fixed: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Nodes of the pieces, connected through ``pairs``, that their fixed
-    DOFs leave free to move rigidly, and the names of those motions.
+def free_rigid_motions(positions: np.ndarray, members: np.ndarray,
+                       fixed: np.ndarray) -> tuple[np.ndarray, list[str], int]:
+    """The nodes that the ``fixed`` DOFs leave free to move rigidly, the
+    names of those motions, and the number of pieces left free.
 
-    ``fixed`` is (n, 3) for translation DOFs or (n, 6) with rotations too.
-    Each piece is taken as rigid, as frame members joined at nodes are;
-    tets sharing only an edge or a vertex are not, and such hinges are left
-    to the solve. A piece is held when the rows (e_k, p x e_k) and (0, e_k)
-    of its fixed DOFs in the rigid motion (t, w), translation t + w x p at
-    p, have rank 6; rotations are about the centroid of its fixed nodes.
+    ``members`` lists (piece, node) rows, pieces numbered from 0, and a
+    node in two pieces is a hinge between them. ``fixed`` is (n, 3) for
+    translation DOFs or (n, 6) with rotations too. Each piece is rigid, and
+    held when its own fixed DOFs, plus the three translations of each node
+    it shares with a piece already held, pass ``_free_motions``' rank test;
+    sweeps repeat until none is added.
     """
-    npieces, label = pieces(len(positions), pairs)
-    node, dof = np.nonzero(fixed)
-    order = np.argsort(label[node], kind="stable")
-    node, dof = node[order], dof[order]
-    bounds = np.searchsorted(label[node], np.arange(npieces + 1))
-    held = np.zeros(npieces, dtype=bool)
-    free = set(range(6)) if np.any(bounds[1:] == bounds[:-1]) else set()
-    eye = np.eye(3)
-    for c in np.nonzero(bounds[1:] > bounds[:-1])[0]:
-        i, k = node[bounds[c]:bounds[c + 1]], dof[bounds[c]:bounds[c + 1]]
-        p = positions[i] - positions[i].mean(axis=0)
-        p /= max(np.abs(p).max(), 1e-300)
-        rows = np.zeros((len(i), 6))
-        rows[np.arange(len(i)), k] = 1.0        # t_k, or w_k for k >= 3
-        move = k < 3
-        rows[move, 3:] = np.cross(p[move], eye[k[move]])
-        _, sv, vt = np.linalg.svd(rows)
-        rank = int(np.sum(sv > 1e-9 * sv[0]))
-        for v in np.abs(vt[rank:]):
-            free.update(np.nonzero(v > 0.3 * v.max())[0].tolist())
-        held[c] = rank == 6
-    return np.nonzero(~held[label])[0], [_RIGID_NAMES[m] for m in sorted(free)]
+    members = unique_rows(members)[0]
+    npieces = int(members[-1, 0]) + 1 if len(members) else 0
+    bounds = np.searchsorted(members[:, 0], np.arange(npieces + 1))
+    rigid = np.zeros(npieces, dtype=bool)
+    pinned = np.zeros(fixed.shape, dtype=bool)   # translations held rigid
+    grew = True
+    while grew:
+        free, grew = set(), False
+        for c in np.nonzero(~rigid)[0]:
+            v = members[bounds[c]:bounds[c + 1], 1]
+            i, k = np.nonzero(fixed[v] | pinned[v])
+            moves = _free_motions(positions[v[i]], k)
+            free |= moves
+            if not moves:
+                rigid[c] = grew = pinned[v, :3] = True
+    loose = np.setdiff1d(members[~rigid[members[:, 0]], 1],
+                         np.nonzero(pinned[:, 0])[0])
+    return (loose, [_RIGID_NAMES[m] for m in sorted(free)],
+            int(npieces - rigid.sum()))
+
+
+def _free_motions(p: np.ndarray, k: np.ndarray) -> set[int]:
+    """The rigid motions (indices into ``_RIGID_NAMES``) that fixed DOFs
+    ``k`` (0-2 translations, 3-5 rotations) at points ``p``, one row each,
+    leave free; empty when they hold the piece. The rows (e_k, p x e_k) and
+    (0, e_k) in the rigid motion (t, w), translation t + w x p at p, must
+    have rank 6; rotations are about the centroid of the rows' points."""
+    if len(k) == 0:
+        return set(range(6))
+    p = p - p.mean(axis=0)
+    p /= max(np.abs(p).max(), 1e-300)
+    rows = np.zeros((len(k), 6))
+    rows[np.arange(len(k)), k] = 1.0        # t_k, or w_k for k >= 3
+    move = k < 3
+    rows[move, 3:] = np.cross(p[move], np.eye(3)[k[move]])
+    _, sv, vt = np.linalg.svd(rows)
+    rank = int(np.sum(sv > 1e-9 * sv[0]))
+    return {int(m) for v in np.abs(vt[rank:])
+            for m in np.nonzero(v > 0.3 * v.max())[0]}
 
 
 def solve_supported(K, f: np.ndarray, held: np.ndarray, values: np.ndarray,
@@ -301,8 +325,7 @@ def _accepted(A, b: np.ndarray, x: np.ndarray | None, what: str,
     NumericalError naming the system ``what``.
 
     Both factorizations are backward stable, so this does not reliably
-    detect a mechanism (a hinge fails only where round-off leaves a
-    non-positive Cholesky pivot): callers rule those out first
+    detect a mechanism: callers rule those out first
     (``free_rigid_motions``, or param's count of mesh pieces).
     """
     if x is not None and np.isfinite(x).all():

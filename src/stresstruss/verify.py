@@ -21,7 +21,7 @@ from .errors import ConfigError, NumericalError
 from .extract import TrussGraph, row_norms
 from .fem import (BoundaryConditions, Material, free_rigid_motions,
                   solve_lu, solve_supported)
-from .mesh import assemble
+from .mesh import assemble, pieces
 from .postprocess import perp_basis, resolve_radii
 
 
@@ -171,7 +171,8 @@ def frame_fem(model: TrussModel) -> FrameResult:
     lengths, lam = _element_frames(model)
     # Members are rigidly joined, so only a piece its supports do not hold
     # can move without strain.
-    loose, _ = free_rigid_motions(g.positions, g.elements, model.fixed)
+    members = np.column_stack([pieces(n, g.elements)[1], np.arange(n)])
+    loose = free_rigid_motions(g.positions, members, model.fixed)[0]
     if len(loose):
         shown = ", ".join(str(i) for i in loose[:12])
         if len(loose) > 12:

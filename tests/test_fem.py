@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -252,22 +254,75 @@ def test_cholesky_matches_sparse_lu_on_fea_systems(make_mesh):
     assert (dofs, nnz) == (len(free), A.nnz) and 0 < width < dofs
 
 
+def _two_tet_gravity(vertices, tets, *held):
+    """solve_static on a two-tet mesh under gravity, with ``held`` the
+    Dirichlet entries as (vertex ids, axes)."""
+    mesh = TetMesh(np.array(vertices, dtype=float), np.array(tets))
+    bcs = BoundaryConditions(
+        dirichlet=[Dirichlet({"type": "indices", "values": ids}, axes=axes)
+                   for ids, axes in held],
+        gravity=(0.0, -9.81, 0.0))
+    return solve_static(mesh, MAT, bcs)
+
+
+HINGE_VERTICES = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                  [2, 0, 0], [1, 1, 0], [1, 0, 1]]
+HINGE_HELD = ([0, 1, 2, 3], (True, True, True))
+
+
 def test_vertex_hinge_fails_by_name():
     # Tet 1 is tet 0 reflected through vertex 1, the only vertex they share.
-    # Tet 0 is held, so the supports check sees one held piece, yet tet 1
-    # can turn about vertex 1: its stiffness is singular to round-off.
-    # Here the banded Cholesky meets a non-positive pivot (SuperLU accepted
-    # this system, max |u| 4.9e10 m). The pivot's sign is round-off, so the
-    # solve catches such hinges often, not always.
-    v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
-                  [2, 0, 0], [2, -1, 0], [2, 0, -1]], dtype=float)
-    mesh = TetMesh(v, np.array([[0, 1, 2, 3], [1, 4, 5, 6]]))
-    bcs = BoundaryConditions(
-        dirichlet=[Dirichlet({"type": "indices", "values": [0, 1, 2, 3]})],
-        gravity=(0.0, -9.81, 0.0))
-    with pytest.raises(NumericalError, match="^stiffness system singular to "
-                                             "working precision"):
-        solve_static(mesh, MAT, bcs)
+    # Tet 0 is held, but the two tets are separate face-connected pieces,
+    # and tet 1 can turn about vertex 1. The supports check names that
+    # before any solve; the banded Cholesky would catch it only where
+    # round-off leaves a non-positive pivot.
+    v = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+         [2, 0, 0], [2, -1, 0], [2, 0, -1]]
+    with pytest.raises(NumericalError, match=r"^singular stiffness system; "
+                       r"unconstrained rigid modes: rotation-x, rotation-y, "
+                       r"rotation-z \(3 vertices; 1 of 2 face-connected "
+                       r"pieces free\)$"):
+        _two_tet_gravity(v, [[0, 1, 2, 3], [1, 4, 5, 6]], HINGE_HELD)
+
+
+def test_translated_vertex_hinge_fails_by_name():
+    # The same hinge with tet 1 translated: the banded Cholesky accepted
+    # this system (max |u| 1.45e10 m) before the supports check saw it.
+    with pytest.raises(NumericalError, match=r"rotation-x, rotation-y, "
+                       r"rotation-z \(3 vertices; 1 of 2 face-connected"):
+        _two_tet_gravity(HINGE_VERTICES, [[0, 1, 2, 3], [1, 4, 5, 6]],
+                         HINGE_HELD)
+
+
+def test_piece_held_through_a_held_piece():
+    # Tet 1 is held at vertices 0, 2 and 3. Tet 0, the lower-numbered
+    # piece, holds vertex 4 and vertex 5's z, too few on their own; the
+    # sweep after the one that finds tet 1 held adds their shared vertex 1.
+    # Without vertex 5's z, tet 0 turns about the x-axis through vertices 1
+    # and 4.
+    tets = [[1, 4, 5, 6], [0, 1, 2, 3]]
+    held = ([0, 2, 3], (True, True, True)), ([4], (True, True, True))
+    u = _two_tet_gravity(HINGE_VERTICES, tets, *held,
+                         ([5], (False, False, True)))
+    assert np.isfinite(u).all() and np.abs(u).max() < 1e-4
+    with pytest.raises(NumericalError, match=r"rotation-x \(3 vertices; "
+                       r"1 of 2 face-connected pieces free\)"):
+        _two_tet_gravity(HINGE_VERTICES, tets, *held)
+
+
+def test_stiffness_assembly_peak_memory():
+    # Assembly goes straight into CSR order, so its traced peak stays a
+    # small multiple of the (m, 12, 12) element blocks it sums: 3.2 on any
+    # box, against 7.4 for (row, col) triplets and their COO copy.
+    mesh = bar_mesh()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assemble_stiffness(mesh, MAT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * mesh.num_tets * 12 * 12 * 8
 
 
 def _nan_load(mesh):

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from stresstruss import fem
+from stresstruss import mesh as mesh_module
 from stresstruss.errors import MeshError
 from stresstruss.fixtures import bar_mesh, box_mesh, unit_cube_mesh
 from stresstruss.mesh import (
     _TET_FACES,
     TetMesh,
+    assemble,
     build_operators,
+    face_pairs,
     feature_edges,
     load_tet_mesh,
     pieces,
@@ -321,3 +326,52 @@ def test_pieces_of_two_disjoint_tets():
     for t in tets:
         assert (labels[t] == labels[t[0]]).all()
     assert labels[0] != labels[1]
+
+
+def test_face_pairs_match_shared_faces():
+    mesh = box_mesh((3, 2, 2), jitter=0.1)
+    pairs = face_pairs(mesh.tets)
+    shared = [len(set(mesh.tets[a]) & set(mesh.tets[b])) for a, b in pairs]
+    assert shared == [3] * len(pairs)
+    # Each interior face once: the faces the boundary does not hold.
+    assert 2 * len(pairs) + len(mesh.boundary.triangles) == 4 * mesh.num_tets
+    assert face_pairs(np.array([[0, 1, 2, 3], [1, 4, 5, 6]])).shape == (0, 2)
+
+
+def triplet_assemble(blocks, dofs, size):
+    """``mesh.assemble``'s former body, kept as its oracle: row-major
+    (row, col) triplets summed by scipy's COO-to-CSR conversion, then made
+    symmetric."""
+    k = dofs.shape[1]
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, (1, k)).ravel()
+    A = sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(size, size))
+    A.sum_duplicates()
+    return ((A + A.T) * 0.5).tocsr()
+
+
+def _same_csr(got, want):
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+
+
+@pytest.mark.parametrize("make_mesh", [
+    bar_mesh, lambda: box_mesh((6, 5, 4), jitter=0.12)], ids=["bar", "box"])
+def test_assembly_matches_triplet_oracle(make_mesh, monkeypatch):
+    mesh = make_mesh()
+    mat = fem.Material(young_modulus=2.3e9, poisson_ratio=0.35)
+    K, L = fem.assemble_stiffness(mesh, mat), build_operators(mesh).L
+    monkeypatch.setattr(fem, "assemble", triplet_assemble)
+    monkeypatch.setattr(mesh_module, "assemble", triplet_assemble)
+    _same_csr(K, fem.assemble_stiffness(mesh, mat))
+    _same_csr(L, build_operators(mesh).L)
+
+
+def test_assembly_sums_repeated_and_skips_unused_dofs():
+    # Blocks that name one DOF twice, and DOFs that no block names.
+    rng = np.random.default_rng(3)
+    dofs = rng.integers(0, 40, size=(60, 5))
+    dofs[:, 4] = dofs[:, 0]
+    blocks = rng.standard_normal((60, 5, 5))
+    _same_csr(assemble(blocks, dofs, 45), triplet_assemble(blocks, dofs, 45))
