@@ -500,6 +500,9 @@ def extract_3d(mesh: TetMesh, params: np.ndarray) -> TrussGraph:
     hit = (det != 0.0) & (u > 0.0) & (v > 0.0) & (w > 0.0)
     hits = hit.sum(axis=1)
     tangential = int((hits == 1).sum())
+    # A curve through face edges only (u, v, w >= 0, one of them 0) is lost.
+    on_edge = (det != 0.0) & (np.minimum(np.minimum(u, v), w) == 0.0)
+    edge_only = int(((hits == 0) & on_edge.any(axis=1)).sum())
     inconsistent_tets = len(np.unique(tet[hits > 2]))
     if inconsistent_tets > 0.01 * mesh.num_tets:
         raise NumericalError(
@@ -516,6 +519,9 @@ def extract_3d(mesh: TetMesh, params: np.ndarray) -> TrussGraph:
             f"{tangential} tangential curve-face touch(es) skipped",
             ExtractionWarning,
         )
+    if edge_only:
+        warnings.warn(f"{edge_only} curve candidate(s) dropped: their only "
+                      "face hits lie on face edges", ExtractionWarning)
 
     # Two-hit candidates: both face hits, in face order, and the chain's
     # triple-integer points between them.

@@ -20,10 +20,13 @@ vee(X) = (X21-X12, X02-X20, X10-X01):
     <D,K^2> = s^T D s - |s|^2 tr D,
     (D + D^T) s = y d_2 + z d_3 + (0, d_2.s, d_3.s).
 
-All of it runs component-major on (3, m) and (3, 2, m) arrays, M r_k as one
-einsum over M laid out (3, 3, m): no (m, 3, 3) tensor, no batched 3x3
-product. s = S omega and the vertex gradient S^T dE/ds use one sparse
-tet-vertex incidence S built once per fit.
+All of it runs component-major on (3, m) and (3, 2, m) arrays, the 3-term
+dot products as einsum reductions. Once per fit, ``fit_constants`` lays M
+out (3, 3, m), stacks the tet-vertex incidence S on L (one product gives
+S omega and L omega) and stores S^T as CSR, whose rows add each vertex's
+tets in the order the CSC product S.T @ g does; an evaluation allocates
+only its temporaries. safe**3 and safe**4 stay pow calls: safe*safe*safe
+differs in the last bit, which the 30-iteration fit amplifies.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ class FrameField:
 def perturb_zero_rows(omega: np.ndarray) -> np.ndarray:
     """Replace zero-length rows so the rotation gradient is well defined."""
     omega = np.asarray(omega, dtype=float)
-    zero = np.linalg.norm(omega, axis=1) == 0.0
+    zero = np.einsum("ij,ij->i", omega, omega) == 0.0    # |row| == 0
     if zero.any():
         omega = omega.copy()
         omega[zero] = (ZERO_OMEGA_EPS, 0.0, 0.0)
@@ -90,13 +93,14 @@ def _rodrigues_coefficients(theta: np.ndarray):
     """a = sin t / t, b = (1 - cos t) / t^2, and their derivative ratios
     ca = a'(t)/t, cb = b'(t)/t, with series for small t."""
     small = theta < SMALL_ANGLE
-    safe = np.where(small, 1.0, theta)
+    any_small = small.any()
+    safe = np.where(small, 1.0, theta) if any_small else theta
     sin, cos = np.sin(safe), np.cos(safe)
     a = sin / safe
     b = (1.0 - cos) / (safe * safe)
     ca = (safe * cos - sin) / safe**3
     cb = (safe * sin + 2.0 * cos - 2.0) / safe**4
-    if small.any():
+    if any_small:
         t2 = theta[small] ** 2
         a[small] = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
         b[small] = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
@@ -109,17 +113,18 @@ def _rotation_columns(s: np.ndarray, cols):
     """Columns ``cols`` of R = exp([s]x) for component-major axis vectors
     s (3, m), as (3, len(cols), m), with theta^2 and the Rodrigues
     coefficients (a, b, ca, cb) that the gradient reuses."""
-    x, y, z = s
-    t2 = x * x + y * y + z * z
+    t2 = np.einsum("it,it->t", s, s)
     coeffs = _rodrigues_coefficients(np.sqrt(t2))
     a, b = coeffs[:2]
     c = 1.0 - b * t2
-    ax, ay, az = a * s
+    ax, ay, az = a_s = a * s
+    nx, ny, nz = -a_s
     # Column k of (1 - b theta^2) I + a [s]x.
-    linear = ((c, az, -ay), (-az, c, ax), (ay, -ax, c))
+    linear = ((c, az, ny), (nz, c, ax), (ay, nx, c))
     r = (b * s)[:, None, :] * s[list(cols)]                     # b s_k s
     for j, k in enumerate(cols):
-        r[:, j] += linear[k]
+        for i in range(3):
+            r[i, j] += linear[k][i]
     return r, t2, coeffs
 
 
@@ -136,62 +141,78 @@ def tet_frames(omega: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return rotations_from_axis_vectors(s)
 
 
-def _smooth_terms(omega: np.ndarray, L: sp.spmatrix):
-    """Smoothness energy 0.5 w^T L w + 0.5 w^T w (blockwise per coordinate)
-    and its gradient L w + w, from one sparse product."""
-    grad = L @ omega + omega
-    return 0.5 * float(np.vdot(omega, grad)), grad
+def _smooth_terms(omega: np.ndarray, Lw: np.ndarray):
+    """Smoothness energy 0.5 w^T (L w + w), blockwise, and its gradient
+    L w + w, written into ``Lw``, the product L w."""
+    Lw += omega
+    return 0.5 * float(np.vdot(omega, Lw)), Lw
 
 
 def _data_energy_grad_s(s: np.ndarray, M: np.ndarray):
     """Total data energy and its gradient w.r.t. the per-tet axis vectors
-    s (m, 3), for SPD tensors M (m, 3, 3)."""
-    s = np.ascontiguousarray(s.T)                     # component-major
+    s, both (3, m), for SPD tensors M laid out (3, 3, m)."""
     r, t2, (a, b, ca, cb) = _rotation_columns(s, (1, 2))
-    Mr = np.einsum("ijt,jkt->ikt",
-                   np.ascontiguousarray(M.transpose(1, 2, 0)), r)
-    q = np.einsum("ikt,ikt->kt", r, Mr)               # r_k^T M r_k
+    d = np.einsum("ijt,jkt->ikt", M, r)               # M r_k, (3, 2, m)
+    q = np.einsum("ikt,ikt->kt", r, d)                # r_k^T M r_k
     sq = np.sqrt(np.abs(q))                           # (2, m)
     energy = float(sq.sum())
 
     # Nonzero columns of dE/dR: d_k = sign(q_k) M r_k / sqrt|q_k|.
-    d2, d3 = (Mr * (np.sign(q) / sq)).transpose(1, 0, 2)
-    x, y, z = s
-    p2 = d2[0] * x + d2[1] * y + d2[2] * z            # d_2 . s
-    p3 = d3[0] * x + d3[1] * y + d3[2] * z            # d_3 . s
-    trace_d = d2[1] + d3[2]
-    vee_d = np.stack([d2[2] - d3[1], d3[0], -d2[0]])
-    d_k = x * vee_d[0] + y * vee_d[1] + z * vee_d[2]  # <D, K>
-    d_k2 = y * p2 + z * p3 - t2 * trace_d             # <D, K^2>
-    sym_s = y * d2 + z * d3                           # (D + D^T) s
-    sym_s[1:] += (p2, p3)
+    d *= np.sign(q) / sq
+    p = np.einsum("ikt,it->kt", d, s)                 # d_k . s
+    trace_d = d[1, 0] + d[2, 1]
+    vee_d = np.stack([d[2, 0] - d[1, 1], d[0, 1], -d[0, 0]])
+    d_k = np.einsum("it,it->t", s, vee_d)             # <D, K>
+    d_k2 = np.einsum("it,it->t", s[1:], p) - t2 * trace_d   # <D, K^2>
+    sym_s = np.einsum("kt,ikt->it", s[1:], d)         # (D + D^T) s
+    sym_s[1:] += p
     grad_s = (ca * d_k + cb * d_k2 - 2.0 * b * trace_d) * s + a * vee_d \
         + b * sym_s
-    return energy, grad_s.T
+    return energy, grad_s
+
+
+@dataclass(frozen=True)
+class FitConstants:
+    """What every energy evaluation of one fit shares."""
+    M: np.ndarray           # (3, 3, m): the SPD tensors, component-major
+    SL: sp.csr_matrix       # (m + n, n): incidence S stacked on Laplacian L
+    ST: sp.csr_matrix       # (n, m): S^T, rows in increasing tet order
+
+
+def fit_constants(M: np.ndarray, tets: np.ndarray,
+                  L: sp.spmatrix) -> FitConstants:
+    S = incidence(tets, L.shape[0])
+    return FitConstants(np.ascontiguousarray(np.transpose(M, (1, 2, 0))),
+                        sp.vstack([S, L], format="csr"), S.T.tocsr())
 
 
 def total_energy_grad(omega: np.ndarray, M: np.ndarray, alpha: float,
                       tets: np.ndarray, L: sp.spmatrix, *,
-                      S: sp.spmatrix | None = None):
+                      fit: FitConstants | None = None):
     """Data + alpha * smoothness energy and its per-vertex gradient, for the
-    SPD stress surrogate M (m, 3, 3).
+    SPD stress surrogate M (m, 3, 3). Repeated callers pass ``fit =
+    fit_constants(M, tets, L)``, which stands in for M, tets and L.
 
-    Repeated callers pass ``S = incidence(tets, n)`` prebuilt. Zero-length
-    vertex vectors are perturbed before differentiation, so the gradient is
-    defined everywhere, including the all-zero start.
-    """
+    Zero-length vertex vectors are perturbed before differentiation, so the
+    gradient is defined everywhere, including the all-zero start."""
     omega = perturb_zero_rows(omega)
-    if S is None:
-        S = incidence(tets, len(omega))
-    e_data, grad_s = _data_energy_grad_s(S @ omega, M)
-    e_smooth, grad_smooth = _smooth_terms(omega, L)
-    return e_data + alpha * e_smooth, S.T @ grad_s + alpha * grad_smooth
+    if fit is None:
+        fit = fit_constants(M, tets, L)
+    m = fit.M.shape[2]
+    sl = fit.SL @ omega                               # S w over L w
+    e_data, grad_s = _data_energy_grad_s(np.ascontiguousarray(sl[:m].T),
+                                         fit.M)
+    e_smooth, grad_smooth = _smooth_terms(omega, sl[m:])
+    grad = fit.ST @ np.ascontiguousarray(grad_s.T)
+    grad += alpha * grad_smooth
+    return e_data + alpha * e_smooth, grad
 
 
 def data_energy_total(omega: np.ndarray, M: np.ndarray, tets: np.ndarray) -> float:
     """Sum over tets of sqrt|q_2| + sqrt|q_3|, the data term alone."""
     s = incidence(tets, len(omega)) @ perturb_zero_rows(omega)
-    return _data_energy_grad_s(s, M)[0]
+    return _data_energy_grad_s(np.ascontiguousarray(s.T),
+                               np.ascontiguousarray(M.transpose(1, 2, 0)))[0]
 
 
 def fit_frame_field(
@@ -207,7 +228,7 @@ def fit_frame_field(
     L = build_operators(mesh).L
     tets = mesh.tets
     n = mesh.num_vertices
-    S = incidence(tets, n)
+    fit = fit_constants(M, tets, L)
 
     omega = np.zeros((n, 3))
     alpha = cfg.alpha0_factor * mesh.num_tets
@@ -218,7 +239,7 @@ def fit_frame_field(
     for outer in range(cfg.outer_iterations):
         def fun(x, _alpha=alpha):
             e, g = total_energy_grad(x.reshape(n, 3), M, _alpha, tets, L,
-                                     S=S)
+                                     fit=fit)
             return e, g.ravel()
 
         result = None

@@ -7,6 +7,7 @@ owns the retry policy on line-search failure via ``initial_step``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,34 +36,28 @@ class MinimizeResult:
 
 @dataclass
 class _History:
-    s: list = field(default_factory=list)
-    y: list = field(default_factory=list)
-    rho: list = field(default_factory=list)
+    pairs: list = field(default_factory=list)     # (s, y, 1 / s.y), oldest first
+    gamma: float = 1.0                            # s.y / y.y of the newest pair
 
     def push(self, s, y, memory):
-        sy = float(s @ y)
-        if sy <= 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+        sy, yy = float(s @ y), float(y @ y)
+        if sy <= 1e-10 * math.sqrt(s @ s) * math.sqrt(yy):
             return                      # curvature too weak to be useful
-        self.s.append(s)
-        self.y.append(y)
-        self.rho.append(1.0 / sy)
-        if len(self.s) > memory:
-            self.s.pop(0)
-            self.y.pop(0)
-            self.rho.pop(0)
+        self.pairs.append((s, y, 1.0 / sy))
+        self.gamma = sy / yy
+        if len(self.pairs) > memory:
+            self.pairs.pop(0)
 
     def direction(self, g):
         """Two-loop recursion; returns the descent direction -H g."""
         q = g.copy()
         alphas = []
-        for s, y, rho in zip(reversed(self.s), reversed(self.y), reversed(self.rho)):
+        for s, y, rho in reversed(self.pairs):
             a = rho * (s @ q)
             alphas.append(a)
             q -= a * y
-        if self.s:
-            gamma = (self.s[-1] @ self.y[-1]) / (self.y[-1] @ self.y[-1])
-            q *= gamma
-        for (s, y, rho), a in zip(zip(self.s, self.y, self.rho), reversed(alphas)):
+        q *= self.gamma if self.pairs else 1.0      # H0 = gamma I, or I
+        for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
             b = rho * (y @ q)
             q += (a - b) * s
         return -q
@@ -138,7 +133,7 @@ def minimize(
     evals = 1
     hist = _History()
     for it in range(max_iterations):
-        gnorm = np.linalg.norm(g)
+        gnorm = math.sqrt(g @ g)
         if gnorm <= gtol * (1.0 + abs(f)):
             return MinimizeResult(x, f, g, it, True, evals)
         p = hist.direction(g)

@@ -247,7 +247,7 @@ STAGE_VERSIONS = {s: 1 for s in STAGE_ORDER}
 def run_stage(stage: str, cfg: PipelineConfig,
               out_dir: str | Path | None = None) -> list[Path]:
     """Run one stage (or 'pipeline' for all, in order); returns the files
-    written. Stage-level errors are re-raised with the stage name."""
+    written. Stage errors (MemoryError as NumericalError) name the stage."""
     if stage != "pipeline" and stage not in _STAGE_FUNCS:
         raise ConfigError(
             f"unknown stage {stage!r}; choose from "
@@ -264,6 +264,8 @@ def run_stage(stage: str, cfg: PipelineConfig,
             files = _STAGE_FUNCS[s](cfg, out)
         except (ConfigError, NumericalError, ArtifactError) as exc:
             raise type(exc)(f"{s}: {exc}") from exc
+        except MemoryError as exc:
+            raise NumericalError(f"{s}: out of memory: {exc}") from exc
         artifacts.update_manifest(out, cfg_hash, s, STAGE_VERSIONS[s], files)
         written.extend(out / f for f in files)
     return written

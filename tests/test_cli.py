@@ -477,6 +477,16 @@ def test_cli_malformed_artifact_exits_4(tmp_path, monkeypatch, caplog,
     assert re.search(match, caplog.text)
 
 
+def test_cli_out_of_memory_exits_3_by_stage(tmp_path, monkeypatch, caplog):
+    def exhausted(cfg, out):
+        raise MemoryError("Unable to allocate 3.1 GiB for an array")
+
+    monkeypatch.setitem(pipeline._STAGE_FUNCS, "fea", exhausted)
+    assert _main_in_process(monkeypatch, tmp_path, "fea") == 3
+    assert ("numerical failure: fea: out of memory: Unable to allocate "
+            "3.1 GiB for an array") in caplog.text
+
+
 def test_cli_field_lacking_arrays_exits_4(pipeline_out, tmp_path,
                                           monkeypatch, caplog):
     _, out, _ = pipeline_out

@@ -422,6 +422,20 @@ def test_non_finite_parameters_rejected(bad):
             extract(mesh, params)
 
 
+def test_edge_aligned_curves_dropped_with_warning():
+    # phi = 2x + 0.5 runs every double-integer curve of the unjittered cube
+    # through face edges: extract_3d finds no face hit and says how many
+    # candidates it dropped, while the boundary pass still finds the curves.
+    mesh = unit_cube_mesh(2)
+    phi = 2.0 * mesh.vertices + 0.5
+    with pytest.warns(ExtractionWarning, match=r"^144 curve candidate\(s\) "
+                      r"dropped: their only face hits lie on face edges$"):
+        g = extract_3d(mesh, phi)
+    assert (g.num_nodes, g.num_elements) == (0, 0)
+    surface = extract_boundary(mesh, phi)
+    assert (surface.num_nodes, surface.num_elements) == (72, 96)
+
+
 def test_single_tet_spanning_less_than_one():
     mesh = _single_tet()
     phi = np.column_stack([
@@ -852,8 +866,9 @@ def oracle_extract_3d(mesh: TetMesh, params: np.ndarray) -> TrussGraph:
     verts = mesh.vertices
 
     builder = _OracleBuilder(3)
-    face_cache: dict = {}           # key -> None | (pos, par)
+    face_cache: dict = {}           # key -> None | "edge" | (pos, par)
     tangential = 0
+    edge_only = 0
     inconsistent_tets = 0
 
     for tidx, tet in enumerate(mesh.tets):
@@ -872,6 +887,7 @@ def oracle_extract_3d(mesh: TetMesh, params: np.ndarray) -> TrussGraph:
             for a in _oracle_integer_range(vi.min(), vi.max()):
                 for b in _oracle_integer_range(vj.min(), vj.max()):
                     hits = []
+                    on_edge = False
                     for trip in tet_faces:
                         key = ("F3", trip, i, int(a), j, int(b))
                         if key in face_cache:
@@ -879,9 +895,12 @@ def oracle_extract_3d(mesh: TetMesh, params: np.ndarray) -> TrussGraph:
                         else:
                             entry = _oracle_face_hit(verts, params, trip, i, a, j, b)
                             face_cache[key] = entry
-                        if entry is not None:
+                        if isinstance(entry, str):
+                            on_edge = True
+                        elif entry is not None:
                             hits.append((key, entry))
                     if len(hits) == 0:
+                        edge_only += on_edge
                         continue
                     if len(hits) == 1:
                         tangential += 1
@@ -929,13 +948,18 @@ def oracle_extract_3d(mesh: TetMesh, params: np.ndarray) -> TrussGraph:
             f"{tangential} tangential curve-face touch(es) skipped",
             ExtractionWarning,
         )
+    if edge_only:
+        warnings.warn(
+            f"{edge_only} curve candidate(s) dropped: their only face hits "
+            "lie on face edges", ExtractionWarning)
     return builder.finalize()
 
 
 def _oracle_face_hit(verts, params, trip, i, a, j, b):
-    """Intersection of the curve {phi_i = a, phi_j = b} with one face, or
-    None. trip is a sorted vertex triple, so every tet sharing the face
-    computes bit-identical results."""
+    """Intersection of the curve {phi_i = a, phi_j = b} with one face,
+    "edge" when it only touches the face's edges, or None. trip is a sorted
+    vertex triple, so every tet sharing the face computes bit-identical
+    results."""
     p, q, r = trip
     M = np.array([
         [params[q, i] - params[p, i], params[r, i] - params[p, i]],
@@ -949,7 +973,7 @@ def _oracle_face_hit(verts, params, trip, i, a, j, b):
     w = (M[0, 0] * rhs[1] - M[1, 0] * rhs[0]) / det
     u = 1.0 - v - w
     if not (u > 0.0 and v > 0.0 and w > 0.0):
-        return None
+        return "edge" if min(u, v, w) == 0.0 else None
     pos = u * verts[p] + v * verts[q] + w * verts[r]
     par = u * params[p] + v * params[q] + w * params[r]
     par = par.copy()

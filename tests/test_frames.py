@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from stresstruss import lbfgs
+from stresstruss import frames, lbfgs
 from stresstruss.errors import ConfigError
 from stresstruss.fem import Material, cauchy_stress, solve_static, stress_spd
 from stresstruss.fixtures import bar_mesh, box_mesh
@@ -13,6 +13,7 @@ from stresstruss.frames import (
     _rodrigues_coefficients,
     _smooth_terms,
     data_energy_total,
+    fit_constants,
     fit_frame_field,
     incidence,
     perturb_zero_rows,
@@ -47,7 +48,16 @@ def frame_from_omega(omega_tet) -> np.ndarray:
 
 def smooth_energy(omega, L) -> float:
     """0.5 w^T L w (blockwise per coordinate) + 0.5 w^T w."""
-    return _smooth_terms(np.asarray(omega, dtype=float), L)[0]
+    omega = np.asarray(omega, dtype=float)
+    return _smooth_terms(omega, L @ omega)[0]
+
+
+def kernel_energy_grad_s(s, M):
+    """The data kernel on per-tet rows: s (m, 3) and M (m, 3, 3) in, the
+    energy and dE/ds (m, 3) out, through its component-major layout."""
+    e, g = _data_energy_grad_s(np.ascontiguousarray(s.T),
+                               np.ascontiguousarray(M.transpose(1, 2, 0)))
+    return e, g.T
 
 
 def data_energy(R, sigma_plus) -> float:
@@ -196,7 +206,7 @@ def test_closed_form_gradient_matches_dRds_oracle(low, high):
     M = random_spd_field(rng, m)
     s = _random_axes(rng, m, rng.uniform(low, high, size=m))
     e_ref, g_ref = reference_energy_grad_s(s, M)
-    e, g = _data_energy_grad_s(s, M)
+    e, g = kernel_energy_grad_s(s, M)
     assert abs(e - e_ref) <= 1e-12 * abs(e_ref)
     assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
 
@@ -209,7 +219,7 @@ def test_closed_form_gradient_at_perturbed_zero_start():
     s = incidence(mesh.tets, mesh.num_vertices) @ omega
     assert (np.linalg.norm(s, axis=1) < SMALL_ANGLE).all()
     e_ref, g_ref = reference_energy_grad_s(s, M)
-    e, g = _data_energy_grad_s(s, M)
+    e, g = kernel_energy_grad_s(s, M)
     assert abs(e - e_ref) <= 1e-12 * abs(e_ref)
     assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
 
@@ -217,13 +227,19 @@ def test_closed_form_gradient_at_perturbed_zero_start():
 def test_incidence_sums_and_scatters_like_indexing():
     mesh = box_mesh((2, 2, 1), jitter=0.05)
     rng = np.random.default_rng(4)
-    S = incidence(mesh.tets, mesh.num_vertices)
-    omega = rng.standard_normal((mesh.num_vertices, 3))
-    np.testing.assert_array_equal(S @ omega, omega[mesh.tets].sum(axis=1))
-    g = rng.standard_normal((mesh.num_tets, 3))
+    m, n = mesh.num_tets, mesh.num_vertices
+    L = build_operators(mesh).L
+    fit = fit_constants(random_spd_field(rng, m), mesh.tets, L)
+    omega = rng.standard_normal((n, 3))
+    sl = fit.SL @ omega
+    np.testing.assert_array_equal(sl[:m], omega[mesh.tets].sum(axis=1))
+    np.testing.assert_array_equal(sl[m:], L @ omega)
+    g = rng.standard_normal((m, 3))
     scattered = np.zeros_like(omega)
     np.add.at(scattered, mesh.tets.ravel(), np.repeat(g, 4, axis=0))
-    np.testing.assert_allclose(S.T @ g, scattered, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(fit.ST @ g, scattered, rtol=1e-14, atol=1e-14)
+    # S^T as CSR adds each vertex's tets in the order the CSC product does.
+    np.testing.assert_array_equal(fit.ST @ g, incidence(mesh.tets, n).T @ g)
 
 
 def test_smooth_energy_examples():
@@ -339,7 +355,7 @@ def test_fit_bar_uniaxial_alignment():
     assert frac >= 0.99
 
 
-def test_lbfgs_quadratic_and_rosenbrock():
+def _quadratic_problem():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((8, 8))
     Q = A @ A.T + 8 * np.eye(8)
@@ -348,21 +364,104 @@ def test_lbfgs_quadratic_and_rosenbrock():
     def quad(x):
         return 0.5 * x @ Q @ x - b @ x, Q @ x - b
 
+    return quad, Q, b
+
+
+def _rosenbrock(x):
+    f = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
+    g = np.array([
+        -400.0 * x[0] * (x[1] - x[0] ** 2) - 2 * (1 - x[0]),
+        200.0 * (x[1] - x[0] ** 2),
+    ])
+    return f, g
+
+
+def test_lbfgs_quadratic_and_rosenbrock():
+    quad, Q, b = _quadratic_problem()
     res = lbfgs.minimize(quad, np.zeros(8), gtol=1e-8)
     assert res.converged
     np.testing.assert_allclose(res.x, np.linalg.solve(Q, b), atol=1e-8)
 
-    def rosen(x):
-        f = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
-        g = np.array([
-            -400.0 * x[0] * (x[1] - x[0] ** 2) - 2 * (1 - x[0]),
-            200.0 * (x[1] - x[0] ** 2),
-        ])
-        return f, g
-
-    res = lbfgs.minimize(rosen, np.array([-1.2, 1.0]), gtol=1e-10,
+    res = lbfgs.minimize(_rosenbrock, np.array([-1.2, 1.0]), gtol=1e-10,
                          max_iterations=2000)
     np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-6)
+
+
+class _ReferenceHistory:
+    """The two-loop recursion with its scalars recomputed on every call,
+    as separate s, y and rho lists: the oracle for ``lbfgs._History``."""
+
+    def __init__(self):
+        self.s, self.y, self.rho = [], [], []
+
+    def push(self, s, y, memory):
+        sy = float(s @ y)
+        if sy <= 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+            return
+        self.s.append(s)
+        self.y.append(y)
+        self.rho.append(1.0 / sy)
+        if len(self.s) > memory:
+            self.s.pop(0)
+            self.y.pop(0)
+            self.rho.pop(0)
+
+    def direction(self, g):
+        q = g.copy()
+        alphas = []
+        for s, y, rho in zip(reversed(self.s), reversed(self.y), reversed(self.rho)):
+            a = rho * (s @ q)
+            alphas.append(a)
+            q -= a * y
+        if self.s:
+            gamma = (self.s[-1] @ self.y[-1]) / (self.y[-1] @ self.y[-1])
+            q *= gamma
+        for (s, y, rho), a in zip(zip(self.s, self.y, self.rho), reversed(alphas)):
+            b = rho * (y @ q)
+            q += (a - b) * s
+        return -q
+
+
+@pytest.mark.parametrize("memory", [10, 3, 0])
+@pytest.mark.parametrize("problem", ["quadratic", "rosenbrock"])
+def test_lbfgs_matches_reference_two_loop_bitwise(problem, memory,
+                                                  monkeypatch):
+    if problem == "quadratic":
+        fun, x0 = _quadratic_problem()[0], np.zeros(8)
+        kw = dict(gtol=1e-8, memory=memory)
+    else:
+        fun, x0 = _rosenbrock, np.array([-1.2, 1.0])
+        kw = dict(gtol=1e-10, max_iterations=2000, memory=memory)
+    res = lbfgs.minimize(fun, x0, **kw)
+    monkeypatch.setattr(lbfgs, "_History", _ReferenceHistory)
+    ref = lbfgs.minimize(fun, x0, **kw)
+    assert res.iterations > 5
+    assert np.array_equal(res.x, ref.x)
+    assert np.array_equal(res.iterations, ref.iterations)
+    assert np.array_equal(res.num_evals, ref.num_evals)
+
+
+def test_fit_evaluations_visible_through_module_attributes(monkeypatch):
+    # Wrapping the module attributes must see every evaluation of the fit.
+    mesh = box_mesh((2, 2, 1), jitter=0.05)
+    M = random_spd_field(np.random.default_rng(8), mesh.num_tets)
+    calls = {"total": 0, "data": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(frames, "total_energy_grad",
+                        counted("total", frames.total_energy_grad))
+    monkeypatch.setattr(frames, "data_energy_total",
+                        counted("data", frames.data_energy_total))
+    field = fit_frame_field(mesh, M, FrameFitConfig(outer_iterations=4,
+                                                    early_stop=False))
+    assert len(field.inner) == 4
+    assert calls["total"] == sum(evals for _, evals, _, _ in field.inner)
+    assert calls["data"] == len(field.inner)
 
 
 def test_data_energy_total_matches_per_tet_sum():
