@@ -287,34 +287,49 @@ def solve_cholesky(A, b: np.ndarray, what: str,
     """Solution x of the symmetric positive definite A x = b by LAPACK
     banded Cholesky in reverse Cuthill-McKee order; (dofs, nnz, bandwidth)
     of A is appended to ``systems``. Accepted as ``_accepted`` says, so a
-    matrix that is not numerically positive definite fails by name."""
+    matrix that is not numerically positive definite fails by name, and a
+    MemoryError names the system and its band storage."""
     perm = reverse_cuthill_mckee(A, symmetric_mode=True)
     P = A[perm][:, perm].tocoo()
     upper = P.row <= P.col
     width = int((P.col - P.row).max(initial=0))
-    band = np.zeros((width + 1, A.shape[0]), order="F")   # upper band storage
-    band[width + P.row[upper] - P.col[upper], P.col[upper]] = P.data[upper]
     if systems is not None:
         systems.append((A.shape[0], A.nnz, width))
-    x = np.empty(len(b))
     try:
+        band = np.zeros((width + 1, A.shape[0]), order="F")  # upper band storage
+        band[width + P.row[upper] - P.col[upper], P.col[upper]] = P.data[upper]
+        x = np.empty(len(b))
         x[perm] = sla.solveh_banded(band, b[perm], overwrite_ab=True,
                                     check_finite=False)
     except np.linalg.LinAlgError:
         x = None
+    except MemoryError as exc:
+        raise _out_of_memory(
+            exc, what, A, f", band {8 * (width + 1) * A.shape[0]} bytes"
+        ) from exc
     return _accepted(A, b, x, what, "banded Cholesky")
 
 
 def solve_lu(A, b: np.ndarray, what: str) -> np.ndarray:
     """Solution x of the symmetric A x = b by SuperLU in symmetric mode,
-    accepted as ``_accepted`` says; an exactly singular factor fails."""
-    A = A.tocsc()
+    accepted as ``_accepted`` says; an exactly singular factor fails, and a
+    MemoryError names the system."""
     try:
+        A = A.tocsc()
         x = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options={"SymmetricMode": True}).solve(b)
     except RuntimeError:
         x = None
+    except MemoryError as exc:
+        raise _out_of_memory(exc, what, A) from exc
     return _accepted(A, b, x, what, "sparse LU")
+
+
+def _out_of_memory(exc: MemoryError, what: str, A, detail: str = ""
+                   ) -> MemoryError:
+    """``exc`` restated with the size of the system ``what`` being solved."""
+    return MemoryError(f"{what} system ({A.shape[0]} dofs, nnz {A.nnz}"
+                       f"{detail}): {exc}")
 
 
 def _accepted(A, b: np.ndarray, x: np.ndarray | None, what: str,

@@ -6,7 +6,8 @@ of its four vertex vectors (Rodrigues). The data term pulls the second and
 third frame columns into the minor-eigenvector plane of the SPD stress
 surrogate; a Laplacian term plus a Tikhonov term keep the vertex field tame.
 The annealing loop starts smoothness-heavy and relaxes it by a fixed factor
-each outer iteration.
+each outer iteration; only a solve whose field can leave the fit runs to the
+configured gtol, the others to CONTINUATION_GTOL times it.
 
 As K^2 = s s^T - |s|^2 I, column k of R is r_k = (1 - b|s|^2) e_k +
 a (s x e_k) + b s_k s; only r_2 and r_3, the columns the data term reads,
@@ -46,6 +47,12 @@ SMALL_ANGLE = 1e-4
 # Replacement magnitude for zero-length vertex vectors before differentiation.
 ZERO_OMEGA_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 
+# Stopping-test factor for the annealing solves that cannot end the fit: an
+# intermediate field is only the warm start of the next, smaller alpha. On
+# the bending bar it cuts the evaluations by a third; the fit's last solve
+# (and one that early stop may end on) keeps the configured gtol.
+CONTINUATION_GTOL = 10.0
+
 
 @dataclass
 class FrameFitConfig:
@@ -66,8 +73,10 @@ class FrameField:
     omega: np.ndarray                  # (n, 3) per-vertex parameters
     frames: np.ndarray                 # (m, 3, 3) rotations, columns r1,r2,r3
     alpha_history: list[tuple[float, float]] = field(default_factory=list)
-    # Per outer iteration: L-BFGS (iterations, evals, converged, |grad|).
-    inner: list[tuple[int, int, bool, float]] = field(default_factory=list)
+    # Per outer iteration: L-BFGS (iterations, evals, converged, |grad|,
+    # the gtol the solve ran to).
+    inner: list[tuple[int, int, bool, float, float]] = field(
+        default_factory=list)
 
 
 def perturb_zero_rows(omega: np.ndarray) -> np.ndarray:
@@ -223,6 +232,9 @@ def fit_frame_field(
     """Annealed fit to the SPD stress surrogate M (m, 3, 3), ``stress_spd``'s
     sigma_plus: repeated warm-started quasi-Newton solves while the
     smoothness weight decays geometrically from alpha0_factor * num_tets.
+    A solve runs to cfg.gtol when it is the last or early stop fires if it
+    stalls, and to CONTINUATION_GTOL * cfg.gtol otherwise, so the returned
+    field always comes from a cfg.gtol solve.
     """
     cfg = config or FrameFitConfig()
     L = build_operators(mesh).L
@@ -233,10 +245,14 @@ def fit_frame_field(
     omega = np.zeros((n, 3))
     alpha = cfg.alpha0_factor * mesh.num_tets
     history: list[tuple[float, float]] = []
-    inner: list[tuple[int, int, bool, float]] = []
+    inner: list[tuple[int, int, bool, float, float]] = []
     stall = 0
 
     for outer in range(cfg.outer_iterations):
+        can_end = (outer == cfg.outer_iterations - 1 or
+                   (cfg.early_stop and stall + 1 >= cfg.early_stop_patience))
+        gtol = cfg.gtol if can_end else CONTINUATION_GTOL * cfg.gtol
+
         def fun(x, _alpha=alpha):
             e, g = total_energy_grad(x.reshape(n, 3), M, _alpha, tets, L,
                                      fit=fit)
@@ -250,7 +266,7 @@ def fit_frame_field(
                     fun,
                     omega.ravel(),
                     memory=cfg.memory,
-                    gtol=cfg.gtol,
+                    gtol=gtol,
                     max_iterations=cfg.max_inner_iterations,
                     initial_step=1.0 / (2.0 ** attempt),
                 )
@@ -264,7 +280,7 @@ def fit_frame_field(
             )
         omega = result.x.reshape(n, 3)
         inner.append((result.iterations, result.num_evals, result.converged,
-                      float(np.linalg.norm(result.grad))))
+                      float(np.linalg.norm(result.grad)), gtol))
 
         e_data = data_energy_total(omega, M, tets)
         history.append((alpha, e_data))

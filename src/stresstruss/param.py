@@ -60,10 +60,17 @@ def objective_terms(
 def evaluate_objective(
     ops: DiscreteOperators, frames: np.ndarray, phi: np.ndarray, beta: float
 ) -> float:
-    D, O = objective_terms(ops, frames)
-    x = np.asarray(phi, dtype=float).T.ravel()
-    rd = D @ x - 1.0
-    ro = O @ x
+    """beta |D x - 1|^2 + |O x|^2 for ``objective_terms``' D and O, taken
+    from the directional gradients G_k without building D and O. The
+    residuals are stacked in D's and O's row order, so the float is the
+    same: a row of D sums in column order (``block_diag`` sorts it), O keeps
+    G_k's order."""
+    G = [directional_gradient(ops, frames[:, :, k]) for k in range(3)]
+    phi = np.asarray(phi, dtype=float)
+    rd = np.concatenate([g.sorted_indices() @ phi[:, k]
+                         for k, g in enumerate(G)]) - 1.0
+    ro = np.concatenate([G[k] @ phi[:, j] for k in range(3) for j in range(3)
+                         if j != k])
     return float(beta * (rd @ rd) + ro @ ro)
 
 

@@ -104,12 +104,13 @@ def _stage_frames(cfg: PipelineConfig, out: Path) -> list[str]:
         kind="frames")
 
     lines = [f"outer {k} alpha {a:.9e} energy {e:.9e} iterations {it} "
-             f"evals {ne} converged {int(ok)} grad_norm {gn:.9e}"
-             for k, ((a, e), (it, ne, ok, gn))
+             f"evals {ne} converged {int(ok)} grad_norm {gn:.9e} "
+             f"gtol {tol:.9e}"
+             for k, ((a, e), (it, ne, ok, gn, tol))
              in enumerate(zip(ff.alpha_history, ff.inner))]
     # The last outer energy is the data energy of the final omega.
     lines.append(f"final_data_energy {ff.alpha_history[-1][1]:.9e}")
-    lines.append(f"unconverged {sum(not ok for _, _, ok, _ in ff.inner)}")
+    lines.append(f"unconverged {sum(not ok for _, _, ok, *_ in ff.inner)}")
     log = _write_log(out, "frames", lines)
     return [name, log]
 

@@ -25,7 +25,8 @@ from stresstruss.config import (
 )
 from stresstruss.errors import ArtifactError, ConfigError
 from stresstruss.extract import TrussGraph
-from stresstruss.frames import data_energy_total, total_energy_grad
+from stresstruss.frames import (CONTINUATION_GTOL, data_energy_total,
+                                total_energy_grad)
 from stresstruss.mesh import build_operators, write_medit
 from stresstruss.fixtures import box_mesh, unit_cube_mesh
 from stresstruss.pipeline import STAGE_ORDER, mesh_from_config, run_stage
@@ -487,6 +488,34 @@ def test_cli_out_of_memory_exits_3_by_stage(tmp_path, monkeypatch, caplog):
             "3.1 GiB for an array") in caplog.text
 
 
+def _exhausted(message: str):
+    def solver(*args, **kwargs):
+        raise MemoryError(message)
+    return solver
+
+
+def test_cli_cholesky_out_of_memory_names_the_system(tmp_path, monkeypatch,
+                                                     caplog):
+    monkeypatch.setattr(fem.sla, "solveh_banded",
+                        _exhausted("Unable to allocate 3.1 GiB for an array"))
+    assert _main_in_process(monkeypatch, tmp_path, "fea") == 3
+    assert re.search(r"numerical failure: fea: out of memory: stiffness "
+                     r"system \(\d+ dofs, nnz \d+, band \d+ bytes\): Unable "
+                     r"to allocate 3\.1 GiB for an array", caplog.text)
+
+
+def test_cli_sparse_lu_out_of_memory_names_the_system(
+        pipeline_out, tmp_path, monkeypatch, caplog):
+    _, out, _ = pipeline_out
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    monkeypatch.setattr(fem.spla, "splu",
+                        _exhausted("Can't expand MemType 0"))
+    assert _main_in_process(monkeypatch, tmp_path, "verify") == 3
+    assert re.search(r"numerical failure: verify: out of memory: frame "
+                     r"stiffness system \(\d+ dofs, nnz \d+\): Can't expand "
+                     "MemType 0", caplog.text)
+
+
 def test_cli_field_lacking_arrays_exits_4(pipeline_out, tmp_path,
                                           monkeypatch, caplog):
     _, out, _ = pipeline_out
@@ -751,10 +780,14 @@ def test_frames_log_records_inner_solves(pipeline_out):
     outer, tail = _frames_log(out)
     assert [w[0::2] for w in outer] == [
         ["outer", "alpha", "energy", "iterations", "evals", "converged",
-         "grad_norm"]
+         "grad_norm", "gtol"]
     ] * len(outer)
     assert all(int(w[7]) >= 1 and int(w[9]) > int(w[7]) for w in outer)
     assert int(tail["unconverged"]) == sum(w[11] == "0" for w in outer)
+    # Only the solve that ends the fit runs to the configured gtol.
+    gtol = cfg.frame_fit.gtol
+    assert [w[15] for w in outer] == [f"{CONTINUATION_GTOL * gtol:.9e}"] * (
+        len(outer) - 1) + [f"{gtol:.9e}"]
     # The final data energy is the fit's last one, for the same omega.
     _, fea = artifacts.read_field(out / "fea.field", kind="stress")
     _, fit = artifacts.read_field(out / "frames.field", kind="frames")

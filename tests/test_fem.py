@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from stresstruss import fem
 from stresstruss.errors import ConfigError, NumericalError
 from stresstruss.extract import TrussGraph
 from stresstruss.fem import (
@@ -252,6 +253,22 @@ def test_cholesky_matches_sparse_lu_on_fea_systems(make_mesh):
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
     (dofs, nnz, width), = systems
     assert (dofs, nnz) == (len(free), A.nnz) and 0 < width < dofs
+
+
+def test_solver_out_of_memory_names_the_system(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    A = sp.csr_matrix(np.diag([2.0, 3.0, 4.0]) + np.diag([1.0, 1.0], 1)
+                      + np.diag([1.0, 1.0], -1))
+    monkeypatch.setattr(fem.sla, "solveh_banded", exhausted)
+    with pytest.raises(MemoryError, match=r"^stiffness system \(3 dofs, nnz "
+                       r"7, band 48 bytes\): Unable to allocate$"):
+        solve_cholesky(A, np.ones(3), "stiffness")
+    monkeypatch.setattr(fem.spla, "splu", exhausted)
+    with pytest.raises(MemoryError, match=r"^frame stiffness system \(3 dofs,"
+                       r" nnz 7\): Unable to allocate$"):
+        solve_lu(A, np.ones(3), "frame stiffness")
 
 
 def _two_tet_gravity(vertices, tets, *held):

@@ -7,6 +7,7 @@ from stresstruss.errors import ConfigError
 from stresstruss.fem import Material, cauchy_stress, solve_static, stress_spd
 from stresstruss.fixtures import bar_mesh, box_mesh
 from stresstruss.frames import (
+    CONTINUATION_GTOL,
     SMALL_ANGLE,
     FrameFitConfig,
     _data_energy_grad_s,
@@ -460,8 +461,49 @@ def test_fit_evaluations_visible_through_module_attributes(monkeypatch):
     field = fit_frame_field(mesh, M, FrameFitConfig(outer_iterations=4,
                                                     early_stop=False))
     assert len(field.inner) == 4
-    assert calls["total"] == sum(evals for _, evals, _, _ in field.inner)
+    assert calls["total"] == sum(evals for _, evals, *_ in field.inner)
     assert calls["data"] == len(field.inner)
+
+
+def _small_fit(**cfg):
+    mesh = box_mesh((2, 2, 1), jitter=0.05)
+    M = random_spd_field(np.random.default_rng(8), mesh.num_tets)
+    return fit_frame_field(mesh, M, FrameFitConfig(**cfg))
+
+
+def test_fit_runs_only_its_last_solve_to_gtol():
+    field = _small_fit(outer_iterations=5, early_stop=False, gtol=1e-7)
+    assert [row[4] for row in field.inner] == \
+        [CONTINUATION_GTOL * 1e-7] * 4 + [1e-7]
+    # The loose solves stop sooner than solves at gtol 1e-7 do.
+    tight = _small_fit(outer_iterations=5, early_stop=False,
+                       gtol=1e-7 / CONTINUATION_GTOL)
+    assert sum(row[1] for row in field.inner[:4]) < \
+        sum(row[1] for row in tight.inner[:4])
+
+
+def test_fit_ended_by_early_stop_ends_on_a_gtol_solve():
+    # Every decrease is below a relative tolerance of 1, so early stop fires
+    # after patience stalled outer iterations; the solve it ends on is the
+    # one that may stall last, and it runs to gtol.
+    field = _small_fit(outer_iterations=30, early_stop_tol=1.0,
+                       early_stop_patience=3)
+    assert [row[4] for row in field.inner] == \
+        [CONTINUATION_GTOL * 1e-6] * 3 + [1e-6]
+    assert len(field.alpha_history) == 4
+    # Patience 0 stops after the first solve, so that one is tight too.
+    field = _small_fit(outer_iterations=30, early_stop_patience=0)
+    assert [row[4] for row in field.inner] == [1e-6]
+
+
+def test_fit_with_loose_and_tight_solves_is_deterministic():
+    for cfg in ({"outer_iterations": 6, "early_stop": False},
+                {"early_stop_tol": 1.0, "early_stop_patience": 2}):
+        f1, f2 = _small_fit(**cfg), _small_fit(**cfg)
+        assert f1.omega.tobytes() == f2.omega.tobytes()
+        assert f1.frames.tobytes() == f2.frames.tobytes()
+        assert f1.inner == f2.inner
+        assert f1.alpha_history == f2.alpha_history
 
 
 def test_data_energy_total_matches_per_tet_sum():

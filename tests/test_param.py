@@ -8,7 +8,8 @@ from stresstruss import artifacts
 from stresstruss.errors import ConfigError, NumericalError
 from stresstruss.fem import cauchy_stress, solve_static, stress_spd
 from stresstruss.fixtures import bar_mesh, box_mesh, unit_cube_mesh
-from stresstruss.frames import fit_frame_field, rotations_from_axis_vectors
+from stresstruss.frames import (fit_frame_field, rotations_from_axis_vectors,
+                                tet_frames)
 from stresstruss.mesh import TetMesh, build_operators
 from stresstruss.param import (
     directional_gradient,
@@ -134,6 +135,27 @@ def test_component_solves_match_kkt_oracle(bar_frames):
     ref = kkt_oracle(mesh, arr["frames"], cfg.beta)
     assert np.linalg.norm(phi - ref) <= 1e-10 * np.linalg.norm(ref)
     assert [s[0] for s in systems] == [mesh.num_vertices - 1] * 3
+
+
+def test_evaluate_objective_equals_d_and_o_residuals(bar_frames):
+    # evaluate_objective skips building D and O; param.log's objective must
+    # still be the float that their residuals give, bit for bit. On the
+    # 6x3x3 box some rows of G_k are not in column order, and summing them
+    # in G_k's order would move the last bit.
+    cfg, out = bar_frames
+    _, arr = artifacts.read_field(out / "frames.field", kind="frames")
+    box = box_mesh((6, 3, 3))
+    s = np.random.default_rng(0).standard_normal((box.num_vertices, 3))
+    for mesh, frames, beta in ((mesh_from_config(cfg), arr["frames"],
+                                cfg.beta),
+                               (box, tet_frames(s, box.tets), 1.0)):
+        ops = build_operators(mesh)
+        phi = solve_parametrization(mesh, frames, beta, ops=ops)
+        D, O = objective_terms(ops, frames)
+        x = phi.T.ravel()
+        rd, ro = D @ x - 1.0, O @ x
+        assert evaluate_objective(ops, frames, phi, beta) == float(
+            beta * (rd @ rd) + ro @ ro)
 
 
 def test_disconnected_mesh_rejected():

@@ -1,8 +1,18 @@
 """Byte-identity ladder: the whole pipeline on the benchmark's three
 workloads, each at jitter 0 and at every ``JITTERS`` value of bench/run.py
 (27 configurations), one ``sha256  workload/jitter/file`` line per output
-and one ``lambda_star <value>  workload/jitter`` line per configuration, so
-that a change of ``report.txt`` also shows as a readable number.
+and, per configuration, readable lines for the numbers a change may move:
+
+    lambda_star <v>  workload/jitter        report.txt's load factor
+    alignment_frac <v>  workload/jitter     test_11's measure, computed by
+                                            bench/worker.py's alignment_frac
+    elements <n>  workload/jitter           members of the simplified truss
+    frames_evals <n>  workload/jitter       energy evaluations, frames.log
+    final_data_energy <v>  workload/jitter  the fit's data energy, frames.log
+
+It ends with one ``gate`` line per workload: the median and the lowest
+``alignment_frac`` and ``lambda_star`` over its nine configurations, and
+the median and range of ``elements``.
 
     python3 tools/ladder.py > after.txt
     python3 tools/ladder.py --root ../parent-checkout > before.txt
@@ -10,9 +20,15 @@ that a change of ``report.txt`` also shows as a readable number.
 
 ``--root`` names the checkout whose ``src`` and ``bench`` are used (default:
 the one holding this script), so one copy of the script lists any commit
-whose bench/run.py has ``workload_doc`` and ``JITTERS``. The configs come
-from ``workload_doc``; nothing under bench/ is written. Outputs go to a
+whose bench/run.py has ``workload_doc`` and ``JITTERS`` and whose
+bench/worker.py has ``alignment_frac``. The configs come from
+``workload_doc``; nothing under bench/ is written. Outputs go to a
 temporary directory, removed afterwards, unless ``--out`` keeps them.
+
+``--noise S`` scales the stress surrogate the frame fit reads by
+(1 + 1e-13 u_k) over tets k, u = ``default_rng(S).uniform(-1, 1, m)``: a
+round-off-sized input change, so the ladder of a checkout with noise seeds
+1-10 beside it shows how far the gate lines move by round-off alone.
 """
 
 from __future__ import annotations
@@ -20,9 +36,20 @@ from __future__ import annotations
 import argparse
 import hashlib
 import shutil
+import statistics
 import sys
 import tempfile
 from pathlib import Path
+
+
+def frames_log_numbers(path: Path) -> tuple[int, str]:
+    """The fit's total energy evaluations and its final data energy, as
+    frames.log records them."""
+    words = [ln.split() for ln in path.read_text().splitlines()]
+    evals = sum(int(w[w.index("evals") + 1]) for w in words
+                if w[0] == "outer")
+    final = next(w[1] for w in words if w[0] == "final_data_energy")
+    return evals, final
 
 
 def main(argv=None) -> int:
@@ -32,15 +59,31 @@ def main(argv=None) -> int:
                     help="checkout to run (its src/ and bench/)")
     ap.add_argument("--out", type=Path, default=None,
                     help="keep the outputs here instead of a temp dir")
+    ap.add_argument("--noise", type=int, default=None, metavar="S",
+                    help="scale the frame fit's input by 1 + 1e-13 noise "
+                         "of seed S")
     args = ap.parse_args(argv)
 
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import run  # bench/run.py: pins BLAS threads before numpy loads
+    from worker import alignment_frac
+    from stresstruss import artifacts, pipeline
     from stresstruss.config import parse_config
-    from stresstruss.pipeline import run_stage
+    from stresstruss.pipeline import mesh_from_config, run_stage
+
+    if args.noise is not None:
+        import numpy as np
+        fit = pipeline.fit_frame_field
+
+        def noisy_fit(mesh, M, *rest, **kw):
+            u = np.random.default_rng(args.noise).uniform(-1.0, 1.0, len(M))
+            return fit(mesh, M * (1.0 + 1e-13 * u)[:, None, None], *rest,
+                       **kw)
+        pipeline.fit_frame_field = noisy_fit
 
     base = args.out or Path(tempfile.mkdtemp(prefix="ladder-"))
+    gates: dict[str, list[tuple[float, float, int]]] = {}
     try:
         for name in (w for w in run.WORKLOADS if w != "smoke"):
             for jitter in (0.0, *run.JITTERS):
@@ -53,10 +96,31 @@ def main(argv=None) -> int:
                     digest = hashlib.sha256(f.read_bytes()).hexdigest()
                     print(f"{digest}  {label}/{f.name}", flush=True)
                 lam = (out / "report.txt").read_text().splitlines()[-1]
-                print(f"{lam}  {label}", flush=True)
+                _, fea = artifacts.read_field(out / "fea.field",
+                                              kind="stress",
+                                              names=("eigenvectors",))
+                graph = artifacts.read_graph(out / "graph_simplified.json")
+                frac = alignment_frac(mesh_from_config(cfg),
+                                      fea["eigenvectors"], graph)
+                evals, energy = frames_log_numbers(out / "frames.log")
+                print(f"{lam}  {label}\n"
+                      f"alignment_frac {frac:.6f}  {label}\n"
+                      f"elements {graph.num_elements}  {label}\n"
+                      f"frames_evals {evals}  {label}\n"
+                      f"final_data_energy {energy}  {label}", flush=True)
+                gates.setdefault(name, []).append(
+                    (frac, float(lam.split()[1]), graph.num_elements))
     finally:
         if args.out is None:
             shutil.rmtree(base, ignore_errors=True)
+    for name, rows in gates.items():
+        frac, lam, elements = zip(*rows)
+        print(f"gate {name} alignment_frac median "
+              f"{statistics.median(frac):.6f} min {min(frac):.6f} "
+              f"lambda_star median {statistics.median(lam):.9e} "
+              f"min {min(lam):.9e} elements median "
+              f"{statistics.median(elements):g} range {min(elements)}-"
+              f"{max(elements)}", flush=True)
     return 0
 
 
