@@ -12,9 +12,11 @@ a, b), with integers a, b strictly inside the tet's range of a column pair
 against the tet's four faces as a batch of 2x2 barycentric systems on each
 face's sorted vertex triple, so both tets of a face get the same bits. One
 hit is a tangential touch, more than two mark the tet inconsistent, and two
-bound a chain through the triple-integer points between them. 2D (also run
-on the volume boundary): edge crossings of integer levels, then per face and
-level a chain through the in-face double-integer points.
+bound a chain through the triple-integer points between them. Boundary: on
+the volume's boundary triangles, the edge crossings of every column's
+integer levels, then per face, column and level a chain through the in-face
+points where a second column is integral too; each feature edge chains its
+crossings from one end vertex to the other.
 
 Each node occurrence has an integer key: face triple, pair and (a, b); tet
 and grid point; edge, column and level; face and grid point; or vertex.
@@ -46,11 +48,10 @@ PARAM_TOL = 1e-9
 MERGE_TOL = 1e-9
 
 TAG_RANK = {
-    "edge_hit": 0,
-    "face_hit": 1,
-    "interior_grid": 2,
-    "boundary": 3,
-    "feature": 4,
+    "face_hit": 0,
+    "interior_grid": 1,
+    "boundary": 2,
+    "feature": 3,
 }
 _TAGS = tuple(sorted(TAG_RANK, key=TAG_RANK.get))
 
@@ -94,10 +95,10 @@ class TrussGraph:
         )
 
 
-def empty_graph(param_width: int = 3) -> TrussGraph:
+def empty_graph() -> TrussGraph:
     return TrussGraph(
         positions=np.zeros((0, 3)),
-        params=np.zeros((0, param_width)),
+        params=np.zeros((0, 3)),
         tags=[],
         elements=np.zeros((0, 2), dtype=np.int64),
         families=[],
@@ -157,10 +158,9 @@ def _raw_graph(keys, positions, params, ranks, links, families, names):
     """The unmerged graph of node occurrences listed in discovery order:
     equal keys are one node, placed by its first occurrence and tagged with
     its highest rank; links between occurrences are elements of family
-    ``names[families]``, without self-links or repeats. Also returns each
-    occurrence's node."""
+    ``names[families]``, without self-links or repeats."""
     if not len(keys):
-        return empty_graph(params.shape[1]), np.zeros(0, dtype=np.int64)
+        return empty_graph()
     node, first = _first_seen(keys, axis=0)
     rank = np.zeros(len(first), dtype=np.int64)
     np.maximum.at(rank, node, ranks)
@@ -168,9 +168,9 @@ def _raw_graph(keys, positions, params, ranks, links, families, names):
     keep = ends[:, 0] != ends[:, 1]
     rows = np.unique(np.column_stack([np.sort(ends[keep], axis=1),
                                       families[keep]]), axis=0)
-    g = TrussGraph(positions[first], params[first], [_TAGS[r] for r in rank],
-                   rows[:, :2].copy(), [names[f] for f in rows[:, 2]])
-    return g, node
+    return TrussGraph(positions[first], params[first],
+                      [_TAGS[r] for r in rank], rows[:, :2].copy(),
+                      [names[f] for f in rows[:, 2]])
 
 
 def _finalize(g: TrussGraph) -> TrussGraph:
@@ -299,39 +299,37 @@ def check_perturbed(params: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# 2D extraction engine
+# Surface engine
 
 
 class _Complex2D:
-    """Node occurrences and links of a triangle complex's integer isocurves.
+    """Node occurrences and links of the integer isocurves of all three
+    columns on a triangle complex.
 
-    The first occurrences are the edge crossings of every column in
-    ``columns``, in (edge, column, level) order; each face pass and edge
-    chain appends its own."""
+    The first occurrences are the edge crossings, in (edge, column, level)
+    order, tagged boundary; each face pass and the feature chains append
+    their own."""
 
-    def __init__(self, vertices, faces, params, columns, tag):
+    def __init__(self, vertices, faces, params):
         self.vertices, self.faces, self.params = vertices, faces, params
-        self.columns = list(columns)
-        self.edges, self.edge_faces, self.face_edges = unique_edges(faces)
+        self.edges, _, self.face_edges = unique_edges(faces)
         self.occ = ([], [], [], [])            # keys, positions, params, ranks
         self.links, self.families = [], []
         self.count = 0
 
-        cols = np.array(self.columns, dtype=np.int64)
-        pa = params[self.edges[:, 0]][:, cols]
-        pb = params[self.edges[:, 1]][:, cols]
+        pa, pb = params[self.edges[:, 0]], params[self.edges[:, 1]]
         first, count = _lattice(np.minimum(pa, pb), np.maximum(pa, pb))
         block, r = _spread(count.ravel())
-        e, c = np.divmod(block, len(cols))
+        e, c = np.divmod(block, 3)
         level = first.ravel()[block] + r
         pa, pb = pa.ravel()[block], pb.ravel()[block]
         a, b = self.edges[e, 0], self.edges[e, 1]
         t = (level - pa) / (pb - pa)
         pos = vertices[a] + t[:, None] * (vertices[b] - vertices[a])
         par = params[a] + t[:, None] * (params[b] - params[a])
-        par[np.arange(len(par)), cols[c]] = level
-        keys = _key(0, a, b, cols[c], level)
-        self.add(keys, pos, par, tag)
+        par[np.arange(len(par)), c] = level
+        keys = _key(0, a, b, c, level)
+        self.add(keys, pos, par, "boundary")
         self.cross = (keys, pos, par, t)
         self.level_first = first
         self.level_start = (np.cumsum(count.ravel())
@@ -351,12 +349,12 @@ class _Complex2D:
         self.links.append(links)
         self.families.append(np.full(len(links), family))
 
-    def graph(self, names):
+    def graph(self):
         return _raw_graph(*(np.concatenate(x) for x in self.occ),
                           np.vstack(self.links), np.concatenate(self.families),
-                          names)
+                          ("boundary", "feature"))
 
-    def face_pass(self, trace, other, tag, family):
+    def face_pass(self, trace, other):
         """Trace the integer levels of column ``trace`` through each face:
         a chain between the level's two edge crossings through the in-face
         points where ``other`` is integral too."""
@@ -366,9 +364,9 @@ class _Complex2D:
         level = first[f] + r
         va = vals[f] - level[:, None]
         crosses = va * np.roll(va, -1, axis=1) < 0.0     # two sides each
-        col = self.columns.index(trace)
         sides = (crosses.argmax(axis=1), 2 - crosses[:, ::-1].argmax(axis=1))
-        n0, n1 = (self.level_start[e, col] + level - self.level_first[e, col]
+        n0, n1 = (self.level_start[e, trace] + level
+                  - self.level_first[e, trace]
                   for e in (self.face_edges[f, s] for s in sides))
         _, cross_pos, cross_par, _ = self.cross
         q0, q1 = cross_par[n0, other], cross_par[n1, other]
@@ -390,13 +388,13 @@ class _Complex2D:
         lvl = (level[seg], q) if trace < other else (q, level[seg])
         keys = _key(1, f[seg], min(trace, other), lvl[0], max(trace, other),
                     lvl[1])
-        self.link(lo, hi, self.add(keys, pos, par, tag) + rows, qcount,
-                  family)
+        inner = self.add(keys, pos, par, "boundary") + rows
+        self.link(lo, hi, inner, qcount, 0)
 
-    def edge_chains(self, chain_edges, tag, family):
+    def feature_chains(self, chain_edges):
         """Chains along the given sorted edges through their crossings in
         (t, node) order, from one end vertex to the other; every node on
-        them takes ``tag``."""
+        them is tagged feature."""
         nv = len(self.vertices)
         code = self.edges[:, 0] * nv + self.edges[:, 1]
         want = chain_edges[:, 0] * nv + chain_edges[:, 1]
@@ -406,55 +404,12 @@ class _Complex2D:
         occ = self.level_start[e[chain], 0] + s
         # By t; the sort is stable, so ties stay in node order.
         occ = occ[np.lexsort((self.cross[3][occ], chain))]
-        # Re-adding a crossing's key raises its tag, as the chain asks.
-        inner = self.add(*(x[occ] for x in self.cross[:3]), tag)
+        # Re-adding a crossing's key raises its tag to feature.
+        inner = self.add(*(x[occ] for x in self.cross[:3]), "feature")
         ends = chain_edges.reshape(-1)
         lo = self.add(_key(2, ends), self.vertices[ends], self.params[ends],
-                      tag) + 2 * np.arange(len(chain_edges))
-        self.link(lo, lo + 1, inner + np.arange(len(occ)), count, family)
-        return occ
-
-
-def _warn_closed_loops(g: TrussGraph, seeds: np.ndarray):
-    """Isocurve elements unreachable from boundary seeds form closed loops."""
-    iso = np.isin(np.array(g.families, dtype=str), INTERIOR_FAMILIES)
-    el = g.elements[iso]
-    ncomp, label = pieces(g.num_nodes, el)
-    seeded = np.zeros(ncomp, dtype=bool)
-    seeded[label[seeds]] = True
-    leftover = int((~seeded[label[el[:, 0]]]).sum())
-    if leftover:
-        warnings.warn(
-            f"{leftover} isocurve element(s) lie on closed loops",
-            ExtractionWarning,
-        )
-
-
-def extract_2d(vertices: np.ndarray, faces: np.ndarray, params: np.ndarray,
-               pair: tuple[int, int] = (0, 1)) -> TrussGraph:
-    """Integer-isocurve graph of a (possibly open) triangle complex.
-
-    vertices: (n, 3) positions; faces: (f, 3); params: (n, P) perturbed
-    values; pair: the two parameter columns to trace. Interior curves get
-    iso-families named by the varying column; chains along the complex's
-    boundary edges get family "boundary".
-    """
-    vertices = np.asarray(vertices, dtype=float)
-    faces = np.asarray(faces, dtype=np.int64)
-    params = np.asarray(params, dtype=float)
-    ci, cj = pair
-    check_perturbed(params[:, [ci, cj]])
-
-    cx = _Complex2D(vertices, faces, params, (ci, cj), "edge_hit")
-    names = ("boundary", f"iso{cj + 1}", f"iso{ci + 1}")
-    cx.face_pass(ci, cj, "interior_grid", 1)
-    cx.face_pass(cj, ci, "interior_grid", 2)
-    boundary_edges = cx.edges[cx.edge_faces == 1]
-    seeds = cx.edge_chains(boundary_edges, "boundary", 0)
-    g, node = cx.graph(names)
-    if len(boundary_edges):
-        _warn_closed_loops(g, node[seeds])
-    return _finalize(g)
+                      "feature") + 2 * np.arange(len(chain_edges))
+        self.link(lo, lo + 1, inner + np.arange(len(occ)), count, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +528,7 @@ def extract_3d(mesh: TetMesh, params: np.ndarray) -> TrussGraph:
                                 np.where(swap, rows, n2 + rows),
                                 2 * n2 + at, kcount)
     return _finalize(_raw_graph(keys, pos, par, ranks, where[links], k[chain],
-                                INTERIOR_FAMILIES)[0])
+                                INTERIOR_FAMILIES))
 
 
 # ---------------------------------------------------------------------------
@@ -582,22 +537,21 @@ def extract_3d(mesh: TetMesh, params: np.ndarray) -> TrussGraph:
 
 def extract_boundary(mesh: TetMesh, params: np.ndarray,
                      features: np.ndarray | None = None) -> TrussGraph:
-    """Surface truss: the three pairwise 2D extractions on the boundary
-    complex (all nodes tagged boundary, elements family "boundary"), plus
-    chains along feature edges (tagged/family "feature"). params: (n, 3)
-    perturbed parametrization, as for ``extract_3d``.
+    """Surface truss: the integer isocurves of the three column pairs on
+    the boundary complex (all nodes tagged boundary, elements family
+    "boundary"), plus chains along feature edges (tagged/family "feature").
+    params: (n, 3) perturbed parametrization, as for ``extract_3d``.
     """
     params = np.asarray(params, dtype=float)
     check_perturbed(params)
-    cx = _Complex2D(mesh.vertices, mesh.boundary.triangles, params,
-                    (0, 1, 2), "boundary")
+    cx = _Complex2D(mesh.vertices, mesh.boundary.triangles, params)
     for (ci, cj) in _PAIRS_3D:
-        cx.face_pass(ci, cj, "boundary", 0)
-        cx.face_pass(cj, ci, "boundary", 0)
+        cx.face_pass(ci, cj)
+        cx.face_pass(cj, ci)
     if features is not None and len(features):
-        feature_set = np.sort(np.asarray(features, dtype=np.int64), axis=1)
-        cx.edge_chains(feature_set, "feature", 1)
-    return _finalize(cx.graph(("boundary", "feature"))[0])
+        features = np.sort(np.asarray(features, dtype=np.int64), axis=1)
+        cx.feature_chains(features)
+    return _finalize(cx.graph())
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +563,6 @@ def merge_graphs(parts: list[TrussGraph]) -> TrussGraph:
     parts = [g for g in parts if g.num_nodes]
     if not parts:
         return empty_graph()
-    if len({g.params.shape[1] for g in parts}) > 1:
-        raise NumericalError("cannot merge graphs with different parameter widths")
     offsets = np.cumsum([0] + [g.num_nodes for g in parts[:-1]])
     return _finalize(TrussGraph(
         np.vstack([g.positions for g in parts]),

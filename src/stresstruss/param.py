@@ -22,7 +22,8 @@ from .mesh import DiscreteOperators, TetMesh, build_operators, pieces
 
 
 def directional_gradient(ops: DiscreteOperators, v: np.ndarray) -> sp.csr_matrix:
-    """Per-tet derivative along one direction vector per tet."""
+    """Per-tet derivative along one direction vector per tet, each row's
+    columns in sorted order."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] != ops.Gx.shape[0]:
         raise ConfigError("need one 3-vector per tet")
@@ -30,7 +31,7 @@ def directional_gradient(ops: DiscreteOperators, v: np.ndarray) -> sp.csr_matrix
         sp.diags(v[:, 0]) @ ops.Gx
         + sp.diags(v[:, 1]) @ ops.Gy
         + sp.diags(v[:, 2]) @ ops.Gz
-    ).tocsr()
+    ).tocsr().sorted_indices()
 
 
 def objective_terms(
@@ -63,12 +64,10 @@ def evaluate_objective(
     """beta |D x - 1|^2 + |O x|^2 for ``objective_terms``' D and O, taken
     from the directional gradients G_k without building D and O. The
     residuals are stacked in D's and O's row order, so the float is the
-    same: a row of D sums in column order (``block_diag`` sorts it), O keeps
-    G_k's order."""
+    same."""
     G = [directional_gradient(ops, frames[:, :, k]) for k in range(3)]
     phi = np.asarray(phi, dtype=float)
-    rd = np.concatenate([g.sorted_indices() @ phi[:, k]
-                         for k, g in enumerate(G)]) - 1.0
+    rd = np.concatenate([g @ phi[:, k] for k, g in enumerate(G)]) - 1.0
     ro = np.concatenate([G[k] @ phi[:, j] for k in range(3) for j in range(3)
                          if j != k])
     return float(beta * (rd @ rd) + ro @ ro)

@@ -1,7 +1,7 @@
 """Graph simplification and printable geometry emission.
 
 Simplification contracts short elements toward the endpoint with higher
-provenance rank, optionally eliminating all face/edge-hit nodes. Geometry
+provenance rank, optionally eliminating all face-hit nodes. Geometry
 emission replaces each element with a capped prism and each node with an
 icosahedral ball; primitives overlap deliberately, there is NO boolean
 union (downstream slicers tolerate overlapping watertight shells).
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from .extract import TAG_RANK, TrussGraph, _first_seen, row_norms
 
-HIT_TAGS = ("edge_hit", "face_hit")
+HIT_TAGS = ("face_hit",)
 
 
 class GeometryWarning(UserWarning):

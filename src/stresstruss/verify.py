@@ -72,6 +72,9 @@ def build_truss_model(graph: TrussGraph, material: Material, radius_policy,
     anchor). Neumann: the total force is split equally over matched nodes.
     Gravity adds half of each element's weight to both endpoints.
     """
+    if graph.num_elements == 0:
+        raise NumericalError("empty truss: the graph has no members (at rho "
+                             "<= 1 no integer isocurve crosses the mesh)")
     radii = resolve_radii(graph.families, radius_policy)
     areas = np.pi * radii ** 2
     moments = np.pi * radii ** 4 / 4.0

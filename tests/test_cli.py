@@ -284,7 +284,7 @@ def _sample_graph():
                             [0.7, 0.9, 1.1]]),
         params=np.array([[1.0, 2.0, 0.5], [0.1, 1.0 + 1e-7, 2.0],
                          [3.0, 1.0, 1.0]]),
-        tags=["interior_grid", "edge_hit", "boundary"],
+        tags=["interior_grid", "face_hit", "boundary"],
         elements=np.array([[0, 1], [1, 2]], dtype=np.int64),
         families=["iso1", "boundary"],
     )
@@ -366,11 +366,14 @@ def test_graph_artifact_errors(tmp_path):
     other.write_text(json.dumps({"type": "something_else"}))
     with pytest.raises(ArtifactError, match="not a truss graph"):
         artifacts.read_graph(other)
-    g = _sample_graph()
-    g.tags[1] = "bogus"
-    artifacts.write_graph(bad, g)
-    with pytest.raises(ArtifactError, match=r"unknown node tag.*'bogus'"):
-        artifacts.read_graph(bad)
+    # "edge_hit" is a retired tag, which an old graph file may still hold.
+    for tag in ("bogus", "edge_hit"):
+        g = _sample_graph()
+        g.tags[1] = tag
+        artifacts.write_graph(bad, g)
+        with pytest.raises(ArtifactError,
+                           match=rf"unknown node tag.*'{tag}'"):
+            artifacts.read_graph(bad)
 
 
 def _malformed_graphs() -> dict:
@@ -955,3 +958,15 @@ def test_cli_exit_codes(tmp_path):
     assert r.returncode == 2
     r = _run_cli()
     assert r.returncode == 2
+
+
+def test_cli_empty_truss_exits_3(tmp_path):
+    # At rho <= 1 no integer isocurve crosses the mesh: extract, simplify
+    # and geometry write empty outputs, and verify names the empty truss.
+    cfg_path = tmp_path / "bar.json"
+    cfg_path.write_text(json.dumps({**SMALL_BAR_DOC, "rho": 0.5}))
+    r = _run_cli("--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert r.returncode == 3
+    assert ("numerical failure: verify: empty truss: the graph has no "
+            "members") in r.stderr
+    assert "Traceback" not in r.stderr

@@ -1,5 +1,6 @@
-"""Extraction tests: perturbation rules, 2D/3D integer-grid oracles on affine
-parametrizations, boundary and feature handling, merging, determinism."""
+"""Extraction tests: perturbation rules, surface/3D integer-grid oracles on
+affine parametrizations, boundary and feature handling, merging,
+determinism."""
 
 from __future__ import annotations
 
@@ -25,11 +26,12 @@ from stresstruss.extract import (
     TrussGraph,
     _canonical_order,
     _coincidence_merge,
+    _Complex2D,
+    _finalize,
     _merge_candidates,
     _upgrade_grid_tags,
     check_perturbed,
     empty_graph,
-    extract_2d,
     extract_3d,
     extract_boundary,
     merge_graphs,
@@ -41,22 +43,24 @@ from stresstruss.mesh import TetMesh, feature_edges, unique_edges
 INTERIOR_FAMILIES = ("iso1", "iso2", "iso3")
 
 
-def _integral_mask(g, tol=1e-9):
+def _integral_mask(g, tol=1e-9, cols=3):
     # Genuine grid nodes carry exactly-forced integer parameters; perturbed
     # boundary values sit 1e-7 off and must not classify as integral.
-    return (np.abs(g.params - np.round(g.params)) <= tol).all(axis=1)
+    par = g.params[:, :cols]
+    return (np.abs(par - np.round(par)) <= tol).all(axis=1)
 
 
-def _grid_pairs(g):
-    """Pairs of all-integer nodes connected by iso-element chains through
-    non-grid nodes. Returns pairs of integer parameter keys."""
-    integral = _integral_mask(g)
+def _grid_pairs(g, families=INTERIOR_FAMILIES, cols=3):
+    """Pairs of nodes integral in the first ``cols`` columns, connected by
+    chains of ``families`` elements through other nodes. Returns pairs of
+    integer parameter keys."""
+    integral = _integral_mask(g, cols=cols)
     adj: dict[int, list[int]] = {}
     for (i, j), fam in zip(g.elements, g.families):
-        if fam in INTERIOR_FAMILIES:
+        if fam in families:
             adj.setdefault(int(i), []).append(int(j))
             adj.setdefault(int(j), []).append(int(i))
-    keys = [tuple(int(round(v)) for v in row) for row in g.params]
+    keys = [tuple(int(round(v)) for v in row[:cols]) for row in g.params]
     pairs = set()
     for start in np.nonzero(integral)[0]:
         for first in adj.get(int(start), ()):
@@ -182,7 +186,24 @@ def test_perturb_vertex_in_no_cell_moves_up():
 
 
 # ---------------------------------------------------------------------------
-# 2D extraction
+# Surface engine on flat complexes
+
+
+def _flat_params(params):
+    """A flat complex's two traced columns, plus the constant non-integer
+    third column that no isocurve crosses."""
+    return np.column_stack([params, np.full(len(params), 0.5)])
+
+
+def _surface_graph(vertices, faces, params, pair=(0, 1)):
+    """The surface engine's graph of a flat complex: the face passes of the
+    column pair, each way, as extract_boundary runs them."""
+    ci, cj = pair
+    cx = _Complex2D(np.asarray(vertices, dtype=float),
+                    np.asarray(faces, dtype=np.int64), _flat_params(params))
+    cx.face_pass(ci, cj)
+    cx.face_pass(cj, ci)
+    return _finalize(cx.graph())
 
 
 def _triangle_case():
@@ -193,31 +214,39 @@ def _triangle_case():
     return verts, faces, pert
 
 
+def _column_curves(g, c):
+    """Elements along an integer level of column c: c is the same integer
+    at both ends."""
+    a, b = g.params[g.elements, c].T
+    return int(((np.abs(a - np.round(a)) <= 1e-9)
+                & (np.abs(a - b) <= 1e-9)).sum())
+
+
 def test_triangle_oracle():
     verts, faces, pert = _triangle_case()
-    g = extract_2d(verts, faces, pert, pair=(0, 1))
-    assert g.num_nodes == 10
-    assert g.num_elements == 15
-    fams = {f: g.families.count(f) for f in set(g.families)}
-    assert fams == {"iso1": 3, "iso2": 3, "boundary": 9}
+    g = _surface_graph(verts, faces, pert)
+    # Crossings: 2 on each leg, and 2 on the hypotenuse, where each level of
+    # one column meets a level of the other (phi_1 + phi_2 = 3 there).
+    assert g.num_nodes == 7
+    assert g.num_elements == 6
+    assert set(g.tags) == {"boundary"} and set(g.families) == {"boundary"}
+    assert (_column_curves(g, 0), _column_curves(g, 1)) == (3, 3)
 
     # Crossings of the first parameter on the bottom edge at x = {1/3, 2/3}.
     on_bottom = np.abs(g.positions[:, 1]) < 1e-12
     frac0 = np.abs(g.params[:, 0] - np.round(g.params[:, 0])) <= 1e-6
-    xs = np.sort(g.positions[on_bottom & frac0 &
-                             (np.abs(g.positions[:, 0]) > 1e-6) &
-                             (np.abs(g.positions[:, 0] - 1.0) > 1e-6), 0])
+    xs = np.sort(g.positions[on_bottom & frac0, 0])
     assert np.allclose(xs, [1 / 3, 2 / 3], atol=1e-7)
     on_left = np.abs(g.positions[:, 0]) < 1e-12
     frac1 = np.abs(g.params[:, 1] - np.round(g.params[:, 1])) <= 1e-6
-    ys = np.sort(g.positions[on_left & frac1 &
-                             (np.abs(g.positions[:, 1]) > 1e-6) &
-                             (np.abs(g.positions[:, 1] - 1.0) > 1e-6), 1])
+    ys = np.sort(g.positions[on_left & frac1, 1])
     assert np.allclose(ys, [1 / 3, 2 / 3], atol=1e-7)
 
-    # Exactly one strictly interior grid node, at (1/3, 1/3).
-    interior = [i for i, t in enumerate(g.tags) if t == "interior_grid"]
+    # Exactly one node off the triangle's edges: the grid node (1/3, 1/3).
+    x, y = g.positions[:, 0], g.positions[:, 1]
+    interior = np.nonzero((x > 1e-6) & (y > 1e-6) & (x + y < 1.0 - 1e-6))[0]
     assert len(interior) == 1
+    assert _integral_mask(g, cols=2)[interior[0]]
     assert np.allclose(g.positions[interior[0]], [1 / 3, 1 / 3, 0.0], atol=1e-7)
 
 
@@ -233,20 +262,20 @@ def _square_case(rho=4.0):
 
 def test_square_grid_oracle():
     verts, faces, pert = _square_case()
-    g = extract_2d(verts, faces, pert, pair=(0, 1))
-    integral = _integral_mask(g)
+    g = _surface_graph(verts, faces, pert)
+    integral = _integral_mask(g, cols=2)
     got = g.positions[integral]
     expected = np.array([
         [i / 4, j / 4, 0.0] for i in (1, 2, 3) for j in (1, 2, 3)
     ])
     assert len(got) == 9
-    key = np.round(g.params[integral]).astype(int)
+    key = np.round(g.params[integral, :2]).astype(int)
     order = np.lexsort((key[:, 1], key[:, 0]))
     assert np.allclose(got[order], expected, atol=1e-7)
     for i in np.nonzero(integral)[0]:
-        assert g.tags[i] == "interior_grid"
+        assert g.tags[i] == "boundary"
 
-    pairs = _grid_pairs(g)
+    pairs = _grid_pairs(g, families=("boundary",), cols=2)
     expected_pairs = set()
     for i in (1, 2, 3):
         for j in (1, 2, 3):
@@ -262,13 +291,12 @@ def test_no_integer_range():
     params = np.column_stack([
         0.2 + 0.5 * verts[:, 0], 0.2 + 0.5 * verts[:, 1],
     ])
-    g = extract_2d(verts, faces, params, pair=(0, 1))
-    assert set(g.families) == {"boundary"}
-    assert g.num_elements == 4
-    assert g.num_nodes == 4
+    g = _surface_graph(verts, faces, params)
+    assert (g.num_nodes, g.num_elements) == (0, 0)
+    assert g.params.shape == (0, 3)
 
 
-def test_closed_loop_warning():
+def _closed_loop_case():
     angles = np.linspace(0.0, 2 * np.pi, 9)[:-1]
     verts = np.vstack([[0.0, 0.0, 0.0],
                        np.column_stack([np.cos(angles), np.sin(angles),
@@ -278,18 +306,25 @@ def test_closed_loop_warning():
         np.concatenate([[0.3], np.full(8, 1.6)]),
         0.1 + 0.05 * verts[:, 0],
     ])
-    with pytest.warns(ExtractionWarning, match="closed loop"):
-        g = extract_2d(verts, faces, params, pair=(0, 1))
-    iso = [f for f in g.families if f in INTERIOR_FAMILIES]
-    assert len(iso) == 8
+    return verts, faces, params
+
+
+def test_closed_loop_traced():
+    # Level 1 of the first column circles the fan's centre: one closed
+    # loop of 8 elements through its 8 spoke crossings.
+    verts, faces, params = _closed_loop_case()
+    g = _surface_graph(verts, faces, params)
+    assert (g.num_nodes, g.num_elements) == (8, 8)
+    assert (np.bincount(g.elements.ravel()) == 2).all()
+    assert _column_curves(g, 0) == 8
 
 
 def test_vertex_hit_error():
-    verts, faces, pert = _square_case()
-    bad = pert.copy()
+    mesh = unit_cube_mesh(2)
+    bad = perturb_parametrization(4.0 * mesh.vertices, mesh.tets)
     bad[0, 0] = 2.0
     with pytest.raises(NumericalError, match="integer"):
-        extract_2d(verts, faces, bad, pair=(0, 1))
+        extract_boundary(mesh, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +555,7 @@ def test_merge_idempotent(cube_case):
 def test_merge_empty():
     g = empty_graph()
     verts, faces, pert = _square_case()
-    g2 = extract_2d(verts, faces, pert, pair=(0, 1))
+    g2 = _surface_graph(verts, faces, pert)
     m = merge_graphs([g, g2])
     assert np.array_equal(m.positions, g2.positions)
     assert m.families == g2.families
@@ -538,8 +573,8 @@ def test_merge_interior_boundary(cube_case):
     assert shared > 0
     assert m.num_nodes == g3.num_nodes + gb.num_nodes - shared
     # Feature/boundary provenance survives over interior provenance.
-    assert all(t in ("boundary", "feature", "interior_grid", "face_hit",
-                     "edge_hit") for t in m.tags)
+    assert all(t in ("boundary", "feature", "interior_grid", "face_hit")
+               for t in m.tags)
 
 
 def test_element_lengths_are_per_row_norms():
@@ -564,16 +599,15 @@ def test_element_lengths_are_per_row_norms():
 # Array engines against the loop oracle
 #
 # The per-tet, per-lattice-point loop implementation that the array engines
-# replaced, kept as the oracle: a tuple-keyed node builder, the 2D and 3D
-# engines, and a spatial-hash union-find merge. The array code must write
+# replaced, kept as the oracle: a tuple-keyed node builder, the surface and
+# 3D engines, and a spatial-hash union-find merge. The array code must write
 # the same graph.json bytes and raise the same warnings.
 
 
 class _OracleBuilder:
     """Accumulates nodes (deduplicated by structural key) and elements."""
 
-    def __init__(self, param_width: int):
-        self.param_width = param_width
+    def __init__(self):
         self.key_to_id: dict = {}
         self.positions: list[np.ndarray] = []
         self.params: list[np.ndarray] = []
@@ -605,7 +639,7 @@ class _OracleBuilder:
     def finalize(self) -> TrussGraph:
         n = len(self.positions)
         if n == 0:
-            return empty_graph(self.param_width)
+            return empty_graph()
         g = TrussGraph(
             positions=np.vstack(self.positions),
             params=np.vstack(self.params),
@@ -792,71 +826,6 @@ def _oracle_boundary_chains_2d(builder, vertices, params, boundary_edges, edge_p
             builder.add_element(na, nb, family)
 
 
-def _oracle_warn_closed_loops(builder, seed_ids):
-    """Isocurve elements unreachable from boundary seeds form closed loops."""
-    adj: dict[int, list[int]] = {}
-    iso_elems = [k for k in builder.elements if k[2] in INTERIOR_FAMILIES]
-    for eidx, (i, j, _f) in enumerate(iso_elems):
-        adj.setdefault(i, []).append(eidx)
-        adj.setdefault(j, []).append(eidx)
-    visited = set()
-    stack = [s for s in seed_ids if s in adj]
-    seen_nodes = set(stack)
-    while stack:
-        node = stack.pop()
-        for eidx in adj.get(node, ()):
-            if eidx in visited:
-                continue
-            visited.add(eidx)
-            i, j, _f = iso_elems[eidx]
-            for other in (i, j):
-                if other not in seen_nodes:
-                    seen_nodes.add(other)
-                    stack.append(other)
-    leftover = len(iso_elems) - len(visited)
-    if leftover:
-        warnings.warn(
-            f"{leftover} isocurve element(s) lie on closed loops",
-            ExtractionWarning,
-        )
-
-
-def oracle_extract_2d(vertices: np.ndarray, faces: np.ndarray, params: np.ndarray,
-               pair: tuple[int, int] = (0, 1)) -> TrussGraph:
-    """Integer-isocurve graph of a (possibly open) triangle complex.
-
-    vertices: (n, 3) positions; faces: (f, 3); params: (n, P) perturbed
-    values; pair: the two parameter columns to trace. Interior curves get
-    iso-families named by the varying column; chains along the complex's
-    boundary edges get family "boundary".
-    """
-    vertices = np.asarray(vertices, dtype=float)
-    faces = np.asarray(faces, dtype=np.int64)
-    params = np.asarray(params, dtype=float)
-    ci, cj = pair
-    check_perturbed(params[:, [ci, cj]])
-
-    builder = _OracleBuilder(params.shape[1])
-    edges, counts, _ = unique_edges(faces)
-    edge_points: dict = {}
-    _oracle_edge_crossings_2d(builder, vertices, params, edges, (ci, cj), "edge_hit",
-                       edge_points)
-    _oracle_face_pass_2d(builder, faces, params, ci, cj, "interior_grid",
-                  f"iso{cj + 1}")
-    _oracle_face_pass_2d(builder, faces, params, cj, ci, "interior_grid",
-                  f"iso{ci + 1}")
-
-    boundary_edges = edges[counts == 1]
-    seed_ids = []
-    for a, b in boundary_edges:
-        for _t, nid in edge_points.get((int(a), int(b)), []):
-            seed_ids.append(nid)
-    _oracle_boundary_chains_2d(builder, vertices, params, boundary_edges, edge_points)
-    if len(boundary_edges):
-        _oracle_warn_closed_loops(builder, seed_ids)
-    return builder.finalize()
-
-
 def oracle_extract_3d(mesh: TetMesh, params: np.ndarray) -> TrussGraph:
     """Trace double-integer curves through tets; nodes at face crossings and
     triple-integer interior points, elements along each curve between them.
@@ -865,7 +834,7 @@ def oracle_extract_3d(mesh: TetMesh, params: np.ndarray) -> TrussGraph:
     check_perturbed(params)
     verts = mesh.vertices
 
-    builder = _OracleBuilder(3)
+    builder = _OracleBuilder()
     face_cache: dict = {}           # key -> None | "edge" | (pos, par)
     tangential = 0
     edge_only = 0
@@ -994,7 +963,7 @@ def oracle_extract_boundary(mesh: TetMesh, params: np.ndarray,
     faces = surface.triangles
     verts = mesh.vertices
 
-    builder = _OracleBuilder(3)
+    builder = _OracleBuilder()
     edges, counts, _ = unique_edges(faces)
     if len(edges) and counts.max(initial=0) > 2:
         raise NumericalError("boundary complex is not manifold")
@@ -1019,10 +988,6 @@ def oracle_merge_graphs(parts: list[TrussGraph]) -> TrussGraph:
     parts = [g for g in parts if g.num_nodes]
     if not parts:
         return empty_graph()
-    width = parts[0].params.shape[1]
-    for g in parts:
-        if g.params.shape[1] != width:
-            raise NumericalError("cannot merge graphs with different parameter widths")
     positions = np.vstack([g.positions for g in parts])
     params = np.vstack([g.params for g in parts])
     tags = [t for g in parts for t in g.tags]
@@ -1072,17 +1037,19 @@ def _assert_matches_oracle(mesh, pert, features):
             == _outcome(oracle_merge_graphs, parts))
 
 
-def _closed_loop_case():
-    angles = np.linspace(0.0, 2 * np.pi, 9)[:-1]
-    verts = np.vstack([[0.0, 0.0, 0.0],
-                       np.column_stack([np.cos(angles), np.sin(angles),
-                                        np.zeros(8)])])
-    faces = np.array([[0, 1 + i, 1 + (i + 1) % 8] for i in range(8)])
-    params = np.column_stack([
-        np.concatenate([[0.3], np.full(8, 1.6)]),
-        0.1 + 0.05 * verts[:, 0],
-    ])
-    return verts, faces, params
+def oracle_surface_graph(vertices, faces, params, pair=(0, 1)):
+    """``_surface_graph`` by the oracle's loops."""
+    params = _flat_params(params)
+    ci, cj = pair
+    builder = _OracleBuilder()
+    edges, _, _ = unique_edges(faces)
+    _oracle_edge_crossings_2d(builder, vertices, params, edges, (0, 1, 2),
+                              "boundary", {})
+    _oracle_face_pass_2d(builder, faces, params, ci, cj, "boundary",
+                         "boundary")
+    _oracle_face_pass_2d(builder, faces, params, cj, ci, "boundary",
+                         "boundary")
+    return builder.finalize()
 
 
 @pytest.mark.parametrize("case, pair", [
@@ -1096,12 +1063,9 @@ def test_2d_engine_matches_oracle(case, pair):
         "square7": lambda: _square_case(rho=7.3),
         "closed_loop": _closed_loop_case,
     }[case]()
-    got = _outcome(extract_2d, verts, faces, params, pair)
-    want = _outcome(oracle_extract_2d, verts, faces, params, pair)
+    got = _outcome(_surface_graph, verts, faces, params, pair)
+    want = _outcome(oracle_surface_graph, verts, faces, params, pair)
     assert got == want
-    if case == "closed_loop":
-        assert want[1] == [(ExtractionWarning,
-                            "8 isocurve element(s) lie on closed loops")]
 
 
 @pytest.mark.parametrize("with_features", [False, True])

@@ -18,7 +18,6 @@ from stresstruss.extract import (
     ExtractionWarning,
     TrussGraph,
     empty_graph,
-    extract_2d,
     extract_3d,
     extract_boundary,
     merge_graphs,
@@ -153,13 +152,13 @@ def test_parallel_element_becomes_self_loop():
 
 
 def test_component_and_length_invariants():
-    verts = np.array([
-        [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
-    ])
-    faces = np.array([[0, 1, 2], [0, 2, 3]])
-    params = 4.0 * verts[:, :2]
-    pert = perturb_parametrization(params, faces)
-    g = extract_2d(verts, faces, pert, pair=(0, 1))
+    mesh = unit_cube_mesh(2, jitter=0.2)
+    pert = perturb_parametrization(4.0 * mesh.vertices, mesh.tets)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtractionWarning)
+        g = merge_graphs([extract_3d(mesh, pert),
+                          extract_boundary(mesh, pert)])
+    assert "face_hit" in g.tags
     before_comp = _num_components(g)
     before_len = g.element_lengths().sum()
     s = simplify(g, length_threshold=0.2, remove_interior_hits=True)
@@ -352,7 +351,7 @@ def test_simplify_edge_cases_match_oracle():
     cases = [
         empty_graph(),
         _graph([[0, 0, 0]], ["face_hit"], [], []),
-        _graph([[0, 0, 0], [0, 0, 0]], ["edge_hit", "face_hit"], [[0, 0]],
+        _graph([[0, 0, 0], [0, 0, 0]], ["face_hit", "face_hit"], [[0, 0]],
                ["iso1"]),
         # A chain whose keys rise along it: one contraction per round.
         _graph(np.cumsum([[0, 0, 0], [1, 0, 0], [1.1, 0, 0], [1.2, 0, 0],

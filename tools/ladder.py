@@ -12,7 +12,10 @@ and, per configuration, readable lines for the numbers a change may move:
 
 It ends with one ``gate`` line per workload: the median and the lowest
 ``alignment_frac`` and ``lambda_star`` over its nine configurations, and
-the median and range of ``elements``.
+the median and range of ``elements``. Beside the median, ``pooled a/n``
+sums over the nine configurations the aligned interior members,
+round(alignment_frac x interior members), and the interior members, so
+one member moves it by 1/n where it can move the median by a step.
 
     python3 tools/ladder.py > after.txt
     python3 tools/ladder.py --root ../parent-checkout > before.txt
@@ -70,6 +73,7 @@ def main(argv=None) -> int:
     from worker import alignment_frac
     from stresstruss import artifacts, pipeline
     from stresstruss.config import parse_config
+    from stresstruss.extract import INTERIOR_FAMILIES
     from stresstruss.pipeline import mesh_from_config, run_stage
 
     if args.noise is not None:
@@ -83,7 +87,7 @@ def main(argv=None) -> int:
         pipeline.fit_frame_field = noisy_fit
 
     base = args.out or Path(tempfile.mkdtemp(prefix="ladder-"))
-    gates: dict[str, list[tuple[float, float, int]]] = {}
+    gates: dict[str, list[tuple[float, float, int, int]]] = {}
     try:
         for name in (w for w in run.WORKLOADS if w != "smoke"):
             for jitter in (0.0, *run.JITTERS):
@@ -108,15 +112,20 @@ def main(argv=None) -> int:
                       f"elements {graph.num_elements}  {label}\n"
                       f"frames_evals {evals}  {label}\n"
                       f"final_data_energy {energy}  {label}", flush=True)
+                interior = sum(f in INTERIOR_FAMILIES
+                               for f in graph.families)
                 gates.setdefault(name, []).append(
-                    (frac, float(lam.split()[1]), graph.num_elements))
+                    (frac, float(lam.split()[1]), graph.num_elements,
+                     interior))
     finally:
         if args.out is None:
             shutil.rmtree(base, ignore_errors=True)
     for name, rows in gates.items():
-        frac, lam, elements = zip(*rows)
+        frac, lam, elements, interior = zip(*rows)
+        aligned = sum(round(f * n) for f, n in zip(frac, interior))
         print(f"gate {name} alignment_frac median "
-              f"{statistics.median(frac):.6f} min {min(frac):.6f} "
+              f"{statistics.median(frac):.6f} pooled {aligned}/"
+              f"{sum(interior)} min {min(frac):.6f} "
               f"lambda_star median {statistics.median(lam):.9e} "
               f"min {min(lam):.9e} elements median "
               f"{statistics.median(elements):g} range {min(elements)}-"
