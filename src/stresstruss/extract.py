@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .mesh import TetMesh, pieces, unique_edges
+from .mesh import TetMesh, pieces, unique_edges, unique_rows
 
 # Absolute parameter-space tolerance for integer tests and interval shrinking.
 PARAM_TOL = 1e-9
@@ -131,15 +131,12 @@ def _key(kind: int, *cols) -> np.ndarray:
     return np.column_stack(cols).astype(np.int64)
 
 
-def _first_seen(keys: np.ndarray, axis=None):
-    """Number the distinct keys in order of first appearance: each key's
-    number, and the index where each number first appears."""
-    _, first, inverse = np.unique(keys, axis=axis, return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first)
-    number = np.empty_like(order)
-    number[order] = np.arange(len(order))
-    return number[inverse.reshape(-1)], first[order]
+def _first_seen(keys: np.ndarray):
+    """Number the distinct key rows in order of first appearance: each
+    row's number, and the index where each number first appears."""
+    _, first, inverse, _ = unique_rows(keys)
+    order = np.argsort(first)        # its inverse permutation numbers them
+    return np.argsort(order)[inverse], first[order]
 
 
 def _chain_links(lo, hi, inner, count):
@@ -161,13 +158,13 @@ def _raw_graph(keys, positions, params, ranks, links, families, names):
     ``names[families]``, without self-links or repeats."""
     if not len(keys):
         return empty_graph()
-    node, first = _first_seen(keys, axis=0)
+    node, first = _first_seen(keys)
     rank = np.zeros(len(first), dtype=np.int64)
     np.maximum.at(rank, node, ranks)
     ends = node[links]
     keep = ends[:, 0] != ends[:, 1]
-    rows = np.unique(np.column_stack([np.sort(ends[keep], axis=1),
-                                      families[keep]]), axis=0)
+    rows = unique_rows(np.column_stack([np.sort(ends[keep], axis=1),
+                                        families[keep]]))[0]
     return TrussGraph(positions[first], params[first],
                       [_TAGS[r] for r in rank], rows[:, :2].copy(),
                       [names[f] for f in rows[:, 2]])
@@ -241,18 +238,17 @@ def _coincidence_merge(g: TrussGraph) -> TrussGraph:
     close = row_norms(g.positions[i] - g.positions[j]) <= MERGE_TOL
     if not close.any():
         return g
-    group, first = _first_seen(
-        pieces(n, np.column_stack([i[close], j[close]]))[1])
+    ngroups, group = pieces(n, np.column_stack([i[close], j[close]]))
     rank = np.array([TAG_RANK[t] for t in g.tags])
     by_group = np.lexsort((np.arange(n), -rank, group))
-    rep = by_group[np.searchsorted(group[by_group], np.arange(len(first)))]
+    rep = by_group[np.searchsorted(group[by_group], np.arange(ngroups))]
 
     ends = group[g.elements]
     keep = ends[:, 0] != ends[:, 1]
     names, fam = np.unique(np.array(g.families, dtype=str),
                            return_inverse=True)
     rows = np.column_stack([np.sort(ends[keep], axis=1), fam[keep]])
-    once = _first_seen(rows, axis=0)[1]
+    once = _first_seen(rows)[1]
     return TrussGraph(
         g.positions[rep], g.params[rep], [g.tags[r] for r in rep],
         rows[once, :2].copy(), [str(names[f]) for f in rows[once, 2]],

@@ -30,8 +30,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import selectors
 from .errors import ConfigError, NumericalError
-from .mesh import (TetMesh, assemble, face_pairs, pieces, shape_gradients,
-                   unique_rows)
+from .mesh import TetMesh, assemble, face_pairs, pieces, unique_rows
 
 # Field-wide |eigenvalue| target range of the SPD stress surrogate.
 SPD_RANGE = (1.0, 30.0)
@@ -102,7 +101,7 @@ class StressField:
 
 def assemble_stiffness(mesh: TetMesh, material: Material) -> sp.csr_matrix:
     """Global 3n x 3n stiffness, DOF order (v0x, v0y, v0z, v1x, ...)."""
-    g = shape_gradients(mesh)                       # (m, 4, 3)
+    g = mesh.grads                                  # (m, 4, 3)
     m = mesh.num_tets
     B = np.zeros((m, 6, 12))
     for i in range(4):
@@ -118,7 +117,7 @@ def assemble_stiffness(mesh: TetMesh, material: Material) -> sp.csr_matrix:
         B[:, 5, c + 1] = g[:, i, 0]
     C = material.elasticity_voigt()
     ke = np.einsum("t,tki,kl,tlj->tij", mesh.volumes, B, C, B, optimize=True)
-    del g, B    # freed before assembly, whose peak sets fea's memory
+    del B       # freed before assembly, whose peak sets fea's memory
 
     dof = (3 * mesh.tets[:, :, None] + np.arange(3)).reshape(m, 12)
     return assemble(ke, dof, 3 * mesh.num_vertices)
@@ -361,8 +360,7 @@ def _accepted(A, b: np.ndarray, x: np.ndarray | None, what: str,
 def cauchy_stress(mesh: TetMesh, material: Material, u: np.ndarray) -> StressField:
     """Constant Cauchy tensor per tet from linear strain of u."""
     u = np.asarray(u, dtype=float).reshape(mesh.num_vertices, 3)
-    g = shape_gradients(mesh)
-    H = np.einsum("tic,tid->tcd", u[mesh.tets], g)      # H[c,d] = du_c/dx_d
+    H = np.einsum("tic,tid->tcd", u[mesh.tets], mesh.grads)  # H[c,d] = du_c/dx_d
     eps = 0.5 * (H + np.transpose(H, (0, 2, 1)))
     lam, mu = material.lame
     tr = np.trace(eps, axis1=1, axis2=2)

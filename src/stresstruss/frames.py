@@ -39,7 +39,7 @@ import scipy.sparse as sp
 
 from . import lbfgs
 from .errors import NumericalError
-from .mesh import TetMesh, build_operators
+from .mesh import TetMesh
 
 # Below this rotation angle the Rodrigues coefficients switch to series form.
 SMALL_ANGLE = 1e-4
@@ -237,7 +237,7 @@ def fit_frame_field(
     field always comes from a cfg.gtol solve.
     """
     cfg = config or FrameFitConfig()
-    L = build_operators(mesh).L
+    L = mesh.operators.L
     tets = mesh.tets
     n = mesh.num_vertices
     fit = fit_constants(M, tets, L)

@@ -9,6 +9,7 @@ vertex cotangent Laplacian) are what every downstream stage consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,24 @@ class TetMesh:
         self._orient_and_validate()
         self.boundary = self._extract_boundary()
 
+    @cached_property
+    def grads(self) -> np.ndarray:
+        """The four linear shape functions' gradients per tet, (m, 4, 3),
+        shared read-only; ``__post_init__`` rejected degenerate tets."""
+        p = self.vertices[self.tets]
+        E = np.transpose(p[:, 1:] - p[:, :1], (0, 2, 1))    # columns are edge vectors
+        Einv = np.linalg.inv(E)
+        g = np.empty((self.num_tets, 4, 3))
+        g[:, 1:, :] = Einv                                   # rows of E^-1 = grad lambda_{1..3}
+        g[:, 0, :] = -Einv.sum(axis=1)
+        g.flags.writeable = False
+        return g
+
+    @cached_property
+    def operators(self) -> DiscreteOperators:
+        """``build_operators(self)``, built on first read and kept."""
+        return build_operators(self)
+
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
@@ -95,13 +114,13 @@ class TetMesh:
         bad = np.nonzero(vol < DEGENERATE_VOLUME)[0]
         if bad.size:
             raise MeshError(f"degenerate tet (volume < {DEGENERATE_VOLUME:g}) at index {bad[0]}")
-        if (unique_rows(np.sort(self.tets, axis=1))[2] > 1).any():
+        if (unique_rows(np.sort(self.tets, axis=1))[3] > 1).any():
             raise MeshError("duplicate tets")
         self.volumes = vol
 
     def _extract_boundary(self) -> SurfaceMesh:
         faces = _faces(self.tets)
-        _, inverse, counts = unique_rows(np.sort(faces, axis=1))
+        _, _, inverse, counts = unique_rows(np.sort(faces, axis=1))
         on_boundary = counts[inverse] == 1
         if counts.max(initial=1) > 2:
             raise MeshError("non-manifold face (shared by more than two tets)")
@@ -137,7 +156,7 @@ def _faces(tets: np.ndarray) -> np.ndarray:
 def face_pairs(tets: np.ndarray) -> np.ndarray:
     """The (k, 2) pairs of tets that share a face: the interior faces, which
     ``TetMesh._extract_boundary`` counts twice."""
-    inverse = unique_rows(np.sort(_faces(tets), axis=1))[1]
+    inverse = unique_rows(np.sort(_faces(tets), axis=1))[2]
     order = np.argsort(inverse, kind="stable")
     twice = inverse[order[1:]] == inverse[order[:-1]]
     return np.column_stack([order[:-1][twice], order[1:][twice]]) % len(tets)
@@ -279,7 +298,7 @@ def build_operators(mesh: TetMesh) -> DiscreteOperators:
     Gradients reproduce affine fields exactly; L is the P1 stiffness matrix
     sum_t vol_t * G_t^T G_t, symmetric with zero row sums.
     """
-    grads = shape_gradients(mesh)       # (m, 4, 3)
+    grads = mesh.grads                  # (m, 4, 3)
     m, n = mesh.num_tets, mesh.num_vertices
     rows = np.repeat(np.arange(m), 4)
     cols = mesh.tets.ravel()
@@ -321,21 +340,6 @@ def assemble(blocks: np.ndarray, dofs: np.ndarray, size: int) -> sp.csr_matrix:
     return ((A + A.T) * 0.5).tocsr()
 
 
-def shape_gradients(mesh: TetMesh) -> np.ndarray:
-    """Gradients of the four linear shape functions per tet, shape (m, 4, 3)."""
-    p = mesh.vertices[mesh.tets]
-    E = np.transpose(p[:, 1:] - p[:, :1], (0, 2, 1))    # columns are edge vectors
-    det = np.linalg.det(E)
-    if (np.abs(det) < 6.0 * DEGENERATE_VOLUME).any():
-        bad = int(np.argmin(np.abs(det)))
-        raise MeshError(f"degenerate tet at index {bad}")
-    Einv = np.linalg.inv(E)
-    g = np.empty((mesh.num_tets, 4, 3))
-    g[:, 1:, :] = Einv                                   # rows of E^-1 = grad lambda_{1..3}
-    g[:, 0, :] = -Einv.sum(axis=1)
-    return g
-
-
 def feature_edges(surface: SurfaceMesh, cos_threshold: float = 0.9) -> np.ndarray:
     """Boundary edges whose adjacent-face normals have dot product below the threshold.
 
@@ -360,28 +364,30 @@ def unique_edges(faces: np.ndarray):
     edge of each face side (0, 1), (1, 2), (2, 0), shape (nf, 3)."""
     e = np.sort(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
                                 faces[:, [2, 0]]]), axis=1)
-    uniq, inverse, counts = unique_rows(e)
+    uniq, _, inverse, counts = unique_rows(e)
     return uniq, counts, inverse.reshape(3, len(faces)).T
 
 
 def unique_rows(rows: np.ndarray):
-    """``np.unique(rows, axis=0, return_inverse=True, return_counts=True)``
-    for an (N, k) array of non-negative ints: the sorted distinct rows, each
-    row's index among them, and their counts.
+    """What ``np.unique`` returns along axis 0 of an (N, k) int array, with
+    index, inverse and counts: the sorted distinct rows, where each first
+    appears, each row's index among them, and their counts.
 
-    Each row is read as one int64 key, its digits in base max + 1, so key
-    order is the rows' lexicographic order. Where such a key could overflow
-    (base**k > 2**63), one lexsort and a compare of neighbours do the same.
+    Each row, negative columns shifted up to 0, is read as one int64 key,
+    its digits in base max + 1, so key order is the rows' lexicographic
+    order. Where such a key could overflow (base**k > 2**63), one stable
+    lexsort and a compare of neighbours do the same.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    base = int(rows.max(initial=-1)) + 1
+    digits = rows - rows.min(axis=0, initial=0)
+    base = int(digits.max(initial=-1)) + 1
     if base ** rows.shape[1] <= 2 ** 63:
-        key = rows[:, 0]
+        key = digits[:, 0]
         for c in range(1, rows.shape[1]):
-            key = key * base + rows[:, c]
+            key = key * base + digits[:, c]
         _, first, inverse, counts = np.unique(
             key, return_index=True, return_inverse=True, return_counts=True)
-        return rows[first], inverse, counts
+        return rows[first], first, inverse, counts
     order = np.lexsort(rows.T[::-1])
     ranked = rows[order]
     new = np.ones(len(rows), dtype=bool)
@@ -389,7 +395,7 @@ def unique_rows(rows: np.ndarray):
     group = np.cumsum(new) - 1
     inverse = np.empty(len(rows), dtype=np.int64)
     inverse[order] = group
-    return ranked[new], inverse, np.bincount(group)
+    return ranked[new], order[new], inverse, np.bincount(group)
 
 
 def pieces(num_nodes: int, pairs: np.ndarray) -> tuple[int, np.ndarray]:

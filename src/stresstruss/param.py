@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from .errors import ConfigError, NumericalError
 from .fem import solve_cholesky, solve_supported
 from .frames import FrameField
-from .mesh import DiscreteOperators, TetMesh, build_operators, pieces
+from .mesh import DiscreteOperators, TetMesh, pieces
 
 
 def directional_gradient(ops: DiscreteOperators, v: np.ndarray) -> sp.csr_matrix:
@@ -95,8 +95,7 @@ def solve_parametrization(
     if beta <= 0:
         raise ConfigError("beta must be positive")
     R = frames.frames if isinstance(frames, FrameField) else np.asarray(frames)
-    if ops is None:
-        ops = build_operators(mesh)
+    ops = ops or mesh.operators
     n = mesh.num_vertices
 
     # A disconnected mesh has one constant null vector per piece and

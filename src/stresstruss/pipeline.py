@@ -6,6 +6,7 @@ so a re-run with an identical config is byte-identical.
 
 from __future__ import annotations
 
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,7 @@ from .extract import (extract_3d, extract_boundary, merge_graphs,
 from .fem import cauchy_stress, solve_static, stress_spd
 from .fixtures import FIXTURES
 from .frames import fit_frame_field
-from .mesh import (TetMesh, build_operators, feature_edges, load_tet_mesh,
-                   pieces)
+from .mesh import TetMesh, feature_edges, load_tet_mesh, pieces
 from .param import evaluate_objective, normalize_and_scale, \
     solve_parametrization
 from .postprocess import default_length_threshold, emit_geometry, simplify, \
@@ -63,8 +63,8 @@ def _system_lines(systems: list[tuple[int, int, int]]) -> list[str]:
             for n, nnz, w in systems]
 
 
-def _stage_fea(cfg: PipelineConfig, out: Path) -> list[str]:
-    mesh = mesh_from_config(cfg)
+def _stage_fea(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
+    mesh = load_mesh()
     systems: list[tuple[int, int, int]] = []
     u, K, f = solve_static(mesh, cfg.material, cfg.boundary_conditions,
                            return_system=True, systems=systems)
@@ -91,8 +91,8 @@ def _stage_fea(cfg: PipelineConfig, out: Path) -> list[str]:
     return [name, log]
 
 
-def _stage_frames(cfg: PipelineConfig, out: Path) -> list[str]:
-    mesh = mesh_from_config(cfg)
+def _stage_frames(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
+    mesh = load_mesh()
     _, arr = artifacts.read_field(_artifact(out, "fea"), kind="stress",
                                   names=("sigma_plus",))
     ff = fit_frame_field(mesh, arr["sigma_plus"], cfg.frame_fit)
@@ -115,11 +115,11 @@ def _stage_frames(cfg: PipelineConfig, out: Path) -> list[str]:
     return [name, log]
 
 
-def _stage_param(cfg: PipelineConfig, out: Path) -> list[str]:
-    mesh = mesh_from_config(cfg)
+def _stage_param(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
+    mesh = load_mesh()
     _, arr = artifacts.read_field(_artifact(out, "frames"), kind="frames",
                                   names=("frames",))
-    ops = build_operators(mesh)
+    ops = mesh.operators
     systems: list[tuple[int, int, int]] = []
     phi = solve_parametrization(mesh, arr["frames"], cfg.beta, ops=ops,
                                 systems=systems)
@@ -143,8 +143,8 @@ def _stage_param(cfg: PipelineConfig, out: Path) -> list[str]:
     return [name, log]
 
 
-def _stage_extract(cfg: PipelineConfig, out: Path) -> list[str]:
-    mesh = mesh_from_config(cfg)
+def _stage_extract(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
+    mesh = load_mesh()
     _, arr = artifacts.read_field(_artifact(out, "param"), kind="param",
                                   names=("phi_tilde",))
     params = arr["phi_tilde"]
@@ -166,7 +166,7 @@ def _stage_extract(cfg: PipelineConfig, out: Path) -> list[str]:
     return [name, log]
 
 
-def _stage_simplify(cfg: PipelineConfig, out: Path) -> list[str]:
+def _stage_simplify(cfg: PipelineConfig, out: Path, _) -> list[str]:
     g = artifacts.read_graph(_artifact(out, "extract"))
     thr = cfg.simplify.length_threshold
     if thr is None:
@@ -190,7 +190,7 @@ def _stage_simplify(cfg: PipelineConfig, out: Path) -> list[str]:
     return [name, log]
 
 
-def _stage_geometry(cfg: PipelineConfig, out: Path) -> list[str]:
+def _stage_geometry(cfg: PipelineConfig, out: Path, _) -> list[str]:
     g = artifacts.read_graph(_artifact(out, "simplify"))
     tri = emit_geometry(g, cfg.radius_policy, sides=cfg.geometry.sides)
     write_obj(tri, out / "truss.obj")
@@ -214,7 +214,7 @@ def _check_verify_selectors(cfg: PipelineConfig) -> None:
                     "entries, not truss nodes; use a box or sphere selector")
 
 
-def _stage_verify(cfg: PipelineConfig, out: Path) -> list[str]:
+def _stage_verify(cfg: PipelineConfig, out: Path, _) -> list[str]:
     g = artifacts.read_graph(_artifact(out, "simplify"))
     model = build_truss_model(g, cfg.material, cfg.radius_policy,
                               cfg.boundary_conditions)
@@ -248,7 +248,8 @@ STAGE_VERSIONS = {s: 1 for s in STAGE_ORDER}
 def run_stage(stage: str, cfg: PipelineConfig,
               out_dir: str | Path | None = None) -> list[Path]:
     """Run one stage (or 'pipeline' for all, in order); returns the files
-    written. Stage errors (MemoryError as NumericalError) name the stage."""
+    written. Stage errors (MemoryError as NumericalError) name the stage.
+    A stage calls ``load_mesh()``: the first call builds the mesh."""
     if stage != "pipeline" and stage not in _STAGE_FUNCS:
         raise ConfigError(
             f"unknown stage {stage!r}; choose from "
@@ -260,9 +261,10 @@ def run_stage(stage: str, cfg: PipelineConfig,
     out.mkdir(parents=True, exist_ok=True)
     cfg_hash = config_hash(cfg)
     written: list[Path] = []
+    load_mesh = cache(lambda: mesh_from_config(cfg))
     for s in stages:
         try:
-            files = _STAGE_FUNCS[s](cfg, out)
+            files = _STAGE_FUNCS[s](cfg, out, load_mesh)
         except (ConfigError, NumericalError, ArtifactError) as exc:
             raise type(exc)(f"{s}: {exc}") from exc
         except MemoryError as exc:

@@ -72,7 +72,7 @@ def simplify(g: TrussGraph, length_threshold: float | None = None,
         ends = np.sort(root[g.elements], axis=1)
         keep = ends[:, 0] != ends[:, 1]
         rows = np.column_stack([ends[keep], fam[keep]])
-        lo, hi, f = rows[_first_seen(rows, axis=0)[1]].T
+        lo, hi, f = rows[_first_seen(rows)[1]].T
         return lo, hi, f, row_norms(g.positions[lo] - g.positions[hi])
 
     def contract_pass(a, b, d):

@@ -66,7 +66,7 @@ def check(sel, where: str):
 
 def select(points: np.ndarray, sel: dict) -> np.ndarray:
     """Ids of the points (n, 3) the selector matches; ``indices`` must lie
-    in [0, n)."""
+    in [0, n), checked as Python ints so that a huge one cannot overflow."""
     kind = sel.get("type")
     if kind == "box":
         lo = np.asarray(sel["min"], dtype=float)
@@ -77,11 +77,10 @@ def select(points: np.ndarray, sel: dict) -> np.ndarray:
         dist = np.linalg.norm(points - c, axis=1)
         return np.nonzero(dist <= float(sel["radius"]))[0]
     if kind == "indices":
-        ids = np.asarray(sel["values"], dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= len(points)):
+        if not all(0 <= i < len(points) for i in sel["values"]):
             raise ConfigError(
                 f"index selector out of range: {len(points)} entries")
-        return np.unique(ids)
+        return np.unique(np.asarray(sel["values"], dtype=np.int64))
     raise ConfigError(f"unknown selector type {kind!r}")
 
 

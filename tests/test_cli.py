@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stresstruss import artifacts, cli, fem, pipeline, postprocess, verify
+from stresstruss import mesh as mesh_module
 from stresstruss.config import (
     config_hash,
     config_to_dict,
@@ -482,7 +483,7 @@ def test_cli_malformed_artifact_exits_4(tmp_path, monkeypatch, caplog,
 
 
 def test_cli_out_of_memory_exits_3_by_stage(tmp_path, monkeypatch, caplog):
-    def exhausted(cfg, out):
+    def exhausted(cfg, out, load_mesh):
         raise MemoryError("Unable to allocate 3.1 GiB for an array")
 
     monkeypatch.setitem(pipeline._STAGE_FUNCS, "fea", exhausted)
@@ -879,6 +880,43 @@ def test_unknown_stage(tmp_path):
     cfg = parse_config(SMALL_BAR_DOC)
     with pytest.raises(ConfigError, match="unknown stage"):
         run_stage("polish", cfg, out_dir=tmp_path)
+
+
+def test_run_stage_builds_one_mesh_and_one_operator_set(tmp_path,
+                                                       monkeypatch):
+    builds = {"mesh": 0, "operators": 0}
+
+    def counted(module, name, what):
+        build = getattr(module, name)
+
+        def wrapper(*args):
+            builds[what] += 1
+            return build(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(pipeline, "mesh_from_config", "mesh")
+    counted(mesh_module, "build_operators", "operators")
+    cfg = parse_config(SMALL_BAR_DOC)
+    # The stages share the mesh and its operators; a single stage builds
+    # what it reads, and simplify reads no mesh.
+    for stage, want in (("pipeline", (1, 1)), ("frames", (1, 1)),
+                        ("param", (1, 1)), ("extract", (1, 0)),
+                        ("simplify", (0, 0))):
+        builds.update(mesh=0, operators=0)
+        run_stage(stage, cfg, out_dir=tmp_path)
+        assert (builds["mesh"], builds["operators"]) == want, stage
+
+
+def test_cli_import_loads_no_heavy_scipy_modules():
+    """``import stresstruss.cli`` is what every run pays before its first
+    stage: scipy.spatial or scipy.optimize would add 0.1-0.3 s to it."""
+    code = ("import sys, stresstruss.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[:2] in (['scipy', 'spatial'],"
+            " ['scipy', 'optimize'])))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def _run_cli(*args):

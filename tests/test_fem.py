@@ -88,8 +88,10 @@ def test_selectors():
     assert len(faces) == 8                    # 2x2 cells, 2 triangles each
     with pytest.raises(ConfigError):
         select(v, {"type": "nope"})
-    with pytest.raises(ConfigError):
-        select(v, {"type": "indices", "values": [10**6]})
+    # 2**64 overflows int64: it must fail by name, not by OverflowError.
+    for values in ([10**6], [0, 1, 2, 2**64], [-1]):
+        with pytest.raises(ConfigError, match="index selector out of range"):
+            select(v, {"type": "indices", "values": values})
 
 
 def test_zero_load_zero_displacement():

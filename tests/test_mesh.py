@@ -185,12 +185,14 @@ def test_unique_rows_matches_numpy(base, k):
     rng = np.random.default_rng(base + k)
     rows = rng.integers(0, base, size=(400, k))
     rows = np.vstack([rows, rows[::7], [[base - 1] * k]])
-    uniq, inverse, counts = np.unique(rows, axis=0, return_inverse=True,
-                                      return_counts=True)
-    got = unique_rows(rows)
-    np.testing.assert_array_equal(got[0], uniq)
-    np.testing.assert_array_equal(got[1], inverse.ravel())
-    np.testing.assert_array_equal(got[2], counts)
+    # The same rows, and a set shifted to hold negative values.
+    for rows in (rows, rows - base // 2):
+        want = np.unique(rows, axis=0, return_index=True,
+                         return_inverse=True, return_counts=True)
+        got = unique_rows(rows)
+        assert len(got) == 4
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w.reshape(g.shape))
 
 
 def oracle_boundary(mesh):
@@ -354,6 +356,25 @@ def _same_csr(got, want):
     for part in ("indptr", "indices", "data"):
         a, b = getattr(got, part), getattr(want, part)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+
+
+def test_grads_and_operators_are_built_once_and_shared(monkeypatch):
+    mesh = box_mesh((3, 2, 2), jitter=0.1)
+    builds = []
+    build = mesh_module.build_operators
+    monkeypatch.setattr(mesh_module, "build_operators",
+                        lambda m: builds.append(m) or build(m))
+    assert mesh.grads is mesh.grads
+    assert mesh.grads.shape == (mesh.num_tets, 4, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.grads[0, 0, 0] = 1.0
+    assert mesh.operators is mesh.operators
+    assert len(builds) == 1 and builds[0] is mesh
+    # A direct call still builds a fresh set, equal to the kept one.
+    fresh = mesh_module.build_operators(mesh)
+    assert fresh is not mesh.operators and len(builds) == 2
+    for name in ("Gx", "Gy", "Gz", "L"):
+        _same_csr(getattr(fresh, name), getattr(mesh.operators, name))
 
 
 @pytest.mark.parametrize("make_mesh", [
