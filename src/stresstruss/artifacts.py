@@ -83,6 +83,8 @@ def read_graph(path: str | Path) -> TrussGraph:
         tags = _column(doc, "tags", {str})
         elems = _column(doc, "elements", {int}, np.int64, 2)
         families = _column(doc, "families", {str})
+        if not (np.isfinite(positions).all() and np.isfinite(params).all()):
+            raise ValueError("positions or params hold a non-finite number")
         n = len(positions)
         if len(params) != n or len(tags) != n or len(families) != len(elems):
             raise ValueError("columns of unequal length")
@@ -157,8 +159,10 @@ def read_field(path: str | Path, kind: str | None = None,
                 if size > left:
                     raise ArtifactError(f"truncated field artifact {path}")
                 left -= size
-                arrays[entry["name"]] = np.frombuffer(
-                    fh.read(size), dtype=dt).reshape(shape).copy()
+                arr = np.frombuffer(fh.read(size), dtype=dt).reshape(shape)
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"{entry['name']} holds a non-finite number")
+                arrays[entry["name"]] = arr.copy()
         except (KeyError, TypeError, ValueError) as exc:
             raise ArtifactError(
                 f"malformed field artifact {path}: {exc!r}") from exc

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import selectors
 from .errors import ConfigError
+from .extract import PARAM_TOL
 from .fem import BoundaryConditions, Dirichlet, Material, Neumann
 from .fixtures import FIXTURES
 from .frames import FrameFitConfig
@@ -239,7 +240,9 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> PipelineConfig:
         features=FeatureParams(**_floats(_section(
             doc.get("features", {}), "features", _FEATURES))),
         base_dir=base_dir, **given)
-    _require(0.0 < cfg.epsilon <= 1e-3, "epsilon must lie in (0, 1e-3]")
+    # A smaller move cannot clear extract's integer tolerance.
+    _require(4 * PARAM_TOL <= cfg.epsilon <= 1e-3,
+             f"epsilon must lie in [{4 * PARAM_TOL:g}, 1e-3]")
     return cfg
 
 

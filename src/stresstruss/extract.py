@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .mesh import TetMesh, pieces, unique_edges, unique_rows
+from .mesh import TetMesh, pieces, unique_rows
 
 # Absolute parameter-space tolerance for integer tests and interval shrinking.
 PARAM_TOL = 1e-9
@@ -304,11 +304,11 @@ class _Complex2D:
 
     The first occurrences are the edge crossings, in (edge, column, level)
     order, tagged boundary; each face pass and the feature chains append
-    their own."""
+    their own; ``edges`` and ``face_edges`` are as in ``SurfaceMesh``."""
 
-    def __init__(self, vertices, faces, params):
+    def __init__(self, vertices, faces, edges, face_edges, params):
         self.vertices, self.faces, self.params = vertices, faces, params
-        self.edges, _, self.face_edges = unique_edges(faces)
+        self.edges, self.face_edges = edges, face_edges
         self.occ = ([], [], [], [])            # keys, positions, params, ranks
         self.links, self.families = [], []
         self.count = 0
@@ -540,7 +540,8 @@ def extract_boundary(mesh: TetMesh, params: np.ndarray,
     """
     params = np.asarray(params, dtype=float)
     check_perturbed(params)
-    cx = _Complex2D(mesh.vertices, mesh.boundary.triangles, params)
+    b = mesh.boundary
+    cx = _Complex2D(mesh.vertices, b.triangles, b.edges, b.face_edges, params)
     for (ci, cj) in _PAIRS_3D:
         cx.face_pass(ci, cj)
         cx.face_pass(cj, ci)

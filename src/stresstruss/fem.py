@@ -30,7 +30,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import selectors
 from .errors import ConfigError, NumericalError
-from .mesh import TetMesh, assemble, face_pairs, pieces, unique_rows
+from .mesh import TetMesh, assemble, pieces, unique_rows
 
 # Field-wide |eigenvalue| target range of the SPD stress surrogate.
 SPD_RANGE = (1.0, 30.0)
@@ -98,23 +98,19 @@ class StressField:
 # ---------------------------------------------------------------------------
 # Assembly and solve
 
+# The strain-displacement terms (Voigt row r, displacement component c,
+# gradient component d): strain r sums du_c/dx_d.
+_STRAIN_TERMS = ((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 1, 2), (3, 2, 1),
+                 (4, 0, 2), (4, 2, 0), (5, 0, 1), (5, 1, 0))
+
 
 def assemble_stiffness(mesh: TetMesh, material: Material) -> sp.csr_matrix:
     """Global 3n x 3n stiffness, DOF order (v0x, v0y, v0z, v1x, ...)."""
     g = mesh.grads                                  # (m, 4, 3)
     m = mesh.num_tets
     B = np.zeros((m, 6, 12))
-    for i in range(4):
-        c = 3 * i
-        B[:, 0, c + 0] = g[:, i, 0]
-        B[:, 1, c + 1] = g[:, i, 1]
-        B[:, 2, c + 2] = g[:, i, 2]
-        B[:, 3, c + 1] = g[:, i, 2]
-        B[:, 3, c + 2] = g[:, i, 1]
-        B[:, 4, c + 0] = g[:, i, 2]
-        B[:, 4, c + 2] = g[:, i, 0]
-        B[:, 5, c + 0] = g[:, i, 1]
-        B[:, 5, c + 1] = g[:, i, 0]
+    for r, c, d in _STRAIN_TERMS:
+        B[:, r, c::3] = g[:, :, d]                  # DOFs 3i + c, vertex i
     C = material.elasticity_voigt()
     ke = np.einsum("t,tki,kl,tlj->tij", mesh.volumes, B, C, B, optimize=True)
     del B       # freed before assembly, whose peak sets fea's memory
@@ -141,35 +137,32 @@ def assemble_loads(mesh: TetMesh, material: Material, bcs: BoundaryConditions) -
         F = np.asarray(nm.force, dtype=float)
         # Force split over faces by area, then a third to each face vertex.
         per_face = areas[:, None] / total * F            # (k, 3)
-        for c in range(3):
-            np.add.at(f, 3 * tri.ravel() + c, np.repeat(per_face[:, c] / 3.0, 3))
+        np.add.at(f.reshape(-1, 3), tri.ravel(), np.repeat(per_face / 3.0, 3, axis=0))
     if bcs.gravity is not None:
         gvec = np.asarray(bcs.gravity, dtype=float)
         per_tet = material.density * mesh.volumes[:, None] * gvec   # (m, 3)
-        for c in range(3):
-            np.add.at(f, 3 * mesh.tets.ravel() + c, np.repeat(per_tet[:, c] / 4.0, 4))
+        np.add.at(f.reshape(-1, 3), mesh.tets.ravel(),
+                  np.repeat(per_tet / 4.0, 4, axis=0))
     return f
 
 
 def prescribed_dofs(mesh: TetMesh, bcs: BoundaryConditions) -> tuple[np.ndarray, np.ndarray]:
-    """Constrained DOF ids and values; later entries override earlier ones."""
-    value_map: dict[int, float] = {}
+    """Constrained DOF ids (sorted) and values; later entries override."""
+    held = np.zeros((mesh.num_vertices, 3), dtype=bool)
+    values = np.zeros((mesh.num_vertices, 3))
     for d in bcs.dirichlet:
         vids = selectors.select(mesh.vertices, d.selector)
         if len(vids) == 0:
             raise ConfigError("Dirichlet selector matched no vertices")
-        val = np.asarray(d.value, dtype=float)
-        for axis in range(3):
-            if d.axes[axis]:
-                for v in vids:
-                    value_map[3 * int(v) + axis] = float(val[axis])
-    if len(value_map) < 6:
+        axes = np.flatnonzero(d.axes)
+        held[np.ix_(vids, axes)] = True
+        values[np.ix_(vids, axes)] = np.asarray(d.value, dtype=float)[axes]
+    ids = np.flatnonzero(held)
+    if len(ids) < 6:
         raise ConfigError(
-            f"need at least 6 constrained scalar DOFs, got {len(value_map)}"
+            f"need at least 6 constrained scalar DOFs, got {len(ids)}"
         )
-    ids = np.array(sorted(value_map), dtype=np.int64)
-    vals = np.array([value_map[i] for i in ids])
-    return ids, vals
+    return ids, values.ravel()[ids]
 
 
 _RIGID_NAMES = (
@@ -196,7 +189,7 @@ def solve_static(mesh: TetMesh, material: Material, bcs: BoundaryConditions,
     # Rigidity follows face adjacency: tets that share only a vertex are
     # separate pieces, hinged there.
     held = np.isin(np.arange(3 * mesh.num_vertices), fixed).reshape(-1, 3)
-    npieces, label = pieces(mesh.num_tets, face_pairs(mesh.tets))
+    npieces, label = pieces(mesh.num_tets, mesh.face_pairs)
     loose, modes, nfree = free_rigid_motions(
         mesh.vertices, np.column_stack([np.repeat(label, 4),
                                         mesh.tets.ravel()]), held)
@@ -289,14 +282,13 @@ def solve_cholesky(A, b: np.ndarray, what: str,
     matrix that is not numerically positive definite fails by name, and a
     MemoryError names the system and its band storage."""
     perm = reverse_cuthill_mckee(A, symmetric_mode=True)
-    P = A[perm][:, perm].tocoo()
-    upper = P.row <= P.col
+    P = sp.triu(A[perm][:, perm], format="coo")     # the upper band
     width = int((P.col - P.row).max(initial=0))
     if systems is not None:
         systems.append((A.shape[0], A.nnz, width))
     try:
         band = np.zeros((width + 1, A.shape[0]), order="F")  # upper band storage
-        band[width + P.row[upper] - P.col[upper], P.col[upper]] = P.data[upper]
+        band[width + P.row - P.col, P.col] = P.data
         x = np.empty(len(b))
         x[perm] = sla.solveh_banded(band, b[perm], overwrite_ab=True,
                                     check_finite=False)

@@ -37,6 +37,7 @@ class SurfaceMesh:
     triangles: np.ndarray          # (nb, 3) int
     edges: np.ndarray              # (ne, 2) int, sorted vertex pairs
     edge_faces: np.ndarray         # (ne, 2) int, incident boundary triangles
+    face_edges: np.ndarray         # (nb, 3) int, edge of sides 01, 12, 20
     face_normals: np.ndarray       # (nb, 3) float, unit outward normals
 
 
@@ -61,6 +62,7 @@ class TetMesh:
     tets: np.ndarray               # (m, 4) int, positively oriented
     volumes: np.ndarray = field(init=False)
     boundary: SurfaceMesh = field(init=False)
+    face_ids: np.ndarray = field(init=False)   # (4m,) distinct-face id of _faces
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
@@ -94,6 +96,15 @@ class TetMesh:
         """``build_operators(self)``, built on first read and kept."""
         return build_operators(self)
 
+    @cached_property
+    def face_pairs(self) -> np.ndarray:
+        """The (k, 2) pairs of tets that share a face: the interior faces,
+        which ``face_ids`` holds twice."""
+        order = np.argsort(self.face_ids, kind="stable")
+        twice = self.face_ids[order[1:]] == self.face_ids[order[:-1]]
+        return (np.column_stack([order[:-1][twice], order[1:][twice]])
+                % self.num_tets)
+
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
@@ -120,46 +131,27 @@ class TetMesh:
 
     def _extract_boundary(self) -> SurfaceMesh:
         faces = _faces(self.tets)
-        _, _, inverse, counts = unique_rows(np.sort(faces, axis=1))
-        on_boundary = counts[inverse] == 1
+        _, first, self.face_ids, counts = unique_rows(np.sort(faces, axis=1))
         if counts.max(initial=1) > 2:
             raise MeshError("non-manifold face (shared by more than two tets)")
-        tris = faces[on_boundary]
-
-        # Deterministic ordering: by sorted vertex triple.
-        order = np.lexsort(np.sort(tris, axis=1).T[::-1])
-        tris = tris[order]
-
+        # The faces held once, in the distinct rows' sorted vertex triple order.
+        tris = faces[first[counts == 1]]
         normals = _triangle_normals(self.vertices, tris)
 
         # Boundary edges: each must have exactly two incident boundary faces,
         # listed in side-major encounter order.
-        uniq, ecounts, face_edges = unique_edges(tris)
+        edges, ecounts, face_edges = unique_edges(tris)
         if len(tris) and not (ecounts == 2).all():
             raise MeshError("boundary is not a closed 2-complex")
         edge_faces = (np.argsort(face_edges.T.ravel(), kind="stable")
                       % len(tris)).reshape(-1, 2)
-        return SurfaceMesh(
-            triangles=tris,
-            edges=uniq,
-            edge_faces=edge_faces,
-            face_normals=normals,
-        )
+        return SurfaceMesh(tris, edges, edge_faces, face_edges, normals)
 
 
 def _faces(tets: np.ndarray) -> np.ndarray:
     """The (4m, 3) outward faces of the tets, face-major: row r is a face of
     tet r % m."""
     return np.concatenate([tets[:, idx] for idx in _TET_FACES])
-
-
-def face_pairs(tets: np.ndarray) -> np.ndarray:
-    """The (k, 2) pairs of tets that share a face: the interior faces, which
-    ``TetMesh._extract_boundary`` counts twice."""
-    inverse = unique_rows(np.sort(_faces(tets), axis=1))[2]
-    order = np.argsort(inverse, kind="stable")
-    twice = inverse[order[1:]] == inverse[order[:-1]]
-    return np.column_stack([order[:-1][twice], order[1:][twice]]) % len(tets)
 
 
 def signed_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
@@ -349,8 +341,6 @@ def feature_edges(surface: SurfaceMesh, cos_threshold: float = 0.9) -> np.ndarra
     """
     if not (-1.0 < cos_threshold <= 1.0):
         raise MeshError("cos_threshold must be in (-1, 1]")
-    if len(surface.edges) == 0:
-        return np.zeros((0, 2), dtype=np.int64)
     if cos_threshold >= 1.0:
         return surface.edges.copy()
     n0 = surface.face_normals[surface.edge_faces[:, 0]]

@@ -24,7 +24,8 @@ from .param import evaluate_objective, normalize_and_scale, \
     solve_parametrization
 from .postprocess import default_length_threshold, emit_geometry, simplify, \
     write_lines_obj, write_obj, write_ply
-from .verify import build_truss_model, frame_fem, load_factor, write_report
+from .verify import build_truss_model, check_supports, frame_fem, \
+    load_factor, write_report
 
 _ARTIFACT_FILES = {
     "fea": "fea.field",
@@ -203,7 +204,7 @@ def _stage_geometry(cfg: PipelineConfig, out: Path, _) -> list[str]:
     return ["truss.obj", "truss.ply", "graph_lines.obj", log]
 
 
-def _check_verify_selectors(cfg: PipelineConfig) -> None:
+def _check_verify_bcs(cfg: PipelineConfig) -> None:
     # An indices selector names mesh vertices or faces, which are not the
     # truss nodes; only box and sphere selectors carry over to the truss.
     for kind in ("dirichlet", "neumann"):
@@ -212,6 +213,10 @@ def _check_verify_selectors(cfg: PipelineConfig) -> None:
                 raise ConfigError(
                     f"verify: {kind}[{i}]: indices selectors name mesh "
                     "entries, not truss nodes; use a box or sphere selector")
+    try:
+        check_supports(cfg.boundary_conditions)
+    except ConfigError as exc:
+        raise ConfigError(f"verify: {exc}") from exc
 
 
 def _stage_verify(cfg: PipelineConfig, out: Path, _) -> list[str]:
@@ -256,7 +261,7 @@ def run_stage(stage: str, cfg: PipelineConfig,
             f"{STAGE_ORDER + ('pipeline',)}")
     stages = STAGE_ORDER if stage == "pipeline" else (stage,)
     if "verify" in stages:  # fail before anything is written
-        _check_verify_selectors(cfg)
+        _check_verify_bcs(cfg)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg_hash = config_hash(cfg)

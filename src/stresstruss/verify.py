@@ -63,6 +63,15 @@ def _nodes_or_nearest(positions: np.ndarray, selector: dict) -> np.ndarray:
     return idx
 
 
+def check_supports(bcs: BoundaryConditions) -> None:
+    """ConfigError if a Dirichlet entry prescribes a nonzero displacement:
+    the truss model only clamps the nodes its supports match."""
+    if any(np.any(np.asarray(d.value, dtype=float) != 0.0)
+           for d in bcs.dirichlet):
+        raise ConfigError("nonzero prescribed displacements are not "
+                          "supported in truss verification")
+
+
 def build_truss_model(graph: TrussGraph, material: Material, radius_policy,
                       bcs: BoundaryConditions) -> TrussModel:
     """Map volumetric boundary conditions onto the truss graph.
@@ -82,17 +91,11 @@ def build_truss_model(graph: TrussGraph, material: Material, radius_policy,
     fixed = np.zeros((n, 6), dtype=bool)
     loads = np.zeros((n, 6))
 
+    check_supports(bcs)
     for d in bcs.dirichlet:
-        if np.any(np.asarray(d.value, dtype=float) != 0.0):
-            raise ConfigError(
-                "nonzero prescribed displacements are not supported in "
-                "truss verification"
-            )
         nodes = _nodes_or_nearest(graph.positions, d.selector)
         axes = np.asarray(d.axes, dtype=bool)
-        for c in range(3):
-            if axes[c]:
-                fixed[nodes, c] = True
+        fixed[np.ix_(nodes, np.flatnonzero(axes))] = True
         if axes.all():
             fixed[nodes, 3:] = True
     for nm in bcs.neumann:

@@ -116,6 +116,9 @@ def test_config_defaults():
     (lambda d: d.update(bogus=1), "unknown config keys"),
     (lambda d: d.update(beta=0.0), "beta"),
     (lambda d: d.update(epsilon=0.0), "epsilon"),
+    # A move of 1e-12 cannot clear extract's 1e-9 integer tolerance.
+    pytest.param(lambda d: d.update(epsilon=1e-12), "^epsilon must lie in",
+                 id="epsilon-below-tolerance"),
     (lambda d: d.update(geometry={"sides": 2}), "sides"),
     (lambda d: d.update(frame_fit={"alpha_decay": 1.0}), "alpha_decay"),
     (lambda d: d.update(mesh={"fixture": "pyramid"}), "unknown fixture"),
@@ -382,14 +385,16 @@ def _malformed_graphs() -> dict:
     names, and the message that fault raises."""
     def doc():
         return json.loads(_json_oracle(_sample_graph()))
-    (no_nodes, not_list, ragged, null, boolean, text, fraction, huge,
-     number_tag, short) = (doc() for _ in range(10))
+    (no_nodes, not_list, ragged, null, boolean, nan, inf, text, fraction,
+     huge, number_tag, short) = (doc() for _ in range(12))
     for key in ("positions", "params", "tags"):
         del no_nodes[key]
     not_list["positions"][1] = 5
     ragged["positions"][0] = [0.0, 1.0]
     null["positions"][0][0] = None
     boolean["positions"][0][1] = True
+    nan["positions"][1][2] = float("nan")        # written as NaN
+    inf["params"][0][1] = float("inf")           # written as Infinity
     text["elements"][0] = [0, "1"]
     fraction["elements"][0] = [0, 1.5]
     huge["elements"][0] = [0, 2 ** 70]
@@ -401,6 +406,8 @@ def _malformed_graphs() -> dict:
             "ragged-position": (ragged, malformed),
             "null-coordinate": (null, malformed),
             "bool-coordinate": (boolean, malformed),
+            "nan-coordinate": (nan, f"{malformed} .*non-finite"),
+            "inf-param": (inf, f"{malformed} .*non-finite"),
             "text-index": (text, malformed),
             "fraction-index": (fraction, malformed),
             "huge-index": (huge, malformed),
@@ -412,8 +419,8 @@ def _malformed_graphs() -> dict:
 
 
 def _malformed_fields() -> dict:
-    """Each case: a field header with one fault, and the message that
-    fault raises."""
+    """Each case: a field header with one fault, or a valid header whose
+    body in ``_FIELD_BODIES`` has the fault, and the message it raises."""
     def header():
         return {"arrays": [{"dtype": "<f8", "name": "a", "shape": [8]}],
                 "meta": {}, "type": "stress", "version": 1}
@@ -427,11 +434,14 @@ def _malformed_fields() -> dict:
             "dtype-zz": (dtype, malformed),
             "negative-shape": (negative, malformed),
             "huge-shape": (huge, "truncated field artifact"),
+            "nan-body": (header(), f"{malformed} .*non-finite"),
             "list-header": ([header()], "corrupt field artifact")}
 
 
 _MALFORMED_GRAPHS = _malformed_graphs()
 _MALFORMED_FIELDS = _malformed_fields()
+# The field bodies other than np.ones(8), by case.
+_FIELD_BODIES = {"nan-body": np.where(np.arange(8) == 5, np.nan, 1.0)}
 
 
 def _write_malformed(out: Path, case: str) -> tuple[Path, str]:
@@ -445,7 +455,7 @@ def _write_malformed(out: Path, case: str) -> tuple[Path, str]:
         doc, match = _MALFORMED_FIELDS[case]
         path = out / "fea.field"
         path.write_bytes(json.dumps(doc).encode() + b"\n"
-                         + np.ones(8).tobytes())
+                         + _FIELD_BODIES.get(case, np.ones(8)).tobytes())
     return path, match
 
 
@@ -532,18 +542,15 @@ def test_cli_field_lacking_arrays_exits_4(pipeline_out, tmp_path,
     assert f"field artifact {path} lacks ['sigma_plus']" in caplog.text
 
 
-def test_cli_verify_rejects_indices_selector(pipeline_out, tmp_path,
-                                             monkeypatch, caplog):
-    # Indices name mesh vertices or faces, not truss nodes.
+def _assert_verify_rejects(pipeline_out, tmp_path, monkeypatch, caplog,
+                           doc: dict, message: str):
+    """``--stage verify`` on ``doc`` exits 2 with ``message`` and leaves the
+    report as it was; a full run fails the same way before it writes."""
     _, out, _ = pipeline_out
     shutil.copytree(out, tmp_path, dirs_exist_ok=True)
     report = (tmp_path / "report.txt").read_bytes()
-    doc = json.loads(json.dumps(SMALL_BAR_DOC))
-    doc["boundary_conditions"]["neumann"][0]["selector"] = {
-        "type": "indices", "values": [3, 5]}
     assert _main_in_process(monkeypatch, tmp_path, "verify", doc) == 2
-    assert ("configuration error: verify: neumann[0]: indices selectors "
-            "name mesh entries, not truss nodes") in caplog.text
+    assert f"configuration error: verify: {message}" in caplog.text
     assert (tmp_path / "report.txt").read_bytes() == report
     # A full run fails the same way before its first stage writes.
     fresh = tmp_path / "fresh"
@@ -551,6 +558,27 @@ def test_cli_verify_rejects_indices_selector(pipeline_out, tmp_path,
     assert _main_in_process(monkeypatch, fresh, "pipeline", doc) == 2
     assert not (fresh / "fea.field").exists()
     assert not (fresh / artifacts.MANIFEST_NAME).exists()
+
+
+def test_cli_verify_rejects_indices_selector(pipeline_out, tmp_path,
+                                             monkeypatch, caplog):
+    # Indices name mesh vertices or faces, not truss nodes.
+    doc = json.loads(json.dumps(SMALL_BAR_DOC))
+    doc["boundary_conditions"]["neumann"][0]["selector"] = {
+        "type": "indices", "values": [3, 5]}
+    _assert_verify_rejects(pipeline_out, tmp_path, monkeypatch, caplog, doc,
+                           "neumann[0]: indices selectors name mesh entries, "
+                           "not truss nodes")
+
+
+def test_cli_verify_rejects_nonzero_dirichlet_value(pipeline_out, tmp_path,
+                                                    monkeypatch, caplog):
+    # The frame model clamps its supports; it prescribes no displacement.
+    doc = json.loads(json.dumps(SMALL_BAR_DOC))
+    doc["boundary_conditions"]["dirichlet"][0]["value"] = [1e-4, 0, 0]
+    _assert_verify_rejects(pipeline_out, tmp_path, monkeypatch, caplog, doc,
+                           "nonzero prescribed displacements are not "
+                           "supported in truss verification")
 
 
 def test_cli_extract_reads_no_param_meta(pipeline_out, tmp_path,

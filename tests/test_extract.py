@@ -199,8 +199,10 @@ def _surface_graph(vertices, faces, params, pair=(0, 1)):
     """The surface engine's graph of a flat complex: the face passes of the
     column pair, each way, as extract_boundary runs them."""
     ci, cj = pair
-    cx = _Complex2D(np.asarray(vertices, dtype=float),
-                    np.asarray(faces, dtype=np.int64), _flat_params(params))
+    faces = np.asarray(faces, dtype=np.int64)
+    edges, _, face_edges = unique_edges(faces)
+    cx = _Complex2D(np.asarray(vertices, dtype=float), faces, edges,
+                    face_edges, _flat_params(params))
     cx.face_pass(ci, cj)
     cx.face_pass(cj, ci)
     return _finalize(cx.graph())

@@ -174,6 +174,21 @@ def test_global_equilibrium():
     assert np.abs(total).max() <= 1e-8 * max(applied.max(), 1.0)
 
 
+def test_prescribed_dofs_later_entry_wins_and_ids_sorted():
+    mesh = unit_cube_mesh(1)
+    bcs = BoundaryConditions(dirichlet=[
+        Dirichlet({"type": "indices", "values": [0, 1, 2]},
+                  value=(1e-3, -2e-3, 0.0)),
+        Dirichlet({"type": "indices", "values": [5, 2, 1]},
+                  axes=(True, False, True), value=(4e-3, 9.0, -5e-3)),
+    ])
+    ids, vals = prescribed_dofs(mesh, bcs)
+    np.testing.assert_array_equal(ids, [0, 1, 2, 3, 4, 5, 6, 7, 8, 15, 17])
+    np.testing.assert_array_equal(
+        vals, [1e-3, -2e-3, 0.0, 4e-3, -2e-3, -5e-3, 4e-3, -2e-3, -5e-3,
+               4e-3, -5e-3])
+
+
 def test_underconstrained_rejected():
     mesh = unit_cube_mesh(1)
     bcs = BoundaryConditions(

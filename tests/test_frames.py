@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from stresstruss import frames, lbfgs
-from stresstruss.errors import ConfigError
+from stresstruss.errors import ConfigError, NumericalError
 from stresstruss.fem import Material, cauchy_stress, solve_static, stress_spd
 from stresstruss.fixtures import bar_mesh, box_mesh
 from stresstruss.frames import (
@@ -469,6 +469,37 @@ def _small_fit(**cfg):
     mesh = box_mesh((2, 2, 1), jitter=0.05)
     M = random_spd_field(np.random.default_rng(8), mesh.num_tets)
     return fit_frame_field(mesh, M, FrameFitConfig(**cfg))
+
+
+def _line_search_stub(monkeypatch, fails):
+    """Stub ``lbfgs.minimize``: it raises LineSearchError while
+    ``fails(initial_step)``, and solves otherwise; returns the steps tried."""
+    steps, minimize = [], lbfgs.minimize
+
+    def stub(fun, x0, **kw):
+        steps.append(kw["initial_step"])
+        if fails(kw["initial_step"]):
+            raise lbfgs.LineSearchError("stub", {"step": kw["initial_step"]})
+        return minimize(fun, x0, **kw)
+
+    monkeypatch.setattr(lbfgs, "minimize", stub)
+    return steps
+
+
+def test_fit_retries_a_failed_line_search_with_halved_steps(monkeypatch):
+    steps = _line_search_stub(monkeypatch, lambda step: step > 0.3)
+    field = _small_fit(outer_iterations=2, early_stop=False)
+    assert steps == [1.0, 0.5, 0.25] * 2
+    assert len(field.inner) == 2
+
+
+def test_fit_fails_by_name_when_every_line_search_fails(monkeypatch):
+    steps = _line_search_stub(monkeypatch, lambda step: True)
+    with pytest.raises(NumericalError, match=(
+            r"line search failed persistently at outer iteration 0 .*"
+            r"last diagnostics: \{'step': 0.125\}")):
+        _small_fit(line_search_retries=3)
+    assert steps == [1.0, 0.5, 0.25, 0.125]
 
 
 def test_fit_runs_only_its_last_solve_to_gtol():

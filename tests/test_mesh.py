@@ -13,7 +13,6 @@ from stresstruss.mesh import (
     TetMesh,
     assemble,
     build_operators,
-    face_pairs,
     feature_edges,
     load_tet_mesh,
     pieces,
@@ -220,6 +219,13 @@ def test_boundary_matches_unique_rows_oracle(mesh):
     np.testing.assert_array_equal(unique_edges(b.triangles)[2], face_edges)
 
 
+@pytest.mark.parametrize("mesh", [box_mesh((5, 4, 3), jitter=0.1),
+                                  bar_mesh(jitter=0.11)], ids=["box", "bar"])
+def test_boundary_keeps_its_face_edges(mesh):
+    b = mesh.boundary
+    np.testing.assert_array_equal(b.face_edges, unique_edges(b.triangles)[2])
+
+
 def test_non_manifold_face_rejected():
     verts = np.array(
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [0.3, 0.3, 2.0]],
@@ -332,12 +338,16 @@ def test_pieces_of_two_disjoint_tets():
 
 def test_face_pairs_match_shared_faces():
     mesh = box_mesh((3, 2, 2), jitter=0.1)
-    pairs = face_pairs(mesh.tets)
+    pairs = mesh.face_pairs
     shared = [len(set(mesh.tets[a]) & set(mesh.tets[b])) for a, b in pairs]
     assert shared == [3] * len(pairs)
     # Each interior face once: the faces the boundary does not hold.
     assert 2 * len(pairs) + len(mesh.boundary.triangles) == 4 * mesh.num_tets
-    assert face_pairs(np.array([[0, 1, 2, 3], [1, 4, 5, 6]])).shape == (0, 2)
+    # Two tets hinged at vertex 1 share no face.
+    hinge = TetMesh(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                              [2, 0, 0], [1, 1, 0], [1, 0, 1]], dtype=float),
+                    np.array([[0, 1, 2, 3], [1, 4, 5, 6]]))
+    assert hinge.face_pairs.shape == (0, 2)
 
 
 def triplet_assemble(blocks, dofs, size):
