@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArtifactError
-from .extract import TAG_RANK, TrussGraph
+from .extract import FAMILIES, TAG_RANK, TrussGraph
 
 GRAPH_VERSION = 2
 FIELD_VERSION = 1
@@ -91,9 +91,11 @@ def read_graph(path: str | Path) -> TrussGraph:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(
             f"malformed graph artifact {path}: {exc!r}") from exc
-    unknown = set(tags) - TAG_RANK.keys()
-    if unknown:
-        raise ArtifactError(f"unknown node tag(s) {sorted(unknown)} in {path}")
+    for what, names, known in (("node tag(s)", tags, TAG_RANK),
+                               ("element family(ies)", families, FAMILIES)):
+        unknown = set(names).difference(known)
+        if unknown:
+            raise ArtifactError(f"unknown {what} {sorted(unknown)} in {path}")
     if elems.size and (elems.min() < 0 or elems.max() >= n):
         raise ArtifactError(
             f"element node index out of range [0, {n}) in {path}")

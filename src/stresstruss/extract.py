@@ -55,7 +55,10 @@ TAG_RANK = {
 }
 _TAGS = tuple(sorted(TAG_RANK, key=TAG_RANK.get))
 
-INTERIOR_FAMILIES = ("iso1", "iso2", "iso3")
+# Element families: the isocurves of each parameter column inside the
+# volume, then the surface isocurves and the feature-edge chains.
+FAMILIES = ("iso1", "iso2", "iso3", "boundary", "feature")
+INTERIOR_FAMILIES = FAMILIES[:3]
 
 
 class ExtractionWarning(UserWarning):
@@ -197,15 +200,14 @@ def _canonical_order(g: TrussGraph) -> TrussGraph:
     inv = np.empty(n, dtype=np.int64)
     inv[order] = np.arange(n)
     elements = np.sort(inv[g.elements], axis=1)
-    fam = np.array([_FAMILY_ORDER.get(f, 99) for f in g.families],
-                   dtype=np.int64)
+    fam = np.array([_FAMILY_ORDER[f] for f in g.families], dtype=np.int64)
     eorder = np.lexsort((fam, elements[:, 1], elements[:, 0]))
     return TrussGraph(g.positions[order], g.params[order],
                       [g.tags[i] for i in order], elements[eorder],
                       [g.families[i] for i in eorder])
 
 
-_FAMILY_ORDER = {"iso1": 0, "iso2": 1, "iso3": 2, "boundary": 3, "feature": 4}
+_FAMILY_ORDER = {f: i for i, f in enumerate(FAMILIES)}
 
 
 # A generic unit direction: nodes spread along it even when they fill an
@@ -348,7 +350,7 @@ class _Complex2D:
     def graph(self):
         return _raw_graph(*(np.concatenate(x) for x in self.occ),
                           np.vstack(self.links), np.concatenate(self.families),
-                          ("boundary", "feature"))
+                          FAMILIES[3:])
 
     def face_pass(self, trace, other):
         """Trace the integer levels of column ``trace`` through each face:

@@ -127,10 +127,7 @@ def assemble_loads(mesh: TetMesh, material: Material, bcs: BoundaryConditions) -
         if len(faces) == 0:
             raise ConfigError("Neumann selector matched no boundary faces")
         tri = mesh.boundary.triangles[faces]
-        p = mesh.vertices[tri]
-        areas = 0.5 * np.linalg.norm(
-            np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1
-        )
+        areas = mesh.boundary.face_areas[faces]
         total = areas.sum()
         if total <= 0:
             raise ConfigError("Neumann selector matched zero-area faces")
@@ -175,8 +172,8 @@ def solve_static(mesh: TetMesh, material: Material, bcs: BoundaryConditions,
                  *, return_system: bool = False, systems: list | None = None):
     """Static displacement field u, shape (n, 3) meters, or (u, K, f) with
     the assembled stiffness and load vector when ``return_system`` is set.
-    The reduced stiffness system's (dofs, nnz, bandwidth) is appended to
-    ``systems``.
+    The reduced stiffness system's ``dofs``, ``nnz`` and ``bandwidth`` are
+    appended to ``systems`` as one dict.
 
     Raises ConfigError for under-specified constraints and NumericalError
     with the unconstrained rigid modes named when the reduced system is
@@ -277,15 +274,17 @@ def solve_supported(K, f: np.ndarray, held: np.ndarray, values: np.ndarray,
 def solve_cholesky(A, b: np.ndarray, what: str,
                    systems: list | None = None) -> np.ndarray:
     """Solution x of the symmetric positive definite A x = b by LAPACK
-    banded Cholesky in reverse Cuthill-McKee order; (dofs, nnz, bandwidth)
-    of A is appended to ``systems``. Accepted as ``_accepted`` says, so a
-    matrix that is not numerically positive definite fails by name, and a
-    MemoryError names the system and its band storage."""
+    banded Cholesky in reverse Cuthill-McKee order; A's ``dofs``, ``nnz``
+    and ``bandwidth`` are appended to ``systems`` as one dict. Accepted as
+    ``_accepted`` says, so a matrix that is not numerically positive
+    definite fails by name, and a MemoryError names the system and its band
+    storage."""
     perm = reverse_cuthill_mckee(A, symmetric_mode=True)
     P = sp.triu(A[perm][:, perm], format="coo")     # the upper band
     width = int((P.col - P.row).max(initial=0))
     if systems is not None:
-        systems.append((A.shape[0], A.nnz, width))
+        systems.append({"dofs": A.shape[0], "nnz": A.nnz,
+                        "bandwidth": width})
     try:
         band = np.zeros((width + 1, A.shape[0]), order="F")  # upper band storage
         band[width + P.row - P.col, P.col] = P.data

@@ -147,7 +147,8 @@ def minimize(
             # Below float resolution of f no decrease is measurable; that is
             # stationarity at working precision, not a search failure.
             if abs(g @ p) <= 100.0 * np.finfo(float).eps * (1.0 + abs(f)):
-                return MinimizeResult(x, f, g, it, gnorm <= gtol * (1.0 + abs(f)), evals)
+                return MinimizeResult(x, f, g, it,
+                                      bool(gnorm <= gtol * (1.0 + abs(f))), evals)
             raise
         evals += ev
         x_new = x + a * p

@@ -39,6 +39,7 @@ class SurfaceMesh:
     edge_faces: np.ndarray         # (ne, 2) int, incident boundary triangles
     face_edges: np.ndarray         # (nb, 3) int, edge of sides 01, 12, 20
     face_normals: np.ndarray       # (nb, 3) float, unit outward normals
+    face_areas: np.ndarray         # (nb,) float, triangle areas
 
 
 @dataclass
@@ -136,7 +137,7 @@ class TetMesh:
             raise MeshError("non-manifold face (shared by more than two tets)")
         # The faces held once, in the distinct rows' sorted vertex triple order.
         tris = faces[first[counts == 1]]
-        normals = _triangle_normals(self.vertices, tris)
+        normals, areas = _triangle_normals(self.vertices, tris)
 
         # Boundary edges: each must have exactly two incident boundary faces,
         # listed in side-major encounter order.
@@ -145,7 +146,8 @@ class TetMesh:
             raise MeshError("boundary is not a closed 2-complex")
         edge_faces = (np.argsort(face_edges.T.ravel(), kind="stable")
                       % len(tris)).reshape(-1, 2)
-        return SurfaceMesh(tris, edges, edge_faces, face_edges, normals)
+        return SurfaceMesh(tris, edges, edge_faces, face_edges, normals,
+                           areas)
 
 
 def _faces(tets: np.ndarray) -> np.ndarray:
@@ -160,11 +162,11 @@ def signed_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
 
 
 def _triangle_normals(vertices, tris):
+    """The triangles' unit normals (zero where degenerate) and areas."""
     p = vertices[tris]
     n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    norm = np.linalg.norm(n, axis=1, keepdims=True)
-    norm[norm == 0] = 1.0
-    return n / norm
+    norm = np.linalg.norm(n, axis=1)
+    return n / np.where(norm == 0, 1.0, norm)[:, None], 0.5 * norm
 
 
 # ---------------------------------------------------------------------------

@@ -89,8 +89,8 @@ def solve_parametrization(
     beta G_k^T 1. H_k is singular only up to a constant on a connected mesh,
     and the right-hand side is orthogonal to the constants, so the solve
     with vertex 0 pinned, minus its mean, is the mean-zero minimiser. Each
-    system's (dofs, nnz, bandwidth) is appended to ``systems``. Returns
-    phi (n, 3).
+    system's ``dofs``, ``nnz`` and ``bandwidth`` are appended to
+    ``systems`` as one dict. Returns phi (n, 3).
     """
     if beta <= 0:
         raise ConfigError("beta must be positive")

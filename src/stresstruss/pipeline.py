@@ -1,11 +1,13 @@
 """Staged execution: each stage reads the artifact of the stage it needs
-from the output directory, writes its own artifact plus a log, and records
-itself in the run manifest. Artifacts and the manifest carry no timestamps,
-so a re-run with an identical config is byte-identical.
+from the output directory, writes its own artifact plus a record of what
+it did (``<stage>.json``), and records itself in the run manifest.
+Artifacts, records and the manifest carry no timestamps, so a re-run with
+an identical config is byte-identical.
 """
 
 from __future__ import annotations
 
+import json
 from functools import cache
 from pathlib import Path
 
@@ -51,22 +53,17 @@ def _artifact(out: Path, stage: str) -> Path:
     return path
 
 
-def _write_log(out: Path, stage: str, lines: list[str]) -> str:
-    name = f"{stage}.log"
-    (out / name).write_text("\n".join(lines) + "\n")
+def _write_record(out: Path, stage: str, record: dict) -> str:
+    """The stage's record of what it did, as one line of JSON with sorted
+    keys; floats keep every digit."""
+    name = f"{stage}.json"
+    (out / name).write_text(json.dumps(record, sort_keys=True) + "\n")
     return name
-
-
-def _system_lines(systems: list[tuple[int, int, int]]) -> list[str]:
-    """One log line per solved system: its size, nonzeros and the band
-    half-width of its Cholesky ordering."""
-    return [f"system dofs {n} nnz {nnz} bandwidth {w}"
-            for n, nnz, w in systems]
 
 
 def _stage_fea(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
     mesh = load_mesh()
-    systems: list[tuple[int, int, int]] = []
+    systems: list[dict] = []
     u, K, f = solve_static(mesh, cfg.material, cfg.boundary_conditions,
                            return_system=True, systems=systems)
     field = cauchy_stress(mesh, cfg.material, u)
@@ -79,17 +76,17 @@ def _stage_fea(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
     strain_energy = 0.5 * float(u.ravel() @ (K @ u.ravel()))
     work = 0.5 * float(f.ravel() @ u.ravel())
     gap = abs(strain_energy - work) / max(abs(strain_energy), 1e-300)
-    log = _write_log(out, "fea", [
-        f"vertices {mesh.num_vertices} tets {mesh.num_tets}",
-        *_system_lines(systems),
-        f"strain_energy {strain_energy:.9e}",
-        f"external_work {work:.9e}",
-        f"energy_balance_gap {gap:.3e}",
-        f"max_displacement {float(np.max(np.abs(u))):.9e}",
-        f"sigma_plus_eigenvalue_range {float(eigenvalues_plus.min()):.9e} "
-        f"{float(eigenvalues_plus.max()):.9e}",
-    ])
-    return [name, log]
+    record = _write_record(out, "fea", {
+        "vertices": mesh.num_vertices, "tets": mesh.num_tets,
+        "systems": systems,
+        "strain_energy": strain_energy,
+        "external_work": work,
+        "energy_balance_gap": gap,
+        "max_displacement": float(np.max(np.abs(u))),
+        "sigma_plus_eigenvalue_range": [float(eigenvalues_plus.min()),
+                                        float(eigenvalues_plus.max())],
+    })
+    return [name, record]
 
 
 def _stage_frames(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
@@ -101,19 +98,15 @@ def _stage_frames(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
     artifacts.write_field(out / name, {
         "omega": ff.omega,
         "frames": ff.frames,
-    }, meta={"alpha_history": [[a, e] for a, e in ff.alpha_history]},
-        kind="frames")
-
-    lines = [f"outer {k} alpha {a:.9e} energy {e:.9e} iterations {it} "
-             f"evals {ne} converged {int(ok)} grad_norm {gn:.9e} "
-             f"gtol {tol:.9e}"
-             for k, ((a, e), (it, ne, ok, gn, tol))
-             in enumerate(zip(ff.alpha_history, ff.inner))]
-    # The last outer energy is the data energy of the final omega.
-    lines.append(f"final_data_energy {ff.alpha_history[-1][1]:.9e}")
-    lines.append(f"unconverged {sum(not ok for _, _, ok, *_ in ff.inner)}")
-    log = _write_log(out, "frames", lines)
-    return [name, log]
+    }, kind="frames")
+    # One row per outer iteration; the last energy is the data energy of
+    # the final omega.
+    keys = ("alpha", "energy", "iterations", "evals", "converged",
+            "grad_norm", "gtol")
+    record = _write_record(out, "frames", {"outer": [
+        dict(zip(keys, (*history, *inner)))
+        for history, inner in zip(ff.alpha_history, ff.inner)]})
+    return [name, record]
 
 
 def _stage_param(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
@@ -121,7 +114,7 @@ def _stage_param(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
     _, arr = artifacts.read_field(_artifact(out, "frames"), kind="frames",
                                   names=("frames",))
     ops = mesh.operators
-    systems: list[tuple[int, int, int]] = []
+    systems: list[dict] = []
     phi = solve_parametrization(mesh, arr["frames"], cfg.beta, ops=ops,
                                 systems=systems)
     phi_tilde = perturb_parametrization(normalize_and_scale(phi, cfg.rho),
@@ -135,13 +128,11 @@ def _stage_param(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
 
     objective = evaluate_objective(ops, arr["frames"], phi, cfg.beta)
     spans = phi_tilde.max(axis=0) - phi_tilde.min(axis=0)
-    log = _write_log(out, "param", [
-        f"objective {objective:.9e}",
-        *_system_lines(systems),
-        f"component_spans {spans[0]:.9e} {spans[1]:.9e} {spans[2]:.9e}",
-        f"rho {cfg.rho:.9e} beta {cfg.beta:.9e}",
-    ])
-    return [name, log]
+    record = _write_record(out, "param", {
+        "objective": objective, "systems": systems,
+        "component_spans": spans.tolist(), "rho": cfg.rho, "beta": cfg.beta,
+    })
+    return [name, record]
 
 
 def _stage_extract(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
@@ -158,13 +149,11 @@ def _stage_extract(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
     name = _ARTIFACT_FILES["extract"]
     artifacts.write_graph(out / name, g)
 
-    fams = sorted(set(g.families))
-    counts = {f: g.families.count(f) for f in fams}
-    log = _write_log(out, "extract", [
-        f"nodes {g.num_nodes} elements {g.num_elements}",
-        "family_counts " + " ".join(f"{f}={counts[f]}" for f in fams),
-    ])
-    return [name, log]
+    record = _write_record(out, "extract", {
+        "nodes": g.num_nodes, "elements": g.num_elements,
+        "family_counts": {f: g.families.count(f) for f in set(g.families)},
+    })
+    return [name, record]
 
 
 def _stage_simplify(cfg: PipelineConfig, out: Path, _) -> list[str]:
@@ -180,15 +169,15 @@ def _stage_simplify(cfg: PipelineConfig, out: Path, _) -> list[str]:
     )
     name = _ARTIFACT_FILES["simplify"]
     artifacts.write_graph(out / name, g2)
-    log = _write_log(out, "simplify", [
-        f"length_threshold {thr:.9e}",
-        f"before nodes {g.num_nodes} elements {g.num_elements}",
-        f"after nodes {g2.num_nodes} elements {g2.num_elements}",
-        f"contraction_passes phase_a {passes['passes_a']} "
-        f"phase_b {passes['passes_b']}",
-        f"member_connected_pieces {pieces(g2.num_nodes, g2.elements)[0]}",
-    ])
-    return [name, log]
+    record = _write_record(out, "simplify", {
+        "length_threshold": thr,
+        "before": {"nodes": g.num_nodes, "elements": g.num_elements},
+        "after": {"nodes": g2.num_nodes, "elements": g2.num_elements},
+        "contraction_passes": {"phase_a": passes["passes_a"],
+                               "phase_b": passes["passes_b"]},
+        "member_connected_pieces": pieces(g2.num_nodes, g2.elements)[0],
+    })
+    return [name, record]
 
 
 def _stage_geometry(cfg: PipelineConfig, out: Path, _) -> list[str]:
@@ -197,11 +186,11 @@ def _stage_geometry(cfg: PipelineConfig, out: Path, _) -> list[str]:
     write_obj(tri, out / "truss.obj")
     write_ply(tri, out / "truss.ply")
     write_lines_obj(g, out / "graph_lines.obj")
-    log = _write_log(out, "geometry", [
-        f"vertices {len(tri.vertices)} triangles {tri.num_triangles}",
-        f"sides {cfg.geometry.sides}",
-    ])
-    return ["truss.obj", "truss.ply", "graph_lines.obj", log]
+    record = _write_record(out, "geometry", {
+        "vertices": len(tri.vertices), "triangles": tri.num_triangles,
+        "sides": cfg.geometry.sides,
+    })
+    return ["truss.obj", "truss.ply", "graph_lines.obj", record]
 
 
 def _check_verify_bcs(cfg: PipelineConfig) -> None:
@@ -227,14 +216,14 @@ def _stage_verify(cfg: PipelineConfig, out: Path, _) -> list[str]:
     lam = load_factor(model, result)
     write_report(out / "report.txt", model, result, lam)
     combined = np.abs(result.axial_stress) + np.abs(result.bending_stress)
-    log = _write_log(out, "verify", [
-        f"lambda_star {lam:.9e}",
-        f"max_utilization "
-        f"{float(combined.max()) / cfg.material.yield_strength:.9e}",
-        f"max_displacement "
-        f"{float(np.max(np.abs(result.displacements[:, :3]))):.9e}",
-    ])
-    return ["report.txt", log]
+    record = _write_record(out, "verify", {
+        "lambda_star": lam,
+        "max_utilization":
+            float(combined.max()) / cfg.material.yield_strength,
+        "max_displacement":
+            float(np.max(np.abs(result.displacements[:, :3]))),
+    })
+    return ["report.txt", record]
 
 
 _STAGE_FUNCS = {

@@ -152,9 +152,7 @@ def _element_frames(model: TrussModel):
 
 
 def _element_stiffness(model: TrussModel, lengths):
-    mat = model.material
-    E = mat.young_modulus
-    G = E / (2.0 * (1.0 + mat.poisson_ratio))
+    E, G = model.material.young_modulus, model.material.lame[1]
     torsion = 2.0 * model.moments                   # circular section
     return _local_stiffness(E * model.areas / lengths, G * torsion / lengths,
                             E * model.moments, lengths)

@@ -386,7 +386,7 @@ def _malformed_graphs() -> dict:
     def doc():
         return json.loads(_json_oracle(_sample_graph()))
     (no_nodes, not_list, ragged, null, boolean, nan, inf, text, fraction,
-     huge, number_tag, short) = (doc() for _ in range(12))
+     huge, number_tag, short, family) = (doc() for _ in range(13))
     for key in ("positions", "params", "tags"):
         del no_nodes[key]
     not_list["positions"][1] = 5
@@ -400,6 +400,7 @@ def _malformed_graphs() -> dict:
     huge["elements"][0] = [0, 2 ** 70]
     number_tag["tags"][0] = 5
     short["tags"].pop()
+    family["families"][1] = "bogus"
     malformed = "malformed graph artifact"
     return {"no-nodes": (no_nodes, malformed),
             "position-not-list": (not_list, malformed),
@@ -413,6 +414,7 @@ def _malformed_graphs() -> dict:
             "huge-index": (huge, malformed),
             "number-tag": (number_tag, malformed),
             "short-tags": (short, malformed),
+            "unknown-family": (family, r"unknown element famil.*'bogus'"),
             "list-root": ([doc()], "corrupt graph artifact"),
             "version-1": (_version_1_doc(_sample_graph()),
                           "unsupported graph version in .*: 1")}
@@ -700,7 +702,8 @@ def test_pipeline_produces_artifacts(pipeline_out):
     names = {f.name for f in files}
     assert expected <= names
     for stage in STAGE_ORDER:
-        assert (out / f"{stage}.log").exists()
+        assert (out / f"{stage}.json").exists()
+    assert not list(out.glob("*.log"))
     assert (out / "manifest.json").exists()
 
 
@@ -774,7 +777,7 @@ def test_verify_stage_solves_once_and_matches_capacity(pipeline_out,
 
 def test_fea_stage_assembles_once(pipeline_out, monkeypatch):
     cfg, out, _ = pipeline_out
-    log = (out / "fea.log").read_bytes()
+    before = (out / "fea.json").read_bytes()
     calls = []
     assemble = fem.assemble_stiffness
 
@@ -788,66 +791,69 @@ def test_fea_stage_assembles_once(pipeline_out, monkeypatch):
                         raising=False)
     run_stage("fea", cfg, out_dir=out)
     assert len(calls) == 1
-    assert (out / "fea.log").read_bytes() == log
-    # The logged energies are those of a fresh assembly.
+    assert (out / "fea.json").read_bytes() == before
+    # The recorded energies are those of a fresh assembly.
     _, fea = artifacts.read_field(out / "fea.field", kind="stress")
     mesh = mesh_from_config(cfg)
     u = fea["u"].ravel()
     K = assemble(mesh, cfg.material)
     f = fem.assemble_loads(mesh, cfg.material, cfg.boundary_conditions)
-    lines = dict(ln.split(" ", 1) for ln in log.decode().splitlines())
-    assert lines["strain_energy"] == f"{0.5 * float(u @ (K @ u)):.9e}"
-    assert lines["external_work"] == f"{0.5 * float(f @ u):.9e}"
+    record = _record(out, "fea")
+    assert record["strain_energy"] == 0.5 * float(u @ (K @ u))
+    assert record["external_work"] == 0.5 * float(f @ u)
 
 
-def _frames_log(out):
-    lines = (out / "frames.log").read_text().splitlines()
-    return ([ln.split() for ln in lines if ln.startswith("outer ")],
-            {ln.split()[0]: ln.split()[1] for ln in lines
-             if not ln.startswith("outer ")})
+def _record(out, stage):
+    """The record ``stage`` wrote: one line of JSON with sorted keys."""
+    text = (out / f"{stage}.json").read_text()
+    record = json.loads(text)
+    assert text == json.dumps(record, sort_keys=True) + "\n"
+    return record
 
 
 def test_frames_log_records_inner_solves(pipeline_out):
     cfg, out, _ = pipeline_out
-    outer, tail = _frames_log(out)
-    assert [w[0::2] for w in outer] == [
-        ["outer", "alpha", "energy", "iterations", "evals", "converged",
-         "grad_norm", "gtol"]
-    ] * len(outer)
-    assert all(int(w[7]) >= 1 and int(w[9]) > int(w[7]) for w in outer)
-    assert int(tail["unconverged"]) == sum(w[11] == "0" for w in outer)
+    (outer,) = _record(out, "frames").values()
+    assert [list(row) for row in outer] == [
+        ["alpha", "converged", "energy", "evals", "grad_norm", "gtol",
+         "iterations"]] * len(outer)
+    assert all(row["iterations"] >= 1 and row["evals"] > row["iterations"]
+               and isinstance(row["converged"], bool) for row in outer)
     # Only the solve that ends the fit runs to the configured gtol.
     gtol = cfg.frame_fit.gtol
-    assert [w[15] for w in outer] == [f"{CONTINUATION_GTOL * gtol:.9e}"] * (
-        len(outer) - 1) + [f"{gtol:.9e}"]
-    # The final data energy is the fit's last one, for the same omega.
+    assert [row["gtol"] for row in outer] == [CONTINUATION_GTOL * gtol] * (
+        len(outer) - 1) + [gtol]
+    # The last row's energy is the data energy of the written omega.
     _, fea = artifacts.read_field(out / "fea.field", kind="stress")
-    _, fit = artifacts.read_field(out / "frames.field", kind="frames")
+    meta, fit = artifacts.read_field(out / "frames.field", kind="frames")
+    assert meta == {}
     mesh = mesh_from_config(cfg)
     energy = data_energy_total(fit["omega"], fea["sigma_plus"], mesh.tets)
-    assert tail["final_data_energy"] == f"{energy:.9e}" == outer[-1][5]
+    assert outer[-1]["energy"] == energy
     # grad_norm is that of the last inner solve's final gradient.
-    meta, _ = artifacts.read_field(out / "frames.field", kind="frames")
-    alpha = meta["alpha_history"][-1][0]
-    _, grad = total_energy_grad(fit["omega"], fea["sigma_plus"], alpha,
-                                mesh.tets, build_operators(mesh).L)
-    assert outer[-1][13] == f"{np.linalg.norm(grad):.9e}"
+    _, grad = total_energy_grad(fit["omega"], fea["sigma_plus"],
+                                outer[-1]["alpha"], mesh.tets,
+                                build_operators(mesh).L)
+    assert outer[-1]["grad_norm"] == np.linalg.norm(grad)
 
 
 def test_simplify_log_records_passes_and_pieces(pipeline_out):
     cfg, out, _ = pipeline_out
-    words = [line.split()
-             for line in (out / "simplify.log").read_text().splitlines()]
+    simplified = _record(out, "simplify")
+    g = artifacts.read_graph(out / "graph.json")
     record = {}
-    postprocess.simplify(artifacts.read_graph(out / "graph.json"),
-                         float(words[0][1]), cfg.simplify.remove_interior_hits,
+    postprocess.simplify(g, simplified["length_threshold"],
+                         cfg.simplify.remove_interior_hits,
                          cfg.simplify.preserve_features, record=record)
     assert record["passes_a"] >= 1 and record["passes_b"] >= 1
-    assert words[3] == ["contraction_passes", "phase_a",
-                        str(record["passes_a"]), "phase_b",
-                        str(record["passes_b"])]
+    assert simplified["contraction_passes"] == {
+        "phase_a": record["passes_a"], "phase_b": record["passes_b"]}
+    assert simplified["before"] == {"nodes": g.num_nodes,
+                                    "elements": g.num_elements}
     # Pieces of the written graph, by flooding from each unseen node.
     g = artifacts.read_graph(out / "graph_simplified.json")
+    assert simplified["after"] == {"nodes": g.num_nodes,
+                                   "elements": g.num_elements}
     nbrs = [[] for _ in range(g.num_nodes)]
     for a, b in g.elements.tolist():
         nbrs[a].append(b)
@@ -862,7 +868,7 @@ def test_simplify_log_records_passes_and_pieces(pipeline_out):
                 if v not in seen:
                     seen.add(v)
                     stack += nbrs[v]
-    assert words[4:] == [["member_connected_pieces", str(pieces)]]
+    assert simplified["member_connected_pieces"] == pieces
 
 
 def test_logs_record_solved_systems(pipeline_out):
@@ -870,9 +876,9 @@ def test_logs_record_solved_systems(pipeline_out):
     mesh = mesh_from_config(cfg)
 
     def systems(stage):
-        lines = (out / f"{stage}.log").read_text().splitlines()
-        return [[int(w) for w in ln.split()[2::2]] for ln in lines
-                if ln.startswith("system dofs ")]
+        rows = _record(out, stage)["systems"]
+        assert all(list(row) == ["bandwidth", "dofs", "nnz"] for row in rows)
+        return [[row["dofs"], row["nnz"], row["bandwidth"]] for row in rows]
     (fea,) = systems("fea")
     held = np.count_nonzero(np.abs(mesh.vertices[:, 0]) <= 1e-9)
     assert fea[0] == 3 * (mesh.num_vertices - held)
@@ -887,13 +893,13 @@ def test_frames_log_counts_unconverged_solves(tmp_path):
     cfg = parse_config(doc)
     run_stage("fea", cfg, out_dir=tmp_path)
     run_stage("frames", cfg, out_dir=tmp_path)
-    outer, tail = _frames_log(tmp_path)
-    assert int(tail["unconverged"]) >= 1
-    assert all(w[7] == "1" for w in outer)
-    # The record stays in the log: not in the artifact or the manifest.
+    (outer,) = _record(tmp_path, "frames").values()
+    assert not all(row["converged"] for row in outer)
+    assert all(row["iterations"] == 1 for row in outer)
+    # The history stays in the record: not in the artifact or the manifest.
     meta, _ = artifacts.read_field(tmp_path / "frames.field", kind="frames")
-    assert set(meta) == {"alpha_history"}
-    assert "unconverged" not in (tmp_path / "manifest.json").read_text()
+    assert meta == {}
+    assert "converged" not in (tmp_path / "manifest.json").read_text()
 
 
 def test_missing_prerequisite(tmp_path):
@@ -963,12 +969,13 @@ def test_cli_pipeline_and_determinism(tmp_path):
     r2 = _run_cli("--config", str(cfg_path), "--out", str(tmp_path / "b"),
                   "--log-level", "warning")
     assert r2.returncode == 0, r2.stderr
-    # Every file of both runs: fields, logs, graphs, geometry, report and
-    # manifest.
+    # Every file of both runs: fields, records, graphs, geometry, report
+    # and manifest.
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
-    assert {"fea.field", "verify.log", "truss.ply", "report.txt",
+    assert {"fea.field", "verify.json", "truss.ply", "report.txt",
             "manifest.json"} <= set(names)
+    assert not [name for name in names if name.endswith(".log")]
     for name in names:
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes()), name

@@ -268,7 +268,8 @@ def test_cholesky_matches_sparse_lu_on_fea_systems(make_mesh):
     x = solve_cholesky(A, b, "stiffness", systems)
     ref = spla.spsolve(A.tocsc(), b)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-    (dofs, nnz, width), = systems
+    (system,) = systems
+    dofs, nnz, width = system["dofs"], system["nnz"], system["bandwidth"]
     assert (dofs, nnz) == (len(free), A.nnz) and 0 < width < dofs
 
 

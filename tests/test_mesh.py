@@ -226,6 +226,16 @@ def test_boundary_keeps_its_face_edges(mesh):
     np.testing.assert_array_equal(b.face_edges, unique_edges(b.triangles)[2])
 
 
+@pytest.mark.parametrize("mesh", [box_mesh((5, 4, 3), jitter=0.1),
+                                  bar_mesh(jitter=0.11)], ids=["box", "bar"])
+def test_boundary_face_areas_match_cross_products(mesh):
+    b = mesh.boundary
+    p = mesh.vertices[b.triangles]
+    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    np.testing.assert_array_equal(b.face_areas,
+                                  0.5 * np.linalg.norm(cross, axis=1))
+
+
 def test_non_manifold_face_rejected():
     verts = np.array(
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [0.3, 0.3, 2.0]],

@@ -134,11 +134,11 @@ def test_component_solves_match_kkt_oracle(bar_frames):
     phi = solve_parametrization(mesh, arr["frames"], cfg.beta, systems=systems)
     ref = kkt_oracle(mesh, arr["frames"], cfg.beta)
     assert np.linalg.norm(phi - ref) <= 1e-10 * np.linalg.norm(ref)
-    assert [s[0] for s in systems] == [mesh.num_vertices - 1] * 3
+    assert [s["dofs"] for s in systems] == [mesh.num_vertices - 1] * 3
 
 
 def test_evaluate_objective_equals_d_and_o_residuals(bar_frames):
-    # evaluate_objective skips building D and O; param.log's objective must
+    # evaluate_objective skips building D and O; param.json's objective must
     # still be the float that their residuals give, bit for bit. On the
     # 6x3x3 box some rows of G_k are not in column order, and summing them
     # in G_k's order would move the last bit.

@@ -7,8 +7,8 @@ and, per configuration, readable lines for the numbers a change may move:
     alignment_frac <v>  workload/jitter     test_11's measure, computed by
                                             bench/worker.py's alignment_frac
     elements <n>  workload/jitter           members of the simplified truss
-    frames_evals <n>  workload/jitter       energy evaluations, frames.log
-    final_data_energy <v>  workload/jitter  the fit's data energy, frames.log
+    frames_evals <n>  workload/jitter       energy evaluations, frames.json
+    final_data_energy <v>  workload/jitter  the fit's data energy, frames.json
 
 It ends with one ``gate`` line per workload: the median and the lowest
 ``alignment_frac`` and ``lambda_star`` over its nine configurations, and
@@ -22,9 +22,12 @@ one member moves it by 1/n where it can move the median by a step.
     diff before.txt after.txt
 
 ``--root`` names the checkout whose ``src`` and ``bench`` are used (default:
-the one holding this script), so one copy of the script lists any commit
-whose bench/run.py has ``workload_doc`` and ``JITTERS`` and whose
-bench/worker.py has ``alignment_frac``. The configs come from
+the one holding this script). The script reads the stage records
+(``frames.json``), so it cannot list a commit whose stages still wrote
+``frames.log``; list such a parent with that checkout's own script
+(``python3 ../parent-checkout/tools/ladder.py``) and diff the two. The
+listed commit's bench/run.py must have ``workload_doc`` and ``JITTERS``,
+and its bench/worker.py ``alignment_frac``. The configs come from
 ``workload_doc``; nothing under bench/ is written. Outputs go to a
 temporary directory, removed afterwards, unless ``--out`` keeps them.
 
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import shutil
 import statistics
 import sys
@@ -45,14 +49,11 @@ import tempfile
 from pathlib import Path
 
 
-def frames_log_numbers(path: Path) -> tuple[int, str]:
-    """The fit's total energy evaluations and its final data energy, as
-    frames.log records them."""
-    words = [ln.split() for ln in path.read_text().splitlines()]
-    evals = sum(int(w[w.index("evals") + 1]) for w in words
-                if w[0] == "outer")
-    final = next(w[1] for w in words if w[0] == "final_data_energy")
-    return evals, final
+def frames_numbers(path: Path) -> tuple[int, float]:
+    """The fit's total energy evaluations and its final data energy (the
+    last outer row's), as frames.json records them."""
+    outer = json.loads(path.read_text())["outer"]
+    return sum(row["evals"] for row in outer), outer[-1]["energy"]
 
 
 def main(argv=None) -> int:
@@ -106,12 +107,13 @@ def main(argv=None) -> int:
                 graph = artifacts.read_graph(out / "graph_simplified.json")
                 frac = alignment_frac(mesh_from_config(cfg),
                                       fea["eigenvectors"], graph)
-                evals, energy = frames_log_numbers(out / "frames.log")
+                evals, energy = frames_numbers(out / "frames.json")
                 print(f"{lam}  {label}\n"
                       f"alignment_frac {frac:.6f}  {label}\n"
                       f"elements {graph.num_elements}  {label}\n"
                       f"frames_evals {evals}  {label}\n"
-                      f"final_data_energy {energy}  {label}", flush=True)
+                      f"final_data_energy {energy:.9e}  {label}",
+                      flush=True)
                 interior = sum(f in INTERIOR_FAMILIES
                                for f in graph.families)
                 gates.setdefault(name, []).append(
