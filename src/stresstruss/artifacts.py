@@ -34,6 +34,18 @@ def write_graph(path: str | Path, g: TrussGraph):
         json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _open(path: Path, what: str):
+    """``path`` opened for binary reading; ArtifactError naming it if it
+    is absent or cannot be read, as when it is a directory."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError as exc:
+        raise ArtifactError(f"{what} does not exist: {path}") from exc
+    except OSError as exc:
+        raise ArtifactError(f"cannot read {what} {path}: {exc.strerror}") \
+            from exc
+
+
 def _json_object(data: bytes, path: Path, what: str) -> dict:
     """The JSON object ``data`` holds; ArtifactError naming ``path`` if it
     holds anything else."""
@@ -68,9 +80,8 @@ def _column(doc: dict, key: str, types: set, dtype=None, width: int = 0):
 
 def read_graph(path: str | Path) -> TrussGraph:
     path = Path(path)
-    if not path.exists():
-        raise ArtifactError(f"graph artifact does not exist: {path}")
-    doc = _json_object(path.read_bytes(), path, "graph artifact")
+    with _open(path, "graph artifact") as fh:
+        doc = _json_object(fh.read(), path, "graph artifact")
     if doc.get("type") != "truss_graph":
         raise ArtifactError(f"{path} is not a truss graph artifact")
     if doc.get("version") != GRAPH_VERSION:
@@ -136,9 +147,7 @@ def read_field(path: str | Path, kind: str | None = None,
     """The meta and arrays of a field artifact; ArtifactError if it lacks
     any of the arrays ``names``."""
     path = Path(path)
-    if not path.exists():
-        raise ArtifactError(f"field artifact does not exist: {path}")
-    with open(path, "rb") as fh:
+    with _open(path, "field artifact") as fh:
         line = fh.readline()
         header = _json_object(line, path, "field artifact")
         if kind is not None and header.get("type") != kind:
@@ -194,6 +203,5 @@ def update_manifest(out_dir: str | Path, cfg_hash: str, stage: str,
 
 def read_manifest(out_dir: str | Path) -> dict:
     path = Path(out_dir) / MANIFEST_NAME
-    if not path.exists():
-        raise ArtifactError(f"manifest does not exist: {path}")
-    return _json_object(path.read_bytes(), path, "manifest")
+    with _open(path, "manifest") as fh:
+        return _json_object(fh.read(), path, "manifest")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import selectors
 from .errors import ConfigError
-from .extract import PARAM_TOL
+from .extract import FAMILIES, PARAM_TOL
 from .fem import BoundaryConditions, Dirichlet, Material, Neumann
 from .fixtures import FIXTURES
 from .frames import FrameFitConfig
@@ -115,8 +115,7 @@ _BCS = {"dirichlet": _LIST, "neumann": _LIST,
 _DIRICHLET = {"selector": _OBJECT, "axes": _FLAGS, "value": selectors.POINT}
 _NEUMANN = {"selector": _OBJECT, "force": selectors.POINT}
 # Frame-fit kinds follow the types of FrameFitConfig's defaults.
-_FRAME_FIT = {k: _FLAG if isinstance(v, bool) else
-              _count(0) if isinstance(v, int) else _NUMBER
+_FRAME_FIT = {k: _count(0) if isinstance(v, int) else _NUMBER
               for k, v in vars(FrameFitConfig()).items()}
 _SIMPLIFY = {"length_threshold": _or_null(selectors.NON_NEGATIVE),
              "length_factor": selectors.NON_NEGATIVE,
@@ -212,8 +211,6 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> PipelineConfig:
                                           "frame_fit", _FRAME_FIT))
     _require(frame_fit.outer_iterations >= 1,
              "frame_fit.outer_iterations must be >= 1")
-    _require(frame_fit.alpha0_factor > 0,
-             "frame_fit.alpha0_factor must be positive")
     _require(0.0 < frame_fit.alpha_decay < 1.0,
              "frame_fit.alpha_decay must lie in (0, 1)")
     # A stop test no gradient can pass, or no step at all, never converges.
@@ -240,6 +237,17 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> PipelineConfig:
         features=FeatureParams(**_floats(_section(
             doc.get("features", {}), "features", _FEATURES))),
         base_dir=base_dir, **given)
+    # A radius map names element families, and one without "default"
+    # covers every family the run can extract.
+    policy = cfg.radius_policy
+    if isinstance(policy, dict):
+        unknown = set(policy) - {*FAMILIES, "default"}
+        _require(not unknown, f"unknown radius_policy families "
+                 f"{sorted(unknown)}; choose from {(*FAMILIES, 'default')}")
+        missing = [f for f in FAMILIES if f not in policy
+                   and (f != "feature" or cfg.features.enabled)]
+        _require("default" in policy or not missing, "radius_policy has no "
+                 f"'default' and no radius for element family(ies) {missing}")
     # A smaller move cannot clear extract's integer tolerance.
     _require(4 * PARAM_TOL <= cfg.epsilon <= 1e-3,
              f"epsilon must lie in [{4 * PARAM_TOL:g}, 1e-3]")
@@ -251,9 +259,11 @@ def load_config(path: str | Path) -> PipelineConfig:
     if not path.exists():
         raise ConfigError(f"config file does not exist: {path}")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        doc = json.loads(path.read_bytes())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:      # undecodable bytes or malformed JSON
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(doc, base_dir=path.parent)
 
 

@@ -6,8 +6,8 @@ of its four vertex vectors (Rodrigues). The data term pulls the second and
 third frame columns into the minor-eigenvector plane of the SPD stress
 surrogate; a Laplacian term plus a Tikhonov term keep the vertex field tame.
 The annealing loop starts smoothness-heavy and relaxes it by a fixed factor
-each outer iteration; only a solve whose field can leave the fit runs to the
-configured gtol, the others to CONTINUATION_GTOL times it.
+each outer iteration; only the last solve runs to the configured gtol, the
+others to CONTINUATION_GTOL times it.
 
 As K^2 = s s^T - |s|^2 I, column k of R is r_k = (1 - b|s|^2) e_k +
 a (s x e_k) + b s_k s; only r_2 and r_3, the columns the data term reads,
@@ -32,7 +32,7 @@ differs in the last bit, which the 30-iteration fit amplifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,36 +47,32 @@ SMALL_ANGLE = 1e-4
 # Replacement magnitude for zero-length vertex vectors before differentiation.
 ZERO_OMEGA_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 
-# Stopping-test factor for the annealing solves that cannot end the fit: an
+# Stopping-test factor for the annealing solves before the last: an
 # intermediate field is only the warm start of the next, smaller alpha. On
 # the bending bar it cuts the evaluations by a third; the fit's last solve
-# (and one that early stop may end on) keeps the configured gtol.
+# keeps the configured gtol.
 CONTINUATION_GTOL = 10.0
+
+ALPHA0_FACTOR = 10.0     # the first smoothness weight, per tet
+MEMORY = 10              # L-BFGS correction pairs kept
+LINE_SEARCH_RETRIES = 5  # re-solves from half the step after a failed search
 
 
 @dataclass
 class FrameFitConfig:
     outer_iterations: int = 30
-    alpha0_factor: float = 10.0
     alpha_decay: float = 2.0 / 3.0
-    memory: int = 10
     gtol: float = 1e-6
     max_inner_iterations: int = 500
-    line_search_retries: int = 5
-    early_stop: bool = True
-    early_stop_tol: float = 1e-10
-    early_stop_patience: int = 3
 
 
 @dataclass
 class FrameField:
     omega: np.ndarray                  # (n, 3) per-vertex parameters
     frames: np.ndarray                 # (m, 3, 3) rotations, columns r1,r2,r3
-    alpha_history: list[tuple[float, float]] = field(default_factory=list)
-    # Per outer iteration: L-BFGS (iterations, evals, converged, |grad|,
-    # the gtol the solve ran to).
-    inner: list[tuple[int, int, bool, float, float]] = field(
-        default_factory=list)
+    # One row per outer iteration: its alpha, the data energy after it, and
+    # its L-BFGS solve's iterations, evals, converged, |grad| and gtol.
+    outer: list[dict]
 
 
 def perturb_zero_rows(omega: np.ndarray) -> np.ndarray:
@@ -230,11 +226,11 @@ def fit_frame_field(
     config: FrameFitConfig | None = None,
 ) -> FrameField:
     """Annealed fit to the SPD stress surrogate M (m, 3, 3), ``stress_spd``'s
-    sigma_plus: repeated warm-started quasi-Newton solves while the
-    smoothness weight decays geometrically from alpha0_factor * num_tets.
-    A solve runs to cfg.gtol when it is the last or early stop fires if it
-    stalls, and to CONTINUATION_GTOL * cfg.gtol otherwise, so the returned
-    field always comes from a cfg.gtol solve.
+    sigma_plus: cfg.outer_iterations warm-started quasi-Newton solves while
+    the smoothness weight decays geometrically from ALPHA0_FACTOR *
+    num_tets. The last solve runs to cfg.gtol and the others to
+    CONTINUATION_GTOL * cfg.gtol, so the returned field comes from a
+    cfg.gtol solve.
     """
     cfg = config or FrameFitConfig()
     L = mesh.operators.L
@@ -243,55 +239,38 @@ def fit_frame_field(
     fit = fit_constants(M, tets, L)
 
     omega = np.zeros((n, 3))
-    alpha = cfg.alpha0_factor * mesh.num_tets
-    history: list[tuple[float, float]] = []
-    inner: list[tuple[int, int, bool, float, float]] = []
-    stall = 0
+    alpha = ALPHA0_FACTOR * mesh.num_tets
+    rows: list[dict] = []
 
     for outer in range(cfg.outer_iterations):
-        can_end = (outer == cfg.outer_iterations - 1 or
-                   (cfg.early_stop and stall + 1 >= cfg.early_stop_patience))
-        gtol = cfg.gtol if can_end else CONTINUATION_GTOL * cfg.gtol
+        last = outer == cfg.outer_iterations - 1
+        gtol = cfg.gtol if last else CONTINUATION_GTOL * cfg.gtol
 
         def fun(x, _alpha=alpha):
             e, g = total_energy_grad(x.reshape(n, 3), M, _alpha, tets, L,
                                      fit=fit)
             return e, g.ravel()
 
-        result = None
-        failure = None
-        for attempt in range(cfg.line_search_retries + 1):
+        for attempt in range(LINE_SEARCH_RETRIES + 1):
             try:
                 result = lbfgs.minimize(
-                    fun,
-                    omega.ravel(),
-                    memory=cfg.memory,
-                    gtol=gtol,
+                    fun, omega.ravel(), memory=MEMORY, gtol=gtol,
                     max_iterations=cfg.max_inner_iterations,
-                    initial_step=1.0 / (2.0 ** attempt),
-                )
+                    initial_step=1.0 / (2.0 ** attempt))
                 break
             except lbfgs.LineSearchError as exc:
                 failure = exc
-        if result is None:
+        else:
             raise NumericalError(
                 f"line search failed persistently at outer iteration {outer} "
                 f"(alpha={alpha:.6g}); last diagnostics: {failure.diagnostics}"
             )
         omega = result.x.reshape(n, 3)
-        inner.append((result.iterations, result.num_evals, result.converged,
-                      float(np.linalg.norm(result.grad)), gtol))
-
-        e_data = data_energy_total(omega, M, tets)
-        history.append((alpha, e_data))
-        if len(history) > 1:
-            prev = history[-2][1]
-            rel = (prev - e_data) / max(abs(prev), 1e-300)
-            stall = stall + 1 if rel < cfg.early_stop_tol else 0
-        if cfg.early_stop and stall >= cfg.early_stop_patience:
-            break
+        rows.append({"alpha": alpha,
+                     "energy": data_energy_total(omega, M, tets),
+                     "iterations": result.iterations,
+                     "evals": result.num_evals, "converged": result.converged,
+                     "grad_norm": float(np.linalg.norm(result.grad)),
+                     "gtol": gtol})
         alpha *= cfg.alpha_decay
-
-    frames = tet_frames(omega, tets)
-    return FrameField(omega=omega, frames=frames, alpha_history=history,
-                      inner=inner)
+    return FrameField(omega, tet_frames(omega, tets), rows)

@@ -196,6 +196,9 @@ def load_tet_mesh(path: str | Path, fmt: str | None = None) -> TetMesh:
             raise MeshError(f"unknown mesh format {fmt!r}")
     except MeshError:
         raise
+    except OSError as exc:
+        raise MeshError(f"cannot read mesh file {exc.filename}: "
+                        f"{exc.strerror}") from exc
     except (ValueError, IndexError, OverflowError) as exc:
         raise MeshError(f"{path.name}: malformed {fmt} file: {exc}") from exc
     if len(tets) == 0:

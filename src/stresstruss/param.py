@@ -17,7 +17,6 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, NumericalError
 from .fem import solve_cholesky, solve_supported
-from .frames import FrameField
 from .mesh import DiscreteOperators, TetMesh, pieces
 
 
@@ -75,13 +74,14 @@ def evaluate_objective(
 
 def solve_parametrization(
     mesh: TetMesh,
-    frames: FrameField | np.ndarray,
+    frames: np.ndarray,
     beta: float = 1.0,
     ops: DiscreteOperators | None = None,
     *,
     systems: list | None = None,
 ) -> np.ndarray:
-    """Minimize the spacing/orthogonality quadratic with mean-zero gauge.
+    """Minimize the spacing/orthogonality quadratic with mean-zero gauge,
+    for the (m, 3, 3) per-tet frames.
 
     Each row of O reads one component and D is block-diagonal, so the
     quadratic splits into one n x n system per component k:
@@ -94,7 +94,6 @@ def solve_parametrization(
     """
     if beta <= 0:
         raise ConfigError("beta must be positive")
-    R = frames.frames if isinstance(frames, FrameField) else np.asarray(frames)
     ops = ops or mesh.operators
     n = mesh.num_vertices
 
@@ -106,7 +105,7 @@ def solve_parametrization(
             "parametrization system singular beyond the translation gauge: "
             f"mesh has {ncomp} disconnected components"
         )
-    G = [directional_gradient(ops, R[:, :, k]) for k in range(3)]
+    G = [directional_gradient(ops, frames[:, :, k]) for k in range(3)]
     GtG = [g.T @ g for g in G]
     phi = np.empty((n, 3))
     for k in range(3):

@@ -101,11 +101,7 @@ def _stage_frames(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
     }, kind="frames")
     # One row per outer iteration; the last energy is the data energy of
     # the final omega.
-    keys = ("alpha", "energy", "iterations", "evals", "converged",
-            "grad_norm", "gtol")
-    record = _write_record(out, "frames", {"outer": [
-        dict(zip(keys, (*history, *inner)))
-        for history, inner in zip(ff.alpha_history, ff.inner)]})
+    record = _write_record(out, "frames", {"outer": ff.outer})
     return [name, record]
 
 
@@ -252,7 +248,11 @@ def run_stage(stage: str, cfg: PipelineConfig,
     if "verify" in stages:  # fail before anything is written
         _check_verify_bcs(cfg)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: "
+                          f"{exc.strerror}") from exc
     cfg_hash = config_hash(cfg)
     written: list[Path] = []
     load_mesh = cache(lambda: mesh_from_config(cfg))

@@ -68,7 +68,7 @@ FULL_DOC = {
         ],
         "gravity": [0.0, 0.0, -9.81],
     },
-    "frame_fit": {"outer_iterations": 5, "early_stop": False},
+    "frame_fit": {"outer_iterations": 5},
     "beta": 0.5,
     "rho": 3.0,
     "epsilon": 5e-8,
@@ -170,12 +170,33 @@ def test_config_defaults():
     pytest.param(lambda d: d.update(frame_fit={"max_inner_iterations": 0}),
                  "^frame_fit.max_inner_iterations must be >= 1",
                  id="max-inner-iterations-zero"),
+    # Early stop and the three solver constants are no longer settings.
+    pytest.param(lambda d: d.update(frame_fit={"early_stop": False}),
+                 r"^unknown frame_fit keys: \['early_stop'\]",
+                 id="removed-early-stop"),
+    pytest.param(lambda d: d.update(frame_fit={"alpha0_factor": 10.0}),
+                 r"^unknown frame_fit keys: \['alpha0_factor'\]",
+                 id="removed-alpha0-factor"),
     pytest.param(lambda d: d.update(radius_policy="x"),
                  "^radius_policy must be a positive number",
                  id="radius-policy"),
     pytest.param(lambda d: d.update(radius_policy={"default": "x"}),
                  r"^radius_policy\['default'\] must be a positive number",
                  id="radius-policy-entry"),
+    # A radius map names element families, and covers each one the run
+    # extracts unless it has a default.
+    pytest.param(lambda d: d.update(radius_policy={"iso_1": 0.01,
+                                                   "default": 0.003}),
+                 r"^unknown radius_policy families \['iso_1'\]",
+                 id="radius-policy-unknown-family"),
+    pytest.param(lambda d: d.update(radius_policy={
+        "iso1": 0.003, "iso2": 0.003, "iso3": 0.003}),
+        r"^radius_policy has no 'default' and no radius for element "
+        r"family\(ies\) \['boundary'\]", id="radius-policy-no-boundary"),
+    pytest.param(lambda d: d.update(features={"enabled": True}, radius_policy={
+        "iso1": 0.003, "iso2": 0.003, "iso3": 0.003, "boundary": 0.003}),
+        r"^radius_policy has no 'default' and no radius for element "
+        r"family\(ies\) \['feature'\]", id="radius-policy-no-feature"),
     pytest.param(lambda d: d["mesh"].update(divisions="a"),
                  "^mesh.divisions must be 3 integers >= 1", id="divisions"),
     pytest.param(lambda d: d["mesh"].update(jitter="a"),
@@ -259,9 +280,9 @@ def test_fixture_defaults_come_from_fixtures():
 def test_config_hash_pinned():
     # Any change to the canonical form changes every manifest's hash.
     assert config_hash(parse_config(SMALL_BAR_DOC)) == (
-        "2ff7e0de54e98e9d42825412aea3fdf76b167b05ea2192fd6f38f4fdb56591b0")
+        "20754ca0e3868f9143883f87f7cce7d0eb6974cc2263d58fe8001018cf4553c5")
     assert config_hash(parse_config(FULL_DOC)) == (
-        "f3005d99913f788f230a5534c045ddf704f114de036f32a7dd09c3bf4678767e")
+        "eb8de336ee645cc81fe672666614bde359b7796844a2c9295532752be146722b")
 
 
 def test_config_hash_changes_with_content():
@@ -1031,6 +1052,50 @@ def test_cli_exit_codes(tmp_path):
     assert r.returncode == 2
     r = _run_cli()
     assert r.returncode == 2
+
+
+def _unreadable(tmp_path, case):
+    """Set up ``case``, a path that exists but cannot be read as the run
+    needs; returns that path, the config file and the output directory."""
+    cfg, out = tmp_path / "bar.json", tmp_path / "out"
+    out.mkdir()
+    bad = {"config-directory": cfg, "config-not-utf8": cfg,
+           "mesh-directory": tmp_path / "part.mesh",
+           "field-directory": out / "fea.field",
+           "manifest-directory": out / "manifest.json",
+           "out-is-a-file": out}[case]
+    if case == "config-not-utf8":
+        cfg.write_bytes(b'{"rho": "\xff"}')
+    elif case == "out-is-a-file":
+        out.rmdir()
+        out.write_text("")
+    else:
+        bad.mkdir()
+    doc = SMALL_BAR_DOC
+    if case == "mesh-directory":
+        doc = {**SMALL_BAR_DOC, "mesh": {"path": "part.mesh"}}
+    if not cfg.exists():
+        cfg.write_text(json.dumps(doc))
+    return bad, cfg, out
+
+
+@pytest.mark.parametrize("case, stage, code", [
+    ("config-directory", "fea", 2),
+    ("config-not-utf8", "fea", 2),
+    ("mesh-directory", "fea", 2),
+    ("out-is-a-file", "fea", 2),
+    ("field-directory", "frames", 4),
+    ("manifest-directory", "fea", 4),
+])
+def test_cli_unreadable_path_fails_by_name(tmp_path, case, stage, code):
+    # Config, mesh and output-directory failures exit 2; artifact and
+    # manifest failures exit 4. Each names the path, with no traceback.
+    bad, cfg, out = _unreadable(tmp_path, case)
+    r = _run_cli("--config", str(cfg), "--stage", stage, "--out", str(out))
+    assert r.returncode == code, r.stderr
+    assert str(bad.resolve() if case == "mesh-directory" else bad) \
+        in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_cli_empty_truss_exits_3(tmp_path):

@@ -8,6 +8,7 @@ from stresstruss.fem import Material, cauchy_stress, solve_static, stress_spd
 from stresstruss.fixtures import bar_mesh, box_mesh
 from stresstruss.frames import (
     CONTINUATION_GTOL,
+    LINE_SEARCH_RETRIES,
     SMALL_ANGLE,
     FrameFitConfig,
     _data_energy_grad_s,
@@ -331,16 +332,16 @@ def test_fit_monotone_history_and_determinism():
     mesh = box_mesh((2, 2, 2), jitter=0.08)
     rng = np.random.default_rng(41)
     sp3 = random_spd_field(rng, mesh.num_tets)
-    cfg = FrameFitConfig(outer_iterations=10, early_stop=False)
+    cfg = FrameFitConfig(outer_iterations=10)
     f1 = fit_frame_field(mesh, sp3, cfg)
     f2 = fit_frame_field(mesh, sp3, cfg)
     np.testing.assert_array_equal(f1.omega, f2.omega)
-    assert len(f1.alpha_history) == 10
-    alphas = [a for a, _ in f1.alpha_history]
+    assert len(f1.outer) == 10
+    alphas = [row["alpha"] for row in f1.outer]
     assert alphas[0] == pytest.approx(10.0 * mesh.num_tets)
     ratios = np.diff(np.log(alphas))
     np.testing.assert_allclose(ratios, np.log(2.0 / 3.0), rtol=1e-12)
-    energies = [e for _, e in f1.alpha_history]
+    energies = [row["energy"] for row in f1.outer]
     assert all(energies[k + 1] <= energies[k] + 1e-8 for k in range(len(energies) - 1))
 
 
@@ -458,11 +459,10 @@ def test_fit_evaluations_visible_through_module_attributes(monkeypatch):
                         counted("total", frames.total_energy_grad))
     monkeypatch.setattr(frames, "data_energy_total",
                         counted("data", frames.data_energy_total))
-    field = fit_frame_field(mesh, M, FrameFitConfig(outer_iterations=4,
-                                                    early_stop=False))
-    assert len(field.inner) == 4
-    assert calls["total"] == sum(evals for _, evals, *_ in field.inner)
-    assert calls["data"] == len(field.inner)
+    field = fit_frame_field(mesh, M, FrameFitConfig(outer_iterations=4))
+    assert len(field.outer) == 4
+    assert calls["total"] == sum(row["evals"] for row in field.outer)
+    assert calls["data"] == len(field.outer)
 
 
 def _small_fit(**cfg):
@@ -488,53 +488,36 @@ def _line_search_stub(monkeypatch, fails):
 
 def test_fit_retries_a_failed_line_search_with_halved_steps(monkeypatch):
     steps = _line_search_stub(monkeypatch, lambda step: step > 0.3)
-    field = _small_fit(outer_iterations=2, early_stop=False)
+    field = _small_fit(outer_iterations=2)
     assert steps == [1.0, 0.5, 0.25] * 2
-    assert len(field.inner) == 2
+    assert len(field.outer) == 2
 
 
 def test_fit_fails_by_name_when_every_line_search_fails(monkeypatch):
     steps = _line_search_stub(monkeypatch, lambda step: True)
     with pytest.raises(NumericalError, match=(
             r"line search failed persistently at outer iteration 0 .*"
-            r"last diagnostics: \{'step': 0.125\}")):
-        _small_fit(line_search_retries=3)
-    assert steps == [1.0, 0.5, 0.25, 0.125]
+            r"last diagnostics: \{'step': 0.03125\}")):
+        _small_fit()
+    assert steps == [0.5 ** k for k in range(LINE_SEARCH_RETRIES + 1)]
+    assert len(steps) == 6
 
 
 def test_fit_runs_only_its_last_solve_to_gtol():
-    field = _small_fit(outer_iterations=5, early_stop=False, gtol=1e-7)
-    assert [row[4] for row in field.inner] == \
+    field = _small_fit(outer_iterations=5, gtol=1e-7)
+    assert [row["gtol"] for row in field.outer] == \
         [CONTINUATION_GTOL * 1e-7] * 4 + [1e-7]
     # The loose solves stop sooner than solves at gtol 1e-7 do.
-    tight = _small_fit(outer_iterations=5, early_stop=False,
-                       gtol=1e-7 / CONTINUATION_GTOL)
-    assert sum(row[1] for row in field.inner[:4]) < \
-        sum(row[1] for row in tight.inner[:4])
-
-
-def test_fit_ended_by_early_stop_ends_on_a_gtol_solve():
-    # Every decrease is below a relative tolerance of 1, so early stop fires
-    # after patience stalled outer iterations; the solve it ends on is the
-    # one that may stall last, and it runs to gtol.
-    field = _small_fit(outer_iterations=30, early_stop_tol=1.0,
-                       early_stop_patience=3)
-    assert [row[4] for row in field.inner] == \
-        [CONTINUATION_GTOL * 1e-6] * 3 + [1e-6]
-    assert len(field.alpha_history) == 4
-    # Patience 0 stops after the first solve, so that one is tight too.
-    field = _small_fit(outer_iterations=30, early_stop_patience=0)
-    assert [row[4] for row in field.inner] == [1e-6]
+    tight = _small_fit(outer_iterations=5, gtol=1e-7 / CONTINUATION_GTOL)
+    assert sum(row["evals"] for row in field.outer[:4]) < \
+        sum(row["evals"] for row in tight.outer[:4])
 
 
 def test_fit_with_loose_and_tight_solves_is_deterministic():
-    for cfg in ({"outer_iterations": 6, "early_stop": False},
-                {"early_stop_tol": 1.0, "early_stop_patience": 2}):
-        f1, f2 = _small_fit(**cfg), _small_fit(**cfg)
-        assert f1.omega.tobytes() == f2.omega.tobytes()
-        assert f1.frames.tobytes() == f2.frames.tobytes()
-        assert f1.inner == f2.inner
-        assert f1.alpha_history == f2.alpha_history
+    f1, f2 = _small_fit(outer_iterations=6), _small_fit(outer_iterations=6)
+    assert f1.omega.tobytes() == f2.omega.tobytes()
+    assert f1.frames.tobytes() == f2.frames.tobytes()
+    assert f1.outer == f2.outer
 
 
 def test_data_energy_total_matches_per_tet_sum():

@@ -214,7 +214,7 @@ def test_bar_alignment_median_angle():
     field = fit_frame_field(mesh, sigma_plus)
     ops = build_operators(mesh)
     phi_tilde = normalize_and_scale(
-        solve_parametrization(mesh, field, ops=ops), 10.0)
+        solve_parametrization(mesh, field.frames, ops=ops), 10.0)
     g1 = np.stack([
         ops.Gx @ phi_tilde[:, 0],
         ops.Gy @ phi_tilde[:, 0],
