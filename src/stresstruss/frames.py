@@ -233,7 +233,7 @@ def fit_frame_field(
     cfg.gtol solve.
     """
     cfg = config or FrameFitConfig()
-    L = mesh.operators.L
+    L = mesh.laplacian
     tets = mesh.tets
     n = mesh.num_vertices
     fit = fit_constants(M, tets, L)

@@ -2,8 +2,9 @@
 
 Meshes are inputs (no meshing here). Loaders accept MEDIT ``.mesh`` files and
 TetGen ``.node``/``.ele`` pairs, reorient inverted tets, and extract the
-boundary triangle complex. The discrete operators (per-tet gradients and the
-vertex cotangent Laplacian) are what every downstream stage consumes.
+boundary triangle complex. A mesh holds its linear shape-function gradients
+once (``grads``, which fea and param read) and its vertex cotangent
+Laplacian (``laplacian``, which frames reads).
 """
 
 from __future__ import annotations
@@ -43,21 +44,6 @@ class SurfaceMesh:
 
 
 @dataclass
-class DiscreteOperators:
-    """Sparse per-tet gradient operators and the vertex Laplacian.
-
-    Gx/Gy/Gz map per-vertex scalars to per-tet directional derivatives.
-    L is the symmetric cotangent Laplacian (P1 stiffness matrix); rows sum
-    to zero and off-diagonal signs are kept as-is.
-    """
-
-    Gx: sp.csr_matrix
-    Gy: sp.csr_matrix
-    Gz: sp.csr_matrix
-    L: sp.csr_matrix
-
-
-@dataclass
 class TetMesh:
     vertices: np.ndarray           # (n, 3) float64, meters
     tets: np.ndarray               # (m, 4) int, positively oriented
@@ -93,7 +79,7 @@ class TetMesh:
         return g
 
     @cached_property
-    def operators(self) -> DiscreteOperators:
+    def laplacian(self) -> sp.csr_matrix:
         """``build_operators(self)``, built on first read and kept."""
         return build_operators(self)
 
@@ -289,25 +275,12 @@ def write_medit(path: str | Path, vertices: np.ndarray, tets: np.ndarray):
 # Discrete operators
 
 
-def build_operators(mesh: TetMesh) -> DiscreteOperators:
-    """Per-tet gradient operators Gx/Gy/Gz and the cotangent Laplacian L.
-
-    Gradients reproduce affine fields exactly; L is the P1 stiffness matrix
-    sum_t vol_t * G_t^T G_t, symmetric with zero row sums.
-    """
-    grads = mesh.grads                  # (m, 4, 3)
-    m, n = mesh.num_tets, mesh.num_vertices
-    rows = np.repeat(np.arange(m), 4)
-    cols = mesh.tets.ravel()
-    ops = []
-    for axis in range(3):
-        G = sp.csr_matrix((grads[:, :, axis].ravel(), (rows, cols)), shape=(m, n))
-        ops.append(G)
-
-    # Stiffness assembly: per-tet 4x4 block vol * g g^T.
-    local = np.einsum("t,tia,tja->tij", mesh.volumes, grads, grads)   # (m, 4, 4)
-    L = assemble(local, mesh.tets, n)
-    return DiscreteOperators(Gx=ops[0], Gy=ops[1], Gz=ops[2], L=L)
+def build_operators(mesh: TetMesh) -> sp.csr_matrix:
+    """The cotangent Laplacian L, the P1 stiffness matrix
+    sum_t vol_t * G_t^T G_t: symmetric, with zero row sums and off-diagonal
+    signs kept as they are."""
+    local = np.einsum("t,tia,tja->tij", mesh.volumes, mesh.grads, mesh.grads)
+    return assemble(local, mesh.tets, mesh.num_vertices)
 
 
 def assemble(blocks: np.ndarray, dofs: np.ndarray, size: int) -> sp.csr_matrix:

@@ -17,30 +17,34 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, NumericalError
 from .fem import solve_cholesky, solve_supported
-from .mesh import DiscreteOperators, TetMesh, pieces
+from .mesh import TetMesh, pieces
 
 
-def directional_gradient(ops: DiscreteOperators, v: np.ndarray) -> sp.csr_matrix:
-    """Per-tet derivative along one direction vector per tet, each row's
-    columns in sorted order."""
+def directional_gradient(mesh: TetMesh, v: np.ndarray) -> sp.csr_matrix:
+    """Per-tet derivative along one direction vector per tet, (m, n), from
+    ``mesh.grads``: grad(lambda_i) . v_t, summed over the axes in order,
+    exact zeros dropped and each row's columns sorted."""
     v = np.asarray(v, dtype=float)
-    if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] != ops.Gx.shape[0]:
+    m = mesh.num_tets
+    if v.shape != (m, 3):
         raise ConfigError("need one 3-vector per tet")
-    return (
-        sp.diags(v[:, 0]) @ ops.Gx
-        + sp.diags(v[:, 1]) @ ops.Gy
-        + sp.diags(v[:, 2]) @ ops.Gz
-    ).tocsr().sorted_indices()
+    g, v = mesh.grads, v[:, None, :]
+    data = g[..., 0] * v[..., 0] + g[..., 1] * v[..., 1] + g[..., 2] * v[..., 2]
+    indptr = np.arange(0, 4 * m + 1, 4)
+    G = sp.csr_matrix((data.ravel(), mesh.tets.ravel(), indptr),
+                      shape=(m, mesh.num_vertices))
+    G.eliminate_zeros()
+    return G.sorted_indices()
 
 
 def objective_terms(
-    ops: DiscreteOperators, frames: np.ndarray
+    mesh: TetMesh, frames: np.ndarray
 ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Spacing block D (3m x 3n) and orthogonality block O (6m x 3n).
 
     phi is stacked component-major: (phi_1; phi_2; phi_3).
     """
-    G = [directional_gradient(ops, frames[:, :, k]) for k in range(3)]
+    G = [directional_gradient(mesh, frames[:, :, k]) for k in range(3)]
     D = sp.block_diag(G, format="csr")
     Z = sp.csr_matrix(G[0].shape)
     O = sp.vstack(
@@ -58,13 +62,13 @@ def objective_terms(
 
 
 def evaluate_objective(
-    ops: DiscreteOperators, frames: np.ndarray, phi: np.ndarray, beta: float
+    mesh: TetMesh, frames: np.ndarray, phi: np.ndarray, beta: float
 ) -> float:
     """beta |D x - 1|^2 + |O x|^2 for ``objective_terms``' D and O, taken
     from the directional gradients G_k without building D and O. The
     residuals are stacked in D's and O's row order, so the float is the
     same."""
-    G = [directional_gradient(ops, frames[:, :, k]) for k in range(3)]
+    G = [directional_gradient(mesh, frames[:, :, k]) for k in range(3)]
     phi = np.asarray(phi, dtype=float)
     rd = np.concatenate([g @ phi[:, k] for k, g in enumerate(G)]) - 1.0
     ro = np.concatenate([G[k] @ phi[:, j] for k in range(3) for j in range(3)
@@ -76,7 +80,6 @@ def solve_parametrization(
     mesh: TetMesh,
     frames: np.ndarray,
     beta: float = 1.0,
-    ops: DiscreteOperators | None = None,
     *,
     systems: list | None = None,
 ) -> np.ndarray:
@@ -94,7 +97,6 @@ def solve_parametrization(
     """
     if beta <= 0:
         raise ConfigError("beta must be positive")
-    ops = ops or mesh.operators
     n = mesh.num_vertices
 
     # A disconnected mesh has one constant null vector per piece and
@@ -105,7 +107,7 @@ def solve_parametrization(
             "parametrization system singular beyond the translation gauge: "
             f"mesh has {ncomp} disconnected components"
         )
-    G = [directional_gradient(ops, frames[:, :, k]) for k in range(3)]
+    G = [directional_gradient(mesh, frames[:, :, k]) for k in range(3)]
     GtG = [g.T @ g for g in G]
     phi = np.empty((n, 3))
     for k in range(3):

@@ -53,6 +53,18 @@ def _artifact(out: Path, stage: str) -> Path:
     return path
 
 
+def _read_array(out: Path, stage: str, kind: str, name: str,
+                shape: tuple[int, ...]) -> np.ndarray:
+    """The array ``name`` of the field ``stage`` wrote; ArtifactError naming
+    the file if the array does not have the ``shape`` the mesh needs."""
+    path = _artifact(out, stage)
+    arr = artifacts.read_field(path, kind=kind, names=(name,))[1][name]
+    if arr.shape != shape:
+        raise ArtifactError(f"{path}: {name} has shape {arr.shape}, the mesh "
+                            f"needs {shape}")
+    return arr
+
+
 def _write_record(out: Path, stage: str, record: dict) -> str:
     """The stage's record of what it did, as one line of JSON with sorted
     keys; floats keep every digit."""
@@ -91,9 +103,9 @@ def _stage_fea(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
 
 def _stage_frames(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
     mesh = load_mesh()
-    _, arr = artifacts.read_field(_artifact(out, "fea"), kind="stress",
-                                  names=("sigma_plus",))
-    ff = fit_frame_field(mesh, arr["sigma_plus"], cfg.frame_fit)
+    sigma_plus = _read_array(out, "fea", "stress", "sigma_plus",
+                             (mesh.num_tets, 3, 3))
+    ff = fit_frame_field(mesh, sigma_plus, cfg.frame_fit)
     name = _ARTIFACT_FILES["frames"]
     artifacts.write_field(out / name, {
         "omega": ff.omega,
@@ -107,12 +119,10 @@ def _stage_frames(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
 
 def _stage_param(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
     mesh = load_mesh()
-    _, arr = artifacts.read_field(_artifact(out, "frames"), kind="frames",
-                                  names=("frames",))
-    ops = mesh.operators
+    frames = _read_array(out, "frames", "frames", "frames",
+                         (mesh.num_tets, 3, 3))
     systems: list[dict] = []
-    phi = solve_parametrization(mesh, arr["frames"], cfg.beta, ops=ops,
-                                systems=systems)
+    phi = solve_parametrization(mesh, frames, cfg.beta, systems=systems)
     phi_tilde = perturb_parametrization(normalize_and_scale(phi, cfg.rho),
                                         mesh.tets, cfg.epsilon)
     name = _ARTIFACT_FILES["param"]
@@ -122,7 +132,7 @@ def _stage_param(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
     }, meta={"beta": cfg.beta, "rho": cfg.rho, "epsilon": cfg.epsilon},
         kind="param")
 
-    objective = evaluate_objective(ops, arr["frames"], phi, cfg.beta)
+    objective = evaluate_objective(mesh, frames, phi, cfg.beta)
     spans = phi_tilde.max(axis=0) - phi_tilde.min(axis=0)
     record = _write_record(out, "param", {
         "objective": objective, "systems": systems,
@@ -133,9 +143,8 @@ def _stage_param(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
 
 def _stage_extract(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
     mesh = load_mesh()
-    _, arr = artifacts.read_field(_artifact(out, "param"), kind="param",
-                                  names=("phi_tilde",))
-    params = arr["phi_tilde"]
+    params = _read_array(out, "param", "param", "phi_tilde",
+                         (mesh.num_vertices, 3))
     interior = extract_3d(mesh, params)
     features = None
     if cfg.features.enabled:
@@ -238,7 +247,8 @@ STAGE_VERSIONS = {s: 1 for s in STAGE_ORDER}
 def run_stage(stage: str, cfg: PipelineConfig,
               out_dir: str | Path | None = None) -> list[Path]:
     """Run one stage (or 'pipeline' for all, in order); returns the files
-    written. Stage errors (MemoryError as NumericalError) name the stage.
+    written. Stage errors (MemoryError as NumericalError, a failed write as
+    ArtifactError) name the stage.
     A stage calls ``load_mesh()``: the first call builds the mesh."""
     if stage != "pipeline" and stage not in _STAGE_FUNCS:
         raise ConfigError(
@@ -259,10 +269,14 @@ def run_stage(stage: str, cfg: PipelineConfig,
     for s in stages:
         try:
             files = _STAGE_FUNCS[s](cfg, out, load_mesh)
+            artifacts.update_manifest(out, cfg_hash, s, STAGE_VERSIONS[s],
+                                      files)
         except (ConfigError, NumericalError, ArtifactError) as exc:
             raise type(exc)(f"{s}: {exc}") from exc
         except MemoryError as exc:
             raise NumericalError(f"{s}: out of memory: {exc}") from exc
-        artifacts.update_manifest(out, cfg_hash, s, STAGE_VERSIONS[s], files)
+        except OSError as exc:  # a write; the readers raise ArtifactError
+            raise ArtifactError(f"{s}: cannot write {exc.filename or out}: "
+                                f"{exc.strerror or exc}") from exc
         written.extend(out / f for f in files)
     return written

@@ -565,6 +565,24 @@ def test_cli_field_lacking_arrays_exits_4(pipeline_out, tmp_path,
     assert f"field artifact {path} lacks ['sigma_plus']" in caplog.text
 
 
+@pytest.mark.parametrize("stage, name, array, shape, need", [
+    ("frames", "fea.field", "sigma_plus", (144, 3, 3), (216, 3, 3)),
+    ("param", "frames.field", "frames", (144, 3, 3), (216, 3, 3)),
+    ("extract", "param.field", "phi_tilde", (63, 3), (84, 3)),
+], ids=["frames", "param", "extract"])
+def test_cli_field_of_another_mesh_exits_4(pipeline_out, tmp_path,
+                                           monkeypatch, caplog, stage, name,
+                                           array, shape, need):
+    # The fields of the 6 x 2 x 2 box, read for a 6 x 2 x 3 one.
+    _, out, _ = pipeline_out
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    doc = json.loads(json.dumps(SMALL_BAR_DOC))
+    doc["mesh"]["divisions"] = [6, 2, 3]
+    assert _main_in_process(monkeypatch, tmp_path, stage, doc) == 4
+    assert (f"artifact error: {stage}: {tmp_path / name}: {array} has shape "
+            f"{shape}, the mesh needs {need}") in caplog.text
+
+
 def _assert_verify_rejects(pipeline_out, tmp_path, monkeypatch, caplog,
                            doc: dict, message: str):
     """``--stage verify`` on ``doc`` exits 2 with ``message`` and leaves the
@@ -854,7 +872,7 @@ def test_frames_log_records_inner_solves(pipeline_out):
     # grad_norm is that of the last inner solve's final gradient.
     _, grad = total_energy_grad(fit["omega"], fea["sigma_plus"],
                                 outer[-1]["alpha"], mesh.tets,
-                                build_operators(mesh).L)
+                                build_operators(mesh))
     assert outer[-1]["grad_norm"] == np.linalg.norm(grad)
 
 
@@ -952,10 +970,11 @@ def test_run_stage_builds_one_mesh_and_one_operator_set(tmp_path,
     counted(pipeline, "mesh_from_config", "mesh")
     counted(mesh_module, "build_operators", "operators")
     cfg = parse_config(SMALL_BAR_DOC)
-    # The stages share the mesh and its operators; a single stage builds
-    # what it reads, and simplify reads no mesh.
+    # The stages share the mesh and its Laplacian; a single stage builds
+    # what it reads: only frames reads the Laplacian, and simplify reads no
+    # mesh.
     for stage, want in (("pipeline", (1, 1)), ("frames", (1, 1)),
-                        ("param", (1, 1)), ("extract", (1, 0)),
+                        ("param", (1, 0)), ("extract", (1, 0)),
                         ("simplify", (0, 0))):
         builds.update(mesh=0, operators=0)
         run_stage(stage, cfg, out_dir=tmp_path)
@@ -1063,6 +1082,8 @@ def _unreadable(tmp_path, case):
            "mesh-directory": tmp_path / "part.mesh",
            "field-directory": out / "fea.field",
            "manifest-directory": out / "manifest.json",
+           "written-field-directory": out / "fea.field",
+           "written-obj-directory": out / "truss.obj",
            "out-is-a-file": out}[case]
     if case == "config-not-utf8":
         cfg.write_bytes(b'{"rho": "\xff"}')
@@ -1071,6 +1092,8 @@ def _unreadable(tmp_path, case):
         out.write_text("")
     else:
         bad.mkdir()
+    if case == "written-obj-directory":
+        artifacts.write_graph(out / "graph_simplified.json", _sample_graph())
     doc = SMALL_BAR_DOC
     if case == "mesh-directory":
         doc = {**SMALL_BAR_DOC, "mesh": {"path": "part.mesh"}}
@@ -1086,10 +1109,13 @@ def _unreadable(tmp_path, case):
     ("out-is-a-file", "fea", 2),
     ("field-directory", "frames", 4),
     ("manifest-directory", "fea", 4),
+    ("written-field-directory", "fea", 4),
+    ("written-obj-directory", "geometry", 4),
 ])
 def test_cli_unreadable_path_fails_by_name(tmp_path, case, stage, code):
     # Config, mesh and output-directory failures exit 2; artifact and
-    # manifest failures exit 4. Each names the path, with no traceback.
+    # manifest failures, read or written, exit 4. Each names the path, with
+    # no traceback.
     bad, cfg, out = _unreadable(tmp_path, case)
     r = _run_cli("--config", str(cfg), "--stage", stage, "--out", str(out))
     assert r.returncode == code, r.stderr

@@ -230,7 +230,7 @@ def test_incidence_sums_and_scatters_like_indexing():
     mesh = box_mesh((2, 2, 1), jitter=0.05)
     rng = np.random.default_rng(4)
     m, n = mesh.num_tets, mesh.num_vertices
-    L = build_operators(mesh).L
+    L = build_operators(mesh)
     fit = fit_constants(random_spd_field(rng, m), mesh.tets, L)
     omega = rng.standard_normal((n, 3))
     sl = fit.SL @ omega
@@ -246,7 +246,7 @@ def test_incidence_sums_and_scatters_like_indexing():
 
 def test_smooth_energy_examples():
     mesh = box_mesh((2, 2, 2), jitter=0.05)
-    L = build_operators(mesh).L
+    L = build_operators(mesh)
     n = mesh.num_vertices
     assert smooth_energy(np.zeros((n, 3)), L) == 0.0
     c = np.array([0.3, -0.2, 0.9])
@@ -260,7 +260,7 @@ def test_smooth_energy_examples():
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(23)
     mesh = box_mesh((1, 1, 1))
-    L = build_operators(mesh).L
+    L = build_operators(mesh)
     tets = mesh.tets
     n = mesh.num_vertices
     for trial in range(100):
@@ -283,7 +283,7 @@ def test_gradient_at_stationary_point():
     # that produces it (zero rotation) on a single tet, alpha = 0.
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
     mesh = TetMesh(verts, np.array([[0, 1, 2, 3]]))
-    L = build_operators(mesh).L
+    L = build_operators(mesh)
     sp3 = np.diag([30.0, 15.5, 1.0])[None]
     omega = np.array([[0.1, 0, 0], [-0.1, 0, 0], [0.2, 0, 0], [-0.2, 0, 0]])
     _, g = total_energy_grad(omega, sp3, 0.0, mesh.tets, L)
@@ -297,7 +297,7 @@ def test_gradient_at_stationary_point():
 def test_gradient_alpha_dominated():
     rng = np.random.default_rng(31)
     mesh = box_mesh((1, 1, 2), jitter=0.05)
-    L = build_operators(mesh).L
+    L = build_operators(mesh)
     sp3 = random_spd_field(rng, mesh.num_tets)
     omega = rng.standard_normal((mesh.num_vertices, 3))
     alpha = 1e9

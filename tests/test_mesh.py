@@ -265,36 +265,39 @@ def test_boundary_normals_point_outward():
     assert (dots > 0).all()
 
 
+def tet_gradient(mesh, f):
+    """The per-tet gradient (m, 3) of the P1 field f, from ``mesh.grads``."""
+    return np.einsum("tia,ti->ta", mesh.grads, f[mesh.tets])
+
+
 def test_affine_reproduction():
     rng = np.random.default_rng(7)
     mesh = box_mesh((3, 3, 3), jitter=0.1)
-    ops = build_operators(mesh)
     for _ in range(20):
         a = rng.standard_normal(3)
         c = rng.standard_normal()
         f = mesh.vertices @ a + c
-        g = np.stack([ops.Gx @ f, ops.Gy @ f, ops.Gz @ f], axis=1)
+        g = tet_gradient(mesh, f)
         err = np.abs(g - a).max() / max(np.abs(a).max(), 1.0)
         assert err <= 1e-10
 
 
 def test_gradient_examples():
     mesh = bar_mesh(jitter=0.05)
-    ops = build_operators(mesh)
     x = mesh.vertices
-    f1 = x[:, 0]
-    np.testing.assert_allclose(ops.Gx @ f1, 1.0, atol=1e-10)
-    np.testing.assert_allclose(ops.Gy @ f1, 0.0, atol=1e-10)
-    np.testing.assert_allclose(ops.Gz @ f1, 0.0, atol=1e-10)
-    f2 = 2 * x[:, 0] + 3 * x[:, 1] - x[:, 2]
-    np.testing.assert_allclose(ops.Gx @ f2, 2.0, atol=1e-9)
-    np.testing.assert_allclose(ops.Gy @ f2, 3.0, atol=1e-9)
-    np.testing.assert_allclose(ops.Gz @ f2, -1.0, atol=1e-9)
+    g1 = tet_gradient(mesh, x[:, 0])
+    np.testing.assert_allclose(g1[:, 0], 1.0, atol=1e-10)
+    np.testing.assert_allclose(g1[:, 1], 0.0, atol=1e-10)
+    np.testing.assert_allclose(g1[:, 2], 0.0, atol=1e-10)
+    g2 = tet_gradient(mesh, 2 * x[:, 0] + 3 * x[:, 1] - x[:, 2])
+    np.testing.assert_allclose(g2[:, 0], 2.0, atol=1e-9)
+    np.testing.assert_allclose(g2[:, 1], 3.0, atol=1e-9)
+    np.testing.assert_allclose(g2[:, 2], -1.0, atol=1e-9)
 
 
 def test_laplacian_properties():
     mesh = box_mesh((2, 3, 2), jitter=0.1)
-    L = build_operators(mesh).L
+    L = build_operators(mesh)
     assert (L != L.T).nnz == 0
     rowsum = np.asarray(L.sum(axis=1)).ravel()
     assert np.abs(rowsum).max() <= 1e-12
@@ -388,13 +391,12 @@ def test_grads_and_operators_are_built_once_and_shared(monkeypatch):
     assert mesh.grads.shape == (mesh.num_tets, 4, 3)
     with pytest.raises(ValueError, match="read-only"):
         mesh.grads[0, 0, 0] = 1.0
-    assert mesh.operators is mesh.operators
+    assert mesh.laplacian is mesh.laplacian
     assert len(builds) == 1 and builds[0] is mesh
-    # A direct call still builds a fresh set, equal to the kept one.
+    # A direct call still builds a fresh Laplacian, equal to the kept one.
     fresh = mesh_module.build_operators(mesh)
-    assert fresh is not mesh.operators and len(builds) == 2
-    for name in ("Gx", "Gy", "Gz", "L"):
-        _same_csr(getattr(fresh, name), getattr(mesh.operators, name))
+    assert fresh is not mesh.laplacian and len(builds) == 2
+    _same_csr(fresh, mesh.laplacian)
 
 
 @pytest.mark.parametrize("make_mesh", [
@@ -402,11 +404,11 @@ def test_grads_and_operators_are_built_once_and_shared(monkeypatch):
 def test_assembly_matches_triplet_oracle(make_mesh, monkeypatch):
     mesh = make_mesh()
     mat = fem.Material(young_modulus=2.3e9, poisson_ratio=0.35)
-    K, L = fem.assemble_stiffness(mesh, mat), build_operators(mesh).L
+    K, L = fem.assemble_stiffness(mesh, mat), build_operators(mesh)
     monkeypatch.setattr(fem, "assemble", triplet_assemble)
     monkeypatch.setattr(mesh_module, "assemble", triplet_assemble)
     _same_csr(K, fem.assemble_stiffness(mesh, mat))
-    _same_csr(L, build_operators(mesh).L)
+    _same_csr(L, build_operators(mesh))
 
 
 def test_assembly_sums_repeated_and_skips_unused_dofs():
