@@ -300,10 +300,14 @@ def solve_cholesky(A, b: np.ndarray, what: str,
     return _accepted(A, b, x, what, "banded Cholesky")
 
 
-def solve_lu(A, b: np.ndarray, what: str) -> np.ndarray:
+def solve_lu(A, b: np.ndarray, what: str,
+             systems: list | None = None) -> np.ndarray:
     """Solution x of the symmetric A x = b by SuperLU in symmetric mode,
-    accepted as ``_accepted`` says; an exactly singular factor fails, and a
+    accepted as ``_accepted`` says; A's ``dofs`` and ``nnz`` are appended to
+    ``systems`` as one dict. An exactly singular factor fails, and a
     MemoryError names the system."""
+    if systems is not None:
+        systems.append({"dofs": A.shape[0], "nnz": A.nnz})
     try:
         A = A.tocsc()
         x = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,

@@ -187,13 +187,15 @@ def _stage_simplify(cfg: PipelineConfig, out: Path, _) -> list[str]:
 
 def _stage_geometry(cfg: PipelineConfig, out: Path, _) -> list[str]:
     g = artifacts.read_graph(_artifact(out, "simplify"))
-    tri = emit_geometry(g, cfg.radius_policy, sides=cfg.geometry.sides)
+    skipped: dict[str, int] = {}
+    tri = emit_geometry(g, cfg.radius_policy, sides=cfg.geometry.sides,
+                        record=skipped)
     write_obj(tri, out / "truss.obj")
     write_ply(tri, out / "truss.ply")
     write_lines_obj(g, out / "graph_lines.obj")
     record = _write_record(out, "geometry", {
         "vertices": len(tri.vertices), "triangles": tri.num_triangles,
-        "sides": cfg.geometry.sides,
+        "sides": cfg.geometry.sides, **skipped,
     })
     return ["truss.obj", "truss.ply", "graph_lines.obj", record]
 
@@ -217,12 +219,13 @@ def _stage_verify(cfg: PipelineConfig, out: Path, _) -> list[str]:
     g = artifacts.read_graph(_artifact(out, "simplify"))
     model = build_truss_model(g, cfg.material, cfg.radius_policy,
                               cfg.boundary_conditions)
-    result = frame_fem(model)
+    systems: list[dict] = []
+    result = frame_fem(model, systems=systems)
     lam = load_factor(model, result)
     write_report(out / "report.txt", model, result, lam)
     combined = np.abs(result.axial_stress) + np.abs(result.bending_stress)
     record = _write_record(out, "verify", {
-        "lambda_star": lam,
+        "lambda_star": lam, "systems": systems,
         "max_utilization":
             float(combined.max()) / cfg.material.yield_strength,
         "max_displacement":

@@ -206,9 +206,12 @@ def _prism_faces(sides: int) -> np.ndarray:
     return np.array(tris, dtype=np.int64)
 
 
-def emit_geometry(g: TrussGraph, radius_policy, sides: int = 8) -> TriangleMesh:
+def emit_geometry(g: TrussGraph, radius_policy, sides: int = 8, *,
+                  record: dict | None = None) -> TriangleMesh:
     """Capped prism per element, icosahedral ball per node (once, at the
-    largest incident radius). Primitives overlap; no boolean union."""
+    largest incident radius). Primitives overlap; no boolean union.
+    Elements shorter than ZERO_LENGTH are skipped with a GeometryWarning;
+    ``record``, if given, gets their count as "skipped_zero_length"."""
     if sides < 3:
         raise ConfigError("sides must be at least 3")
     radii = resolve_radii(g.families, radius_policy)
@@ -217,6 +220,8 @@ def emit_geometry(g: TrussGraph, radius_policy, sides: int = 8) -> TriangleMesh:
     lengths = row_norms(axis)
     keep = lengths >= ZERO_LENGTH                # the rest keep their order
     skipped = int(np.count_nonzero(~keep))
+    if record is not None:
+        record["skipped_zero_length"] = skipped
     ends, r = g.elements[keep], radii[keep]
     node_radius = np.zeros(g.num_nodes)
     np.maximum.at(node_radius, ends.ravel(), np.repeat(r, 2))
@@ -249,15 +254,19 @@ def emit_geometry(g: TrussGraph, radius_policy, sides: int = 8) -> TriangleMesh:
 
 def _write_rows(fh, line: str, a: np.ndarray):
     """Writes ``line % row`` for each row of a, one ``%`` per 4,096 rows so
-    that a is never held whole as Python objects (``%r`` is a float's repr)."""
+    that a is never held whole as Python objects; ``%`` reads Python floats
+    (``%r`` is a float's repr, ``%.9g`` round-trips a float32's)."""
     for i in range(0, len(a), 4096):
         block = a[i:i + 4096]
         fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_obj(mesh: TriangleMesh, path):
+    """Triangle OBJ of the float32 vertices ``write_ply`` stores, each
+    coordinate at ``%.9g``, which parses back to the same float32."""
     with open(path, "w") as fh:
-        _write_rows(fh, "v %r %r %r\n", mesh.vertices)
+        _write_rows(fh, "v %.9g %.9g %.9g\n",
+                    mesh.vertices.astype(np.float32))
         _write_rows(fh, "f %d %d %d\n", mesh.triangles + 1)
         if not len(mesh.vertices) + len(mesh.triangles):
             fh.write("\n")                  # no lines: one empty line

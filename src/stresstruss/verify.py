@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -169,7 +170,9 @@ def _assemble(model: TrussModel, lam, k_loc):
     return assemble(k_glob, dofs, 6 * n)
 
 
-def frame_fem(model: TrussModel) -> FrameResult:
+def frame_fem(model: TrussModel, *, systems: list | None = None
+              ) -> FrameResult:
+    """Static solve; ``systems`` gets the free-DOF system, as solve_lu's."""
     g = model.graph
     n = g.num_nodes
     lengths, lam = _element_frames(model)
@@ -189,7 +192,8 @@ def frame_fem(model: TrussModel) -> FrameResult:
     f = model.loads.ravel()
     held = np.nonzero(model.fixed.ravel())[0]
     d = solve_supported(K, f, held, np.zeros(len(held)),
-                        lambda A, b: solve_lu(A, b, "frame stiffness"))
+                        lambda A, b: solve_lu(A, b, "frame stiffness",
+                                              systems))
 
     reactions = (K @ d - f).reshape(n, 6)
     ne = g.num_elements
@@ -233,25 +237,22 @@ def write_report(path, model: TrussModel, result: FrameResult,
     g = model.graph
     yield_s = model.material.yield_strength
     combined = np.abs(result.axial_stress) + np.abs(result.bending_stress)
-    lines = [
-        "truss verification report",
-        f"nodes {g.num_nodes} elements {g.num_elements}",
-        f"yield_strength {yield_s:.6e}",
+    text = (
+        "truss verification report\n"
+        f"nodes {g.num_nodes} elements {g.num_elements}\n"
+        f"yield_strength {yield_s:.6e}\n"
         "element family length_m area_m2 sigma_axial_pa sigma_bending_pa "
-        "utilization",
-    ]
-    lengths = g.element_lengths()
-    for eidx in range(g.num_elements):
-        lines.append(
-            f"{eidx} {g.families[eidx]} {lengths[eidx]:.6e} "
-            f"{model.areas[eidx]:.6e} {result.axial_stress[eidx]:+.6e} "
-            f"{result.bending_stress[eidx]:.6e} "
-            f"{combined[eidx] / yield_s:.6e}"
-        )
+        "utilization\n"
+    )
+    rows = zip(range(g.num_elements), g.families,
+               g.element_lengths().tolist(), model.areas.tolist(),
+               result.axial_stress.tolist(), result.bending_stress.tolist(),
+               (combined / yield_s).tolist())
+    text += ("%d %s %.6e %.6e %+.6e %.6e %.6e\n" * g.num_elements
+             % tuple(chain.from_iterable(rows)))
     if g.num_elements:
         worst = int(np.argmax(combined))
-        lines.append(f"max_stress_element {worst} "
-                     f"combined {combined[worst]:.6e}")
-    lines.append(f"lambda_star {lambda_star:.9e}")
+        text += f"max_stress_element {worst} combined {combined[worst]:.6e}\n"
+    text += f"lambda_star {lambda_star:.9e}\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)

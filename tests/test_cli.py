@@ -797,9 +797,9 @@ def test_verify_stage_solves_once_and_matches_capacity(pipeline_out,
     solves, seen = [], {}
     frame_fem, write_report = verify.frame_fem, pipeline.write_report
 
-    def counted(model):
+    def counted(model, **kw):
         solves.append(model)
-        return frame_fem(model)
+        return frame_fem(model, **kw)
 
     def captured(path, model, result, lam):
         seen["model"], seen["lam"] = model, lam
@@ -924,6 +924,26 @@ def test_logs_record_solved_systems(pipeline_out):
     param = systems("param")
     assert [s[0] for s in param] == [mesh.num_vertices - 1] * 3
     assert all(0 < w < n < nnz for n, nnz, w in [fea] + param)
+
+
+def test_verify_record_holds_its_frame_system(pipeline_out, monkeypatch):
+    cfg, out, _ = pipeline_out
+    (system,) = _record(out, "verify")["systems"]
+    assert list(system) == ["dofs", "nnz"]
+    g = artifacts.read_graph(out / "graph_simplified.json")
+    model = verify.build_truss_model(g, cfg.material, cfg.radius_policy,
+                                     cfg.boundary_conditions)
+    assert system["dofs"] == 6 * g.num_nodes - int(model.fixed.sum())
+    solved = []
+
+    def capture(A, b, what, *record):
+        solved.append(A)
+        return fem.solve_lu(A, b, what, *record)
+    monkeypatch.setattr(verify, "solve_lu", capture)
+    systems = []
+    verify.frame_fem(model, systems=systems)
+    (A,) = solved
+    assert systems == [system] == [{"dofs": A.shape[0], "nnz": A.nnz}]
 
 
 def test_frames_log_counts_unconverged_solves(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import shutil
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stresstruss import artifacts
+from stresstruss.config import parse_config
 from stresstruss.errors import ConfigError
 from stresstruss.extract import (
     TAG_RANK,
@@ -39,6 +42,7 @@ from stresstruss.postprocess import (
     write_obj,
     write_ply,
 )
+from stresstruss.pipeline import run_stage
 
 
 def _graph(positions, tags, elements, families, params=None):
@@ -454,10 +458,10 @@ def test_emit_matches_per_element_oracle_bitwise(seed, sides):
     assert got.triangles.tobytes() == want.triangles.tobytes()
 
 
-def _reference_lines_file(path, points, cells, tag):
+def _reference_lines_file(path, points, cells, tag, coord=repr):
     lines = []
     for v in points:
-        lines.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
+        lines.append("v " + " ".join(coord(float(x)) for x in v))
     for c in cells:
         lines.append(tag + "".join(f" {i + 1}" for i in c))
     with open(path, "w") as fh:
@@ -480,7 +484,8 @@ def test_writers_match_per_row_oracle_bytes(tmp_path, cube_graph):
     got, want = tmp_path / "got.obj", tmp_path / "want.obj"
     for mesh, g in cases:
         write_obj(mesh, got)
-        _reference_lines_file(want, mesh.vertices, mesh.triangles, "f")
+        _reference_lines_file(want, mesh.vertices, mesh.triangles, "f",
+                              coord=lambda x: f"{float(np.float32(x)):.9g}")
         assert got.read_bytes() == want.read_bytes()
         write_lines_obj(g, got)
         _reference_lines_file(want, g.positions, g.elements, "l")
@@ -524,9 +529,38 @@ def test_emit_zero_length_warns():
         [[0, 0, 0], [0, 0, 0]], ["interior_grid", "interior_grid"],
         [[0, 1]], ["iso1"],
     )
+    record = {}
     with pytest.warns(GeometryWarning, match="zero-length"):
-        mesh = emit_geometry(g, 0.01, sides=8)
+        mesh = emit_geometry(g, 0.01, sides=8, record=record)
     assert mesh.num_triangles == 0
+    assert record == {"skipped_zero_length": 1}
+    g.positions[1, 0] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        emit_geometry(g, 0.01, sides=8, record=record)
+    assert record == {"skipped_zero_length": 0}
+
+
+def test_geometry_record_counts_skipped_zero_length(tmp_path):
+    """The geometry stage, run on a simplified graph with one zero-length
+    member, counts it in geometry.json."""
+    cfg = parse_config({
+        "mesh": {"fixture": "cube", "n": 2},
+        "material": {"young_modulus": 1e9, "poisson_ratio": 0.3},
+        "boundary_conditions": {"dirichlet": [{"selector": {
+            "type": "box", "min": [-1.0] * 3, "max": [1.0] * 3}}]},
+        "radius_policy": 0.01,
+    })
+    g = _graph(
+        [[0, 0, 0], [0, 0, 0], [1, 0, 0]], ["interior_grid"] * 3,
+        [[0, 1], [1, 2]], ["iso1"] * 2,
+    )
+    artifacts.write_graph(tmp_path / "graph_simplified.json", g)
+    with pytest.warns(GeometryWarning, match="skipped 1 zero-length"):
+        run_stage("geometry", cfg, out_dir=tmp_path)
+    record = json.loads((tmp_path / "geometry.json").read_text())
+    assert record["skipped_zero_length"] == 1
+    assert record["triangles"] == 28 + 2 * 20
 
 
 def test_emit_bbox(cube_graph):
@@ -568,7 +602,7 @@ def test_writers(tmp_path):
     assert sum(1 for ln in text if ln.startswith("v ")) == len(mesh.vertices)
     assert sum(1 for ln in text if ln.startswith("f ")) == mesh.num_triangles
     first = float(text[0].split()[1])
-    assert abs(first - mesh.vertices[0, 0]) < 1e-15
+    assert first == float(np.float32(mesh.vertices[0, 0]))
 
     ply = tmp_path / "out.ply"
     write_ply(mesh, ply)
@@ -590,3 +624,24 @@ def test_writers(tmp_path):
     ply2 = tmp_path / "out2.ply"
     write_ply(mesh, ply2)
     assert ply2.read_bytes() == ply.read_bytes()
+
+
+def test_obj_vertices_are_the_ply_float32_vertices(bar_frames, tmp_path):
+    """On the bending bar's pipeline, truss.obj's vertex rows parsed as
+    float32 are exactly truss.ply's vertex block."""
+    cfg, frames_out = bar_frames
+    for name in ("fea.field", "frames.field"):
+        shutil.copy(frames_out / name, tmp_path / name)
+    for stage in ("param", "extract", "simplify", "geometry"):
+        run_stage(stage, cfg, out_dir=tmp_path)
+    blob = (tmp_path / "truss.ply").read_bytes()
+    header_end = blob.index(b"end_header\n") + len(b"end_header\n")
+    (count,) = [int(ln.split()[2]) for ln in blob[:header_end].decode()
+                .splitlines() if ln.startswith("element vertex")]
+    ply = np.frombuffer(blob[header_end:header_end + 12 * count], dtype="<f4")
+    rows = [ln.split()[1:] for ln in
+            (tmp_path / "truss.obj").read_text().splitlines()
+            if ln.startswith("v ")]
+    obj = np.array(rows, dtype=np.float32).ravel()
+    assert count > 0 and obj.shape == ply.shape
+    assert obj.tobytes() == ply.tobytes()

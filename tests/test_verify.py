@@ -384,6 +384,56 @@ def test_report_writer(tmp_path):
     assert len(body) == model.graph.num_elements
 
 
+def reference_write_report(path, model, result, lambda_star):
+    """write_report's former per-row writer, kept as its oracle."""
+    g = model.graph
+    yield_s = model.material.yield_strength
+    combined = np.abs(result.axial_stress) + np.abs(result.bending_stress)
+    lines = [
+        "truss verification report",
+        f"nodes {g.num_nodes} elements {g.num_elements}",
+        f"yield_strength {yield_s:.6e}",
+        "element family length_m area_m2 sigma_axial_pa sigma_bending_pa "
+        "utilization",
+    ]
+    lengths = g.element_lengths()
+    for eidx in range(g.num_elements):
+        lines.append(
+            f"{eidx} {g.families[eidx]} {lengths[eidx]:.6e} "
+            f"{model.areas[eidx]:.6e} {result.axial_stress[eidx]:+.6e} "
+            f"{result.bending_stress[eidx]:.6e} "
+            f"{combined[eidx] / yield_s:.6e}"
+        )
+    if g.num_elements:
+        worst = int(np.argmax(combined))
+        lines.append(f"max_stress_element {worst} "
+                     f"combined {combined[worst]:.6e}")
+    lines.append(f"lambda_star {lambda_star:.9e}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_report_matches_per_row_oracle_bytes(seed, tmp_path):
+    g, mat, radii, bcs = random_frame_case(seed)
+    model = build_truss_model(g, mat, radii, bcs)
+    solved = frame_fem(model)
+    # Negative, zero and negative-zero stresses beside the solved ones.
+    axial = solved.axial_stress.copy()
+    bending = solved.bending_stress.copy()
+    axial[:4] = [-3.5e7, 0.0, -0.0, 1e-300]
+    bending[:3] = [0.0, 2.5e6, 0.0]
+    result = FrameResult(solved.displacements, solved.reactions,
+                         solved.axial_force, axial, bending)
+    assert (axial < 0).any() and (axial > 0).any()
+    got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+    lam = capacity(model)
+    write_report(got, model, result, lam)
+    reference_write_report(want, model, result, lam)
+    assert got.read_bytes() == want.read_bytes()
+    assert b"-0.000000e+00" in got.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # Oracle: the per-element frame FEM that frame_fem computes in batch.
 
@@ -567,9 +617,9 @@ def test_frame_solve_matches_spsolve(seed, monkeypatch):
     g, mat, radii, bcs = random_frame_case(seed)
     systems = []
 
-    def capture(A, b, what):
+    def capture(A, b, what, *record):
         systems.append((A, b))
-        return solve_lu(A, b, what)
+        return solve_lu(A, b, what, *record)
 
     monkeypatch.setattr(verify, "solve_lu", capture)
     frame_fem(build_truss_model(g, mat, radii, bcs))
