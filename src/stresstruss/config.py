@@ -16,18 +16,10 @@ from pathlib import Path
 
 from . import selectors
 from .errors import ConfigError
-from .extract import FAMILIES, PARAM_TOL
+from .extract import FAMILIES
 from .fem import BoundaryConditions, Dirichlet, Material, Neumann
 from .fixtures import FIXTURES
 from .frames import FrameFitConfig
-
-
-@dataclass
-class SimplifyParams:
-    length_threshold: float | None = None    # absolute, m; None = factor rule
-    length_factor: float = 0.05              # of median element length
-    remove_interior_hits: bool = True
-    preserve_features: bool = True
 
 
 @dataclass
@@ -51,8 +43,6 @@ class PipelineConfig:
     frame_fit: FrameFitConfig = field(default_factory=FrameFitConfig)
     beta: float = 1.0
     rho: float = 4.0
-    epsilon: float = 1e-7
-    simplify: SimplifyParams = field(default_factory=SimplifyParams)
     radius_policy: float | dict = 0.02
     geometry: GeometryParams = field(default_factory=GeometryParams)
     features: FeatureParams = field(default_factory=FeatureParams)
@@ -99,6 +89,8 @@ _FLAGS = (lambda v: isinstance(v, list) and len(v) == 3
           and all(isinstance(a, bool) for a in v), "3 booleans")
 _NUMBER = (selectors.is_number, "a finite number")
 _POSITIVE = (lambda v: selectors.is_number(v) and v > 0, "a positive number")
+_FRACTION = (lambda v: selectors.is_number(v) and 0.0 < v < 1.0,
+             "a number in (0, 1)")
 _COSINE = (lambda v: selectors.is_number(v) and -1.0 < v <= 1.0,
            "a number in (-1, 1]")
 _DIVISIONS = (lambda v: isinstance(v, list) and len(v) == 3
@@ -114,19 +106,17 @@ _BCS = {"dirichlet": _LIST, "neumann": _LIST,
         "gravity": _or_null(selectors.POINT)}
 _DIRICHLET = {"selector": _OBJECT, "axes": _FLAGS, "value": selectors.POINT}
 _NEUMANN = {"selector": _OBJECT, "force": selectors.POINT}
-# Frame-fit kinds follow the types of FrameFitConfig's defaults.
-_FRAME_FIT = {k: _count(0) if isinstance(v, int) else _NUMBER
-              for k, v in vars(FrameFitConfig()).items()}
-_SIMPLIFY = {"length_threshold": _or_null(selectors.NON_NEGATIVE),
-             "length_factor": selectors.NON_NEGATIVE,
-             "remove_interior_hits": _FLAG, "preserve_features": _FLAG}
+# gtol > 0 and at least one inner step: a stop test no gradient can pass,
+# or no step at all, never converges.
+_FRAME_FIT = {"outer_iterations": _count(1), "alpha_decay": _FRACTION,
+              "gtol": _POSITIVE, "max_inner_iterations": _count(1)}
 _GEOMETRY = {"sides": _count(3)}
 _FEATURES = {"enabled": _FLAG, "cos_threshold": _COSINE}
 # One radius for all members, or an object of radii by family.
 _RADIUS = (lambda v: isinstance(v, dict) or _POSITIVE[0](v),
            "a positive number or an object of them")
-_SCALARS = {"beta": _POSITIVE, "rho": _POSITIVE, "epsilon": _NUMBER,
-            "radius_policy": _RADIUS, "out_dir": _STRING}
+_SCALARS = {"beta": _POSITIVE, "rho": _POSITIVE, "radius_policy": _RADIUS,
+            "out_dir": _STRING}
 
 
 def _section(doc, name: str, kinds: dict) -> dict:
@@ -209,14 +199,6 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> PipelineConfig:
 
     frame_fit = FrameFitConfig(**_section(doc.get("frame_fit", {}),
                                           "frame_fit", _FRAME_FIT))
-    _require(frame_fit.outer_iterations >= 1,
-             "frame_fit.outer_iterations must be >= 1")
-    _require(0.0 < frame_fit.alpha_decay < 1.0,
-             "frame_fit.alpha_decay must lie in (0, 1)")
-    # A stop test no gradient can pass, or no step at all, never converges.
-    _require(frame_fit.gtol > 0, "frame_fit.gtol must be positive")
-    _require(frame_fit.max_inner_iterations >= 1,
-             "frame_fit.max_inner_iterations must be >= 1")
 
     # The top-level values a config holds.
     given = _floats({k: _check(doc[k], k, kind)
@@ -230,8 +212,6 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> PipelineConfig:
         mesh=mesh, material=material,
         boundary_conditions=_parse_bcs(doc.get("boundary_conditions", {})),
         frame_fit=frame_fit,
-        simplify=SimplifyParams(**_floats(
-            _section(doc.get("simplify", {}), "simplify", _SIMPLIFY))),
         geometry=GeometryParams(**_section(doc.get("geometry", {}),
                                            "geometry", _GEOMETRY)),
         features=FeatureParams(**_floats(_section(
@@ -248,9 +228,6 @@ def parse_config(doc: dict, base_dir: Path | str = ".") -> PipelineConfig:
                    and (f != "feature" or cfg.features.enabled)]
         _require("default" in policy or not missing, "radius_policy has no "
                  f"'default' and no radius for element family(ies) {missing}")
-    # A smaller move cannot clear extract's integer tolerance.
-    _require(4 * PARAM_TOL <= cfg.epsilon <= 1e-3,
-             f"epsilon must lie in [{4 * PARAM_TOL:g}, 1e-3]")
     return cfg
 
 

@@ -48,6 +48,8 @@ class Material:
             raise ConfigError("young_modulus must be positive")
         if not (-1.0 < self.poisson_ratio < 0.5):
             raise ConfigError("poisson_ratio must lie in (-1, 0.5)")
+        if self.density < 0:
+            raise ConfigError("density must be non-negative")
         if self.yield_strength <= 0:
             raise ConfigError("yield_strength must be positive")
 

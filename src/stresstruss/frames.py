@@ -191,18 +191,14 @@ def fit_constants(M: np.ndarray, tets: np.ndarray,
                         sp.vstack([S, L], format="csr"), S.T.tocsr())
 
 
-def total_energy_grad(omega: np.ndarray, M: np.ndarray, alpha: float,
-                      tets: np.ndarray, L: sp.spmatrix, *,
-                      fit: FitConstants | None = None):
-    """Data + alpha * smoothness energy and its per-vertex gradient, for the
-    SPD stress surrogate M (m, 3, 3). Repeated callers pass ``fit =
-    fit_constants(M, tets, L)``, which stands in for M, tets and L.
+def total_energy_grad(omega: np.ndarray, alpha: float, fit: FitConstants):
+    """Data + alpha * smoothness energy and its per-vertex gradient, for
+    ``fit = fit_constants(M, tets, L)`` of the SPD stress surrogate M
+    (m, 3, 3).
 
     Zero-length vertex vectors are perturbed before differentiation, so the
     gradient is defined everywhere, including the all-zero start."""
     omega = perturb_zero_rows(omega)
-    if fit is None:
-        fit = fit_constants(M, tets, L)
     m = fit.M.shape[2]
     sl = fit.SL @ omega                               # S w over L w
     e_data, grad_s = _data_energy_grad_s(np.ascontiguousarray(sl[:m].T),
@@ -233,10 +229,9 @@ def fit_frame_field(
     cfg.gtol solve.
     """
     cfg = config or FrameFitConfig()
-    L = mesh.laplacian
     tets = mesh.tets
     n = mesh.num_vertices
-    fit = fit_constants(M, tets, L)
+    fit = fit_constants(M, tets, mesh.laplacian)
 
     omega = np.zeros((n, 3))
     alpha = ALPHA0_FACTOR * mesh.num_tets
@@ -247,8 +242,7 @@ def fit_frame_field(
         gtol = cfg.gtol if last else CONTINUATION_GTOL * cfg.gtol
 
         def fun(x, _alpha=alpha):
-            e, g = total_energy_grad(x.reshape(n, 3), M, _alpha, tets, L,
-                                     fit=fit)
+            e, g = total_energy_grad(x.reshape(n, 3), _alpha, fit)
             return e, g.ravel()
 
         for attempt in range(LINE_SEARCH_RETRIES + 1):

@@ -124,13 +124,12 @@ def _stage_param(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
     systems: list[dict] = []
     phi = solve_parametrization(mesh, frames, cfg.beta, systems=systems)
     phi_tilde = perturb_parametrization(normalize_and_scale(phi, cfg.rho),
-                                        mesh.tets, cfg.epsilon)
+                                        mesh.tets)
     name = _ARTIFACT_FILES["param"]
     artifacts.write_field(out / name, {
         "phi": phi,
         "phi_tilde": phi_tilde,
-    }, meta={"beta": cfg.beta, "rho": cfg.rho, "epsilon": cfg.epsilon},
-        kind="param")
+    }, meta={"beta": cfg.beta, "rho": cfg.rho}, kind="param")
 
     objective = evaluate_objective(mesh, frames, phi, cfg.beta)
     spans = phi_tilde.max(axis=0) - phi_tilde.min(axis=0)
@@ -163,15 +162,9 @@ def _stage_extract(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
 
 def _stage_simplify(cfg: PipelineConfig, out: Path, _) -> list[str]:
     g = artifacts.read_graph(_artifact(out, "extract"))
-    thr = cfg.simplify.length_threshold
-    if thr is None:
-        thr = default_length_threshold(g, cfg.simplify.length_factor)
+    thr = default_length_threshold(g)
     passes: dict[str, int] = {}
-    g2 = simplify(
-        g, length_threshold=thr,
-        remove_interior_hits=cfg.simplify.remove_interior_hits,
-        preserve_features=cfg.simplify.preserve_features, record=passes,
-    )
+    g2 = simplify(g, thr, remove_interior_hits=True, record=passes)
     name = _ARTIFACT_FILES["simplify"]
     artifacts.write_graph(out / name, g2)
     record = _write_record(out, "simplify", {

@@ -27,7 +27,7 @@ from stresstruss.config import (
 from stresstruss.errors import ArtifactError, ConfigError
 from stresstruss.extract import TrussGraph
 from stresstruss.frames import (CONTINUATION_GTOL, data_energy_total,
-                                total_energy_grad)
+                                fit_constants, total_energy_grad)
 from stresstruss.mesh import build_operators, write_medit
 from stresstruss.fixtures import box_mesh, unit_cube_mesh
 from stresstruss.pipeline import STAGE_ORDER, mesh_from_config, run_stage
@@ -71,10 +71,6 @@ FULL_DOC = {
     "frame_fit": {"outer_iterations": 5},
     "beta": 0.5,
     "rho": 3.0,
-    "epsilon": 5e-8,
-    "simplify": {"length_threshold": 0.01, "length_factor": 0.1,
-                 "remove_interior_hits": False,
-                 "preserve_features": False},
     "radius_policy": {"default": 0.01, "feature": 0.02},
     "geometry": {"sides": 6},
     "features": {"enabled": True, "cos_threshold": 0.8},
@@ -83,8 +79,7 @@ FULL_DOC = {
 
 
 def test_config_roundtrip_identity():
-    # SMALL_BAR_DOC leaves gravity and length_threshold unset: null in
-    # the canonical form.
+    # SMALL_BAR_DOC leaves gravity unset: null in the canonical form.
     for doc in (FULL_DOC, SMALL_BAR_DOC):
         cfg = parse_config(doc)
         d1 = config_to_dict(cfg)
@@ -106,19 +101,22 @@ def test_config_defaults():
     cfg = parse_config({"mesh": {"fixture": "bar"},
                         "material": {"young_modulus": 1e9,
                                      "poisson_ratio": 0.3}})
-    assert cfg.beta == 1.0 and cfg.rho == 4.0 and cfg.epsilon == 1e-7
+    assert cfg.beta == 1.0 and cfg.rho == 4.0
     assert cfg.geometry.sides == 8 and cfg.out_dir == "out"
     assert cfg.frame_fit.outer_iterations == 30
-    assert cfg.simplify.remove_interior_hits is True
 
 
 @pytest.mark.parametrize("mutate, match", [
     (lambda d: d.update(bogus=1), "unknown config keys"),
     (lambda d: d.update(beta=0.0), "beta"),
     (lambda d: d.update(epsilon=0.0), "epsilon"),
-    # A move of 1e-12 cannot clear extract's 1e-9 integer tolerance.
-    pytest.param(lambda d: d.update(epsilon=1e-12), "^epsilon must lie in",
-                 id="epsilon-below-tolerance"),
+    # The integer-guard perturbation and the contraction rule are fixed
+    # behaviour, not settings.
+    pytest.param(lambda d: d.update(epsilon=1e-7),
+                 r"^unknown config keys: \['epsilon'\]", id="removed-epsilon"),
+    pytest.param(lambda d: d.update(simplify={}),
+                 r"^unknown config keys: \['simplify'\]",
+                 id="removed-simplify"),
     (lambda d: d.update(geometry={"sides": 2}), "sides"),
     (lambda d: d.update(frame_fit={"alpha_decay": 1.0}), "alpha_decay"),
     (lambda d: d.update(mesh={"fixture": "pyramid"}), "unknown fixture"),
@@ -161,14 +159,15 @@ def test_config_defaults():
                  "^frame_fit.outer_iterations must be an integer",
                  id="outer-iterations-fraction"),
     pytest.param(lambda d: d.update(frame_fit={"gtol": "a"}),
-                 "^frame_fit.gtol must be a finite number", id="gtol"),
+                 "^frame_fit.gtol must be a positive number", id="gtol"),
     # Values no inner solve can ever converge with.
     pytest.param(lambda d: d.update(frame_fit={"gtol": -1.0}),
-                 "^frame_fit.gtol must be positive", id="gtol-negative"),
+                 "^frame_fit.gtol must be a positive number",
+                 id="gtol-negative"),
     pytest.param(lambda d: d.update(frame_fit={"gtol": 0.0}),
-                 "^frame_fit.gtol must be positive", id="gtol-zero"),
+                 "^frame_fit.gtol must be a positive number", id="gtol-zero"),
     pytest.param(lambda d: d.update(frame_fit={"max_inner_iterations": 0}),
-                 "^frame_fit.max_inner_iterations must be >= 1",
+                 "^frame_fit.max_inner_iterations must be an integer >= 1",
                  id="max-inner-iterations-zero"),
     # Early stop and the three solver constants are no longer settings.
     pytest.param(lambda d: d.update(frame_fit={"early_stop": False}),
@@ -215,9 +214,9 @@ def test_config_defaults():
                  id="box-without-divisions"),
     pytest.param(lambda d: d.update(mesh={"fixture": 5}),
                  "^mesh.fixture must be a string", id="fixture-number"),
-    pytest.param(lambda d: d.update(simplify={"remove_interior_hits": "no"}),
-                 "^simplify.remove_interior_hits must be true or false",
-                 id="remove-interior-hits"),
+    # A negative density would turn gravity upward in fea only.
+    pytest.param(lambda d: d["material"].update(density=-1100.0),
+                 "^density must be non-negative", id="density-negative"),
     pytest.param(lambda d: d.update(geometry={"sides": 3.7}),
                  "^geometry.sides must be an integer >= 3",
                  id="sides-fraction"),
@@ -280,9 +279,9 @@ def test_fixture_defaults_come_from_fixtures():
 def test_config_hash_pinned():
     # Any change to the canonical form changes every manifest's hash.
     assert config_hash(parse_config(SMALL_BAR_DOC)) == (
-        "20754ca0e3868f9143883f87f7cce7d0eb6974cc2263d58fe8001018cf4553c5")
+        "7422e2136cc8a5f0376e6bf69dbec72d7fdc7b90fd73fc1826d2fbd1a6c6cfb4")
     assert config_hash(parse_config(FULL_DOC)) == (
-        "eb8de336ee645cc81fe672666614bde359b7796844a2c9295532752be146722b")
+        "912410ba272121e373078cc1d3beeef3a3485b39940d8607c1710c8173ff6625")
 
 
 def test_config_hash_changes_with_content():
@@ -870,20 +869,22 @@ def test_frames_log_records_inner_solves(pipeline_out):
     energy = data_energy_total(fit["omega"], fea["sigma_plus"], mesh.tets)
     assert outer[-1]["energy"] == energy
     # grad_norm is that of the last inner solve's final gradient.
-    _, grad = total_energy_grad(fit["omega"], fea["sigma_plus"],
-                                outer[-1]["alpha"], mesh.tets,
-                                build_operators(mesh))
+    _, grad = total_energy_grad(
+        fit["omega"], outer[-1]["alpha"],
+        fit_constants(fea["sigma_plus"], mesh.tets, build_operators(mesh)))
     assert outer[-1]["grad_norm"] == np.linalg.norm(grad)
 
 
 def test_simplify_log_records_passes_and_pieces(pipeline_out):
-    cfg, out, _ = pipeline_out
+    _, out, _ = pipeline_out
     simplified = _record(out, "simplify")
     g = artifacts.read_graph(out / "graph.json")
+    # The stage contracts below 5% of the median length and removes hits.
+    assert simplified["length_threshold"] == \
+        postprocess.default_length_threshold(g)
     record = {}
     postprocess.simplify(g, simplified["length_threshold"],
-                         cfg.simplify.remove_interior_hits,
-                         cfg.simplify.preserve_features, record=record)
+                         remove_interior_hits=True, record=record)
     assert record["passes_a"] >= 1 and record["passes_b"] >= 1
     assert simplified["contraction_passes"] == {
         "phase_a": record["passes_a"], "phase_b": record["passes_b"]}

@@ -72,6 +72,10 @@ def test_material_validation():
         Material(young_modulus=1.0, poisson_ratio=0.5)
     with pytest.raises(ConfigError):
         Material(young_modulus=1.0, poisson_ratio=0.3, yield_strength=0.0)
+    # Gravity on a negative density would point up in fea, and verify
+    # drops it.
+    with pytest.raises(ConfigError, match="^density must be non-negative"):
+        Material(young_modulus=1.0, poisson_ratio=0.3, density=-1100.0)
 
 
 def test_selectors():

@@ -267,12 +267,13 @@ def test_gradient_matches_finite_differences():
         sp3 = random_spd_field(rng, mesh.num_tets)
         omega = rng.standard_normal((n, 3))
         alpha = float(rng.choice([0.0, 0.5, 3.0]))
-        e0, g = total_energy_grad(omega, sp3, alpha, tets, L)
+        fit = fit_constants(sp3, tets, L)
+        e0, g = total_energy_grad(omega, alpha, fit)
         d = rng.standard_normal((n, 3))
         d /= np.linalg.norm(d)
         h = 1e-6 * max(np.linalg.norm(omega), 1.0)
-        ep, _ = total_energy_grad(omega + h * d, sp3, alpha, tets, L)
-        em, _ = total_energy_grad(omega - h * d, sp3, alpha, tets, L)
+        ep, _ = total_energy_grad(omega + h * d, alpha, fit)
+        em, _ = total_energy_grad(omega - h * d, alpha, fit)
         fd = (ep - em) / (2 * h)
         an = float((g * d).sum())
         assert abs(an - fd) <= 1e-4 * max(abs(fd), 1e-8), f"trial {trial}"
@@ -286,11 +287,12 @@ def test_gradient_at_stationary_point():
     L = build_operators(mesh)
     sp3 = np.diag([30.0, 15.5, 1.0])[None]
     omega = np.array([[0.1, 0, 0], [-0.1, 0, 0], [0.2, 0, 0], [-0.2, 0, 0]])
-    _, g = total_energy_grad(omega, sp3, 0.0, mesh.tets, L)
+    fit = fit_constants(sp3, mesh.tets, L)
+    _, g = total_energy_grad(omega, 0.0, fit)
     assert np.linalg.norm(g) <= 1e-6
     # All-zero omega lands sqrt(machine eps) away from the stationary point,
     # so the gradient is small but not zero.
-    _, g0 = total_energy_grad(np.zeros((4, 3)), sp3, 0.0, mesh.tets, L)
+    _, g0 = total_energy_grad(np.zeros((4, 3)), 0.0, fit)
     assert np.linalg.norm(g0) <= 1e-5
 
 
@@ -301,7 +303,7 @@ def test_gradient_alpha_dominated():
     sp3 = random_spd_field(rng, mesh.num_tets)
     omega = rng.standard_normal((mesh.num_vertices, 3))
     alpha = 1e9
-    _, g = total_energy_grad(omega, sp3, alpha, mesh.tets, L)
+    _, g = total_energy_grad(omega, alpha, fit_constants(sp3, mesh.tets, L))
     quad = alpha * (np.column_stack([L @ omega[:, c] for c in range(3)]) + omega)
     assert np.abs(g - quad).max() <= 1e-6 * np.abs(quad).max()
 
