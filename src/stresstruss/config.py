@@ -20,6 +20,7 @@ from .extract import FAMILIES
 from .fem import BoundaryConditions, Dirichlet, Material, Neumann
 from .fixtures import FIXTURES
 from .frames import FrameFitConfig
+from .mesh import mesh_format
 
 
 @dataclass
@@ -166,6 +167,7 @@ def _parse_mesh(doc, base_dir: Path) -> dict:
              "mesh needs exactly one of 'path' or 'fixture'")
     if has_path:
         _section(doc, "mesh", _MESH_FILE)
+        mesh_format(doc["path"], doc.get("format"))
         p = (base_dir / doc["path"]).resolve()
         _require(p.exists(), f"mesh file does not exist: {p}")
     else:

@@ -16,6 +16,8 @@ fill of a truss graph small. On the seed-0 frame systems of the dense bar,
 bar and 8x box it solves in 51, 23 and 14 ms, against 104, 44 and 23 ms in
 COLAMD order and 230, 90 and 106 ms by banded Cholesky (one BLAS thread).
 Both accept a solution by the same backward-error rule (``_accepted``).
+Given a caller's ``record`` dict, each appends its system to the record's
+``systems`` list, and ``solve_static`` adds its energies.
 """
 
 from __future__ import annotations
@@ -44,14 +46,15 @@ class Material:
     yield_strength: float = 1.0     # Pa
 
     def __post_init__(self):
-        if self.young_modulus <= 0:
-            raise ConfigError("young_modulus must be positive")
-        if not (-1.0 < self.poisson_ratio < 0.5):
-            raise ConfigError("poisson_ratio must lie in (-1, 0.5)")
-        if self.density < 0:
-            raise ConfigError("density must be non-negative")
-        if self.yield_strength <= 0:
-            raise ConfigError("yield_strength must be positive")
+        for key, ok, what in (
+                ("young_modulus", self.young_modulus > 0, "positive number"),
+                ("poisson_ratio", -1.0 < self.poisson_ratio < 0.5,
+                 "number in (-1, 0.5)"),
+                ("density", self.density >= 0, "number >= 0"),
+                ("yield_strength", self.yield_strength > 0,
+                 "positive number")):
+            if not ok:
+                raise ConfigError(f"material.{key} must be a {what}")
 
     @property
     def lame(self) -> tuple[float, float]:
@@ -171,11 +174,11 @@ _RIGID_NAMES = (
 
 
 def solve_static(mesh: TetMesh, material: Material, bcs: BoundaryConditions,
-                 *, return_system: bool = False, systems: list | None = None):
-    """Static displacement field u, shape (n, 3) meters, or (u, K, f) with
-    the assembled stiffness and load vector when ``return_system`` is set.
-    The reduced stiffness system's ``dofs``, ``nnz`` and ``bandwidth`` are
-    appended to ``systems`` as one dict.
+                 *, record: dict | None = None) -> np.ndarray:
+    """Static displacement field u, shape (n, 3) meters. ``record``, if
+    given, gets the reduced system under ``systems``, as ``solve_cholesky``
+    appends it, and ``strain_energy`` u.K u / 2, ``external_work`` f.u / 2
+    and their relative ``energy_balance_gap``, from this solve's K and f.
 
     Raises ConfigError for under-specified constraints and NumericalError
     with the unconstrained rigid modes named when the reduced system is
@@ -199,9 +202,13 @@ def solve_static(mesh: TetMesh, material: Material, bcs: BoundaryConditions,
             f"{npieces} face-connected pieces free)"
         )
     u = solve_supported(K, f, fixed, fixed_vals, lambda A, b:
-                        solve_cholesky(A, b, "stiffness", systems))
-    u = u.reshape(-1, 3)
-    return (u, K, f) if return_system else u
+                        solve_cholesky(A, b, "stiffness", record))
+    if record is not None:
+        energy, work = 0.5 * float(u @ (K @ u)), 0.5 * float(f @ u)
+        record.update(strain_energy=energy, external_work=work,
+                      energy_balance_gap=abs(energy - work)
+                      / max(abs(energy), 1e-300))
+    return u.reshape(-1, 3)
 
 
 def free_rigid_motions(positions: np.ndarray, members: np.ndarray,
@@ -274,19 +281,19 @@ def solve_supported(K, f: np.ndarray, held: np.ndarray, values: np.ndarray,
 
 
 def solve_cholesky(A, b: np.ndarray, what: str,
-                   systems: list | None = None) -> np.ndarray:
+                   record: dict | None = None) -> np.ndarray:
     """Solution x of the symmetric positive definite A x = b by LAPACK
     banded Cholesky in reverse Cuthill-McKee order; A's ``dofs``, ``nnz``
-    and ``bandwidth`` are appended to ``systems`` as one dict. Accepted as
+    and ``bandwidth`` go to ``record["systems"]`` as one dict. Accepted as
     ``_accepted`` says, so a matrix that is not numerically positive
     definite fails by name, and a MemoryError names the system and its band
     storage."""
     perm = reverse_cuthill_mckee(A, symmetric_mode=True)
     P = sp.triu(A[perm][:, perm], format="coo")     # the upper band
     width = int((P.col - P.row).max(initial=0))
-    if systems is not None:
-        systems.append({"dofs": A.shape[0], "nnz": A.nnz,
-                        "bandwidth": width})
+    if record is not None:
+        record.setdefault("systems", []).append(
+            {"dofs": A.shape[0], "nnz": A.nnz, "bandwidth": width})
     try:
         band = np.zeros((width + 1, A.shape[0]), order="F")  # upper band storage
         band[width + P.row - P.col, P.col] = P.data
@@ -303,13 +310,14 @@ def solve_cholesky(A, b: np.ndarray, what: str,
 
 
 def solve_lu(A, b: np.ndarray, what: str,
-             systems: list | None = None) -> np.ndarray:
+             record: dict | None = None) -> np.ndarray:
     """Solution x of the symmetric A x = b by SuperLU in symmetric mode,
-    accepted as ``_accepted`` says; A's ``dofs`` and ``nnz`` are appended to
-    ``systems`` as one dict. An exactly singular factor fails, and a
-    MemoryError names the system."""
-    if systems is not None:
-        systems.append({"dofs": A.shape[0], "nnz": A.nnz})
+    accepted as ``_accepted`` says; A's ``dofs`` and ``nnz`` go to
+    ``record["systems"]`` as one dict. An exactly singular factor fails, and
+    a MemoryError names the system."""
+    if record is not None:
+        record.setdefault("systems", []).append(
+            {"dofs": A.shape[0], "nnz": A.nnz})
     try:
         A = A.tocsc()
         x = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,

@@ -159,27 +159,33 @@ def _triangle_normals(vertices, tris):
 # File ingestion
 
 
+MESH_FORMATS = ("medit_mesh", "tetgen_pair")
+
+
+def mesh_format(path: str | Path, fmt: str | None = None) -> str:
+    """``fmt``, or if it is None the format that ``path``'s extension names;
+    MeshError naming ``mesh.format`` unless that is one of ``MESH_FORMATS``."""
+    suffix = Path(path).suffix
+    if fmt is None and suffix in (".mesh", ".node", ".ele"):
+        fmt = MESH_FORMATS[suffix != ".mesh"]
+    if fmt not in MESH_FORMATS:
+        raise MeshError(f"mesh.format must be one of {MESH_FORMATS}, or left "
+                        "out for a .mesh, .node or .ele file; got "
+                        f"{fmt!r} for {Path(path).name!r}")
+    return fmt
+
+
 def load_tet_mesh(path: str | Path, fmt: str | None = None) -> TetMesh:
     """Load a tet mesh from MEDIT ``.mesh`` or a TetGen ``.node``/``.ele`` pair.
 
-    ``fmt`` is ``"medit_mesh"`` or ``"tetgen_pair"``; inferred from the
-    extension when omitted. Inverted tets are reoriented on load.
+    ``fmt`` is one of ``MESH_FORMATS``, as ``mesh_format`` infers it when
+    omitted. Inverted tets are reoriented on load.
     """
     path = Path(path)
-    if fmt is None:
-        if path.suffix == ".mesh":
-            fmt = "medit_mesh"
-        elif path.suffix in (".node", ".ele"):
-            fmt = "tetgen_pair"
-        else:
-            raise MeshError(f"cannot infer mesh format from {path.name!r}")
+    fmt = mesh_format(path, fmt)
     try:
-        if fmt == "medit_mesh":
-            verts, tets = _read_medit(path)
-        elif fmt == "tetgen_pair":
-            verts, tets = _read_tetgen(path)
-        else:
-            raise MeshError(f"unknown mesh format {fmt!r}")
+        verts, tets = (_read_medit if fmt == "medit_mesh"
+                       else _read_tetgen)(path)
     except MeshError:
         raise
     except OSError as exc:

@@ -7,7 +7,8 @@ one translation per component; a mean-zero gauge fixes it.
 
 ``solve_parametrization`` returns phi (n, 3), and ``normalize_and_scale``
 maps it to phi_tilde (n, 3), the array that extraction reads once it is
-perturbed off the integers (``extract.perturb_parametrization``).
+perturbed off the integers (``extract.perturb_parametrization``). Given
+a stage's ``record`` dict, it appends its three solved systems there.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def solve_parametrization(
     frames: np.ndarray,
     beta: float = 1.0,
     *,
-    systems: list | None = None,
+    record: dict | None = None,
 ) -> np.ndarray:
     """Minimize the spacing/orthogonality quadratic with mean-zero gauge,
     for the (m, 3, 3) per-tet frames.
@@ -91,9 +92,9 @@ def solve_parametrization(
     H_k = beta G_k^T G_k + sum_{j != k} G_j^T G_j, right-hand side
     beta G_k^T 1. H_k is singular only up to a constant on a connected mesh,
     and the right-hand side is orthogonal to the constants, so the solve
-    with vertex 0 pinned, minus its mean, is the mean-zero minimiser. Each
-    system's ``dofs``, ``nnz`` and ``bandwidth`` are appended to
-    ``systems`` as one dict. Returns phi (n, 3).
+    with vertex 0 pinned, minus its mean, is the mean-zero minimiser. The
+    three systems go to ``record``'s ``systems``, as ``solve_cholesky``
+    appends them. Returns phi (n, 3).
     """
     if beta <= 0:
         raise ConfigError("beta must be positive")
@@ -114,7 +115,7 @@ def solve_parametrization(
         H = (beta * GtG[k] + GtG[k - 2] + GtG[k - 1]).tocsr()
         rhs = beta * (G[k].T @ np.ones(G[k].shape[0]))
         x = solve_supported(H, rhs, np.array([0]), np.zeros(1), lambda A, b:
-                            solve_cholesky(A, b, "parametrization", systems))
+                            solve_cholesky(A, b, "parametrization", record))
         phi[:, k] = x - x.mean()
     return phi
 

@@ -1,5 +1,5 @@
 """Staged execution: each stage reads the artifact of the stage it needs
-from the output directory, writes its own artifact plus a record of what
+from the output directory, writes its own artifact, fills a record of what
 it did (``<stage>.json``), and records itself in the run manifest.
 Artifacts, records and the manifest carry no timestamps, so a re-run with
 an identical config is byte-identical.
@@ -65,43 +65,26 @@ def _read_array(out: Path, stage: str, kind: str, name: str,
     return arr
 
 
-def _write_record(out: Path, stage: str, record: dict) -> str:
-    """The stage's record of what it did, as one line of JSON with sorted
-    keys; floats keep every digit."""
-    name = f"{stage}.json"
-    (out / name).write_text(json.dumps(record, sort_keys=True) + "\n")
-    return name
-
-
-def _stage_fea(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
+def _stage_fea(cfg: PipelineConfig, out: Path, load_mesh,
+               record: dict) -> list[str]:
     mesh = load_mesh()
-    systems: list[dict] = []
-    u, K, f = solve_static(mesh, cfg.material, cfg.boundary_conditions,
-                           return_system=True, systems=systems)
+    u = solve_static(mesh, cfg.material, cfg.boundary_conditions,
+                     record=record)
     field = cauchy_stress(mesh, cfg.material, u)
     sigma_plus, eigenvalues_plus = stress_spd(field)
     name = _ARTIFACT_FILES["fea"]
     artifacts.write_field(out / name, {
         "u": u, **vars(field), "sigma_plus": sigma_plus,
         "eigenvalues_plus": eigenvalues_plus}, meta={}, kind="stress")
-
-    strain_energy = 0.5 * float(u.ravel() @ (K @ u.ravel()))
-    work = 0.5 * float(f.ravel() @ u.ravel())
-    gap = abs(strain_energy - work) / max(abs(strain_energy), 1e-300)
-    record = _write_record(out, "fea", {
-        "vertices": mesh.num_vertices, "tets": mesh.num_tets,
-        "systems": systems,
-        "strain_energy": strain_energy,
-        "external_work": work,
-        "energy_balance_gap": gap,
-        "max_displacement": float(np.max(np.abs(u))),
-        "sigma_plus_eigenvalue_range": [float(eigenvalues_plus.min()),
-                                        float(eigenvalues_plus.max())],
-    })
-    return [name, record]
+    record.update(vertices=mesh.num_vertices, tets=mesh.num_tets,
+                  max_displacement=float(np.max(np.abs(u))),
+                  sigma_plus_eigenvalue_range=[float(eigenvalues_plus.min()),
+                                               float(eigenvalues_plus.max())])
+    return [name]
 
 
-def _stage_frames(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
+def _stage_frames(cfg: PipelineConfig, out: Path, load_mesh,
+                  record: dict) -> list[str]:
     mesh = load_mesh()
     sigma_plus = _read_array(out, "fea", "stress", "sigma_plus",
                              (mesh.num_tets, 3, 3))
@@ -113,16 +96,16 @@ def _stage_frames(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
     }, kind="frames")
     # One row per outer iteration; the last energy is the data energy of
     # the final omega.
-    record = _write_record(out, "frames", {"outer": ff.outer})
-    return [name, record]
+    record["outer"] = ff.outer
+    return [name]
 
 
-def _stage_param(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
+def _stage_param(cfg: PipelineConfig, out: Path, load_mesh,
+                 record: dict) -> list[str]:
     mesh = load_mesh()
     frames = _read_array(out, "frames", "frames", "frames",
                          (mesh.num_tets, 3, 3))
-    systems: list[dict] = []
-    phi = solve_parametrization(mesh, frames, cfg.beta, systems=systems)
+    phi = solve_parametrization(mesh, frames, cfg.beta, record=record)
     phi_tilde = perturb_parametrization(normalize_and_scale(phi, cfg.rho),
                                         mesh.tets)
     name = _ARTIFACT_FILES["param"]
@@ -131,16 +114,14 @@ def _stage_param(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
         "phi_tilde": phi_tilde,
     }, meta={"beta": cfg.beta, "rho": cfg.rho}, kind="param")
 
-    objective = evaluate_objective(mesh, frames, phi, cfg.beta)
     spans = phi_tilde.max(axis=0) - phi_tilde.min(axis=0)
-    record = _write_record(out, "param", {
-        "objective": objective, "systems": systems,
-        "component_spans": spans.tolist(), "rho": cfg.rho, "beta": cfg.beta,
-    })
-    return [name, record]
+    record.update(objective=evaluate_objective(mesh, frames, phi, cfg.beta),
+                  component_spans=spans.tolist(), rho=cfg.rho, beta=cfg.beta)
+    return [name]
 
 
-def _stage_extract(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
+def _stage_extract(cfg: PipelineConfig, out: Path, load_mesh,
+                   record: dict) -> list[str]:
     mesh = load_mesh()
     params = _read_array(out, "param", "param", "phi_tilde",
                          (mesh.num_vertices, 3))
@@ -152,45 +133,37 @@ def _stage_extract(cfg: PipelineConfig, out: Path, load_mesh) -> list[str]:
     g = merge_graphs([interior, surface])
     name = _ARTIFACT_FILES["extract"]
     artifacts.write_graph(out / name, g)
-
-    record = _write_record(out, "extract", {
-        "nodes": g.num_nodes, "elements": g.num_elements,
-        "family_counts": {f: g.families.count(f) for f in set(g.families)},
-    })
-    return [name, record]
+    record.update(nodes=g.num_nodes, elements=g.num_elements, family_counts={
+        f: g.families.count(f) for f in set(g.families)})
+    return [name]
 
 
-def _stage_simplify(cfg: PipelineConfig, out: Path, _) -> list[str]:
+def _stage_simplify(cfg: PipelineConfig, out: Path, _,
+                    record: dict) -> list[str]:
     g = artifacts.read_graph(_artifact(out, "extract"))
     thr = default_length_threshold(g)
-    passes: dict[str, int] = {}
-    g2 = simplify(g, thr, remove_interior_hits=True, record=passes)
+    g2 = simplify(g, thr, remove_interior_hits=True, record=record)
     name = _ARTIFACT_FILES["simplify"]
     artifacts.write_graph(out / name, g2)
-    record = _write_record(out, "simplify", {
-        "length_threshold": thr,
-        "before": {"nodes": g.num_nodes, "elements": g.num_elements},
-        "after": {"nodes": g2.num_nodes, "elements": g2.num_elements},
-        "contraction_passes": {"phase_a": passes["passes_a"],
-                               "phase_b": passes["passes_b"]},
-        "member_connected_pieces": pieces(g2.num_nodes, g2.elements)[0],
-    })
-    return [name, record]
+    record.update(
+        length_threshold=thr,
+        before={"nodes": g.num_nodes, "elements": g.num_elements},
+        after={"nodes": g2.num_nodes, "elements": g2.num_elements},
+        member_connected_pieces=pieces(g2.num_nodes, g2.elements)[0])
+    return [name]
 
 
-def _stage_geometry(cfg: PipelineConfig, out: Path, _) -> list[str]:
+def _stage_geometry(cfg: PipelineConfig, out: Path, _,
+                    record: dict) -> list[str]:
     g = artifacts.read_graph(_artifact(out, "simplify"))
-    skipped: dict[str, int] = {}
     tri = emit_geometry(g, cfg.radius_policy, sides=cfg.geometry.sides,
-                        record=skipped)
+                        record=record)
     write_obj(tri, out / "truss.obj")
     write_ply(tri, out / "truss.ply")
     write_lines_obj(g, out / "graph_lines.obj")
-    record = _write_record(out, "geometry", {
-        "vertices": len(tri.vertices), "triangles": tri.num_triangles,
-        "sides": cfg.geometry.sides, **skipped,
-    })
-    return ["truss.obj", "truss.ply", "graph_lines.obj", record]
+    record.update(vertices=len(tri.vertices), triangles=tri.num_triangles,
+                  sides=cfg.geometry.sides)
+    return ["truss.obj", "truss.ply", "graph_lines.obj"]
 
 
 def _check_verify_bcs(cfg: PipelineConfig) -> None:
@@ -208,23 +181,20 @@ def _check_verify_bcs(cfg: PipelineConfig) -> None:
         raise ConfigError(f"verify: {exc}") from exc
 
 
-def _stage_verify(cfg: PipelineConfig, out: Path, _) -> list[str]:
+def _stage_verify(cfg: PipelineConfig, out: Path, _,
+                  record: dict) -> list[str]:
     g = artifacts.read_graph(_artifact(out, "simplify"))
     model = build_truss_model(g, cfg.material, cfg.radius_policy,
                               cfg.boundary_conditions)
-    systems: list[dict] = []
-    result = frame_fem(model, systems=systems)
+    result = frame_fem(model, record=record)
     lam = load_factor(model, result)
     write_report(out / "report.txt", model, result, lam)
     combined = np.abs(result.axial_stress) + np.abs(result.bending_stress)
-    record = _write_record(out, "verify", {
-        "lambda_star": lam, "systems": systems,
-        "max_utilization":
-            float(combined.max()) / cfg.material.yield_strength,
-        "max_displacement":
-            float(np.max(np.abs(result.displacements[:, :3]))),
-    })
-    return ["report.txt", record]
+    record.update(
+        lambda_star=lam,
+        max_utilization=float(combined.max()) / cfg.material.yield_strength,
+        max_displacement=float(np.max(np.abs(result.displacements[:, :3]))))
+    return ["report.txt"]
 
 
 _STAGE_FUNCS = {
@@ -245,7 +215,9 @@ def run_stage(stage: str, cfg: PipelineConfig,
     """Run one stage (or 'pipeline' for all, in order); returns the files
     written. Stage errors (MemoryError as NumericalError, a failed write as
     ArtifactError) name the stage.
-    A stage calls ``load_mesh()``: the first call builds the mesh."""
+    A stage calls ``load_mesh()``: the first call builds the mesh. It fills
+    a fresh record dict, written after it returns as ``<stage>.json``: one
+    line of JSON with sorted keys, floats at every digit."""
     if stage != "pipeline" and stage not in _STAGE_FUNCS:
         raise ConfigError(
             f"unknown stage {stage!r}; choose from "
@@ -263,8 +235,12 @@ def run_stage(stage: str, cfg: PipelineConfig,
     written: list[Path] = []
     load_mesh = cache(lambda: mesh_from_config(cfg))
     for s in stages:
+        record: dict = {}
         try:
-            files = _STAGE_FUNCS[s](cfg, out, load_mesh)
+            files = _STAGE_FUNCS[s](cfg, out, load_mesh, record)
+            files.append(f"{s}.json")
+            (out / files[-1]).write_text(json.dumps(record, sort_keys=True)
+                                         + "\n")
             artifacts.update_manifest(out, cfg_hash, s, STAGE_VERSIONS[s],
                                       files)
         except (ConfigError, NumericalError, ArtifactError) as exc:

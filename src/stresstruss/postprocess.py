@@ -49,12 +49,14 @@ def simplify(g: TrussGraph, length_threshold: float | None = None,
     that each match every locally dominant candidate, first in key order at
     both endpoints (Preis, "Linear time 1/2-approximation algorithm for
     maximum weighted matching in general graphs", STACS 1999). ``record``,
-    if given, counts each phase's contracting passes: "passes_a", "passes_b".
+    if given, counts each phase's contracting passes under
+    "contraction_passes": "phase_a", "phase_b".
     """
     if length_threshold is None:
         length_threshold = default_length_threshold(g)
-    passes = record if record is not None else {}
-    passes.update(passes_a=0, passes_b=0)
+    passes = {"phase_a": 0, "phase_b": 0}
+    if record is not None:
+        record["contraction_passes"] = passes
     n = g.num_nodes
     if n == 0:
         return g.copy()
@@ -103,7 +105,7 @@ def simplify(g: TrussGraph, length_threshold: float | None = None,
         short = d < length_threshold
         if not contract_pass(lo[short], hi[short], d[short]):
             break
-        passes["passes_a"] += 1
+        passes["phase_a"] += 1
 
     # Phase B: eliminate hit-provenance nodes entirely.
     while remove_interior_hits:
@@ -115,7 +117,7 @@ def simplify(g: TrussGraph, length_threshold: float | None = None,
         near = order[np.diff(node[order], prepend=-1) != 0]
         if not contract_pass(node[near], other[near], d[near]):
             break
-        passes["passes_b"] += 1
+        passes["phase_b"] += 1
 
     # Compact surviving roots, preserving input order. A component made
     # entirely of hit nodes contracts to one node that must survive, or the

@@ -6,7 +6,8 @@ pin-jointed bars would form mechanisms. Node-level boundary conditions are
 derived from the volumetric ones by selector matching with a nearest-node
 fallback, which warns (``BoundaryWarning``). The capacity factor scales the
 load template until the combined |axial| + |bending| stress reaches yield,
-exact by linearity.
+exact by linearity. Given a stage's ``record`` dict, ``frame_fem`` writes
+its frame system and the members' volume there.
 """
 
 from __future__ import annotations
@@ -170,12 +171,15 @@ def _assemble(model: TrussModel, lam, k_loc):
     return assemble(k_glob, dofs, 6 * n)
 
 
-def frame_fem(model: TrussModel, *, systems: list | None = None
+def frame_fem(model: TrussModel, *, record: dict | None = None
               ) -> FrameResult:
-    """Static solve; ``systems`` gets the free-DOF system, as solve_lu's."""
+    """Static solve; ``record`` gets the free-DOF system under ``systems``,
+    as solve_lu appends it, and the members' ``member_volume``."""
     g = model.graph
     n = g.num_nodes
     lengths, lam = _element_frames(model)
+    if record is not None:
+        record["member_volume"] = float(model.areas @ lengths)
     # Members are rigidly joined, so only a piece its supports do not hold
     # can move without strain.
     members = np.column_stack([pieces(n, g.elements)[1], np.arange(n)])
@@ -193,7 +197,7 @@ def frame_fem(model: TrussModel, *, systems: list | None = None
     held = np.nonzero(model.fixed.ravel())[0]
     d = solve_supported(K, f, held, np.zeros(len(held)),
                         lambda A, b: solve_lu(A, b, "frame stiffness",
-                                              systems))
+                                              record))
 
     reactions = (K @ d - f).reshape(n, 6)
     ne = g.num_elements

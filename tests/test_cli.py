@@ -214,9 +214,29 @@ def test_config_defaults():
                  id="box-without-divisions"),
     pytest.param(lambda d: d.update(mesh={"fixture": 5}),
                  "^mesh.fixture must be a string", id="fixture-number"),
+    # A mesh file's format is checked at load, before any stage reads it.
+    pytest.param(lambda d: d.update(mesh={"path": "c.mesh",
+                                          "format": "bogus"}),
+                 r"^mesh.format must be one of \('medit_mesh', "
+                 r"'tetgen_pair'\), .* got 'bogus' for 'c.mesh'$",
+                 id="mesh-format-unknown"),
+    pytest.param(lambda d: d.update(mesh={"path": "c.msh"}),
+                 r"^mesh.format must be one of .* got None for 'c.msh'$",
+                 id="mesh-format-not-inferred"),
     # A negative density would turn gravity upward in fea only.
     pytest.param(lambda d: d["material"].update(density=-1100.0),
-                 "^density must be non-negative", id="density-negative"),
+                 "^material.density must be a number >= 0$",
+                 id="density-negative"),
+    # The other material bounds name their key too.
+    pytest.param(lambda d: d["material"].update(young_modulus=-1.0),
+                 "^material.young_modulus must be a positive number$",
+                 id="young-modulus-negative"),
+    pytest.param(lambda d: d["material"].update(poisson_ratio=0.5),
+                 r"^material.poisson_ratio must be a number in \(-1, 0.5\)$",
+                 id="poisson-ratio-bound"),
+    pytest.param(lambda d: d["material"].update(yield_strength=0.0),
+                 "^material.yield_strength must be a positive number$",
+                 id="yield-strength-zero"),
     pytest.param(lambda d: d.update(geometry={"sides": 3.7}),
                  "^geometry.sides must be an integer >= 3",
                  id="sides-fraction"),
@@ -515,7 +535,7 @@ def test_cli_malformed_artifact_exits_4(tmp_path, monkeypatch, caplog,
 
 
 def test_cli_out_of_memory_exits_3_by_stage(tmp_path, monkeypatch, caplog):
-    def exhausted(cfg, out, load_mesh):
+    def exhausted(cfg, out, load_mesh, record):
         raise MemoryError("Unable to allocate 3.1 GiB for an array")
 
     monkeypatch.setitem(pipeline._STAGE_FUNCS, "fea", exhausted)
@@ -875,7 +895,7 @@ def test_frames_log_records_inner_solves(pipeline_out):
     assert outer[-1]["grad_norm"] == np.linalg.norm(grad)
 
 
-def test_simplify_log_records_passes_and_pieces(pipeline_out):
+def test_simplify_log_records_contractions_and_pieces(pipeline_out):
     _, out, _ = pipeline_out
     simplified = _record(out, "simplify")
     g = artifacts.read_graph(out / "graph.json")
@@ -885,9 +905,9 @@ def test_simplify_log_records_passes_and_pieces(pipeline_out):
     record = {}
     postprocess.simplify(g, simplified["length_threshold"],
                          remove_interior_hits=True, record=record)
-    assert record["passes_a"] >= 1 and record["passes_b"] >= 1
-    assert simplified["contraction_passes"] == {
-        "phase_a": record["passes_a"], "phase_b": record["passes_b"]}
+    passes = record["contraction_passes"]
+    assert passes["phase_a"] >= 1 and passes["phase_b"] >= 1
+    assert simplified["contraction_passes"] == passes
     assert simplified["before"] == {"nodes": g.num_nodes,
                                     "elements": g.num_elements}
     # Pieces of the written graph, by flooding from each unseen node.
@@ -909,6 +929,45 @@ def test_simplify_log_records_passes_and_pieces(pipeline_out):
                     seen.add(v)
                     stack += nbrs[v]
     assert simplified["member_connected_pieces"] == pieces
+
+
+# The top-level keys of each stage's record, as README's record table
+# lists them.
+RECORD_KEYS = {
+    "fea": {"vertices", "tets", "systems", "strain_energy", "external_work",
+            "energy_balance_gap", "max_displacement",
+            "sigma_plus_eigenvalue_range"},
+    "frames": {"outer"},
+    "param": {"objective", "systems", "component_spans", "rho", "beta"},
+    "extract": {"nodes", "elements", "family_counts"},
+    "simplify": {"length_threshold", "before", "after", "contraction_passes",
+                 "member_connected_pieces"},
+    "geometry": {"vertices", "triangles", "sides", "skipped_zero_length"},
+    "verify": {"lambda_star", "systems", "member_volume", "max_utilization",
+               "max_displacement"},
+}
+
+
+def test_record_keys_are_pinned_and_documented(pipeline_out):
+    _, out, _ = pipeline_out
+    readme = (Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+    assert list(RECORD_KEYS) == list(STAGE_ORDER)
+    for stage, keys in RECORD_KEYS.items():
+        assert set(_record(out, stage)) == keys, stage
+        (row,) = [line for line in readme.splitlines()
+                  if line.startswith(f"| `{stage}.json` |")]
+        assert [k for k in sorted(keys) if f"`{k}`" not in row] == [], stage
+
+
+def test_verify_record_holds_member_volume(pipeline_out):
+    cfg, out, _ = pipeline_out
+    g = artifacts.read_graph(out / "graph_simplified.json")
+    p = g.positions[g.elements]
+    lengths = np.sqrt(((p[:, 1] - p[:, 0]) ** 2).sum(axis=1))
+    volume = np.pi * cfg.radius_policy ** 2 * lengths.sum()
+    assert _record(out, "verify")["member_volume"] == pytest.approx(
+        volume, rel=1e-12)
 
 
 def test_logs_record_solved_systems(pipeline_out):
@@ -941,10 +1000,11 @@ def test_verify_record_holds_its_frame_system(pipeline_out, monkeypatch):
         solved.append(A)
         return fem.solve_lu(A, b, what, *record)
     monkeypatch.setattr(verify, "solve_lu", capture)
-    systems = []
-    verify.frame_fem(model, systems=systems)
+    record = {}
+    verify.frame_fem(model, record=record)
     (A,) = solved
-    assert systems == [system] == [{"dofs": A.shape[0], "nnz": A.nnz}]
+    assert record["systems"] == [system] == [{"dofs": A.shape[0],
+                                              "nnz": A.nnz}]
 
 
 def test_frames_log_counts_unconverged_solves(tmp_path):

@@ -66,15 +66,23 @@ def patch_test_bcs(mesh, length, traction):
 
 
 def test_material_validation():
-    with pytest.raises(ConfigError):
+    # Each bound names its config key, as config load reports it.
+    with pytest.raises(ConfigError, match="^material.young_modulus must be "
+                       "a positive number$"):
         Material(young_modulus=-1.0, poisson_ratio=0.3)
-    with pytest.raises(ConfigError):
+    # A library caller's NaN fails the bound too.
+    with pytest.raises(ConfigError, match="^material.young_modulus"):
+        Material(young_modulus=float("nan"), poisson_ratio=0.3)
+    with pytest.raises(ConfigError, match=r"^material.poisson_ratio must be "
+                       r"a number in \(-1, 0.5\)$"):
         Material(young_modulus=1.0, poisson_ratio=0.5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^material.yield_strength must be "
+                       "a positive number$"):
         Material(young_modulus=1.0, poisson_ratio=0.3, yield_strength=0.0)
     # Gravity on a negative density would point up in fea, and verify
     # drops it.
-    with pytest.raises(ConfigError, match="^density must be non-negative"):
+    with pytest.raises(ConfigError,
+                       match="^material.density must be a number >= 0$"):
         Material(young_modulus=1.0, poisson_ratio=0.3, density=-1100.0)
 
 
@@ -268,11 +276,11 @@ def test_cholesky_matches_sparse_lu_on_fea_systems(make_mesh):
     held, _ = prescribed_dofs(mesh, bcs)
     free = np.setdiff1d(np.arange(len(f)), held)
     A, b = K[free][:, free], f[free]
-    systems = []
-    x = solve_cholesky(A, b, "stiffness", systems)
+    record = {}
+    x = solve_cholesky(A, b, "stiffness", record)
     ref = spla.spsolve(A.tocsc(), b)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-    (system,) = systems
+    (system,) = record["systems"]
     dofs, nnz, width = system["dofs"], system["nnz"], system["bandwidth"]
     assert (dofs, nnz) == (len(free), A.nnz) and 0 < width < dofs
 

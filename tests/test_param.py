@@ -160,11 +160,12 @@ def test_component_solves_match_kkt_oracle(bar_frames):
     cfg, out = bar_frames
     mesh = mesh_from_config(cfg)
     _, arr = artifacts.read_field(out / "frames.field", kind="frames")
-    systems = []
-    phi = solve_parametrization(mesh, arr["frames"], cfg.beta, systems=systems)
+    record = {}
+    phi = solve_parametrization(mesh, arr["frames"], cfg.beta, record=record)
     ref = kkt_oracle(mesh, arr["frames"], cfg.beta)
     assert np.linalg.norm(phi - ref) <= 1e-10 * np.linalg.norm(ref)
-    assert [s["dofs"] for s in systems] == [mesh.num_vertices - 1] * 3
+    assert [s["dofs"] for s in record["systems"]] == \
+        [mesh.num_vertices - 1] * 3
 
 
 def test_evaluate_objective_equals_d_and_o_residuals(bar_frames):

@@ -9,6 +9,8 @@ and, per configuration, readable lines for the numbers a change may move:
     elements <n>  workload/jitter           members of the simplified truss
     frames_evals <n>  workload/jitter       energy evaluations, frames.json
     final_data_energy <v>  workload/jitter  the fit's data energy, frames.json
+    member_volume <v>  workload/jitter      sum of pi r^2 L over the members
+                                            in m^3, verify.json
 
 It ends with one ``gate`` line per workload: the median and the lowest
 ``alignment_frac`` and ``lambda_star`` over its nine configurations, and
@@ -23,9 +25,11 @@ one member moves it by 1/n where it can move the median by a step.
 
 ``--root`` names the checkout whose ``src`` and ``bench`` are used (default:
 the one holding this script). The script reads the stage records
-(``frames.json``), so it cannot list a commit whose stages still wrote
-``frames.log``; list such a parent with that checkout's own script
-(``python3 ../parent-checkout/tools/ladder.py``) and diff the two. The
+(``frames.json``, and ``verify.json``'s ``member_volume``), so it cannot
+list a commit whose stages still wrote ``frames.log`` or whose
+``verify.json`` lacks ``member_volume``; list such a parent with that
+checkout's own script (``python3 ../parent-checkout/tools/ladder.py``) and
+diff the two. The
 listed commit's bench/run.py must have ``workload_doc`` and ``JITTERS``,
 and its bench/worker.py ``alignment_frac``. The configs come from
 ``workload_doc``; nothing under bench/ is written. Outputs go to a
@@ -108,11 +112,14 @@ def main(argv=None) -> int:
                 frac = alignment_frac(mesh_from_config(cfg),
                                       fea["eigenvectors"], graph)
                 evals, energy = frames_numbers(out / "frames.json")
+                volume = json.loads((out / "verify.json").read_text())[
+                    "member_volume"]
                 print(f"{lam}  {label}\n"
                       f"alignment_frac {frac:.6f}  {label}\n"
                       f"elements {graph.num_elements}  {label}\n"
                       f"frames_evals {evals}  {label}\n"
-                      f"final_data_energy {energy:.9e}  {label}",
+                      f"final_data_energy {energy:.9e}  {label}\n"
+                      f"member_volume {volume:.9e}  {label}",
                       flush=True)
                 interior = sum(f in INTERIOR_FAMILIES
                                for f in graph.families)
