@@ -86,11 +86,21 @@ class TetMesh:
     @cached_property
     def face_pairs(self) -> np.ndarray:
         """The (k, 2) pairs of tets that share a face: the interior faces,
-        which ``face_ids`` holds twice."""
+        which ``face_ids`` holds twice. Shared read-only."""
         order = np.argsort(self.face_ids, kind="stable")
         twice = self.face_ids[order[1:]] == self.face_ids[order[:-1]]
-        return (np.column_stack([order[:-1][twice], order[1:][twice]])
-                % self.num_tets)
+        pairs = (np.column_stack([order[:-1][twice], order[1:][twice]])
+                 % self.num_tets)
+        pairs.flags.writeable = False
+        return pairs
+
+    def freeze(self):
+        """Set every array of the mesh and of its boundary read-only, for
+        a mesh that callers share (``grads`` and ``face_pairs`` are
+        read-only on every mesh)."""
+        for a in (*vars(self).values(), *vars(self.boundary).values()):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     @property
     def num_vertices(self) -> int:

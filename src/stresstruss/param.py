@@ -8,7 +8,8 @@ one translation per component; a mean-zero gauge fixes it.
 ``solve_parametrization`` returns phi (n, 3), and ``normalize_and_scale``
 maps it to phi_tilde (n, 3), the array that extraction reads once it is
 perturbed off the integers (``extract.perturb_parametrization``). Given
-a stage's ``record`` dict, it appends its three solved systems there.
+a stage's ``record`` dict, it appends its three solved systems there and
+sets the ``objective`` it reached.
 """
 
 from __future__ import annotations
@@ -62,19 +63,24 @@ def objective_terms(
     return D, O
 
 
-def evaluate_objective(
-    mesh: TetMesh, frames: np.ndarray, phi: np.ndarray, beta: float
-) -> float:
+def _objective(G: list[sp.csr_matrix], phi: np.ndarray,
+               beta: float) -> float:
     """beta |D x - 1|^2 + |O x|^2 for ``objective_terms``' D and O, taken
     from the directional gradients G_k without building D and O. The
     residuals are stacked in D's and O's row order, so the float is the
     same."""
-    G = [directional_gradient(mesh, frames[:, :, k]) for k in range(3)]
-    phi = np.asarray(phi, dtype=float)
     rd = np.concatenate([g @ phi[:, k] for k, g in enumerate(G)]) - 1.0
     ro = np.concatenate([G[k] @ phi[:, j] for k in range(3) for j in range(3)
                          if j != k])
     return float(beta * (rd @ rd) + ro @ ro)
+
+
+def evaluate_objective(
+    mesh: TetMesh, frames: np.ndarray, phi: np.ndarray, beta: float
+) -> float:
+    """The quadratic ``solve_parametrization`` minimizes, at ``phi``."""
+    G = [directional_gradient(mesh, frames[:, :, k]) for k in range(3)]
+    return _objective(G, np.asarray(phi, dtype=float), beta)
 
 
 def solve_parametrization(
@@ -94,7 +100,8 @@ def solve_parametrization(
     and the right-hand side is orthogonal to the constants, so the solve
     with vertex 0 pinned, minus its mean, is the mean-zero minimiser. The
     three systems go to ``record``'s ``systems``, as ``solve_cholesky``
-    appends them. Returns phi (n, 3).
+    appends them, and the objective at phi to its ``objective``, from the
+    same G_k. Returns phi (n, 3).
     """
     if beta <= 0:
         raise ConfigError("beta must be positive")
@@ -117,6 +124,8 @@ def solve_parametrization(
         x = solve_supported(H, rhs, np.array([0]), np.zeros(1), lambda A, b:
                             solve_cholesky(A, b, "parametrization", record))
         phi[:, k] = x - x.mean()
+    if record is not None:
+        record["objective"] = _objective(G, phi, beta)
     return phi
 
 

@@ -22,8 +22,7 @@ from .fem import cauchy_stress, solve_static, stress_spd
 from .fixtures import FIXTURES
 from .frames import fit_frame_field
 from .mesh import TetMesh, feature_edges, load_tet_mesh, pieces
-from .param import evaluate_objective, normalize_and_scale, \
-    solve_parametrization
+from .param import normalize_and_scale, solve_parametrization
 from .postprocess import default_length_threshold, emit_geometry, simplify, \
     write_lines_obj, write_obj, write_ply
 from .verify import build_truss_model, check_supports, frame_fem, \
@@ -43,6 +42,27 @@ def mesh_from_config(cfg: PipelineConfig) -> TetMesh:
         return load_tet_mesh(cfg.mesh_path(), cfg.mesh.get("format"))
     args = dict(cfg.mesh)
     return FIXTURES[args.pop("fixture")](**args)
+
+
+# The last fixture mesh run_stage built, under the canonical JSON of its
+# mesh section: one entry at most.
+_kept: dict[str, TetMesh] = {}
+
+
+def _load_mesh(cfg: PipelineConfig) -> TetMesh:
+    """The kept mesh if it was built from ``cfg``'s mesh section; otherwise
+    a new ``mesh_from_config(cfg)``, which, for a fixture, is frozen and
+    kept in its place. A mesh file is read again on every call. A build
+    that fails leaves nothing kept."""
+    key = json.dumps(cfg.mesh, sort_keys=True)
+    mesh = _kept.get(key)
+    if mesh is None:
+        _kept.clear()  # never two meshes, not even while the next is built
+        mesh = mesh_from_config(cfg)
+        if "path" not in cfg.mesh:
+            mesh.freeze()
+            _kept[key] = mesh
+    return mesh
 
 
 def _artifact(out: Path, stage: str) -> Path:
@@ -115,8 +135,7 @@ def _stage_param(cfg: PipelineConfig, out: Path, load_mesh,
     }, meta={"beta": cfg.beta, "rho": cfg.rho}, kind="param")
 
     spans = phi_tilde.max(axis=0) - phi_tilde.min(axis=0)
-    record.update(objective=evaluate_objective(mesh, frames, phi, cfg.beta),
-                  component_spans=spans.tolist(), rho=cfg.rho, beta=cfg.beta)
+    record.update(component_spans=spans.tolist(), rho=cfg.rho, beta=cfg.beta)
     return [name]
 
 
@@ -215,7 +234,10 @@ def run_stage(stage: str, cfg: PipelineConfig,
     """Run one stage (or 'pipeline' for all, in order); returns the files
     written. Stage errors (MemoryError as NumericalError, a failed write as
     ArtifactError) name the stage.
-    A stage calls ``load_mesh()``: the first call builds the mesh. It fills
+    A stage calls ``load_mesh()``: the first call of a ``run_stage`` call
+    returns the fixture mesh kept from an earlier call if it was built from
+    the same mesh section, and otherwise builds the mesh, keeping a fixture
+    mesh (one per process, its arrays read-only). A stage fills
     a fresh record dict, written after it returns as ``<stage>.json``: one
     line of JSON with sorted keys, floats at every digit."""
     if stage != "pipeline" and stage not in _STAGE_FUNCS:
@@ -233,7 +255,7 @@ def run_stage(stage: str, cfg: PipelineConfig,
                           f"{exc.strerror}") from exc
     cfg_hash = config_hash(cfg)
     written: list[Path] = []
-    load_mesh = cache(lambda: mesh_from_config(cfg))
+    load_mesh = cache(lambda: _load_mesh(cfg))
     for s in stages:
         record: dict = {}
         try:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from stresstruss import artifacts
+from stresstruss import artifacts, pipeline
 from stresstruss.config import parse_config
 from stresstruss.mesh import feature_edges
 from stresstruss.pipeline import mesh_from_config, run_stage
@@ -23,6 +23,13 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture(autouse=True)
+def no_kept_mesh():
+    """Each test starts with no mesh kept by ``run_stage``, so that a mesh
+    builder it patches is the one its stages call."""
+    pipeline._kept.clear()
 
 
 @pytest.fixture(scope="session", params=[0.0, 0.110])

@@ -1039,27 +1039,64 @@ def test_unknown_stage(tmp_path):
 def test_run_stage_builds_one_mesh_and_one_operator_set(tmp_path,
                                                        monkeypatch):
     builds = {"mesh": 0, "operators": 0}
+    meshes = []
 
     def counted(module, name, what):
         build = getattr(module, name)
 
         def wrapper(*args):
             builds[what] += 1
-            return build(*args)
+            meshes.append(build(*args))
+            return meshes[-1]
         monkeypatch.setattr(module, name, wrapper)
 
     counted(pipeline, "mesh_from_config", "mesh")
     counted(mesh_module, "build_operators", "operators")
     cfg = parse_config(SMALL_BAR_DOC)
-    # The stages share the mesh and its Laplacian; a single stage builds
-    # what it reads: only frames reads the Laplacian, and simplify reads no
-    # mesh.
-    for stage, want in (("pipeline", (1, 1)), ("frames", (1, 1)),
-                        ("param", (1, 0)), ("extract", (1, 0)),
-                        ("simplify", (0, 0))):
+    # The first call builds the mesh and its Laplacian (frames reads it);
+    # later calls on the same mesh section reuse both, whatever else the
+    # config changes, and simplify reads no mesh.
+    other_rho = parse_config({**SMALL_BAR_DOC, "rho": 8.0})
+    for stage, c, want in (("pipeline", cfg, (1, 1)), ("frames", cfg, (0, 0)),
+                           ("param", cfg, (0, 0)), ("extract", cfg, (0, 0)),
+                           ("simplify", cfg, (0, 0)),
+                           ("param", other_rho, (0, 0))):
         builds.update(mesh=0, operators=0)
-        run_stage(stage, cfg, out_dir=tmp_path)
+        run_stage(stage, c, out_dir=tmp_path)
         assert (builds["mesh"], builds["operators"]) == want, stage
+    kept = meshes[0]
+    assert list(pipeline._kept.values()) == [kept]
+    # The kept mesh is shared by every later call: a write into it raises.
+    for arr in (kept.vertices, kept.tets, kept.volumes, kept.face_ids,
+                kept.boundary.triangles, kept.grads, kept.face_pairs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    # Another mesh section builds its mesh, and the kept one is replaced.
+    doc = json.loads(json.dumps(SMALL_BAR_DOC))
+    doc["mesh"]["divisions"] = [3, 1, 1]
+    builds.update(mesh=0, operators=0)
+    run_stage("fea", parse_config(doc), out_dir=tmp_path / "coarse")
+    assert builds["mesh"] == 1
+    assert list(pipeline._kept.values()) == [meshes[-1]]
+    assert meshes[-1] is not kept
+    # A mesh that fails to build fails by name on every call: it drops the
+    # kept mesh and is never kept itself.
+    tangled = parse_config({**SMALL_BAR_DOC, "mesh": {
+        **SMALL_BAR_DOC["mesh"], "jitter": 3.0}})
+    for _ in range(2):
+        with pytest.raises(ConfigError,
+                           match="^fea: mesh.jitter 3.0 tangles the mesh"):
+            run_stage("fea", tangled, out_dir=tmp_path / "coarse")
+        assert pipeline._kept == {}
+    # A mesh file is read again on every call and never kept.
+    box = box_mesh((3, 1, 1), size=(0.12, 0.04, 0.04))
+    write_medit(tmp_path / "bar.mesh", box.vertices, box.tets)
+    from_file = parse_config({**SMALL_BAR_DOC, "mesh": {"path": "bar.mesh"}},
+                             base_dir=tmp_path)
+    for _ in range(2):
+        builds.update(mesh=0)
+        run_stage("fea", from_file, out_dir=tmp_path / "file")
+        assert builds["mesh"] == 1 and pipeline._kept == {}
 
 
 def test_cli_import_loads_no_heavy_scipy_modules():

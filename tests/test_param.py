@@ -169,10 +169,11 @@ def test_component_solves_match_kkt_oracle(bar_frames):
 
 
 def test_evaluate_objective_equals_d_and_o_residuals(bar_frames):
-    # evaluate_objective skips building D and O; param.json's objective must
-    # still be the float that their residuals give, bit for bit. On the
-    # 6x3x3 box some rows of G_k are not in column order, and summing them
-    # in G_k's order would move the last bit.
+    # evaluate_objective and solve_parametrization's record skip building D
+    # and O; param.json's objective must still be the float that their
+    # residuals give, bit for bit. On the 6x3x3 box some rows of G_k are not
+    # in column order, and summing them in G_k's order would move the last
+    # bit.
     cfg, out = bar_frames
     _, arr = artifacts.read_field(out / "frames.field", kind="frames")
     box = box_mesh((6, 3, 3))
@@ -180,12 +181,15 @@ def test_evaluate_objective_equals_d_and_o_residuals(bar_frames):
     for mesh, frames, beta in ((mesh_from_config(cfg), arr["frames"],
                                 cfg.beta),
                                (box, tet_frames(s, box.tets), 1.0)):
-        phi = solve_parametrization(mesh, frames, beta)
+        record = {}
+        phi = solve_parametrization(mesh, frames, beta, record=record)
         D, O = objective_terms(mesh, frames)
         x = phi.T.ravel()
         rd, ro = D @ x - 1.0, O @ x
-        assert evaluate_objective(mesh, frames, phi, beta) == float(
-            beta * (rd @ rd) + ro @ ro)
+        want = float(beta * (rd @ rd) + ro @ ro)
+        assert evaluate_objective(mesh, frames, phi, beta) == want
+        # The solve's record holds the same float, from its own G_k.
+        assert record["objective"] == want
 
 
 def test_disconnected_mesh_rejected():
