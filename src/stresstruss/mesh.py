@@ -4,7 +4,9 @@ Meshes are inputs (no meshing here). Loaders accept MEDIT ``.mesh`` files and
 TetGen ``.node``/``.ele`` pairs, reorient inverted tets, and extract the
 boundary triangle complex. A mesh holds its linear shape-function gradients
 once (``grads``, which fea and param read) and its vertex cotangent
-Laplacian (``laplacian``, which frames reads).
+Laplacian (``laplacian``, which frames reads). A mesh copies the arrays it
+is given and holds every array read-only, its boundary's and those tables'
+included, so that callers can share it: copy an array to change it.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ class TetMesh:
     face_ids: np.ndarray = field(init=False)   # (4m,) distinct-face id of _faces
 
     def __post_init__(self):
-        self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
-        self.tets = np.ascontiguousarray(self.tets, dtype=np.int64)
+        self.vertices = np.array(self.vertices, dtype=np.float64, order="C")
+        self.tets = np.array(self.tets, dtype=np.int64, order="C")
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise MeshError("vertices must be an (n, 3) array")
         if not np.isfinite(self.vertices).all():
@@ -64,11 +66,14 @@ class TetMesh:
             raise MeshError("tet vertex index out of range")
         self._orient_and_validate()
         self.boundary = self._extract_boundary()
+        for a in (*vars(self).values(), *vars(self.boundary).values()):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     @cached_property
     def grads(self) -> np.ndarray:
         """The four linear shape functions' gradients per tet, (m, 4, 3),
-        shared read-only; ``__post_init__`` rejected degenerate tets."""
+        read-only; ``__post_init__`` rejected degenerate tets."""
         p = self.vertices[self.tets]
         E = np.transpose(p[:, 1:] - p[:, :1], (0, 2, 1))    # columns are edge vectors
         Einv = np.linalg.inv(E)
@@ -80,27 +85,22 @@ class TetMesh:
 
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
-        """``build_operators(self)``, built on first read and kept."""
-        return build_operators(self)
+        """``build_operators(self)``, built on first read, kept read-only."""
+        L = build_operators(self)
+        for a in (L.data, L.indices, L.indptr):
+            a.flags.writeable = False
+        return L
 
     @cached_property
     def face_pairs(self) -> np.ndarray:
         """The (k, 2) pairs of tets that share a face: the interior faces,
-        which ``face_ids`` holds twice. Shared read-only."""
+        which ``face_ids`` holds twice. Read-only."""
         order = np.argsort(self.face_ids, kind="stable")
         twice = self.face_ids[order[1:]] == self.face_ids[order[:-1]]
         pairs = (np.column_stack([order[:-1][twice], order[1:][twice]])
                  % self.num_tets)
         pairs.flags.writeable = False
         return pairs
-
-    def freeze(self):
-        """Set every array of the mesh and of its boundary read-only, for
-        a mesh that callers share (``grads`` and ``face_pairs`` are
-        read-only on every mesh)."""
-        for a in (*vars(self).values(), *vars(self.boundary).values()):
-            if isinstance(a, np.ndarray):
-                a.flags.writeable = False
 
     @property
     def num_vertices(self) -> int:
@@ -112,13 +112,10 @@ class TetMesh:
 
     def _orient_and_validate(self):
         vol = signed_volumes(self.vertices, self.tets)
+        # Swap two vertices of each inverted tet to restore its orientation.
         flipped = vol < 0
-        if flipped.any():
-            # Swap two vertices to restore positive orientation.
-            t = self.tets[flipped]
-            t[:, [1, 2]] = t[:, [2, 1]]
-            self.tets[flipped] = t
-            vol = np.abs(vol)
+        self.tets[flipped] = self.tets[flipped][:, [0, 2, 1, 3]]
+        vol = np.abs(vol)
         bad = np.nonzero(vol < DEGENERATE_VOLUME)[0]
         if bad.size:
             raise MeshError(f"degenerate tet (volume < {DEGENERATE_VOLUME:g}) at index {bad[0]}")

@@ -51,16 +51,15 @@ _kept: dict[str, TetMesh] = {}
 
 def _load_mesh(cfg: PipelineConfig) -> TetMesh:
     """The kept mesh if it was built from ``cfg``'s mesh section; otherwise
-    a new ``mesh_from_config(cfg)``, which, for a fixture, is frozen and
-    kept in its place. A mesh file is read again on every call. A build
-    that fails leaves nothing kept."""
+    a new ``mesh_from_config(cfg)``, which, for a fixture, is kept in its
+    place. A mesh file is read again on every call. A build that fails
+    leaves nothing kept."""
     key = json.dumps(cfg.mesh, sort_keys=True)
     mesh = _kept.get(key)
     if mesh is None:
         _kept.clear()  # never two meshes, not even while the next is built
         mesh = mesh_from_config(cfg)
         if "path" not in cfg.mesh:
-            mesh.freeze()
             _kept[key] = mesh
     return mesh
 
@@ -76,9 +75,12 @@ def _artifact(out: Path, stage: str) -> Path:
 def _read_array(out: Path, stage: str, kind: str, name: str,
                 shape: tuple[int, ...]) -> np.ndarray:
     """The array ``name`` of the field ``stage`` wrote; ArtifactError naming
-    the file if the array does not have the ``shape`` the mesh needs."""
+    the file unless it is float64 of the ``shape`` the mesh needs."""
     path = _artifact(out, stage)
     arr = artifacts.read_field(path, kind=kind, names=(name,))[1][name]
+    if arr.dtype != np.float64:
+        raise ArtifactError(f"{path}: {name} has dtype {arr.dtype}, not "
+                            "float64")
     if arr.shape != shape:
         raise ArtifactError(f"{path}: {name} has shape {arr.shape}, the mesh "
                             f"needs {shape}")
@@ -237,7 +239,7 @@ def run_stage(stage: str, cfg: PipelineConfig,
     A stage calls ``load_mesh()``: the first call of a ``run_stage`` call
     returns the fixture mesh kept from an earlier call if it was built from
     the same mesh section, and otherwise builds the mesh, keeping a fixture
-    mesh (one per process, its arrays read-only). A stage fills
+    mesh (one per process; a ``TetMesh`` is read-only). A stage fills
     a fresh record dict, written after it returns as ``<stage>.json``: one
     line of JSON with sorted keys, floats at every digit."""
     if stage != "pipeline" and stage not in _STAGE_FUNCS:

@@ -602,6 +602,27 @@ def test_cli_field_of_another_mesh_exits_4(pipeline_out, tmp_path,
             f"{shape}, the mesh needs {need}") in caplog.text
 
 
+@pytest.mark.parametrize("stage, name, kind, array, dtype", [
+    ("frames", "fea.field", "stress", "sigma_plus", "complex128"),
+    ("param", "frames.field", "frames", "frames", "float32"),
+    ("extract", "param.field", "param", "phi_tilde", "float32"),
+], ids=["frames", "param", "extract"])
+def test_cli_field_of_another_dtype_exits_4(pipeline_out, tmp_path,
+                                            monkeypatch, caplog, stage, name,
+                                            kind, array, dtype):
+    # The right shape in another dtype: a complex array would lose its
+    # imaginary part, a float32 one its precision.
+    _, out, _ = pipeline_out
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / name
+    meta, arrays = artifacts.read_field(path, kind=kind)
+    arrays[array] = arrays[array].astype(dtype)
+    artifacts.write_field(path, arrays, meta=meta, kind=kind)
+    assert _main_in_process(monkeypatch, tmp_path, stage) == 4
+    assert (f"artifact error: {stage}: {path}: {array} has dtype {dtype}, "
+            "not float64") in caplog.text
+
+
 def _assert_verify_rejects(pipeline_out, tmp_path, monkeypatch, caplog,
                            doc: dict, message: str):
     """``--stage verify`` on ``doc`` exits 2 with ``message`` and leaves the
@@ -1068,7 +1089,8 @@ def test_run_stage_builds_one_mesh_and_one_operator_set(tmp_path,
     assert list(pipeline._kept.values()) == [kept]
     # The kept mesh is shared by every later call: a write into it raises.
     for arr in (kept.vertices, kept.tets, kept.volumes, kept.face_ids,
-                kept.boundary.triangles, kept.grads, kept.face_pairs):
+                kept.boundary.triangles, kept.grads, kept.face_pairs,
+                kept.laplacian.data):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
     # Another mesh section builds its mesh, and the kept one is replaced.

@@ -141,8 +141,15 @@ def test_cut_medit_loads_or_raises_mesh_error(tmp_path, cut):
 
 def test_inverted_tet_reoriented():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
-    m = TetMesh(verts, np.array([[0, 2, 1, 3]]))    # negative volume as given
+    tets = np.array([[0, 2, 1, 3]])    # contiguous int64, negative volume
+    m = TetMesh(verts, tets)
     assert m.volumes[0] == pytest.approx(1.0 / 6.0)
+    assert m.tets.tolist() == [[0, 1, 2, 3]]
+    # The mesh reorients its own copy: the caller's arrays are left alone.
+    assert tets.tolist() == [[0, 2, 1, 3]]
+    assert m.tets is not tets and m.vertices is not verts
+    tets.flags.writeable = False
+    assert TetMesh(verts, tets).tets.tolist() == [[0, 1, 2, 3]]
 
 
 def test_degenerate_tet_names_index():
@@ -389,10 +396,19 @@ def test_grads_and_operators_are_built_once_and_shared(monkeypatch):
                         lambda m: builds.append(m) or build(m))
     assert mesh.grads is mesh.grads
     assert mesh.grads.shape == (mesh.num_tets, 4, 3)
-    with pytest.raises(ValueError, match="read-only"):
-        mesh.grads[0, 0, 0] = 1.0
     assert mesh.laplacian is mesh.laplacian
     assert len(builds) == 1 and builds[0] is mesh
+    # Every array reachable from a mesh is read-only, its cached tables'
+    # included.
+    assert mesh.face_pairs is mesh.face_pairs
+    L = mesh.laplacian
+    arrays = [a for a in (*vars(mesh).values(), *vars(mesh.boundary).values(),
+                          L.data, L.indices, L.indptr)
+              if isinstance(a, np.ndarray)]
+    assert len(arrays) == 15    # 6 of the mesh, 6 of its boundary, 3 of L
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
     # A direct call still builds a fresh Laplacian, equal to the kept one.
     fresh = mesh_module.build_operators(mesh)
     assert fresh is not mesh.laplacian and len(builds) == 2
