@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArtifactError
-from .extract import FAMILIES, TAG_RANK, TrussGraph
+from .extract import FAMILIES, TAG_RANK, TrussGraph, _distinct
 
 GRAPH_VERSION = 2
 FIELD_VERSION = 1
@@ -110,6 +110,10 @@ def read_graph(path: str | Path) -> TrussGraph:
     if elems.size and (elems.min() < 0 or elems.max() >= n):
         raise ArtifactError(
             f"element node index out of range [0, {n}) in {path}")
+    fam = np.unique(families, return_inverse=True)[1]
+    if len(_distinct(elems, fam)) != len(elems):
+        raise ArtifactError(f"an element joins a node to itself or repeats "
+                            f"a (low, high, family) member in {path}")
     return TrussGraph(positions=positions, params=params, tags=tags,
                       elements=elems, families=families)
 

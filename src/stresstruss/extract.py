@@ -27,8 +27,10 @@ rank. Nodes within MERGE_TOL then merge: a sweep over their projections on
 a generic direction, in a window slightly wider than MERGE_TOL so rounding
 drops no pair, proposes candidates, and a pair merges when ``row_norms`` of
 its difference is <= MERGE_TOL. A group keeps its highest-ranked, then
-lowest-numbered node. The canonical order makes the output independent of
-discovery order.
+lowest-numbered node; ``contract``, the one relabel step (simplify's too),
+merges each group into it and keeps members by one rule, ``_distinct``:
+self-links go, each (low, high, family) row stays at its first occurrence.
+The canonical order makes the output independent of discovery order.
 """
 
 from __future__ import annotations
@@ -154,20 +156,24 @@ def _chain_links(lo, hi, inner, count):
     return np.column_stack([near, far]), chain
 
 
+def _distinct(ends: np.ndarray, fam: np.ndarray) -> np.ndarray:
+    """The member rule: the (low, high, family) rows of links ``ends``
+    (e, 2) with family codes ``fam``, self-links dropped and each distinct
+    row kept at its first occurrence."""
+    keep = ends[:, 0] != ends[:, 1]
+    rows = np.column_stack([np.sort(ends[keep], axis=1), fam[keep]])
+    return rows[_first_seen(rows)[1]]
+
+
 def _raw_graph(keys, positions, params, ranks, links, families, names):
     """The unmerged graph of node occurrences listed in discovery order:
     equal keys are one node, placed by its first occurrence and tagged with
     its highest rank; links between occurrences are elements of family
-    ``names[families]``, without self-links or repeats."""
-    if not len(keys):
-        return empty_graph()
+    ``names[families]``, by the member rule."""
     node, first = _first_seen(keys)
     rank = np.zeros(len(first), dtype=np.int64)
     np.maximum.at(rank, node, ranks)
-    ends = node[links]
-    keep = ends[:, 0] != ends[:, 1]
-    rows = unique_rows(np.column_stack([np.sort(ends[keep], axis=1),
-                                        families[keep]]))[0]
+    rows = _distinct(node[links], families)
     return TrussGraph(positions[first], params[first],
                       [_TAGS[r] for r in rank], rows[:, :2].copy(),
                       [names[f] for f in rows[:, 2]])
@@ -244,16 +250,19 @@ def _coincidence_merge(g: TrussGraph) -> TrussGraph:
     rank = np.array([TAG_RANK[t] for t in g.tags])
     by_group = np.lexsort((np.arange(n), -rank, group))
     rep = by_group[np.searchsorted(group[by_group], np.arange(ngroups))]
+    return contract(g, group, rep)
 
-    ends = group[g.elements]
-    keep = ends[:, 0] != ends[:, 1]
+
+def contract(g: TrussGraph, label: np.ndarray, rep: np.ndarray) -> TrussGraph:
+    """Merge node i into new node ``label[i]``; new node k takes the
+    position, params and tag of old node ``rep[k]``. The elements are the
+    relabelled ones by the member rule (``_distinct``)."""
     names, fam = np.unique(np.array(g.families, dtype=str),
                            return_inverse=True)
-    rows = np.column_stack([np.sort(ends[keep], axis=1), fam[keep]])
-    once = _first_seen(rows)[1]
+    rows = _distinct(label[g.elements], fam)
     return TrussGraph(
         g.positions[rep], g.params[rep], [g.tags[r] for r in rep],
-        rows[once, :2].copy(), [str(names[f]) for f in rows[once, 2]],
+        rows[:, :2].copy(), [str(names[f]) for f in rows[:, 2]],
     )
 
 

@@ -23,8 +23,8 @@ from .fixtures import FIXTURES
 from .frames import fit_frame_field
 from .mesh import TetMesh, feature_edges, load_tet_mesh, pieces
 from .param import normalize_and_scale, solve_parametrization
-from .postprocess import default_length_threshold, emit_geometry, simplify, \
-    write_lines_obj, write_obj, write_ply
+from .postprocess import emit_geometry, simplify, write_lines_obj, \
+    write_obj, write_ply
 from .verify import build_truss_model, check_supports, frame_fem, \
     load_factor, write_report
 
@@ -162,12 +162,10 @@ def _stage_extract(cfg: PipelineConfig, out: Path, load_mesh,
 def _stage_simplify(cfg: PipelineConfig, out: Path, _,
                     record: dict) -> list[str]:
     g = artifacts.read_graph(_artifact(out, "extract"))
-    thr = default_length_threshold(g)
-    g2 = simplify(g, thr, remove_interior_hits=True, record=record)
+    g2 = simplify(g, remove_interior_hits=True, record=record)
     name = _ARTIFACT_FILES["simplify"]
     artifacts.write_graph(out / name, g2)
     record.update(
-        length_threshold=thr,
         before={"nodes": g.num_nodes, "elements": g.num_elements},
         after={"nodes": g2.num_nodes, "elements": g2.num_elements},
         member_connected_pieces=pieces(g2.num_nodes, g2.elements)[0])

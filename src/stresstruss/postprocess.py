@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .extract import TAG_RANK, TrussGraph, _first_seen, row_norms
-
-HIT_TAGS = ("face_hit",)
+from .extract import TAG_RANK, TrussGraph, _distinct, contract, row_norms
 
 
 class GeometryWarning(UserWarning):
@@ -48,34 +46,31 @@ def simplify(g: TrussGraph, length_threshold: float | None = None,
     feature-feature pairs under preserve_features. It is computed as rounds
     that each match every locally dominant candidate, first in key order at
     both endpoints (Preis, "Linear time 1/2-approximation algorithm for
-    maximum weighted matching in general graphs", STACS 1999). ``record``,
-    if given, counts each phase's contracting passes under
+    maximum weighted matching in general graphs", STACS 1999). The roots
+    left, in input order, are the output's nodes: ``extract.contract``, the
+    one relabel step, merges each node into its root. ``record``, if given,
+    gets "length_threshold" and each phase's contracting passes under
     "contraction_passes": "phase_a", "phase_b".
     """
     if length_threshold is None:
         length_threshold = default_length_threshold(g)
     passes = {"phase_a": 0, "phase_b": 0}
     if record is not None:
-        record["contraction_passes"] = passes
+        record.update(contraction_passes=passes,
+                      length_threshold=length_threshold)
     n = g.num_nodes
-    if n == 0:
-        return g.copy()
     rank = np.array([TAG_RANK[t] for t in g.tags])
     prio = rank * n - np.arange(n)           # the winner of a contraction
-    hit = np.array([t in HIT_TAGS for t in g.tags])
+    hit = rank == TAG_RANK["face_hit"]
     blocked = (rank == TAG_RANK["feature"]) & preserve_features
-    names, fam = np.unique(np.array(g.families, dtype=str),
-                           return_inverse=True)
+    fam = np.unique(np.array(g.families, dtype=str), return_inverse=True)[1]
     root = np.arange(n)
 
     def current_elements():
-        """Low root, high root, family and length of each distinct element
-        between two roots, in order of first occurrence."""
-        ends = np.sort(root[g.elements], axis=1)
-        keep = ends[:, 0] != ends[:, 1]
-        rows = np.column_stack([ends[keep], fam[keep]])
-        lo, hi, f = rows[_first_seen(rows)[1]].T
-        return lo, hi, f, row_norms(g.positions[lo] - g.positions[hi])
+        """Low root, high root and length of each distinct element between
+        two roots, in order of first occurrence."""
+        lo, hi, _ = _distinct(root[g.elements], fam).T
+        return lo, hi, row_norms(g.positions[lo] - g.positions[hi])
 
     def contract_pass(a, b, d):
         """Contract the greedy matching of candidates (a, b) in (d, a, b)
@@ -101,7 +96,7 @@ def simplify(g: TrussGraph, length_threshold: float | None = None,
 
     # Phase A: contract everything shorter than the threshold.
     while True:
-        lo, hi, _, d = current_elements()
+        lo, hi, d = current_elements()
         short = d < length_threshold
         if not contract_pass(lo[short], hi[short], d[short]):
             break
@@ -109,7 +104,7 @@ def simplify(g: TrussGraph, length_threshold: float | None = None,
 
     # Phase B: eliminate hit-provenance nodes entirely.
     while remove_interior_hits:
-        lo, hi, _, d = current_elements()
+        lo, hi, d = current_elements()
         node, other = np.concatenate([lo, hi]), np.concatenate([hi, lo])
         d = np.concatenate([d, d])
         order = np.lexsort((other, d, node))
@@ -123,16 +118,7 @@ def simplify(g: TrussGraph, length_threshold: float | None = None,
     # entirely of hit nodes contracts to one node that must survive, or the
     # component count would change.
     is_root = root == np.arange(n)
-    roots = np.nonzero(is_root)[0]
-    new_id = np.cumsum(is_root) - 1
-    lo, hi, f, _ = current_elements()
-    return TrussGraph(
-        positions=g.positions[roots],
-        params=g.params[roots],
-        tags=[g.tags[r] for r in roots.tolist()],
-        elements=np.column_stack([new_id[lo], new_id[hi]]),
-        families=names[f].tolist(),
-    )
+    return contract(g, np.cumsum(is_root)[root] - 1, np.nonzero(is_root)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -534,6 +534,29 @@ def test_cli_malformed_artifact_exits_4(tmp_path, monkeypatch, caplog,
     assert re.search(match, caplog.text)
 
 
+@pytest.mark.parametrize("name, stage, repeat", [
+    ("graph_simplified.json", "verify", True),
+    ("graph.json", "simplify", False),
+], ids=["repeated-member", "self-link"])
+def test_cli_graph_breaking_the_member_rule_exits_4(pipeline_out, tmp_path,
+                                                    monkeypatch, caplog, name,
+                                                    stage, repeat):
+    # Extract and simplify write each (low, high, family) member once and
+    # never join a node to itself: member 0 again, ends swapped, or a
+    # member from its low node to itself, is a fault of the file.
+    _, out, _ = pipeline_out
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / name
+    doc = json.loads(path.read_text())
+    a, b = doc["elements"][0]
+    doc["elements"].append([b, a] if repeat else [a, a])
+    doc["families"].append(doc["families"][0])
+    path.write_text(json.dumps(doc))
+    assert _main_in_process(monkeypatch, tmp_path, stage) == 4
+    assert (f"artifact error: {stage}: an element joins a node to itself or "
+            f"repeats a (low, high, family) member in {path}") in caplog.text
+
+
 def test_cli_out_of_memory_exits_3_by_stage(tmp_path, monkeypatch, caplog):
     def exhausted(cfg, out, load_mesh, record):
         raise MemoryError("Unable to allocate 3.1 GiB for an array")
@@ -821,6 +844,25 @@ def test_graph_element_index_out_of_range(pipeline_out, tmp_path, name,
     (tmp_path / name).write_text(json.dumps(doc))
     with pytest.raises(ArtifactError, match="element node index out of"):
         run_stage(stage, cfg, out_dir=tmp_path)
+
+
+def test_bench_traced_run_calls_every_hook(tmp_path, monkeypatch):
+    # The benchmark's traced path, as one worker run: a hooked function
+    # renamed, or no longer called, fails here.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "bench"))
+    import tracer
+    import worker
+    cfg = parse_config(SMALL_BAR_DOC)
+    tr = tracer.Tracer(0)
+    rec = worker.one_run(cfg, mesh_from_config(cfg), tmp_path / "out", tr)
+    assert rec["ok"], rec.get("error")
+    assert set(rec["layers"]) == set(tracer.UNITS) - {"trace.overhead_s"}
+    assert rec["layers"]["mesh.builds"] == 1
+    # spsolve is hooked for solves that fea, param and verify no longer make.
+    hooked = {name for _, _, name, _ in tracer.HOOKS} - {"spsolve"}
+    assert hooked <= {name for name, *_ in tr.spans}
 
 
 def test_stage_rerun_is_byte_identical(pipeline_out):

@@ -31,6 +31,7 @@ from stresstruss.extract import (
     _merge_candidates,
     _upgrade_grid_tags,
     check_perturbed,
+    contract,
     empty_graph,
     extract_3d,
     extract_boundary,
@@ -577,6 +578,25 @@ def test_merge_interior_boundary(cube_case):
     # Feature/boundary provenance survives over interior provenance.
     assert all(t in ("boundary", "feature", "interior_grid", "face_hit")
                for t in m.tags)
+
+
+def test_contract_relabels_by_the_member_rule():
+    # Nodes 1 and 3 merge into new node 1 under rep 3, not the lowest index.
+    positions = np.arange(15, dtype=float).reshape(5, 3)
+    g = TrussGraph(positions, positions + 100.0,
+                   ["face_hit", "interior_grid", "boundary", "feature",
+                    "boundary"],
+                   np.array([[1, 3], [0, 1], [3, 0], [0, 3], [2, 4], [4, 2]]),
+                   ["iso1", "iso1", "iso1", "boundary", "iso2", "iso2"])
+    got = contract(g, np.array([0, 1, 2, 1, 3]), np.array([0, 3, 2, 4]))
+    np.testing.assert_array_equal(got.positions, positions[[0, 3, 2, 4]])
+    np.testing.assert_array_equal(got.params, positions[[0, 3, 2, 4]] + 100.0)
+    assert got.tags == ["face_hit", "feature", "boundary", "boundary"]
+    # (1, 3) becomes a self-link and goes; (3, 0) repeats (0, 1, iso1) and
+    # (4, 2) repeats (2, 3, iso2), so each keeps its first occurrence; the
+    # pair (0, 1) also joins in family boundary, and that row stays.
+    np.testing.assert_array_equal(got.elements, [[0, 1], [0, 1], [2, 3]])
+    assert got.families == ["iso1", "boundary", "iso2"]
 
 
 def test_element_lengths_are_per_row_norms():

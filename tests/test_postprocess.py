@@ -30,7 +30,6 @@ from stresstruss.fixtures import unit_cube_mesh
 from stresstruss.postprocess import (
     _ICO_FACES,
     _ICO_VERTS,
-    HIT_TAGS,
     ZERO_LENGTH,
     GeometryWarning,
     TriangleMesh,
@@ -43,6 +42,9 @@ from stresstruss.postprocess import (
     write_ply,
 )
 from stresstruss.pipeline import run_stage
+
+# The tags of nodes that simplify eliminates with remove_interior_hits.
+HIT_TAGS = ("face_hit",)
 
 
 def _graph(positions, tags, elements, families, params=None):
